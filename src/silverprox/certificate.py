@@ -361,6 +361,19 @@ def check_multipliers_nonneg(bundle: CertificateBundle) -> CheckReport:
     return CheckReport("nonneg", True)
 
 
+def _laplacian_violation(mat: Matrix, prefix: str, name: str) -> str:
+    """Detail of the first positive off-diagonal entry or nonzero row sum, or ""."""
+    for r, row in enumerate(mat):
+        total = ZERO
+        for s, v in enumerate(row):
+            total = total + v
+            if r != s and v.sign() > 0:
+                return f"{prefix}off-diagonal {name}[{r}][{s}] = {v} > 0"
+        if total:
+            return f"{prefix}row {r} sums to {total}, not 0"
+    return ""
+
+
 def check_laplacian(bundle: CertificateBundle) -> CheckReport:
     """Exact Laplacian structure of the bordered slack matrix.
 
@@ -379,20 +392,8 @@ def check_laplacian(bundle: CertificateBundle) -> CheckReport:
                     False,
                     f"core-plus-outer entry [{r}][{s}] is positive",
                 )
-    lap = bundle.slack.lap
-    for r in range(n + 1):
-        total = ZERO
-        row = lap[r]
-        for s in range(n + 1):
-            v = row[s]
-            total = total + v
-            if r != s and v.sign() > 0:
-                return CheckReport(
-                    "laplacian", False, f"off-diagonal L[{r}][{s}] = {v} > 0"
-                )
-        if total:
-            return CheckReport("laplacian", False, f"row {r} sums to {total}, not 0")
-    return CheckReport("laplacian", True)
+    detail = _laplacian_violation(bundle.slack.lap, "", "L")
+    return CheckReport("laplacian", not detail, detail)
 
 
 def check_schur_psd(bundle: CertificateBundle, float_eig_probe: bool = False) -> CheckReport:
@@ -412,20 +413,9 @@ def check_schur_psd(bundle: CertificateBundle, float_eig_probe: bool = False) ->
     schur[n][n] = schur[n][n] - SQRT2
     schur[0][n] = schur[0][n] + SQRT2
     schur[n][0] = schur[n][0] + SQRT2
-    for r in range(n + 1):
-        total = ZERO
-        row = schur[r]
-        for s in range(n + 1):
-            v = row[s]
-            total = total + v
-            if r != s and v.sign() > 0:
-                return CheckReport(
-                    "schur", False, f"Schur complement off-diagonal [{r}][{s}] = {v} > 0"
-                )
-        if total:
-            return CheckReport(
-                "schur", False, f"Schur complement row {r} sums to {total}, not 0"
-            )
+    violation = _laplacian_violation(schur, "Schur complement ", "")
+    if violation:
+        return CheckReport("schur", False, violation)
     detail = f"corner entry (1,{n + 1}) = {schur[0][n]} <= 0 since c_1 >= sqrt2"
     if float_eig_probe:
         import numpy as np

@@ -216,16 +216,25 @@ def _schedule_steps(choice: str, k: int, n: int, exact: bool):
         return steps if exact else [v.to_float() for v in steps]
     if choice.startswith("constant"):
         _, _, const = choice.partition(":")
-        value = float(const) if const else 1.0
-        if value <= 0:
-            raise UsageError("constant stepsize must be positive")
+        try:
+            value = float(const) if const else 1.0
+        except ValueError:
+            raise UsageError(f"cannot parse constant stepsize {const!r}")
+        if not (math.isfinite(value) and value > 0):
+            raise UsageError("constant stepsize must be finite and positive")
         if exact and value != 1.0:
             raise UsageError("exact mode supports only constant:1")
         return [1 if exact else value] * n
     raise UsageError(f"unknown schedule {choice!r}")
 
 
+def _require_dim(args) -> None:
+    if args.dim < 1:
+        raise UsageError("--dim must be positive")
+
+
 def cmd_solve(args) -> int:
+    _require_dim(args)
     ks = _parse_k_spec(args.k)
     if len(ks) != 1:
         raise UsageError("solve takes a single k, not a range")
@@ -281,6 +290,7 @@ def _bench_families(args):
 
 
 def cmd_bench(args) -> int:
+    _require_dim(args)
     ks = _parse_k_spec(args.k)
     rows = []
     sound = True

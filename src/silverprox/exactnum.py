@@ -6,12 +6,21 @@ can run without a single floating-point operation.  The silver ratio
 rho = 1 + sqrt2 is a unit of the ring Z[sqrt2] (rho * (rho - 2) = 1), which
 is why its powers -- positive and negative alike -- keep integer components
 and why all the divisions that occur stay inside the field.
+
+A ``RadicalScalar`` stores its value as three Python ints: (p + q*sqrt2) / d
+with a common denominator d >= 1 and gcd(p, q, d) == 1.  That form is
+canonical, so equality compares the three ints directly.  Almost every
+certificate quantity lies in Z[sqrt2] (d == 1); arithmetic on such values is
+plain integer arithmetic with no gcd at all, and the exact sign of
+p + q*sqrt2 compares p*p with 2*q*q.  The rational components a = p/d and
+b = q/d are available as ``Fraction`` properties.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from math import gcd
 
 _SQRT2_FLOAT = math.sqrt(2.0)
 
@@ -29,50 +38,92 @@ def _component(value) -> Fraction:
 class RadicalScalar:
     """Exact number a + b*sqrt2 with arbitrary-precision rational a, b.
 
-    The representation is unique because sqrt2 is irrational, so equality
-    is componentwise.  Instances are immutable in spirit: every operation
-    returns a new value, and values hash consistently with plain rationals
-    (a RadicalScalar with b == 0 equals, and hashes like, its rational part).
+    Stored as ints (p, q, d) with a = p/d, b = q/d, d >= 1 and
+    gcd(p, q, d) == 1; do not assign to them.  The representation is unique
+    because sqrt2 is irrational, so equality is componentwise.  Every
+    operation returns a new value, and values hash consistently with plain
+    rationals (a RadicalScalar with b == 0 equals, and hashes like, its
+    rational part).
     """
 
-    __slots__ = ("a", "b")
+    __slots__ = ("p", "q", "d")
 
     def __init__(self, a=0, b=0):
-        self.a = _component(a)
-        self.b = _component(b)
+        a, b = _component(a), _component(b)
+        an, ad, bn, bd = a.numerator, a.denominator, b.numerator, b.denominator
+        # Both components are in lowest terms, so over their lcm the
+        # triple is already canonical.
+        d = ad * bd // gcd(ad, bd)
+        self.p = an * (d // ad)
+        self.q = bn * (d // bd)
+        self.d = d
+
+    @property
+    def a(self) -> Fraction:
+        """Rational part p/d."""
+        return Fraction(self.p, self.d)
+
+    @property
+    def b(self) -> Fraction:
+        """Coefficient q/d of sqrt2."""
+        return Fraction(self.q, self.d)
 
     # -- ring/field operations -------------------------------------------
 
     def __add__(self, other):
+        p, q, d = self.p, self.q, self.d
         if isinstance(other, RadicalScalar):
-            return _raw(self.a + other.a, self.b + other.b)
-        if isinstance(other, (int, Fraction)):
-            return _raw(self.a + other, self.b)
+            od = other.d
+            if d == 1 and od == 1:
+                return _new(p + other.p, q + other.q, 1)
+            return _reduced(p * od + other.p * d, q * od + other.q * d, d * od)
+        if isinstance(other, int):
+            return _new(p + other * d, q, d)
+        if isinstance(other, Fraction):
+            n, m = other.numerator, other.denominator
+            return _reduced(p * m + n * d, q * m, d * m)
         return NotImplemented
 
     __radd__ = __add__
 
     def __sub__(self, other):
+        p, q, d = self.p, self.q, self.d
         if isinstance(other, RadicalScalar):
-            return _raw(self.a - other.a, self.b - other.b)
-        if isinstance(other, (int, Fraction)):
-            return _raw(self.a - other, self.b)
+            od = other.d
+            if d == 1 and od == 1:
+                return _new(p - other.p, q - other.q, 1)
+            return _reduced(p * od - other.p * d, q * od - other.q * d, d * od)
+        if isinstance(other, int):
+            return _new(p - other * d, q, d)
+        if isinstance(other, Fraction):
+            n, m = other.numerator, other.denominator
+            return _reduced(p * m - n * d, q * m, d * m)
         return NotImplemented
 
     def __rsub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return _raw(other - self.a, -self.b)
+        p, q, d = self.p, self.q, self.d
+        if isinstance(other, int):
+            return _new(other * d - p, -q, d)
+        if isinstance(other, Fraction):
+            n, m = other.numerator, other.denominator
+            return _reduced(n * d - p * m, -q * m, d * m)
         return NotImplemented
 
     def __mul__(self, other):
+        p, q, d = self.p, self.q, self.d
         if isinstance(other, RadicalScalar):
-            # (a1 + b1 r)(a2 + b2 r) with r^2 = 2
-            return _raw(
-                self.a * other.a + 2 * self.b * other.b,
-                self.a * other.b + self.b * other.a,
-            )
-        if isinstance(other, (int, Fraction)):
-            return _raw(self.a * other, self.b * other)
+            # (p1 + q1 r)(p2 + q2 r) with r^2 = 2
+            op, oq, od = other.p, other.q, other.d
+            if d == 1 and od == 1:
+                return _new(p * op + 2 * q * oq, p * oq + q * op, 1)
+            return _reduced(p * op + 2 * q * oq, p * oq + q * op, d * od)
+        if isinstance(other, int):
+            if d == 1:
+                return _new(p * other, q * other, 1)
+            return _reduced(p * other, q * other, d)
+        if isinstance(other, Fraction):
+            n, m = other.numerator, other.denominator
+            return _reduced(p * n, q * n, d * m)
         return NotImplemented
 
     __rmul__ = __mul__
@@ -80,11 +131,17 @@ class RadicalScalar:
     def __truediv__(self, other):
         if isinstance(other, RadicalScalar):
             return self * other._inverse()
-        if isinstance(other, (int, Fraction)):
-            if other == 0:
-                raise ZeroDivisionError("division by zero in Q(sqrt2)")
-            return _raw(self.a / other, self.b / other)
-        return NotImplemented
+        if isinstance(other, int):
+            n, m = other, 1
+        elif isinstance(other, Fraction):
+            n, m = other.numerator, other.denominator
+        else:
+            return NotImplemented
+        if n == 0:
+            raise ZeroDivisionError("division by zero in Q(sqrt2)")
+        if n < 0:
+            n, m = -n, -m
+        return _reduced(self.p * m, self.q * m, self.d * n)
 
     def __rtruediv__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -92,15 +149,18 @@ class RadicalScalar:
         return NotImplemented
 
     def _inverse(self) -> "RadicalScalar":
-        # 1/(a + b sqrt2) = (a - b sqrt2) / (a^2 - 2 b^2); the norm is zero
-        # only for a = b = 0 since sqrt2 is irrational.
-        norm = self.a * self.a - 2 * self.b * self.b
+        # d/(p + q sqrt2) = d (p - q sqrt2) / (p^2 - 2 q^2); the norm is zero
+        # only for p = q = 0 since sqrt2 is irrational.
+        p, q, d = self.p, self.q, self.d
+        norm = p * p - 2 * q * q
         if norm == 0:
             raise ZeroDivisionError("division by zero in Q(sqrt2)")
-        return _raw(self.a / norm, -self.b / norm)
+        if norm < 0:
+            return _reduced(-d * p, d * q, -norm)
+        return _reduced(d * p, -d * q, norm)
 
     def __neg__(self):
-        return _raw(-self.a, -self.b)
+        return _new(-self.p, -self.q, self.d)
 
     def __pos__(self):
         return self
@@ -112,28 +172,36 @@ class RadicalScalar:
 
     def sign(self) -> int:
         """Exact sign of the real number a + b*sqrt2: -1, 0, or +1."""
-        sa = (self.a > 0) - (self.a < 0)
-        sb = (self.b > 0) - (self.b < 0)
-        if sa == 0:
-            return sb
-        if sb == 0 or sa == sb:
-            return sa
-        # Mixed signs: |a| vs |b| sqrt2 reduces to comparing a^2 with 2 b^2.
-        gap = self.a * self.a - 2 * self.b * self.b
-        return sa * ((gap > 0) - (gap < 0))
+        p, q = self.p, self.q
+        # d > 0, so the sign is that of p + q sqrt2.  With mixed signs,
+        # |p| vs |q| sqrt2 reduces to comparing p^2 with 2 q^2 (never equal
+        # unless both are zero, since sqrt2 is irrational).
+        if p >= 0:
+            if q >= 0:
+                return 1 if p or q else 0
+            return 1 if p * p > 2 * q * q else -1
+        if q <= 0:
+            return -1
+        return -1 if p * p > 2 * q * q else 1
 
     def __bool__(self):
-        return bool(self.a) or bool(self.b)
+        return self.p != 0 or self.q != 0
 
     def __eq__(self, other):
         if isinstance(other, RadicalScalar):
-            return self.a == other.a and self.b == other.b
-        if isinstance(other, (int, Fraction)):
-            return self.b == 0 and self.a == other
+            return self.p == other.p and self.q == other.q and self.d == other.d
+        if isinstance(other, int):
+            return self.q == 0 and self.d == 1 and self.p == other
+        if isinstance(other, Fraction):
+            return (
+                self.q == 0
+                and self.p == other.numerator
+                and self.d == other.denominator
+            )
         return NotImplemented
 
     def __hash__(self):
-        if self.b == 0:
+        if self.q == 0:
             return hash(self.a)
         return hash((self.a, self.b))
 
@@ -158,16 +226,18 @@ class RadicalScalar:
     # -- conversions ---------------------------------------------------------
 
     def to_float(self) -> float:
-        return float(self.a) + float(self.b) * _SQRT2_FLOAT
+        # p/d and q/d are correctly rounded, as float(a) and float(b) are.
+        return self.p / self.d + self.q / self.d * _SQRT2_FLOAT
 
     __float__ = to_float
 
     def exact_str(self) -> str:
         """Canonical serialization "a/b + c/d*sqrt2" in lowest terms."""
-        return (
-            f"{self.a.numerator}/{self.a.denominator}"
-            f" + {self.b.numerator}/{self.b.denominator}*sqrt2"
-        )
+        p, q, d = self.p, self.q, self.d
+        if d == 1:
+            return f"{p}/1 + {q}/1*sqrt2"
+        gp, gq = gcd(p, d), gcd(q, d)
+        return f"{p // gp}/{d // gp} + {q // gq}/{d // gq}*sqrt2"
 
     @classmethod
     def from_exact_str(cls, text: str) -> "RadicalScalar":
@@ -183,11 +253,24 @@ class RadicalScalar:
         return self.exact_str()
 
 
-def _raw(a: Fraction, b: Fraction) -> RadicalScalar:
-    out = RadicalScalar.__new__(RadicalScalar)
-    out.a = a
-    out.b = b
+_alloc = object.__new__
+
+
+def _new(p: int, q: int, d: int) -> RadicalScalar:
+    """Value (p + q sqrt2)/d from a triple already in canonical form."""
+    out = _alloc(RadicalScalar)
+    out.p = p
+    out.q = q
+    out.d = d
     return out
+
+
+def _reduced(p: int, q: int, d: int) -> RadicalScalar:
+    """Value (p + q sqrt2)/d for any d >= 1, brought to canonical form."""
+    g = gcd(p, q, d)
+    if g != 1:
+        p, q, d = p // g, q // g, d // g
+    return _new(p, q, d)
 
 
 ZERO = RadicalScalar(0, 0)

@@ -137,7 +137,7 @@ def proximal_gd_run(problem: ProblemInstance, steps, x0: Vector) -> Trace:
         g = grad(x)
         y = [xv - a * gv for xv, gv in zip(x, g)]
         x_next = prox(y, a)
-        if isinstance(x_next[0], float) and not all(math.isfinite(v) for v in x_next):
+        if not all(math.isfinite(v) for v in x_next if isinstance(v, float)):
             raise ArithmeticError(f"non-finite iterate at iteration {t + 1}")
         gs.append(g)
         ss.append([(yv - xv) / a for yv, xv in zip(y, x_next)])

@@ -208,7 +208,20 @@ def test_laplacian_negative_control():
     bad = replace(bundle, slack=replace(bundle.slack, lap=lap))
     report = check_laplacian(bad)
     assert not report.passed
-    assert "row 3" in report.detail
+    assert report.detail == "row 3 sums to 1/1 + 0/1*sqrt2, not 0"
+    schur = check_schur_psd(bad)
+    assert not schur.passed
+    assert schur.detail == "Schur complement row 3 sums to 1/1 + 0/1*sqrt2, not 0"
+
+
+def test_laplacian_positive_off_diagonal_named():
+    bundle = build_bundle(2)
+    lap = [row[:] for row in bundle.slack.lap]
+    lap[1][2] = lap[1][2] + 10  # 6 - 9 sqrt2 + 10 > 0
+    bad = replace(bundle, slack=replace(bundle.slack, lap=lap))
+    assert check_laplacian(bad).detail == "off-diagonal L[1][2] = 16/1 + -9/1*sqrt2 > 0"
+    assert (check_schur_psd(bad).detail
+            == "Schur complement off-diagonal [1][2] = 16/1 + -9/1*sqrt2 > 0")
 
 
 # ---------------------------------------------------------------------------

@@ -181,6 +181,20 @@ def test_solve_constant_schedule(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ("solve", "--problem", "lasso", "--k", "2", "--dim", "0"),
+    ("bench", "--k", "1..2", "--dim", "0"),
+    ("solve", "--problem", "lower-bound", "--k", "2", "--schedule", "constant:nan"),
+    ("solve", "--problem", "lower-bound", "--k", "2", "--schedule", "constant:inf"),
+    ("solve", "--problem", "lower-bound", "--k", "2", "--schedule", "constant:abc"),
+])
+def test_bad_argument_is_usage_error(capsys, argv):
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert err.startswith("usage error:")
+    assert "Traceback" not in err
+
+
 def test_bench_sound_and_deterministic(tmp_path, capsys):
     paths = [tmp_path / "a.csv", tmp_path / "b.csv"]
     for path in paths:

@@ -1,0 +1,167 @@
+"""Property tests: RadicalScalar against a Fraction-pair reference model."""
+
+from fractions import Fraction
+from math import gcd
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from silverprox.exactnum import ZERO, RadicalScalar
+
+
+class Ref:
+    """Reference model: a + b*sqrt2 as a pair of Fractions, operated on directly."""
+
+    def __init__(self, a, b=0):
+        self.a, self.b = Fraction(a), Fraction(b)
+
+    @staticmethod
+    def of(value):
+        return value if isinstance(value, Ref) else Ref(value)
+
+    def __add__(self, other):
+        other = Ref.of(other)
+        return Ref(self.a + other.a, self.b + other.b)
+
+    def __sub__(self, other):
+        other = Ref.of(other)
+        return Ref(self.a - other.a, self.b - other.b)
+
+    def __mul__(self, other):
+        other = Ref.of(other)
+        return Ref(self.a * other.a + 2 * self.b * other.b, self.a * other.b + self.b * other.a)
+
+    def __truediv__(self, other):
+        other = Ref.of(other)
+        norm = other.a * other.a - 2 * other.b * other.b
+        if norm == 0:
+            raise ZeroDivisionError("division by zero in Q(sqrt2)")
+        return self * Ref(other.a / norm, -other.b / norm)
+
+    def __neg__(self):
+        return Ref(-self.a, -self.b)
+
+    def sign(self):
+        sa, sb = (self.a > 0) - (self.a < 0), (self.b > 0) - (self.b < 0)
+        if sa == 0 or sb == 0 or sa == sb:
+            return sa or sb
+        gap = self.a * self.a - 2 * self.b * self.b
+        return sa * ((gap > 0) - (gap < 0))
+
+    def __eq__(self, other):
+        other = Ref.of(other)
+        return self.a == other.a and self.b == other.b
+
+    def __hash__(self):
+        return hash(self.a) if self.b == 0 else hash((self.a, self.b))
+
+    def exact_str(self):
+        a, b = self.a, self.b
+        return f"{a.numerator}/{a.denominator} + {b.numerator}/{b.denominator}*sqrt2"
+
+
+numerators = st.one_of(
+    st.integers(-30, 30),
+    st.integers(-(2**100), 2**100),  # components well above 2**64
+)
+# A few shared small denominators, so that sums often cancel a common factor.
+denominators = st.one_of(st.just(1), st.sampled_from((2, 3, 4, 6)), st.integers(1, 60))
+rationals = st.builds(Fraction, numerators, denominators)
+pairs = st.tuples(rationals, rationals)
+# Right-hand operands: another scalar, an int, or a Fraction, zero included.
+operands = st.one_of(
+    pairs.map(lambda ab: (RadicalScalar(*ab), Ref(*ab))),
+    numerators.map(lambda n: (n, n)),
+    rationals.map(lambda r: (r, r)),
+)
+
+
+def same(value, ref):
+    """value is the reference number, in canonical form."""
+    assert isinstance(value, RadicalScalar)
+    assert (value.a, value.b) == (ref.a, ref.b)
+    assert value.d >= 1 and gcd(value.p, value.q, value.d) == 1
+    assert value.exact_str() == ref.exact_str()
+
+
+@settings(deadline=None)
+@given(pairs, operands)
+@example((Fraction(3), Fraction(-2)), (0, 0))
+@example((Fraction(1, 2), Fraction(0)), (ZERO, Ref(0)))
+@example((Fraction(0), Fraction(0)), (Fraction(0), Fraction(0)))
+def test_arithmetic_matches_reference(ab, operand):
+    x, rx = RadicalScalar(*ab), Ref(*ab)
+    y, ry = operand
+    same(x + y, rx + ry)
+    same(y + x, Ref.of(ry) + rx)
+    same(x - y, rx - ry)
+    same(y - x, Ref.of(ry) - rx)
+    same(x * y, rx * ry)
+    same(y * x, Ref.of(ry) * rx)
+    for num, den, ref_num, ref_den in ((x, y, rx, ry), (y, x, ry, rx)):
+        try:
+            want = Ref.of(ref_num) / ref_den
+        except ZeroDivisionError:
+            with pytest.raises(ZeroDivisionError):
+                num / den
+        else:
+            same(num / den, want)
+
+
+@settings(deadline=None)
+@given(pairs)
+def test_unary_and_sign_match_reference(ab):
+    x, rx = RadicalScalar(*ab), Ref(*ab)
+    same(-x, -rx)
+    assert x.sign() == rx.sign()
+    assert bool(x) == (rx.sign() != 0)
+    same(abs(x), rx if rx.sign() >= 0 else -rx)
+
+
+@settings(deadline=None)
+@given(pairs, operands)
+def test_comparisons_and_hash_match_reference(ab, operand):
+    x, rx = RadicalScalar(*ab), Ref(*ab)
+    y, ry = operand
+    equal = rx == ry
+    assert (x == y) is equal and (y == x) is equal
+    assert (x != y) is not equal
+    if equal:
+        assert hash(x) == hash(y)
+    assert hash(x) == hash(rx)
+    gap = (rx - ry).sign()
+    assert (x < y) is (gap < 0) and (y > x) is (gap < 0)
+    assert (x <= y) is (gap <= 0) and (y >= x) is (gap <= 0)
+    assert (x > y) is (gap > 0) and (x >= y) is (gap >= 0)
+
+
+@settings(deadline=None)
+@given(pairs, st.integers(1, 2**70))
+def test_equal_values_hash_equal(ab, scale):
+    x = RadicalScalar(*ab)
+    # The same number reached through a detour with a large common factor.
+    y = RadicalScalar(ab[0] * scale, ab[1] * scale) / scale
+    assert x == y and hash(x) == hash(y)
+    rational = RadicalScalar(ab[0])
+    assert rational == ab[0] and hash(rational) == hash(ab[0])
+
+
+@settings(deadline=None)
+@given(pairs)
+def test_exact_str_round_trip(ab):
+    x, rx = RadicalScalar(*ab), Ref(*ab)
+    text = x.exact_str()
+    assert text == rx.exact_str()
+    same(RadicalScalar.from_exact_str(text), rx)
+    assert repr(x) == f"RadicalScalar({rx.a}, {rx.b})"
+
+
+@given(pairs)
+def test_floats_are_rejected(ab):
+    x = RadicalScalar(*ab)
+    for bad in (lambda: x + 0.5, lambda: 0.5 * x, lambda: x / 0.5, lambda: x < 0.5,
+                lambda: RadicalScalar(0.5), lambda: RadicalScalar(0, 0.5)):
+        with pytest.raises(TypeError):
+            bad()
+    assert x != 0.5

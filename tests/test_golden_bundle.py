@@ -1,0 +1,50 @@
+"""Golden SHA-256 of every certificate entry for k = 1..7.
+
+Each digest hashes the ``exact_str`` of every entry of ``build_bundle(k)``,
+one per line, in this order: ``pi``, ``c``, ``lam.bar`` (row by row),
+``lam.star_row``, ``mu.bar``, ``mu.star_row``, ``slack.bar_l``, ``slack.lap``,
+``slack.s`` and the ``u_coeffs`` fields.  The digests were recorded with the
+original Fraction-pair implementation of ``RadicalScalar``; no change to the
+arithmetic may move a single entry.
+"""
+
+import hashlib
+
+import pytest
+
+from silverprox.certificate import build_bundle
+
+GOLDEN = {
+    1: "2a067c042978d8f09e96ee1462809d532f4db51e794a5d403f5a6836edb86737",
+    2: "4e29814eddec326e8950fdd686d73aeb5751b172f2a7097f53abb3434aacbe23",
+    3: "c8a8a64f14b59187e141837a37dd9eda531f1da7efab2598e300b8312d218f78",
+    4: "fc4abedd6f0422600e6f252bb2494654ba38dc8dc15fcbad5e6f94404e0d1ba4",
+    5: "968595514da77ae352f9154079383cae6089cccf63ced3e354b51e0b76041934",
+    6: "ffb66a531117809fdf706cbc931063150b5286c640de07d0d05a408d849d1e99",
+    7: "9c97fef2e017673fad1cb2735ac7d5ee8c531711d2268decab177cde90ce9a59",
+}
+
+
+def bundle_entries(bundle):
+    yield from bundle.pi
+    yield from bundle.c
+    for mult in (bundle.lam, bundle.mu):
+        for row in mult.bar:
+            yield from row
+        yield from mult.star_row
+    for mat in (bundle.slack.bar_l, bundle.slack.lap, bundle.slack.s):
+        for row in mat:
+            yield from row
+    u = bundle.u_coeffs
+    yield u.init
+    yield from u.g
+    yield from u.s
+    yield u.s_star
+
+
+@pytest.mark.parametrize("k", sorted(GOLDEN))
+def test_bundle_entries_match_golden_digest(k):
+    digest = hashlib.sha256()
+    for value in bundle_entries(build_bundle(k)):
+        digest.update(value.exact_str().encode() + b"\n")
+    assert digest.hexdigest() == GOLDEN[k]

@@ -187,6 +187,19 @@ def test_divergence_raises_named_iteration():
         proximal_gd_run(simple_quadratic(), [3.0] * 2000, [1e300])
 
 
+def test_non_finite_coordinate_behind_clamped_int_raises():
+    # The box prox returns the int bound -1 for the clamped first coordinate,
+    # so the NaN in the second one must still be caught.
+    problem = ProblemInstance(
+        smooth=SmoothOracle(value=lambda x: 0.0, gradient=lambda x: [5.0, math.nan],
+                            smoothness=1),
+        nonsmooth=prox_library("box"),
+        dimension=2,
+    )
+    with pytest.raises(ArithmeticError, match="iteration 1"):
+        proximal_gd_run(problem, [1.0], [0.0, 0.0])
+
+
 def test_reduces_to_vanilla_gd():
     # with h == 0 the trace is plain gradient descent, bit for bit
     problem = ProblemInstance(
