@@ -27,7 +27,6 @@ from .certificate import (
 )
 from .exactnum import ONE, RHO, SQRT2, ZERO, RadicalScalar, rho_pow
 from .schedule import (
-    StepSchedule,
     c_sequence,
     silver_schedule,
     silver_step,
@@ -61,7 +60,6 @@ __all__ = [
     "SQRT2",
     "SlackMatrix",
     "SmoothOracle",
-    "StepSchedule",
     "Trace",
     "UCoefficients",
     "ZERO",

@@ -123,23 +123,32 @@ def _zeros(rows: int, cols: int) -> Matrix:
     return [[ZERO] * cols for _ in range(rows)]
 
 
+def _glue(bar: Matrix, size: int, offset: int) -> Matrix:
+    """Gluing step of the doubling recursion: two copies of an order-j block.
+
+    Returns a ``size x size`` matrix holding ``bar`` at (0, 0) and
+    ``rho**2 * bar`` at (offset, offset), zero elsewhere; the order-(j+1)
+    builders then add their sparse and low-rank corrections to it.  Zero
+    entries of ``bar`` are skipped.
+    """
+    rho2 = rho_pow(2)
+    new = _zeros(size, size)
+    for i, src in enumerate(bar):
+        lo, hi = new[i], new[offset + i]
+        for j, v in enumerate(src):
+            if v:
+                lo[j] = v
+                hi[offset + j] = rho2 * v
+    return new
+
+
 def build_lambda(k: int) -> MultiplierF:
     """Smooth-part multipliers of order k."""
     bar: Matrix = [[ZERO, RHO], [ONE, ZERO]]
-    rho2 = rho_pow(2)
     for j in range(1, k):
         n = 2**j - 1
         pi = silver_schedule(j)
-        new = _zeros(2 * n + 2, 2 * n + 2)
-        # glue two copies, the second scaled by rho^2
-        for i in range(n + 1):
-            src = bar[i]
-            lo, hi = new[i], new[n + 1 + i]
-            for jj in range(n + 1):
-                v = src[jj]
-                if v:
-                    lo[jj] = v
-                    hi[n + 1 + jj] = rho2 * v
+        new = _glue(bar, 2 * n + 2, n + 1)
         # sparse correction: two entries coupling the copies
         new[n][2 * n + 1] = new[n][2 * n + 1] + RHO
         new[2 * n + 1][n] = new[2 * n + 1][n] + rho_pow(j)
@@ -156,23 +165,14 @@ def build_lambda(k: int) -> MultiplierF:
 def build_mu(k: int) -> MultiplierH:
     """Nonsmooth-part multipliers of order k."""
     bar: Matrix = [[ZERO]]
-    rho2 = rho_pow(2)
     for j in range(1, k):
         n = 2**j - 1
         pi = silver_schedule(j)
         c = c_sequence(j)
-        new = _zeros(2 * n + 1, 2 * n + 1)
-        for i in range(n):
-            src = bar[i]
-            lo, hi = new[i], new[n + 1 + i]
-            for jj in range(n):
-                v = src[jj]
-                if v:
-                    lo[jj] = v
-                    hi[n + 1 + jj] = rho2 * v
+        new = _glue(bar, 2 * n + 1, n + 1)
         # sparse correction (rows/cols here are 0-based: iterate i+1)
         new[n - 1][n] = new[n - 1][n] + rho_pow(j)
-        new[n][n + 1] = new[n][n + 1] + rho2
+        new[n][n + 1] = new[n][n + 1] + rho_pow(2)
         new[2 * n][n] = new[2 * n][n] + (RHO - rho_pow(-j)) * (rho_pow(j - 1) + ONE)
         # low-rank correction
         mid = rho_pow(j - 1) + ONE
@@ -200,18 +200,13 @@ def build_mu(k: int) -> MultiplierH:
 def build_slack(k: int) -> SlackMatrix:
     """Slack matrices of order k."""
     bar: Matrix = [[SQRT2 * 2]]  # 2(rho - 1)
-    rho2 = rho_pow(2)
     for j in range(1, k):
         n = 2**j - 1
         pi = silver_schedule(j)
         c = c_sequence(j)
         gap = [c[t] - pi[t] for t in range(n)]
         core = [[bar[r][s] + gap[r] * gap[s] for s in range(n)] for r in range(n)]
-        new = _zeros(2 * n + 1, 2 * n + 1)
-        for r in range(n):
-            for s in range(n):
-                new[r][s] = core[r][s]
-                new[n + 1 + r][n + 1 + s] = rho2 * core[r][s]
+        new = _glue(core, 2 * n + 1, n + 1)
         rk = rho_pow(j)
         for r in range(n):
             v = -(rk * gap[r])
@@ -328,26 +323,16 @@ def check_multipliers_nonneg(bundle: CertificateBundle) -> CheckReport:
     (rho**k - 1) * (c_j - pi_j), which is how the one non-obviously
     nonnegative block is controlled.
     """
-    lam, mu = bundle.lam, bundle.mu
+    for label, mult in (("lambda", bundle.lam), ("mu", bundle.mu)):
+        for i, row in enumerate(mult.bar):
+            for j, v in enumerate(row):
+                if i != j and v.sign() < 0:
+                    return CheckReport("nonneg", False, f"{label}_bar[{i}][{j}] = {v} < 0")
+        for j, v in enumerate(mult.star_row):
+            if v.sign() < 0:
+                return CheckReport("nonneg", False, f"{label}_star[{j}] = {v} < 0")
+    mu = bundle.mu
     n = bundle.n
-    for i in range(n + 1):
-        row = lam.bar[i]
-        for j in range(n + 1):
-            if i != j and row[j].sign() < 0:
-                return CheckReport(
-                    "nonneg", False, f"lambda_bar[{i}][{j}] = {row[j]} < 0"
-                )
-    for j, v in enumerate(lam.star_row):
-        if v.sign() < 0:
-            return CheckReport("nonneg", False, f"lambda_star[{j}] = {v} < 0")
-    for i in range(n):
-        row = mu.bar[i]
-        for j in range(n):
-            if i != j and row[j].sign() < 0:
-                return CheckReport("nonneg", False, f"mu_bar[{i}][{j}] = {row[j]} < 0")
-    for j, v in enumerate(mu.star_row):
-        if v.sign() < 0:
-            return CheckReport("nonneg", False, f"mu_star[{j}] = {v} < 0")
     scale = rho_pow(bundle.k) - ONE
     for j in range(n - 1):
         expected = scale * (bundle.c[j] - bundle.pi[j])
@@ -494,13 +479,6 @@ def sample_free_trace(pi: list[RadicalScalar], dim: int, rng: random.Random):
     )
 
 
-def _dot(u, v):
-    total = 0
-    for a, b in zip(u, v):
-        total = total + a * b
-    return total
-
-
 def evaluate_identity(bundle: CertificateBundle, trace) -> tuple[RadicalScalar, RadicalScalar]:
     """Evaluate both sides of the descent identity on one trace, exactly.
 
@@ -509,34 +487,26 @@ def evaluate_identity(bundle: CertificateBundle, trace) -> tuple[RadicalScalar, 
     the objective gap, the initial distance, and the sum of squares built
     from u and the slack matrix S.
     """
-    from .solver import cocoercivity_f, cocoercivity_h
+    from .solver import _dot, _norm2, cocoercivity_f, cocoercivity_h
 
     n = bundle.n
     lhs = ZERO
-    lam = bundle.lam
-    for i in range(n + 1):
-        row = lam.bar[i]
-        for j in range(n + 1):
-            v = row[j]
-            if v and i != j:
-                lhs = lhs + v * cocoercivity_f(trace, i, j)
-    for j, v in enumerate(lam.star_row):
-        if v:
-            lhs = lhs + v * cocoercivity_f(trace, "*", j)
-    mu = bundle.mu
-    for i in range(n):
-        row = mu.bar[i]
-        for j in range(n):
-            v = row[j]
-            if v and i != j:
-                lhs = lhs + v * cocoercivity_h(trace, i + 1, j + 1)
-    for j, v in enumerate(mu.star_row):
-        if v:
-            lhs = lhs + v * cocoercivity_h(trace, "*", j + 1)
+    # subgradients start at iterate 1, so mu's indices are offset by one
+    for mult, cocoercivity, offset in (
+        (bundle.lam, cocoercivity_f, 0),
+        (bundle.mu, cocoercivity_h, 1),
+    ):
+        for i, row in enumerate(mult.bar):
+            for j, v in enumerate(row):
+                if v and i != j:
+                    lhs = lhs + v * cocoercivity(trace, i + offset, j + offset)
+        for j, v in enumerate(mult.star_row):
+            if v:
+                lhs = lhs + v * cocoercivity(trace, "*", j + offset)
 
     gap_term = (rho_pow(bundle.k) * 2 - ONE) * (trace.F_star - trace.Fs[n])
     w = trace.xs[0]  # x_0 - x_* since the optimum is at the origin
-    w_norm2 = _dot(w, w)
+    w_norm2 = _norm2(w)
 
     uc = bundle.u_coeffs
     u_norm2 = ZERO

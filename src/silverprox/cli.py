@@ -20,7 +20,6 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -35,8 +34,10 @@ from .certificate import (
     verify_descent_identity,
 )
 from .exactnum import ONE
-from .schedule import StepSchedule, silver_schedule
+from .schedule import c_sequence, silver_schedule
 from .solver import (
+    _norm2,
+    _sub,
     constant_baseline,
     lower_bound_instance,
     proximal_gd_run,
@@ -46,14 +47,6 @@ from .solver import (
 
 
 CERT_SCHEMA = "silverprox.cert/1"
-
-
-def _dist2(u, v) -> float:
-    total = 0
-    for a, b in zip(u, v):
-        diff = a - b
-        total = total + diff * diff
-    return float(total)
 
 
 class UsageError(Exception):
@@ -97,14 +90,14 @@ def cmd_schedule(args) -> int:
     ks = _parse_k_spec(args.k)
     if len(ks) != 1:
         raise UsageError("schedule takes a single k, not a range")
-    sched = StepSchedule.build(ks[0])
+    k = ks[0]
     sections = []
     if args.seq in ("pi", "both"):
-        sections.append(("pi", sched.pi))
+        sections.append(("pi", silver_schedule(k)))
     if args.seq in ("c", "both"):
-        sections.append(("c", sched.c))
+        sections.append(("c", c_sequence(k)))
     for label, seq in sections:
-        print(f"# {label} k={sched.k} entries={sched.n}")
+        print(f"# {label} k={k} entries={len(seq)}")
         for value in seq:
             print(repr(value.to_float()) if args.float else value.exact_str())
     if args.csv:
@@ -137,6 +130,7 @@ def _verify_one(k: int, args) -> tuple[dict, str]:
     identity = verify_descent_identity(
         k, trials=args.trials, dim=args.dim, seed=args.seed + k, bundle=bundle
     )
+    rate = rate_from_certificate(k)
     result = {
         "k": k,
         "n": bundle.n,
@@ -144,8 +138,8 @@ def _verify_one(k: int, args) -> tuple[dict, str]:
         "laplacian": "pass" if laplacian.passed else "fail",
         "schur": "pass" if schur.passed else "fail",
         "identity": {"trials": identity.trials, "failures": len(identity.failures)},
-        "rate_exact": rate_from_certificate(k).exact_str(),
-        "rate_float": float(rate_from_certificate(k)),
+        "rate_exact": rate.exact_str(),
+        "rate_float": float(rate),
     }
     detail = "; ".join(
         r.detail for r in (nonneg, laplacian, schur) if not r.passed and r.detail
@@ -157,14 +151,10 @@ def cmd_cert_verify(args) -> int:
     ks = _parse_k_spec(args.k)
     if args.trials < 1 or args.dim < 1:
         raise UsageError("--trials and --dim must be positive")
-    if args.threads > 1:
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            outcomes = list(pool.map(lambda k: _verify_one(k, args), ks))
-    else:
-        outcomes = [_verify_one(k, args) for k in ks]
     all_pass = True
     results = []
-    for res, detail in outcomes:
+    for k in ks:
+        res, detail = _verify_one(k, args)
         results.append(res)
         ok = (
             res["nonneg"] == "pass"
@@ -228,13 +218,15 @@ def _schedule_steps(choice: str, k: int, n: int, exact: bool):
     raise UsageError(f"unknown schedule {choice!r}")
 
 
-def _require_dim(args) -> None:
+def _require_dim_and_seed(args) -> None:
     if args.dim < 1:
         raise UsageError("--dim must be positive")
+    if args.seed < 0:
+        raise UsageError("--seed must be nonnegative")
 
 
 def cmd_solve(args) -> int:
-    _require_dim(args)
+    _require_dim_and_seed(args)
     ks = _parse_k_spec(args.k)
     if len(ks) != 1:
         raise UsageError("solve takes a single k, not a range")
@@ -243,14 +235,14 @@ def cmd_solve(args) -> int:
     problem, x0, exact = _make_problem(args)
     steps = _schedule_steps(args.schedule, args.k_value, n, exact)
     trace = proximal_gd_run(problem, steps, x0)
-    dist2_0 = _dist2(x0, problem.optimum)
+    dist2_0 = float(_norm2(_sub(x0, problem.optimum)))
     big_m = float(problem.smooth.smoothness)
 
     milestones = {2**j - 1 for j in range(1, args.k_value + 1)}
     rows = []
     for it in range(len(trace.xs)):
         gap = float(trace.Fs[it] - trace.F_star) if math.isfinite(float(trace.Fs[it])) else math.inf
-        dist = math.sqrt(_dist2(trace.xs[it], problem.optimum))
+        dist = math.sqrt(float(_norm2(_sub(trace.xs[it], problem.optimum))))
         step_str = repr(float(trace.steps[it - 1])) if it > 0 else ""
         bound = ""
         if it in milestones:
@@ -290,7 +282,7 @@ def _bench_families(args):
 
 
 def cmd_bench(args) -> int:
-    _require_dim(args)
+    _require_dim_and_seed(args)
     ks = _parse_k_spec(args.k)
     rows = []
     sound = True
@@ -300,7 +292,7 @@ def cmd_bench(args) -> int:
             if name == "lower-bound":
                 problem, _ = lower_bound_instance(k, exact=args.exact)
                 x0 = [ONE] if args.exact else [1.0]
-            dist2_0 = _dist2(x0, problem.optimum)
+            dist2_0 = float(_norm2(_sub(x0, problem.optimum)))
             big_m = float(problem.smooth.smoothness)
             base = constant_baseline(n, big_m, dist2_0)
             for schedule in ("silver", "constant"):
@@ -386,7 +378,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--dim", type=int, default=4)
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.add_argument("--json", help="JSON report path")
-    p_verify.add_argument("--threads", type=int, default=1)
     p_verify.add_argument("--eig-check", action="store_true",
                           help="also probe min eigenvalue of S in floating point")
     p_verify.add_argument("--tamper", choices=TAMPER_TARGETS,

@@ -22,8 +22,6 @@ c(k) >= pi(k) entrywise -- all exactly, and all checked in the tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .exactnum import ONE, RHO, SQRT2, RadicalScalar, rho_pow
 
 
@@ -67,28 +65,3 @@ def c_sequence(k: int) -> list[RadicalScalar]:
         pi = pi + [rho_pow(j - 1) + ONE] + pi
     return c
 
-
-@dataclass(frozen=True)
-class StepSchedule:
-    """Silver stepsizes pi and companion weights c for horizon n = 2**k - 1."""
-
-    k: int
-    n: int
-    pi: tuple[RadicalScalar, ...]
-    c: tuple[RadicalScalar, ...]
-
-    @classmethod
-    def build(cls, k: int) -> "StepSchedule":
-        _require_order(k)
-        return cls(
-            k=k,
-            n=2**k - 1,
-            pi=tuple(silver_schedule(k)),
-            c=tuple(c_sequence(k)),
-        )
-
-    def pi_floats(self) -> list[float]:
-        return [v.to_float() for v in self.pi]
-
-    def c_floats(self) -> list[float]:
-        return [v.to_float() for v in self.c]

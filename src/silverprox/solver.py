@@ -21,7 +21,7 @@ from typing import Callable
 
 import numpy as np
 
-from .certificate import rate_from_certificate
+from .certificate import display_rate, rate_from_certificate
 from .exactnum import ONE, ZERO, rho_pow
 from .schedule import silver_schedule
 
@@ -328,9 +328,7 @@ def rate_bound(k: int, big_m: float, dist2: float) -> tuple[float, float]:
     """(headline bound, sharper certificate bound) for n = 2**k - 1 steps."""
     if big_m <= 0 or dist2 < 0:
         raise ValueError("need M > 0 and dist2 >= 0")
-    n = 2**k - 1
-    rho = rho_pow(1).to_float()
-    display = rho / (4.0 * math.sqrt(2.0) * n ** math.log2(rho)) * big_m * dist2
+    display = display_rate(k) * big_m * dist2
     sharp = float(rate_from_certificate(k)) * big_m * dist2
     return display, sharp
 
@@ -407,14 +405,14 @@ def restart_solve(
     problem: ProblemInstance,
     epsilon: float,
     x0: Vector,
-    r0: float | None = None,
     epoch_log: list | None = None,
 ):
     """Silver-schedule epochs with guaranteed distance halving.
 
     Runs epochs of n = 2**k - 1 silver steps with k sized from the
     condition number, halving the guaranteed distance to the optimum each
-    epoch, and stops once the guarantee reaches epsilon.  Returns
+    epoch, and stops once the guarantee reaches epsilon.  The starting
+    distance is measured from the instance's known optimum.  Returns
     (final point, total iteration count).
     """
     m = problem.smooth.strong_convexity
@@ -425,13 +423,11 @@ def restart_solve(
     kappa = problem.smooth.smoothness / m
     k = restart_epoch_order(kappa)
     sched = [v.to_float() for v in silver_schedule(k)]
-    if r0 is None:
-        if problem.optimum is None:
-            raise ValueError("need r0 or an instance with known optimum")
-        r0 = math.sqrt(_norm2(_sub(x0, problem.optimum)))
+    if problem.optimum is None:
+        raise ValueError("restart_solve needs an instance with known optimum")
 
     x = list(x0)
-    guaranteed = float(r0)
+    guaranteed = math.sqrt(_norm2(_sub(x0, problem.optimum)))
     total = 0
     while guaranteed > epsilon:
         trace = proximal_gd_run(problem, sched, x)
@@ -439,11 +435,7 @@ def restart_solve(
         total += len(sched)
         guaranteed /= 2
         if epoch_log is not None:
-            measured = (
-                math.sqrt(_norm2(_sub(x, problem.optimum)))
-                if problem.optimum is not None
-                else None
-            )
+            measured = math.sqrt(_norm2(_sub(x, problem.optimum)))
             epoch_log.append(
                 {"k": k, "iterations": len(sched), "guaranteed": guaranteed,
                  "distance": measured}

@@ -1,3 +1,4 @@
+import operator
 import random
 from dataclasses import replace
 
@@ -191,14 +192,31 @@ def test_schur_float_probe():
     assert "eigenvalue" in report.detail
 
 
-def test_nonneg_negative_control():
+@pytest.mark.parametrize("part, row, col, change, detail", [
+    ("lam", 0, 1, operator.neg, "lambda_bar[0][1] = -1/1 + -1/1*sqrt2 < 0"),
+    ("mu", 2, 1, operator.neg, "mu_bar[2][1] = -4/1 + 0/1*sqrt2 < 0"),
+    ("lam", None, 1, operator.neg, "lambda_star[1] = -2/1 + 0/1*sqrt2 < 0"),
+    ("mu", None, 1, operator.neg, "mu_star[1] = 0/1 + -2/1*sqrt2 < 0"),
+    # the (n, 1) entry of mu_bar is zero, so decrement it instead
+    ("mu", 2, 0, lambda v: v - ONE, "mu_bar[2][0] = -1/1 + 0/1*sqrt2 < 0"),
+    ("mu", 2, 0, lambda v: v + ONE,
+     "mu_bar[2][0] = 1/1 + 0/1*sqrt2 deviates from closed form 0/1 + 0/1*sqrt2"),
+], ids=["lambda_bar", "mu_bar", "lambda_star", "mu_star", "mu_bar_decremented",
+        "mu_closed_form"])
+def test_nonneg_negative_control(part, row, col, change, detail):
     bundle = build_bundle(2)
-    bar = [row[:] for row in bundle.mu.bar]
-    bar[2][0] = bar[2][0] - ONE  # decrement the (n, 1) entry
-    bad = replace(bundle, mu=replace(bundle.mu, bar=bar))
-    report = check_multipliers_nonneg(bad)
+    mult = getattr(bundle, part)
+    if row is None:
+        star = mult.star_row[:]
+        star[col] = change(star[col])
+        mult = replace(mult, star_row=star)
+    else:
+        bar = [r[:] for r in mult.bar]
+        bar[row][col] = change(bar[row][col])
+        mult = replace(mult, bar=bar)
+    report = check_multipliers_nonneg(replace(bundle, **{part: mult}))
     assert not report.passed
-    assert "mu_bar[2][0]" in report.detail
+    assert report.detail == detail
 
 
 def test_laplacian_negative_control():

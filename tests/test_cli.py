@@ -1,8 +1,14 @@
+import contextlib
 import csv
+import io
 import json
 import math
+import os
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from silverprox.cli import main
 from silverprox.exactnum import rho_pow
@@ -83,15 +89,6 @@ def test_cert_verify_deterministic(tmp_path, capsys):
         )
         assert code == 0
     assert paths[0].read_bytes() == paths[1].read_bytes()
-
-
-def test_cert_verify_threads_match_serial(tmp_path, capsys):
-    serial, threaded = tmp_path / "serial.json", tmp_path / "threaded.json"
-    run(capsys, "cert", "verify", "--k", "1..3", "--trials", "4",
-        "--json", str(serial))
-    run(capsys, "cert", "verify", "--k", "1..3", "--trials", "4",
-        "--json", str(threaded), "--threads", "3")
-    assert serial.read_bytes() == threaded.read_bytes()
 
 
 def test_cert_verify_eig_probe(capsys):
@@ -187,6 +184,8 @@ def test_solve_constant_schedule(capsys):
     ("solve", "--problem", "lower-bound", "--k", "2", "--schedule", "constant:nan"),
     ("solve", "--problem", "lower-bound", "--k", "2", "--schedule", "constant:inf"),
     ("solve", "--problem", "lower-bound", "--k", "2", "--schedule", "constant:abc"),
+    ("solve", "--problem", "lasso", "--k", "2", "--seed", "-1"),
+    ("bench", "--k", "1..2", "--seed", "-1"),
 ])
 def test_bad_argument_is_usage_error(capsys, argv):
     code, _, err = run(capsys, *argv)
@@ -238,3 +237,56 @@ def test_unwritable_output_is_io_error(capsys):
     )
     assert code == 2
     assert "io error" in err
+
+
+# ---------------------------------------------------------------------------
+# exit-code contract: every argv ends in 0, 1 or 2, never in a traceback
+# ---------------------------------------------------------------------------
+
+VALUES = ("0", "-1", "nan", "inf", "abc", "1..0", "9", "1", "2", "1..2")
+FLAGS = {
+    ("schedule",): {
+        "--k": VALUES, "--float": None, "--seq": ("pi", "c", "both", "abc"),
+    },
+    ("cert", "verify"): {
+        "--k": VALUES, "--trials": VALUES, "--dim": VALUES, "--seed": VALUES,
+        "--eig-check": None, "--tamper": ("lambda", "mu", "slack", "u", "abc"),
+        "--threads": VALUES,  # removed option: must be a usage error
+    },
+    ("solve",): {
+        "--problem": ("lasso", "box-qp", "lower-bound", "vanilla-qp", "abc"),
+        "--k": VALUES, "--seed": VALUES, "--dim": VALUES, "--exact": None,
+        "--schedule": ("silver", "constant", "constant:9", "constant:0",
+                       "constant:nan", "constant:inf", "constant:abc", "abc"),
+    },
+    ("bench",): {
+        "--k": VALUES, "--seed": VALUES, "--dim": VALUES, "--exact": None,
+        "--timings": None,
+    },
+}
+
+
+@st.composite
+def argvs(draw):
+    command = draw(st.sampled_from(sorted(FLAGS)))
+    flags = FLAGS[command]
+    argv = list(command)
+    for flag in draw(st.lists(st.sampled_from(sorted(flags)), max_size=5)):
+        argv.append(flag)
+        if flags[flag] is not None:
+            argv.append(draw(st.sampled_from(flags[flag])))
+    return argv
+
+
+@settings(deadline=None, max_examples=150)
+@given(argvs())
+@example(["solve", "--problem", "lasso", "--k", "1", "--seed", "-1"])
+@example(["bench", "--k", "1", "--seed", "-1"])
+@example(["cert", "verify", "--k", "1", "--threads", "2"])
+def test_exit_code_contract(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.dict(os.environ, {"SILVERPROX_MAX_K": "3"}), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()

@@ -2,7 +2,6 @@ import pytest
 
 from silverprox.exactnum import ONE, SQRT2, RadicalScalar, rho_pow
 from silverprox.schedule import (
-    StepSchedule,
     c_sequence,
     silver_schedule,
     silver_step,
@@ -82,12 +81,3 @@ def test_invalid_order():
     for fn in (silver_schedule, c_sequence):
         with pytest.raises(ValueError):
             fn(0)
-
-
-def test_step_schedule_container():
-    sched = StepSchedule.build(3)
-    assert sched.n == 7
-    assert len(sched.pi) == len(sched.c) == 7
-    assert sched.pi_floats()[0] == pytest.approx(2**0.5)
-    floats = sched.c_floats()
-    assert all(b >= a - 1e-12 for a, b in zip(sched.pi_floats(), floats))
