@@ -1,9 +1,9 @@
 """Command-line interface: schedule | cert verify | solve | bench.
 
 Exit codes: 0 when everything passes, 1 on a verification or benchmark
-assertion failure, 2 on usage or I/O errors.  The environment variable
-SILVERPROX_MAX_K caps the certificate/schedule order accepted on the
-command line (default 8); library callers are not capped.
+assertion failure or a diverging float run, 2 on usage or I/O errors.  The
+environment variable SILVERPROX_MAX_K caps the certificate/schedule order
+accepted on the command line (default 8); library callers are not capped.
 
 Reports are deterministic for a fixed seed: JSON is emitted with sorted
 keys and CSV rows in a fixed order.  Benchmark wall times are recorded
@@ -234,7 +234,10 @@ def cmd_solve(args) -> int:
     n = 2**args.k_value - 1
     problem, x0, exact = _make_problem(args)
     steps = _schedule_steps(args.schedule, args.k_value, n, exact)
-    trace = proximal_gd_run(problem, steps, x0)
+    try:
+        trace = proximal_gd_run(problem, steps, x0)
+    except ArithmeticError as exc:
+        return _diverged(exc)
     dist2_0 = float(_norm2(_sub(x0, problem.optimum)))
     big_m = float(problem.smooth.smoothness)
 
@@ -299,7 +302,10 @@ def cmd_bench(args) -> int:
                 exact_run = args.exact and name == "lower-bound"
                 steps = _schedule_steps(schedule, k, n, exact_run)
                 started = time.perf_counter()
-                trace = proximal_gd_run(problem, steps, x0)
+                try:
+                    trace = proximal_gd_run(problem, steps, x0)
+                except ArithmeticError as exc:
+                    return _diverged(exc)
                 elapsed = time.perf_counter() - started
                 gap = float(trace.Fs[-1] - trace.F_star)
                 bound = (
@@ -336,6 +342,11 @@ def cmd_bench(args) -> int:
 # ---------------------------------------------------------------------------
 # plumbing
 # ---------------------------------------------------------------------------
+
+
+def _diverged(exc: ArithmeticError) -> int:
+    print(f"diverged: {exc}", file=sys.stderr)
+    return 1
 
 
 def _write_csv(path: str, header: list[str], rows) -> None:

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import warnings
 from unittest import mock
 
 import pytest
@@ -194,6 +195,63 @@ def test_bad_argument_is_usage_error(capsys, argv):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("problem,k,step", [
+    ("lasso", "3", "constant:1e308"),
+    ("vanilla-qp", "4", "constant:1e60"),
+])
+def test_diverging_solve_fails_in_one_line(capsys, problem, k, step):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, _, err = run(capsys, "solve", "--problem", problem, "--k", k,
+                           "--schedule", step)
+    assert code == 1
+    assert caught == []
+    assert err.startswith("diverged: non-finite iterate at iteration ")
+    assert err.count("\n") == 1
+    assert "Warning" not in err and "Traceback" not in err
+
+
+def test_diverging_bench_fails_in_one_line(capsys, monkeypatch):
+    def diverge(problem, steps, x0):
+        raise ArithmeticError("non-finite iterate at iteration 1")
+
+    monkeypatch.setattr("silverprox.cli.proximal_gd_run", diverge)
+    code, _, err = run(capsys, "bench", "--k", "1")
+    assert code == 1
+    assert err == "diverged: non-finite iterate at iteration 1\n"
+
+
+# F_gap and dist_to_opt at the milestone rows of
+# `solve --problem lasso --k 6 --seed 3 --dim 64 --csv`, recorded with the
+# list-based quadratic oracle that summed dot products left to right.
+LASSO_MILESTONES = {
+    1: (0.07192388235089808, 0.616840838247907),
+    3: (0.00416094585349569, 0.19954725195076004),
+    7: (9.515312527952346e-05, 0.03535194256864598),
+    15: (1.4912696855162721e-07, 0.001597591577333397),
+    31: (1.0274447959091049e-11, 1.4073775571735671e-05),
+    63: (7.105427357601002e-15, 6.702113017488568e-09),
+}
+
+
+def test_float_csv_deterministic_and_close_to_reference(tmp_path, capsys):
+    paths = [tmp_path / "a.csv", tmp_path / "b.csv"]
+    for path in paths:
+        code, _, _ = run(
+            capsys, "solve", "--problem", "lasso", "--k", "6", "--seed", "3",
+            "--dim", "64", "--csv", str(path),
+        )
+        assert code == 0
+    assert paths[0].read_bytes() == paths[1].read_bytes()
+    with open(paths[0], newline="") as handle:
+        rows = [r for r in csv.DictReader(handle) if r["bound_at_milestone"]]
+    assert {int(r["iter"]) for r in rows} == set(LASSO_MILESTONES)
+    for row in rows:
+        gap, dist = LASSO_MILESTONES[int(row["iter"])]
+        assert abs(float(row["F_gap"]) - gap) <= 1e-12
+        assert abs(float(row["dist_to_opt"]) - dist) <= 1e-12
+
+
 def test_bench_sound_and_deterministic(tmp_path, capsys):
     paths = [tmp_path / "a.csv", tmp_path / "b.csv"]
     for path in paths:
@@ -257,7 +315,8 @@ FLAGS = {
         "--problem": ("lasso", "box-qp", "lower-bound", "vanilla-qp", "abc"),
         "--k": VALUES, "--seed": VALUES, "--dim": VALUES, "--exact": None,
         "--schedule": ("silver", "constant", "constant:9", "constant:0",
-                       "constant:nan", "constant:inf", "constant:abc", "abc"),
+                       "constant:nan", "constant:inf", "constant:abc",
+                       "constant:1e308", "abc"),
     },
     ("bench",): {
         "--k": VALUES, "--seed": VALUES, "--dim": VALUES, "--exact": None,
@@ -283,6 +342,7 @@ def argvs(draw):
 @example(["solve", "--problem", "lasso", "--k", "1", "--seed", "-1"])
 @example(["bench", "--k", "1", "--seed", "-1"])
 @example(["cert", "verify", "--k", "1", "--threads", "2"])
+@example(["solve", "--problem", "lasso", "--k", "3", "--schedule", "constant:1e308"])
 def test_exit_code_contract(argv):
     out, err = io.StringIO(), io.StringIO()
     with mock.patch.dict(os.environ, {"SILVERPROX_MAX_K": "3"}), \

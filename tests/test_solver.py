@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -423,3 +424,41 @@ def test_random_instance_rejects_bad_args():
         random_quadratic_instance(4, 0.5, 0.25, "zero", rng)
     with pytest.raises(ValueError):
         random_quadratic_instance(4, 0.0, 1.0, "huber", rng)
+
+
+@pytest.mark.parametrize("dim", [1, 8, 64])
+def test_quadratic_oracle_matches_exact_reference(dim):
+    rng = np.random.default_rng(100 + dim)
+    problem, _ = random_quadratic_instance(dim, 0.0, 1.0, "l1", rng)
+    quad = problem.smooth.value.__self__
+    mat = [[Fraction(v) for v in row] for row in quad.mat.tolist()]
+    lin = [Fraction(v) for v in quad.lin.tolist()]
+    for _ in range(5):
+        x = [float(v) for v in rng.normal(scale=2.0, size=dim)]
+        xq = [Fraction(v) for v in x]
+        value = problem.smooth.value(x)
+        grad = problem.smooth.gradient(x)
+        assert type(value) is float
+        assert type(grad) is list and all(type(v) is float for v in grad)
+        # The error bound of a float sum scales with the sum of the absolute
+        # terms, so each comparison is relative to that magnitude.
+        terms = [[a * b for a, b in zip(row, xq)] for row in mat]
+        for i in range(dim):
+            exact = sum(terms[i]) + lin[i]
+            scale = sum(abs(t) for t in terms[i]) + abs(lin[i])
+            assert abs(Fraction(grad[i]) - exact) <= Fraction(1e-12) * scale
+        exact = sum(xq[i] * (sum(terms[i]) / 2 + lin[i]) for i in range(dim))
+        scale = sum(abs(xq[i]) * (sum(abs(t) for t in terms[i]) / 2 + abs(lin[i]))
+                    for i in range(dim))
+        assert abs(Fraction(value) - exact) <= Fraction(1e-12) * scale
+
+
+def test_divergence_raises_under_warnings_as_errors():
+    rng = np.random.default_rng(47)
+    problem, x0 = random_quadratic_instance(8, 0.0, 1.0, "zero", rng)
+    before = np.geterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ArithmeticError, match="iteration"):
+            proximal_gd_run(problem, [1e150] * 8, x0)
+    assert np.geterr() == before  # the run does not leak its error state
