@@ -13,8 +13,7 @@ All objects are built by a doubling recursion: a certificate of order k+1
 glues two copies of the order-k certificate and adds a sparse correction
 (O(1) entries) plus a low-rank correction (O(1) rows built from the
 stepsizes and their companion sequence).  Everything lives in Q(sqrt2) and
-every check below is an exact computation: no floating point is involved
-unless explicitly requested (the optional eigenvalue probe of S).
+every check below is an exact computation: no floating point is involved.
 
 The descent identity states that the multiplier-weighted sum of
 co-coercivities equals
@@ -381,15 +380,28 @@ def check_laplacian(bundle: CertificateBundle) -> CheckReport:
     return CheckReport("laplacian", not detail, detail)
 
 
-def check_schur_psd(bundle: CertificateBundle, float_eig_probe: bool = False) -> CheckReport:
+def _border_violation(s_mat: Matrix, lap: Matrix) -> str:
+    """Detail of the first entry where S is not L with border (1/sqrt2, -1, 0, ..., 0, +1)."""
+    border = [INV_SQRT2, -ONE] + [ZERO] * (len(lap) - 2) + [ONE]
+    expected = [border] + [[b] + row for b, row in zip(border[1:], lap)]
+    if s_mat == expected:
+        return ""
+    for r, (row, want) in enumerate(zip(s_mat, expected)):
+        for c, (v, w) in enumerate(zip(row, want)):
+            if v != w:
+                return f"S[{r}][{c}] = {v}, not {w}"
+    return f"S is not {len(expected)} x {len(expected)}"
+
+
+def check_schur_psd(bundle: CertificateBundle) -> CheckReport:
     """Certify S >= 0 exactly via its Schur complement.
 
     The corner of S is 1/sqrt2 > 0, so S is positive semidefinite iff
     L - sqrt2 * v v^T with v = -e_1 + e_{n+1} is.  That matrix is shown to
     be Laplacian: zero row sums and nonpositive off-diagonals (the only
     entries that change are the four in rows/columns 1 and n+1, and the
-    off-diagonal one needs c_1 >= sqrt2).  Optionally also probes the
-    minimum eigenvalue of S in floating point.
+    off-diagonal one needs c_1 >= sqrt2).  Then S itself is checked to be
+    exactly L with that border, so the proof is about the stored S.
     """
     n = bundle.n
     lap = bundle.slack.lap
@@ -398,18 +410,11 @@ def check_schur_psd(bundle: CertificateBundle, float_eig_probe: bool = False) ->
     schur[n][n] = schur[n][n] - SQRT2
     schur[0][n] = schur[0][n] + SQRT2
     schur[n][0] = schur[n][0] + SQRT2
-    violation = _laplacian_violation(schur, "Schur complement ", "")
+    violation = (_laplacian_violation(schur, "Schur complement ", "")
+                 or _border_violation(bundle.slack.s, lap))
     if violation:
         return CheckReport("schur", False, violation)
     detail = f"corner entry (1,{n + 1}) = {schur[0][n]} <= 0 since c_1 >= sqrt2"
-    if float_eig_probe:
-        import numpy as np
-
-        s_float = [[v.to_float() for v in row] for row in bundle.slack.s]
-        min_eig = float(np.linalg.eigvalsh(np.array(s_float)).min())
-        if min_eig < -1e-9:
-            return CheckReport("schur", False, f"float min eigenvalue {min_eig:.3e}")
-        detail += f"; float min eigenvalue {min_eig:.3e}"
     return CheckReport("schur", True, detail)
 
 

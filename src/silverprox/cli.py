@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import math
 import os
@@ -81,16 +82,20 @@ def _parse_k_spec(text: str) -> list[int]:
     return list(range(lo, hi + 1))
 
 
+def _single_k(args) -> int:
+    ks = _parse_k_spec(args.k)
+    if len(ks) != 1:
+        raise UsageError(f"{args.command} takes a single k, not a range")
+    return ks[0]
+
+
 # ---------------------------------------------------------------------------
 # schedule
 # ---------------------------------------------------------------------------
 
 
 def cmd_schedule(args) -> int:
-    ks = _parse_k_spec(args.k)
-    if len(ks) != 1:
-        raise UsageError("schedule takes a single k, not a range")
-    k = ks[0]
+    k = _single_k(args)
     sections = []
     if args.seq in ("pi", "both"):
         sections.append(("pi", silver_schedule(k)))
@@ -120,13 +125,16 @@ def cmd_schedule(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _verify_one(k: int, args) -> tuple[dict, str]:
+def _verify_one(k: int, args) -> tuple[dict, str, bool]:
+    """(JSON entry, failure details, all checks and identity trials passed)."""
     bundle = build_bundle(k)
     if args.tamper:
         bundle = tamper_bundle(bundle, args.tamper)
-    nonneg = check_multipliers_nonneg(bundle)
-    laplacian = check_laplacian(bundle)
-    schur = check_schur_psd(bundle, float_eig_probe=args.eig_check)
+    checks = (
+        check_multipliers_nonneg(bundle),
+        check_laplacian(bundle),
+        check_schur_psd(bundle),
+    )
     identity = verify_descent_identity(
         k, trials=args.trials, dim=args.dim, seed=args.seed + k, bundle=bundle
     )
@@ -134,17 +142,13 @@ def _verify_one(k: int, args) -> tuple[dict, str]:
     result = {
         "k": k,
         "n": bundle.n,
-        "nonneg": "pass" if nonneg.passed else "fail",
-        "laplacian": "pass" if laplacian.passed else "fail",
-        "schur": "pass" if schur.passed else "fail",
+        **{c.name: "pass" if c.passed else "fail" for c in checks},
         "identity": {"trials": identity.trials, "failures": len(identity.failures)},
         "rate_exact": rate.exact_str(),
         "rate_float": float(rate),
     }
-    detail = "; ".join(
-        r.detail for r in (nonneg, laplacian, schur) if not r.passed and r.detail
-    )
-    return result, detail
+    detail = "; ".join(c.detail for c in checks if not c.passed and c.detail)
+    return result, detail, all(c.passed for c in checks) and identity.passed
 
 
 def cmd_cert_verify(args) -> int:
@@ -154,14 +158,8 @@ def cmd_cert_verify(args) -> int:
     all_pass = True
     results = []
     for k in ks:
-        res, detail = _verify_one(k, args)
+        res, detail, ok = _verify_one(k, args)
         results.append(res)
-        ok = (
-            res["nonneg"] == "pass"
-            and res["laplacian"] == "pass"
-            and res["schur"] == "pass"
-            and res["identity"]["failures"] == 0
-        )
         all_pass &= ok
         print(
             f"k={res['k']} n={res['n']} nonneg={res['nonneg']} "
@@ -179,43 +177,61 @@ def cmd_cert_verify(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# solve
+# solve and bench: one problem table, one instance builder, one bound rule
 # ---------------------------------------------------------------------------
 
-
-def _make_problem(args):
-    """Build the requested instance; returns (problem, x0, exact_mode)."""
-    name = args.problem
-    if name == "lower-bound":
-        problem, _ = lower_bound_instance(args.k_value, exact=args.exact)
-        x0 = [ONE] if args.exact else [1.0]
-        return problem, x0, args.exact
-    if args.exact:
-        raise UsageError(f"--exact is only supported for lower-bound, not {name!r}")
-    rng = np.random.default_rng(args.seed)
-    kinds = {"lasso": "l1", "box-qp": "box", "vanilla-qp": "zero"}
-    if name not in kinds:
-        raise UsageError(f"unknown problem {name!r}")
-    problem, x0 = random_quadratic_instance(args.dim, 0.0, 1.0, kinds[name], rng)
-    return problem, x0, False
+# Problem name -> prox kind of its random quadratic instance, or None for the
+# exact worst-case instance.  `bench` runs the families in this order and
+# draws the random instances from one generator, so the order fixes its rows.
+PROBLEMS = {"lower-bound": None, "vanilla-qp": "zero", "lasso": "l1", "box-qp": "box"}
 
 
-def _schedule_steps(choice: str, k: int, n: int, exact: bool):
+def _instance(name: str, k: int, args, rng):
+    """(problem, x0) for one problem family at horizon order k."""
+    kind = PROBLEMS[name]
+    if kind is None:
+        problem, _ = lower_bound_instance(k, exact=args.exact)
+        return problem, [ONE] if args.exact else [1.0]
+    return random_quadratic_instance(args.dim, 0.0, 1.0, kind, rng)
+
+
+def _parse_schedule(choice: str, exact: bool):
+    """None for silver steps, else the constant unit-normalized step c."""
     if choice == "silver":
+        return None
+    name, colon, text = choice.partition(":")
+    if name != "constant":
+        raise UsageError(f"unknown schedule {choice!r}")
+    try:
+        value = float(text) if colon else 1.0
+    except ValueError:
+        raise UsageError(f"cannot parse constant stepsize {text!r}")
+    if not (math.isfinite(value) and value > 0):
+        raise UsageError("constant stepsize must be finite and positive")
+    if exact and value != 1.0:
+        raise UsageError("exact mode supports only constant:1")
+    return value
+
+
+def _steps(const, k: int, exact: bool) -> list:
+    if const is None:
         steps = silver_schedule(k)
         return steps if exact else [v.to_float() for v in steps]
-    if choice.startswith("constant"):
-        _, _, const = choice.partition(":")
-        try:
-            value = float(const) if const else 1.0
-        except ValueError:
-            raise UsageError(f"cannot parse constant stepsize {const!r}")
-        if not (math.isfinite(value) and value > 0):
-            raise UsageError("constant stepsize must be finite and positive")
-        if exact and value != 1.0:
-            raise UsageError("exact mode supports only constant:1")
-        return [1 if exact else value] * n
-    raise UsageError(f"unknown schedule {choice!r}")
+    return [1 if exact else const] * (2**k - 1)
+
+
+def _bound(const, j: int, problem, x0):
+    """Worst-case F gap after 2**j - 1 steps from x0, or None if none is known.
+
+    Silver steps (const None) carry the certificate bound and unit constant
+    steps the tight baseline M ||x0 - x_*||^2 / (4n); other constant steps
+    have no bound here.
+    """
+    big_m = float(problem.smooth.smoothness)
+    dist2 = float(_norm2(_sub(x0, problem.optimum)))
+    if const is None:
+        return rate_bound(j, big_m, dist2)
+    return constant_baseline(2**j - 1, big_m, dist2) if const == 1 else None
 
 
 def _require_dim_and_seed(args) -> None:
@@ -227,34 +243,24 @@ def _require_dim_and_seed(args) -> None:
 
 def cmd_solve(args) -> int:
     _require_dim_and_seed(args)
-    ks = _parse_k_spec(args.k)
-    if len(ks) != 1:
-        raise UsageError("solve takes a single k, not a range")
-    args.k_value = ks[0]
-    n = 2**args.k_value - 1
-    problem, x0, exact = _make_problem(args)
-    steps = _schedule_steps(args.schedule, args.k_value, n, exact)
+    k = _single_k(args)
+    if args.exact and PROBLEMS[args.problem] is not None:
+        raise UsageError(f"--exact is only supported for lower-bound, not {args.problem!r}")
+    problem, x0 = _instance(args.problem, k, args, np.random.default_rng(args.seed))
+    const = _parse_schedule(args.schedule, args.exact)
     try:
-        trace = proximal_gd_run(problem, steps, x0)
+        trace = proximal_gd_run(problem, _steps(const, k, args.exact), x0)
     except ArithmeticError as exc:
         return _diverged(exc)
-    dist2_0 = float(_norm2(_sub(x0, problem.optimum)))
-    big_m = float(problem.smooth.smoothness)
 
-    milestones = {2**j - 1 for j in range(1, args.k_value + 1)}
+    milestones = {2**j - 1: j for j in range(1, k + 1)}
     rows = []
-    for it in range(len(trace.xs)):
-        gap = float(trace.Fs[it] - trace.F_star) if math.isfinite(float(trace.Fs[it])) else math.inf
-        dist = math.sqrt(float(_norm2(_sub(trace.xs[it], problem.optimum))))
+    for it, (x, total) in enumerate(zip(trace.xs, trace.Fs)):
+        gap = float(total - trace.F_star) if math.isfinite(float(total)) else math.inf
+        dist = math.sqrt(float(_norm2(_sub(x, problem.optimum))))
         step_str = repr(float(trace.steps[it - 1])) if it > 0 else ""
-        bound = ""
-        if it in milestones:
-            j = (it + 1).bit_length() - 1
-            if args.schedule == "silver":
-                bound = repr(rate_bound(j, big_m, dist2_0)[1])
-            else:
-                bound = repr(constant_baseline(it, big_m, dist2_0))
-        rows.append((it, step_str, repr(gap), repr(dist), bound))
+        bound = _bound(const, milestones[it], problem, x0) if it in milestones else None
+        rows.append((it, step_str, repr(gap), repr(dist), "" if bound is None else repr(bound)))
     if args.csv:
         _write_csv(
             args.csv,
@@ -262,45 +268,27 @@ def cmd_solve(args) -> int:
             rows,
         )
     final_gap = trace.Fs[-1] - trace.F_star
-    print(f"problem={problem.name} schedule={args.schedule} n={n}")
-    if exact:
+    print(f"problem={problem.name} schedule={args.schedule} n={len(trace.steps)}")
+    if args.exact:
         print(f"final F gap (exact) = {final_gap.exact_str()}")
     print(f"final F gap = {float(final_gap)!r}")
-    print(f"certificate bound = {rate_bound(args.k_value, big_m, dist2_0)[1]!r}")
+    print(f"certificate bound = {_bound(None, k, problem, x0)!r}")
     return 0
-
-
-# ---------------------------------------------------------------------------
-# bench
-# ---------------------------------------------------------------------------
-
-
-def _bench_families(args):
-    rng = np.random.default_rng(args.seed)
-    families = [("lower-bound", None, None)]
-    for name, kind in (("vanilla-qp", "zero"), ("lasso", "l1"), ("box-qp", "box")):
-        problem, x0 = random_quadratic_instance(args.dim, 0.0, 1.0, kind, rng)
-        families.append((name, problem, x0))
-    return families
 
 
 def cmd_bench(args) -> int:
     _require_dim_and_seed(args)
     ks = _parse_k_spec(args.k)
+    rng = np.random.default_rng(args.seed)
     rows = []
     sound = True
-    for name, problem, x0 in _bench_families(args):
+    for name, kind in PROBLEMS.items():
         for k in ks:
-            n = 2**k - 1
-            if name == "lower-bound":
-                problem, _ = lower_bound_instance(k, exact=args.exact)
-                x0 = [ONE] if args.exact else [1.0]
-            dist2_0 = float(_norm2(_sub(x0, problem.optimum)))
-            big_m = float(problem.smooth.smoothness)
-            base = constant_baseline(n, big_m, dist2_0)
-            for schedule in ("silver", "constant"):
-                exact_run = args.exact and name == "lower-bound"
-                steps = _schedule_steps(schedule, k, n, exact_run)
+            if kind is None or k == ks[0]:  # random instances do not depend on k
+                problem, x0 = _instance(name, k, args, rng)
+            base = _bound(1, k, problem, x0)
+            for const in (None, 1.0):
+                steps = _steps(const, k, args.exact and kind is None)
                 started = time.perf_counter()
                 try:
                     trace = proximal_gd_run(problem, steps, x0)
@@ -308,23 +296,12 @@ def cmd_bench(args) -> int:
                     return _diverged(exc)
                 elapsed = time.perf_counter() - started
                 gap = float(trace.Fs[-1] - trace.F_star)
-                bound = (
-                    rate_bound(k, big_m, dist2_0)[1] if schedule == "silver" else base
-                )
+                bound = _bound(const, k, problem, x0)
                 if gap > bound * (1 + 1e-9) + 1e-12:
                     sound = False
-                rows.append(
-                    (
-                        name,
-                        schedule,
-                        k,
-                        n,
-                        repr(gap),
-                        repr(bound),
-                        repr(gap / base),
-                        repr(elapsed) if args.timings else "",
-                    )
-                )
+                label = "silver" if const is None else "constant"
+                rows.append((name, label, k, len(steps), repr(gap), repr(bound),
+                             repr(gap / base), repr(elapsed) if args.timings else ""))
     header = [
         "instance", "schedule", "k", "n", "F_gap", "bound",
         "ratio_to_constant", "wall_time",
@@ -350,18 +327,14 @@ def _diverged(exc: ArithmeticError) -> int:
 
 
 def _write_csv(path: str, header: list[str], rows) -> None:
-    try:
-        with open(path, "w", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(header)
-            writer.writerows(rows)
-    except OSError as exc:
-        raise IOError(f"cannot write {path}: {exc}") from exc
+    buffer = io.StringIO()
+    csv.writer(buffer).writerows([header, *rows])
+    _write_text(path, buffer.getvalue())
 
 
 def _write_text(path: str, text: str) -> None:
     try:
-        with open(path, "w") as handle:
+        with open(path, "w", newline="") as handle:
             handle.write(text)
     except OSError as exc:
         raise IOError(f"cannot write {path}: {exc}") from exc
@@ -389,18 +362,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--dim", type=int, default=4)
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.add_argument("--json", help="JSON report path")
-    p_verify.add_argument("--eig-check", action="store_true",
-                          help="also probe min eigenvalue of S in floating point")
     p_verify.add_argument("--tamper", choices=TAMPER_TARGETS,
                           help="negative-control hook: perturb one certificate entry")
     p_verify.set_defaults(func=cmd_cert_verify)
 
     p_solve = sub.add_parser("solve", help="run proximal gradient descent on a test problem")
-    p_solve.add_argument("--problem", required=True,
-                         choices=("lasso", "box-qp", "lower-bound", "vanilla-qp"))
+    p_solve.add_argument("--problem", required=True, choices=tuple(PROBLEMS))
     p_solve.add_argument("--k", required=True, help="horizon order: n = 2**k - 1")
     p_solve.add_argument("--schedule", default="silver",
-                         help="silver (default) or constant[:c]")
+                         help="silver (default), constant or constant:c")
     p_solve.add_argument("--exact", action="store_true",
                          help="exact arithmetic (lower-bound only)")
     p_solve.add_argument("--seed", type=int, default=0)

@@ -24,7 +24,7 @@ from typing import Callable
 
 import numpy as np
 
-from .certificate import display_rate, rate_from_certificate
+from .certificate import rate_from_certificate
 from .exactnum import ONE, ZERO, rho_pow
 from .schedule import silver_schedule
 
@@ -264,51 +264,31 @@ def _reject_extra(params: dict) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _trace_point(trace: Trace, i):
-    if i == "*":
-        if trace.x_star is None:
-            raise ValueError("trace has no optimum data")
-        return trace.x_star
-    return trace.xs[i]
+def _smooth_at(trace: Trace, i):
+    """(x, grad f, f) at trace index i, or at the optimum for i == "*"."""
+    if i != "*":
+        return trace.xs[i], trace.gs[i], trace.fs[i]
+    if trace.x_star is None or trace.s_star is None:
+        raise ValueError("trace has no optimum data")
+    return trace.x_star, [-v for v in trace.s_star], trace.f_star
 
 
-def _trace_grad(trace: Trace, i):
-    if i == "*":
-        if trace.s_star is None:
-            raise ValueError("trace has no optimum data")
-        return [-v for v in trace.s_star]
-    return trace.gs[i]
-
-
-def _trace_subgrad(trace: Trace, i):
-    if i == "*":
-        if trace.s_star is None:
-            raise ValueError("trace has no optimum data")
-        return trace.s_star
-    if not 1 <= i <= trace.n:
-        raise ValueError(f"no subgradient recorded at index {i}")
-    return trace.ss[i - 1]
-
-
-def _trace_f(trace: Trace, i):
-    return trace.f_star if i == "*" else trace.fs[i]
-
-
-def _trace_h(trace: Trace, i):
-    if i == "*":
-        return trace.h_star
-    if not 1 <= i <= trace.n:
-        raise ValueError(f"no usable nonsmooth value at index {i}")
-    return trace.hs[i]
+def _nonsmooth_at(trace: Trace, i):
+    """(x, subgradient, h) at trace index 1..n, or at the optimum for i == "*"."""
+    if i != "*":
+        if not 1 <= i <= trace.n:
+            raise ValueError(f"no subgradient recorded at index {i}")
+        return trace.xs[i], trace.ss[i - 1], trace.hs[i]
+    if trace.x_star is None or trace.s_star is None:
+        raise ValueError("trace has no optimum data")
+    return trace.x_star, trace.s_star, trace.h_star
 
 
 def cocoercivity_f(trace: Trace, i, j):
     """Smooth interpolation slack between trace indices i and j (or "*")."""
     if i == j:
         return 0
-    xi, xj = _trace_point(trace, i), _trace_point(trace, j)
-    gi, gj = _trace_grad(trace, i), _trace_grad(trace, j)
-    fi, fj = _trace_f(trace, i), _trace_f(trace, j)
+    (xi, gi, fi), (xj, gj, fj) = _smooth_at(trace, i), _smooth_at(trace, j)
     return fi - fj - _dot(gj, _sub(xi, xj)) - _norm2(_sub(gi, gj)) / 2
 
 
@@ -316,10 +296,7 @@ def cocoercivity_h(trace: Trace, i, j):
     """Convex interpolation slack of the nonsmooth part (indices 1..n, "*")."""
     if i == j:
         return 0
-    xi, xj = _trace_point(trace, i), _trace_point(trace, j)
-    sj = _trace_subgrad(trace, j)
-    _trace_subgrad(trace, i)  # both endpoints need subgradient data
-    hi, hj = _trace_h(trace, i), _trace_h(trace, j)
+    (xi, _, hi), (xj, sj, hj) = _nonsmooth_at(trace, i), _nonsmooth_at(trace, j)
     return hi - hj - _dot(sj, _sub(xi, xj))
 
 
@@ -328,13 +305,11 @@ def cocoercivity_h(trace: Trace, i, j):
 # ---------------------------------------------------------------------------
 
 
-def rate_bound(k: int, big_m: float, dist2: float) -> tuple[float, float]:
-    """(headline bound, sharper certificate bound) for n = 2**k - 1 steps."""
+def rate_bound(k: int, big_m: float, dist2: float) -> float:
+    """Certificate bound on F(x_n) - F_* after n = 2**k - 1 silver steps."""
     if big_m <= 0 or dist2 < 0:
         raise ValueError("need M > 0 and dist2 >= 0")
-    display = display_rate(k) * big_m * dist2
-    sharp = float(rate_from_certificate(k)) * big_m * dist2
-    return display, sharp
+    return float(rate_from_certificate(k)) * big_m * dist2
 
 
 def constant_baseline(n: int, big_m: float, dist2: float) -> float:

@@ -186,10 +186,25 @@ def test_schur_base_case_value():
     assert shifted == [[SQRT2, -SQRT2], [-SQRT2, SQRT2]]
 
 
-def test_schur_float_probe():
-    report = check_schur_psd(build_bundle(3), float_eig_probe=True)
-    assert report.passed
-    assert "eigenvalue" in report.detail
+@pytest.mark.parametrize("row, col, value, detail", [
+    (0, 0, -ONE, "S[0][0] = -1/1 + 0/1*sqrt2, not 0/1 + 1/2*sqrt2"),
+    (4, 0, ZERO, "S[4][0] = 0/1 + 0/1*sqrt2, not 1/1 + 0/1*sqrt2"),
+    (2, 3, ONE, "S[2][3] = 1/1 + 0/1*sqrt2, not 6/1 + -9/1*sqrt2"),
+], ids=["corner", "border", "core"])
+def test_schur_negative_control_reads_s(row, col, value, detail):
+    bundle = build_bundle(2)
+    s_mat = [r[:] for r in bundle.slack.s]
+    s_mat[row][col] = value
+    bad = replace(bundle, slack=replace(bundle.slack, s=s_mat))
+    assert check_laplacian(bad).passed  # S is read by the Schur check alone
+    report = check_schur_psd(bad)
+    assert not report.passed
+    assert report.detail == detail
+
+
+def test_schur_fails_on_tampered_slack():
+    report = check_schur_psd(tamper_bundle(build_bundle(3), "slack"))
+    assert report.detail == "S[0][0] = 1/1 + 1/2*sqrt2, not 0/1 + 1/2*sqrt2"
 
 
 @pytest.mark.parametrize("part, row, col, change, detail", [

@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from silverprox.certificate import rate_from_certificate
+from silverprox.certificate import display_rate, rate_from_certificate
 from silverprox.exactnum import ONE, SQRT2, ZERO, RadicalScalar, rho_pow
 from silverprox.schedule import silver_schedule
 from silverprox.solver import (
@@ -325,12 +325,11 @@ def test_cocoercivity_nonneg_on_random_instances():
 
 
 def test_rate_bound_values():
-    display, sharp = rate_bound(2, 1.0, 1.0)
-    assert display == pytest.approx(0.10556, abs=1e-4)
-    assert sharp == pytest.approx(0.08009, abs=1e-4)
-    display1, sharp1 = rate_bound(1, 1.0, 1.0)
-    assert sharp1 == pytest.approx(float(rate_from_certificate(1)))
-    assert sharp1 <= display1
+    assert display_rate(2) == pytest.approx(0.10556, abs=1e-4)
+    assert rate_bound(2, 1.0, 1.0) == pytest.approx(0.08009, abs=1e-4)
+    bound1 = rate_bound(1, 1.0, 1.0)
+    assert bound1 == pytest.approx(float(rate_from_certificate(1)))
+    assert bound1 <= display_rate(1)
     with pytest.raises(ValueError):
         rate_bound(2, -1.0, 1.0)
 
@@ -358,8 +357,7 @@ def test_soundness_on_random_instances():
             steps = [v.to_float() for v in silver_schedule(k)]
             trace = proximal_gd_run(problem, steps, x0)
             gap = trace.Fs[-1] - trace.F_star
-            _, sharp = rate_bound(k, 1.0, d2)
-            assert gap <= sharp * (1 + 1e-9) + 1e-12
+            assert gap <= rate_bound(k, 1.0, d2) * (1 + 1e-9) + 1e-12
 
 
 def test_restart_contracts_and_reaches_epsilon():
