@@ -10,8 +10,7 @@ into the ``silverprox`` command.
 
 from .certificate import (
     CertificateBundle,
-    MultiplierF,
-    MultiplierH,
+    Multipliers,
     SlackMatrix,
     UCoefficients,
     build_bundle,
@@ -50,8 +49,7 @@ from .solver import (
 
 __all__ = [
     "CertificateBundle",
-    "MultiplierF",
-    "MultiplierH",
+    "Multipliers",
     "ONE",
     "ProblemInstance",
     "ProxOracle",

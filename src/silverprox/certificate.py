@@ -51,28 +51,17 @@ Matrix = list[list[RadicalScalar]]
 
 
 @dataclass(frozen=True)
-class MultiplierF:
-    """Multipliers for the smooth co-coercivities.
+class Multipliers:
+    """Multipliers for the co-coercivities of one part of the objective.
 
-    ``bar[i][j]`` weights the pair (iterate i, iterate j) for
-    0 <= i, j <= n; ``star_row[j]`` weights (optimum, iterate j).
-    """
-
-    k: int
-    bar: Matrix
-    star_row: list[RadicalScalar]
-
-
-@dataclass(frozen=True)
-class MultiplierH:
-    """Multipliers for the nonsmooth co-coercivities.
-
+    For the smooth part (``lam``), ``bar[i][j]`` weights the pair (iterate i,
+    iterate j) for 0 <= i, j <= n and ``star_row[j]`` weights (optimum,
+    iterate j).  For the nonsmooth part (``mu``) every iterate index is
+    offset by +1, since subgradients exist only from iterate 1 on:
     ``bar[i][j]`` weights (iterate i+1, iterate j+1) for 0 <= i, j <= n-1
-    (subgradients only exist from iterate 1 on); ``star_row[j]`` weights
-    (optimum, iterate j+1).
+    and ``star_row[j]`` weights (optimum, iterate j+1).
     """
 
-    k: int
     bar: Matrix
     star_row: list[RadicalScalar]
 
@@ -81,14 +70,12 @@ class MultiplierH:
 class SlackMatrix:
     """Slack quadratic-form matrices.
 
-    ``bar_l`` is the n x n core, ``lap`` the (n+1) x (n+1) Laplacian with
-    border -c and corner 2(rho**k - 1), and ``s`` the (n+2) x (n+2) matrix
-    with corner 1/sqrt2 whose positive semidefiniteness is certified via a
-    Schur complement.
+    ``lap`` is the (n+1) x (n+1) Laplacian: the n x n slack core in its
+    top-left block, bordered by -c with corner 2(rho**k - 1).  ``s`` is the
+    (n+2) x (n+2) matrix with corner 1/sqrt2 whose positive semidefiniteness
+    is certified via a Schur complement.
     """
 
-    k: int
-    bar_l: Matrix
     lap: Matrix
     s: Matrix
 
@@ -112,8 +99,8 @@ class CertificateBundle:
     n: int
     pi: list[RadicalScalar]
     c: list[RadicalScalar]
-    lam: MultiplierF
-    mu: MultiplierH
+    lam: Multipliers
+    mu: Multipliers
     slack: SlackMatrix
     u_coeffs: UCoefficients
 
@@ -141,7 +128,7 @@ def _glue(bar: Matrix, size: int, offset: int) -> Matrix:
     return new
 
 
-def build_lambda(k: int) -> MultiplierF:
+def build_lambda(k: int) -> Multipliers:
     """Smooth-part multipliers of order k."""
     bar: Matrix = [[ZERO, RHO], [ONE, ZERO]]
     for j in range(1, k):
@@ -158,10 +145,10 @@ def build_lambda(k: int) -> MultiplierF:
             new[2 * n + 1][jj] = new[2 * n + 1][jj] + add
         bar = new
     star = silver_schedule(k) + [rho_pow(k)]
-    return MultiplierF(k=k, bar=bar, star_row=star)
+    return Multipliers(bar=bar, star_row=star)
 
 
-def build_mu(k: int) -> MultiplierH:
+def build_mu(k: int) -> Multipliers:
     """Nonsmooth-part multipliers of order k."""
     bar: Matrix = [[ZERO]]
     for j in range(1, k):
@@ -193,7 +180,7 @@ def build_mu(k: int) -> MultiplierH:
         bar = new
     c = c_sequence(k)
     star = [c[0] + ONE] + c[1:]
-    return MultiplierH(k=k, bar=bar, star_row=star)
+    return Multipliers(bar=bar, star_row=star)
 
 
 def build_slack(k: int) -> SlackMatrix:
@@ -229,7 +216,7 @@ def build_slack(k: int) -> SlackMatrix:
         bar = new
     n = 2**k - 1
     c = c_sequence(k)
-    lap = [[bar[r][s] for s in range(n)] + [-c[r]] for r in range(n)]
+    lap = [row + [-c[r]] for r, row in enumerate(bar)]
     lap.append([-c[s] for s in range(n)] + [(rho_pow(k) - ONE) * 2])
     s_mat = _zeros(n + 2, n + 2)
     s_mat[0][0] = INV_SQRT2
@@ -240,7 +227,7 @@ def build_slack(k: int) -> SlackMatrix:
     for r in range(n + 1):
         for s in range(n + 1):
             s_mat[1 + r][1 + s] = lap[r][s]
-    return SlackMatrix(k=k, bar_l=bar, lap=lap, s=s_mat)
+    return SlackMatrix(lap=lap, s=s_mat)
 
 
 def build_u_coeffs(k: int) -> UCoefficients:
@@ -359,25 +346,25 @@ def _laplacian_violation(mat: Matrix, prefix: str, name: str) -> str:
 
 
 def check_laplacian(bundle: CertificateBundle) -> CheckReport:
-    """Exact Laplacian structure of the bordered slack matrix.
+    """Exact Laplacian structure of the bordered slack matrix L.
 
-    Verifies (a) the core plus the companion-gap outer product has
-    nonpositive off-diagonal entries, and (b) every row of the bordered
-    matrix sums to exactly zero with nonpositive off-diagonal entries.
+    Verifies (a) every row of L sums to exactly zero with nonpositive
+    off-diagonal entries, and then (b) the core of L (its top-left n x n
+    block) plus the companion-gap outer product has nonpositive off-diagonal
+    entries.
     """
+    lap = bundle.slack.lap
+    detail = _laplacian_violation(lap, "", "L")
+    if detail:
+        return CheckReport("laplacian", False, detail)
     n = bundle.n
     gap = [bundle.c[t] - bundle.pi[t] for t in range(n)]
-    bar = bundle.slack.bar_l
     for r in range(n):
         for s in range(n):
-            if r != s and (bar[r][s] + gap[r] * gap[s]).sign() > 0:
-                return CheckReport(
-                    "laplacian",
-                    False,
-                    f"core-plus-outer entry [{r}][{s}] is positive",
-                )
-    detail = _laplacian_violation(bundle.slack.lap, "", "L")
-    return CheckReport("laplacian", not detail, detail)
+            if r != s and (lap[r][s] + gap[r] * gap[s]).sign() > 0:
+                detail = f"core-plus-outer entry [{r}][{s}] is positive"
+                return CheckReport("laplacian", False, detail)
+    return CheckReport("laplacian", True)
 
 
 def _border_violation(s_mat: Matrix, lap: Matrix) -> str:
@@ -549,21 +536,19 @@ def verify_descent_identity(
     trials: int = 20,
     dim: int = 4,
     seed: int = 0,
-    tamper: str | None = None,
     bundle: CertificateBundle | None = None,
 ) -> IdentityReport:
     """Test the descent identity on random rational inputs, exactly.
 
     Every trial must give a residual of exactly zero; any nonzero residual
-    is reported with the offending trial.  ``tamper`` perturbs one
-    certificate entry first and is expected to make trials fail.
+    is reported with the offending trial.  ``bundle`` defaults to
+    ``build_bundle(k)``; a negative control passes a ``tamper_bundle`` copy,
+    which is expected to make trials fail.
     """
     if trials < 1 or dim < 1:
         raise ValueError("trials and dim must be positive")
     if bundle is None:
         bundle = build_bundle(k)
-    if tamper is not None:
-        bundle = tamper_bundle(bundle, tamper)
     rng = random.Random(seed)
     failures = []
     first_residual = ""

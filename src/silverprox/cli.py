@@ -272,7 +272,9 @@ def cmd_solve(args) -> int:
     if args.exact:
         print(f"final F gap (exact) = {final_gap.exact_str()}")
     print(f"final F gap = {float(final_gap)!r}")
-    print(f"certificate bound = {_bound(None, k, problem, x0)!r}")
+    bound = _bound(const, k, problem, x0)
+    if bound is not None:
+        print(f"{'certificate' if const is None else 'unit-step'} bound = {bound!r}")
     return 0
 
 

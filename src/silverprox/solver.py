@@ -18,7 +18,6 @@ their float results match a left-to-right sum only to rounding.
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
 from typing import Callable
 
@@ -174,10 +173,9 @@ def proximal_gd_run(problem: ProblemInstance, steps, x0: Vector) -> Trace:
 
 
 def prox_library(name: str, **params) -> ProxOracle:
-    """Closed-form prox oracles: zero, l1, box, halfline, ball.
+    """Closed-form prox oracles: zero, l1, box, halfline.
 
-    All but ``ball`` are scalar-generic and work in exact arithmetic; the
-    Euclidean ball needs a square root and is float-only.
+    All four are scalar-generic and work in exact arithmetic.
     """
     if name == "zero":
         _reject_extra(params)
@@ -186,7 +184,7 @@ def prox_library(name: str, **params) -> ProxOracle:
     if name == "l1":
         weight = params.pop("weight", 1)
         _reject_extra(params)
-        if weight < 0:
+        if not weight >= 0:
             raise ValueError(f"l1 weight must be nonnegative, got {weight}")
 
         def value(x):
@@ -229,25 +227,6 @@ def prox_library(name: str, **params) -> ProxOracle:
 
         def prox(x, a):
             return [v if v > 0 else v * 0 for v in x]
-
-        return ProxOracle(value=value, prox=prox)
-
-    if name == "ball":
-        radius = params.pop("radius", 1.0)
-        _reject_extra(params)
-        if not radius > 0:
-            raise ValueError(f"ball radius must be positive, got {radius}")
-
-        def value(x):
-            r = math.sqrt(sum(v * v for v in x))
-            return 0 if r <= radius * (1 + 1e-9) + 1e-12 else math.inf
-
-        def prox(x, a):
-            r = math.sqrt(sum(v * v for v in x))
-            if r <= radius:
-                return list(x)
-            scale = radius / r
-            return [v * scale for v in x]
 
         return ProxOracle(value=value, prox=prox)
 
@@ -305,10 +284,14 @@ def cocoercivity_h(trace: Trace, i, j):
 # ---------------------------------------------------------------------------
 
 
+def _require_m_and_dist2(big_m: float, dist2: float) -> None:
+    if not (big_m > 0 and dist2 >= 0):
+        raise ValueError(f"need M > 0 and dist2 >= 0, got M={big_m}, dist2={dist2}")
+
+
 def rate_bound(k: int, big_m: float, dist2: float) -> float:
     """Certificate bound on F(x_n) - F_* after n = 2**k - 1 silver steps."""
-    if big_m <= 0 or dist2 < 0:
-        raise ValueError("need M > 0 and dist2 >= 0")
+    _require_m_and_dist2(big_m, dist2)
     return float(rate_from_certificate(k)) * big_m * dist2
 
 
@@ -316,6 +299,7 @@ def constant_baseline(n: int, big_m: float, dist2: float) -> float:
     """Tight worst-case gap of n constant unit steps: M dist2 / (4n)."""
     if n < 1:
         raise ValueError(f"horizon must be >= 1, got {n}")
+    _require_m_and_dist2(big_m, dist2)
     return big_m * dist2 / (4 * n)
 
 
@@ -372,7 +356,7 @@ def restart_epoch_order(kappa: float) -> int:
     ||x_0 - x_*||^2, so 2 kappa B_k <= 1/4 guarantees halving.  Ties go to
     the smaller k.
     """
-    if kappa < 1:
+    if not kappa >= 1:
         raise ValueError(f"condition number must be >= 1, got {kappa}")
     k = 1
     while 2.0 * kappa * float(rate_from_certificate(k)) > 0.25:
@@ -397,7 +381,7 @@ def restart_solve(
     m = problem.smooth.strong_convexity
     if m is None or not m > 0:
         raise ValueError("restart_solve needs strong convexity m > 0")
-    if epsilon <= 0:
+    if not epsilon > 0:
         raise ValueError("epsilon must be positive")
     kappa = problem.smooth.smoothness / m
     k = restart_epoch_order(kappa)
@@ -449,8 +433,6 @@ def random_quadratic_instance(
     h_kind: str,
     rng: np.random.Generator,
     weight: float = 1.0,
-    box_lo: float = -1.0,
-    box_hi: float = 1.0,
 ):
     """Random composite instance f + h with a known minimizer.
 
@@ -458,11 +440,14 @@ def random_quadratic_instance(
     attained, so the declared constants are exact).  The minimizer x_* is
     drawn first together with a subgradient s_* of h at x_*, and the linear
     term is back-solved so that grad f(x_*) = -s_*, which makes x_* the
-    global minimizer of the composite objective.
+    global minimizer of the composite objective.  ``h_kind`` is "zero",
+    "l1" (weighted by ``weight``) or "box" (the box [-1, 1]).
 
     Returns (instance, x0).
     """
-    if not 0 <= m_strong <= m_smooth or m_smooth <= 0:
+    if not dim > 0:
+        raise ValueError(f"dimension must be positive, got {dim}")
+    if not (0 <= m_strong <= m_smooth and m_smooth > 0):
         raise ValueError("need 0 <= m_strong <= m_smooth and m_smooth > 0")
     eigs = rng.uniform(m_strong, m_smooth, size=dim)
     eigs[0] = m_strong
@@ -486,15 +471,12 @@ def random_quadratic_instance(
         )
         h_at_star = weight * float(np.abs(x_star).sum())
     elif h_kind == "box":
-        nonsmooth = prox_library("box", lo=box_lo, hi=box_hi)
-        mid = (box_lo + box_hi) / 2.0
-        x_star = np.clip(
-            rng.normal(loc=mid, scale=(box_hi - box_lo), size=dim), box_lo, box_hi
-        )
+        nonsmooth = prox_library("box", lo=-1.0, hi=1.0)
+        x_star = np.clip(rng.normal(loc=0.0, scale=2.0, size=dim), -1.0, 1.0)
         s_star = np.where(
-            x_star >= box_hi,
+            x_star >= 1.0,
             rng.uniform(0.0, 1.0, size=dim),
-            np.where(x_star <= box_lo, rng.uniform(-1.0, 0.0, size=dim), 0.0),
+            np.where(x_star <= -1.0, rng.uniform(-1.0, 0.0, size=dim), 0.0),
         )
         h_at_star = 0.0
     else:
@@ -523,51 +505,3 @@ def random_quadratic_instance(
     direction *= radius / np.linalg.norm(direction)
     x0 = [float(a + d) for a, d in zip(x_star, direction)]
     return problem, x0
-
-
-# ---------------------------------------------------------------------------
-# Oracle spot checks
-# ---------------------------------------------------------------------------
-
-
-def check_gradient_lipschitz(
-    oracle: SmoothOracle, dim: int, seed: int = 0, pairs: int = 50
-) -> float:
-    """Largest violation of ||g(x) - g(y)|| <= M ||x - y|| on random pairs."""
-    rng = random.Random(seed)
-    worst = 0.0
-    for _ in range(pairs):
-        x = [rng.uniform(-3, 3) for _ in range(dim)]
-        y = [rng.uniform(-3, 3) for _ in range(dim)]
-        lhs = math.sqrt(_norm2(_sub(oracle.gradient(x), oracle.gradient(y))))
-        rhs = oracle.smoothness * math.sqrt(_norm2(_sub(x, y)))
-        worst = max(worst, lhs - rhs)
-    return worst
-
-
-def check_prox_nonexpansive(
-    oracle: ProxOracle, dim: int, seed: int = 0, pairs: int = 50
-) -> float:
-    """Largest violation of ||prox(x) - prox(y)|| <= ||x - y|| on random pairs."""
-    rng = random.Random(seed)
-    worst = 0.0
-    for _ in range(pairs):
-        x = [rng.uniform(-3, 3) for _ in range(dim)]
-        y = [rng.uniform(-3, 3) for _ in range(dim)]
-        a = rng.uniform(0.1, 3.0)
-        lhs = math.sqrt(_norm2(_sub(oracle.prox(x, a), oracle.prox(y, a))))
-        worst = max(worst, lhs - math.sqrt(_norm2(_sub(x, y))))
-    return worst
-
-
-def check_optimality(problem: ProblemInstance, steps=(0.5, 1.0, 2.0)) -> float:
-    """Largest prox fixed-point residual at the declared optimum."""
-    if problem.optimum is None:
-        raise ValueError("instance has no declared optimum")
-    x_star = list(problem.optimum)
-    g = problem.smooth.gradient(x_star)
-    worst = 0.0
-    for a in steps:
-        moved = problem.nonsmooth.prox([x - a * gv for x, gv in zip(x_star, g)], a)
-        worst = max(worst, math.sqrt(_norm2(_sub(moved, x_star))))
-    return worst

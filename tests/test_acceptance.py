@@ -17,6 +17,7 @@ from silverprox.certificate import (
     check_multipliers_nonneg,
     check_schur_psd,
     rate_from_certificate,
+    tamper_bundle,
     verify_descent_identity,
 )
 from silverprox.exactnum import ONE, RHO, SQRT2, ZERO, RadicalScalar, rho_pow
@@ -55,7 +56,8 @@ def test_criterion_2_descent_identity_and_negative_controls():
         assert report.passed, (k, report.failures, report.first_residual)
     detected = {}
     for target in ("lambda", "mu", "slack", "u"):
-        report = verify_descent_identity(2, trials=20, dim=4, seed=9, tamper=target)
+        bad = tamper_bundle(build_bundle(2), target)
+        report = verify_descent_identity(2, trials=20, dim=4, seed=9, bundle=bad)
         assert len(report.failures) >= 1, target
         detected[target] = len(report.failures)
     _report(

@@ -117,7 +117,7 @@ def test_recursive_blocks_preserved():
 
 def test_slack_base_case():
     slack = build_slack(1)
-    assert slack.bar_l == [[TWO_RHO_MINUS_2]]
+    assert slack.lap[0][0] == TWO_RHO_MINUS_2  # the 1 x 1 core
     assert slack.lap == [
         [TWO_RHO_MINUS_2, -TWO_RHO_MINUS_2],
         [-TWO_RHO_MINUS_2, TWO_RHO_MINUS_2],
@@ -135,12 +135,12 @@ def test_slack_first_doubling():
     slack = build_slack(2)
     # middle diagonal of the gluing correction is (rho^0+1)(rho^2+1) = 8+4sqrt2,
     # reduced by the squared companion-gap middle entry
-    assert slack.bar_l[1][1] == RadicalScalar(-4, 12)
-    # row sums of the core must equal the companion sequence
+    assert slack.lap[1][1] == RadicalScalar(-4, 12)
+    # row sums of the core (top-left 3 x 3 block of L) equal the companion sequence
     c2 = c_sequence(2)
     for r in range(3):
         total = ZERO
-        for v in slack.bar_l[r]:
+        for v in slack.lap[r][:3]:
             total = total + v
         assert total == c2[r]
 
@@ -247,6 +247,26 @@ def test_laplacian_negative_control():
     assert schur.detail == "Schur complement row 3 sums to 1/1 + 0/1*sqrt2, not 0"
 
 
+def test_laplacian_core_check_reads_stored_lap():
+    # Zero the off-diagonal core pair L[1][2] = L[2][1] = 6 - 9 sqrt2 and move
+    # its value onto both diagonals: L keeps zero row sums and nonpositive
+    # off-diagonals, but core plus gap gap^T turns positive at [1][2].
+    bundle = build_bundle(2)
+    lap = [row[:] for row in bundle.slack.lap]
+    s_mat = [row[:] for row in bundle.slack.s]
+    old = lap[1][2]
+    assert old == RadicalScalar(6, -9)
+    for mat, shift in ((lap, 0), (s_mat, 1)):
+        mat[1 + shift][2 + shift] = mat[2 + shift][1 + shift] = ZERO
+        mat[1 + shift][1 + shift] = mat[1 + shift][1 + shift] + old
+        mat[2 + shift][2 + shift] = mat[2 + shift][2 + shift] + old
+    bad = replace(bundle, slack=replace(bundle.slack, lap=lap, s=s_mat))
+    report = check_laplacian(bad)
+    assert not report.passed
+    assert report.detail == "core-plus-outer entry [1][2] is positive"
+    assert check_schur_psd(bad).passed  # the edit keeps S = L with its border
+
+
 def test_laplacian_positive_off_diagonal_named():
     bundle = build_bundle(2)
     lap = [row[:] for row in bundle.slack.lap]
@@ -289,7 +309,8 @@ def test_identity_detects_perturbed_lambda():
 
 @pytest.mark.parametrize("target", ["lambda", "mu", "slack", "u"])
 def test_identity_tamper_hooks(target):
-    report = verify_descent_identity(2, trials=20, dim=4, seed=3, tamper=target)
+    bad = tamper_bundle(build_bundle(2), target)
+    report = verify_descent_identity(2, trials=20, dim=4, seed=3, bundle=bad)
     assert len(report.failures) >= 1
 
 

@@ -186,6 +186,17 @@ def test_solve_bound_only_for_silver_or_unit_steps(tmp_path, capsys):
             assert gap <= float(bound) * (1 + 1e-9) + 1e-12
 
 
+@pytest.mark.parametrize("schedule, last_line", [
+    ("constant", "unit-step bound = 0.003968253968253968"),
+    ("constant:0.01", "final F gap = 0.0025340775929678723"),
+])
+def test_solve_prints_only_the_bound_that_applies(capsys, schedule, last_line):
+    code, out, _ = run(capsys, "solve", "--problem", "lower-bound", "--k", "6",
+                       "--schedule", schedule)
+    assert code == 0
+    assert out.splitlines()[-1] == last_line
+
+
 def test_solve_constant_schedule(capsys):
     code, out, _ = run(
         capsys, "solve", "--problem", "lower-bound", "--k", "2",
@@ -323,8 +334,9 @@ def test_bench_exact_mode_and_timings(tmp_path, capsys):
 
 
 # SHA-256 of stdout followed by the CSV bytes, recorded before `solve` and
-# `bench` shared one run path.  None of these runs touches numpy, so the
-# digests hold on any IEEE-754 machine.
+# `bench` shared one run path; the constant-step digest was re-recorded when
+# its last stdout line became the unit-step bound.  None of these runs
+# touches numpy, so the digests hold on any IEEE-754 machine.
 GOLDEN_RUNS = {
     "lower-bound-k8-exact": (
         ("solve", "--problem", "lower-bound", "--k", "8", "--exact"),
@@ -337,7 +349,7 @@ GOLDEN_RUNS = {
     "lower-bound-k6-constant-exact": (
         ("solve", "--problem", "lower-bound", "--k", "6", "--schedule", "constant",
          "--exact"),
-        "c27444b2b0985b566380fc3cb4b9b7e5cd5d810a2145a6920e1d2863021159cb",
+        "b258d83418fa304146217738676bd325b201752754384403aad91dd7b23cf22c",
     ),
     "schedule-k5": (
         ("schedule", "--k", "5"),

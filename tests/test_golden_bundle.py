@@ -2,10 +2,11 @@
 
 Each digest hashes the ``exact_str`` of every entry of ``build_bundle(k)``,
 one per line, in this order: ``pi``, ``c``, ``lam.bar`` (row by row),
-``lam.star_row``, ``mu.bar``, ``mu.star_row``, ``slack.bar_l``, ``slack.lap``,
-``slack.s`` and the ``u_coeffs`` fields.  The digests were recorded with the
-original Fraction-pair implementation of ``RadicalScalar``; no change to the
-arithmetic may move a single entry.
+``lam.star_row``, ``mu.bar``, ``mu.star_row``, the slack core (the top-left
+n x n block of ``slack.lap``), ``slack.lap``, ``slack.s`` and the ``u_coeffs``
+fields.  The digests were recorded with the original Fraction-pair
+implementation of ``RadicalScalar``, when the core was stored as a separate
+matrix; no change to the arithmetic or the storage may move a single entry.
 """
 
 import hashlib
@@ -32,7 +33,8 @@ def bundle_entries(bundle):
         for row in mult.bar:
             yield from row
         yield from mult.star_row
-    for mat in (bundle.slack.bar_l, bundle.slack.lap, bundle.slack.s):
+    lap = bundle.slack.lap
+    for mat in ([row[:-1] for row in lap[:-1]], lap, bundle.slack.s):
         for row in mat:
             yield from row
     u = bundle.u_coeffs
