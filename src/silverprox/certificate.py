@@ -23,9 +23,10 @@ co-coercivities equals
 
 identically in the free variables (gradients, subgradients, function
 values, and the initial offset).  Because both sides are polynomials in
-those variables, evaluating them on random rational points and comparing
-exactly is a sound identity test: a wrong coefficient survives undetected
-only on a measure-zero set.
+those variables, evaluating them on random integer points and comparing
+exactly is a sound identity test.  The residual has degree at most 2, so by
+Schwartz-Zippel a wrong coefficient survives one trial with the 11 values
+-5..5 per variable with probability at most 2/11, independently per trial.
 
 Note on the slack matrix: S is stored symmetric, with first row and column
 (1/sqrt2, -1, 0, ..., 0, +1).  An equivalent presentation elsewhere lists
@@ -427,18 +428,19 @@ def sample_free_trace(pi: list[RadicalScalar], dim: int, rng: random.Random):
     """Random assignment of the identity's free variables, as a solver trace.
 
     Gradient/subgradient coordinates and all function values are small
-    random integers (as exact rationals); the iterates are then forced by
-    the update x_{t+1} = x_t - alpha_t (g_t + s_{t+1}), the optimum sits at
-    the origin, and g_* = -s_*.  Both sides of the descent identity are
-    polynomials in these free variables, so exact evaluation on random
-    rational points is a sound identity test.
+    random Python ints in -5..5, so the identity's arithmetic runs on ints
+    and Z[sqrt2] values rather than on ``Fraction``s; the iterates are then
+    forced by the update x_{t+1} = x_t - alpha_t (g_t + s_{t+1}), the optimum
+    sits at the origin, and g_* = -s_*.  Both sides of the descent identity
+    are polynomials in these free variables, so exact evaluation on random
+    integer points is a sound identity test.
     """
     from .solver import Trace
 
     n = len(pi)
 
     def coord():
-        return Fraction(rng.randint(-5, 5))
+        return rng.randint(-5, 5)
 
     def vec():
         return [coord() for _ in range(dim)]
@@ -538,17 +540,20 @@ def verify_descent_identity(
     seed: int = 0,
     bundle: CertificateBundle | None = None,
 ) -> IdentityReport:
-    """Test the descent identity on random rational inputs, exactly.
+    """Test the descent identity on random integer inputs, exactly.
 
     Every trial must give a residual of exactly zero; any nonzero residual
     is reported with the offending trial.  ``bundle`` defaults to
     ``build_bundle(k)``; a negative control passes a ``tamper_bundle`` copy,
-    which is expected to make trials fail.
+    which is expected to make trials fail.  A bundle of another order than
+    ``k`` raises ``ValueError``.
     """
     if trials < 1 or dim < 1:
         raise ValueError("trials and dim must be positive")
     if bundle is None:
         bundle = build_bundle(k)
+    elif bundle.k != k:
+        raise ValueError(f"bundle has order {bundle.k}, not k={k}")
     rng = random.Random(seed)
     failures = []
     first_residual = ""

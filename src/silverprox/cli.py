@@ -147,8 +147,12 @@ def _verify_one(k: int, args) -> tuple[dict, str, bool]:
         "rate_exact": rate.exact_str(),
         "rate_float": float(rate),
     }
-    detail = "; ".join(c.detail for c in checks if not c.passed and c.detail)
-    return result, detail, all(c.passed for c in checks) and identity.passed
+    details = [c.detail for c in checks if not c.passed and c.detail]
+    if not identity.passed:
+        details.append(
+            f"identity trial {identity.failures[0]}: lhs - rhs = {identity.first_residual}"
+        )
+    return result, "; ".join(details), all(c.passed for c in checks) and identity.passed
 
 
 def cmd_cert_verify(args) -> int:

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable
 
 import numpy as np
@@ -28,6 +29,10 @@ from .exactnum import ONE, ZERO, rho_pow
 from .schedule import silver_schedule
 
 Vector = list
+
+# Multiplying by HALF halves exactly on ints, Fractions and RadicalScalars,
+# and on floats gives the same bits as ``/ 2``.
+HALF = Fraction(1, 2)
 
 
 def _sub(u: Vector, v: Vector) -> Vector:
@@ -268,7 +273,7 @@ def cocoercivity_f(trace: Trace, i, j):
     if i == j:
         return 0
     (xi, gi, fi), (xj, gj, fj) = _smooth_at(trace, i), _smooth_at(trace, j)
-    return fi - fj - _dot(gj, _sub(xi, xj)) - _norm2(_sub(gi, gj)) / 2
+    return fi - fj - _dot(gj, _sub(xi, xj)) - _norm2(_sub(gi, gj)) * HALF
 
 
 def cocoercivity_h(trace: Trace, i, j):

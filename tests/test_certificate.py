@@ -314,6 +314,44 @@ def test_identity_tamper_hooks(target):
     assert len(report.failures) >= 1
 
 
+# first_residual of each negative control at the CLI's k=2 defaults, recorded
+# when the free trace still held Fraction coordinates: the integer trace
+# changes no value.
+TAMPER_RESIDUALS = {
+    "lambda": "-107/2 + 14/1*sqrt2",
+    "mu": "20/1 + 6/1*sqrt2",
+    "slack": "27/2 + 0/1*sqrt2",
+    "u": "79/2 + -60/1*sqrt2",
+}
+
+
+@pytest.mark.parametrize("target", sorted(TAMPER_RESIDUALS))
+def test_identity_tamper_residuals_pinned(target):
+    bad = tamper_bundle(build_bundle(2), target)
+    report = verify_descent_identity(2, trials=20, dim=4, seed=2, bundle=bad)
+    assert report.failures[0] == 0
+    assert report.first_residual == TAMPER_RESIDUALS[target]
+
+
+def test_free_trace_is_plain_ints():
+    trace = sample_free_trace(build_bundle(2).pi, 2, random.Random(7))
+    assert trace.gs == [[0, -3], [1, 5], [-5, -4], [3, -4]]
+    assert trace.ss == [[0, 4], [-5, 3], [-2, -5]]
+    assert trace.s_star == [-4, 1]
+    assert trace.fs == [1, -4, -2, -4]
+    assert trace.hs == [3, 1, -5, 4]
+    assert (trace.f_star, trace.h_star) == (-4, -2)
+    assert trace.xs[0] == [RadicalScalar(5), RadicalScalar(5)]
+    free = [*trace.fs, *trace.hs, trace.f_star, trace.h_star, *trace.s_star]
+    free += [v for vec in trace.gs + trace.ss for v in vec]
+    assert all(type(v) is int for v in free)
+
+
+def test_identity_rejects_mismatched_order():
+    with pytest.raises(ValueError, match="order 2, not k=5"):
+        verify_descent_identity(5, trials=2, dim=2, bundle=build_bundle(2))
+
+
 def test_tamper_unknown_target():
     with pytest.raises(ValueError):
         tamper_bundle(build_bundle(1), "nonsense")

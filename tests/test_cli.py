@@ -110,6 +110,23 @@ def test_cert_verify_tamper_fails(capsys):
         assert "FAIL" in out
 
 
+@pytest.mark.parametrize(
+    "target, detail",
+    [
+        ("lambda", "identity trial 0: lhs - rhs = -107/2 + 14/1*sqrt2"),
+        ("mu", "identity trial 0: lhs - rhs = 20/1 + 6/1*sqrt2"),
+        ("slack", "S[0][0] = 1/1 + 1/2*sqrt2, not 0/1 + 1/2*sqrt2; "
+                  "identity trial 0: lhs - rhs = 27/2 + 0/1*sqrt2"),
+        ("u", "identity trial 0: lhs - rhs = 79/2 + -60/1*sqrt2"),
+    ],
+    ids=["lambda", "mu", "slack", "u"],
+)
+def test_cert_verify_tamper_names_identity_residual(capsys, target, detail):
+    code, out, _ = run(capsys, "cert", "verify", "--k", "2", "--tamper", target)
+    assert code == 1
+    assert out.splitlines()[1] == f"  {detail}"
+
+
 def test_invalid_k_is_usage_error(capsys):
     code, _, err = run(capsys, "cert", "verify", "--k", "0")
     assert code == 2

@@ -12,6 +12,7 @@ from silverprox.schedule import silver_schedule
 from silverprox.solver import (
     ProblemInstance,
     SmoothOracle,
+    Trace,
     cocoercivity_f,
     cocoercivity_h,
     constant_baseline,
@@ -306,6 +307,41 @@ def test_cocoercivity_l1_linear_region():
     trace = proximal_gd_run(problem, [1.0, 1.0], [8.0])
     assert all(x[0] > 0 for x in trace.xs)
     assert cocoercivity_h(trace, 2, 1) == pytest.approx(0.0, abs=1e-12)
+
+
+def _two_point_trace(xs, gs, fs):
+    return Trace(steps=[1], xs=xs, gs=gs, ss=[[0] * len(xs[0])], fs=fs,
+                 hs=[0, 0], Fs=fs)
+
+
+def test_cocoercivity_f_halves_ints_exactly():
+    # ||g_0 - g_1||^2 = 5 is odd, so "/ 2" would turn the slack into a float
+    trace = _two_point_trace([[1, -2], [4, 0]], [[3, 1], [1, 2]], [7, -1])
+    got = cocoercivity_f(trace, 0, 1)
+    assert not isinstance(got, float)
+    assert got == 7 - (-1) - (1 * (1 - 4) + 2 * (-2 - 0)) - Fraction(5, 2)
+
+
+def test_cocoercivity_f_float_bits_unchanged():
+    rng = random.Random(11)
+
+    def old_cocoercivity_f(xi, gi, fi, xj, gj, fj):
+        dot = sq = 0
+        for a, p, q in zip(gj, xi, xj):
+            dot = dot + a * (p - q)
+        for p, q in zip(gi, gj):
+            sq = sq + (p - q) * (p - q)
+        return fi - fj - dot - sq / 2
+
+    for _ in range(500):
+        dim = rng.randint(1, 6)
+        xs = [[rng.uniform(-1e3, 1e3) for _ in range(dim)] for _ in range(2)]
+        gs = [[rng.uniform(-1e3, 1e3) for _ in range(dim)] for _ in range(2)]
+        fs = [rng.uniform(-1e3, 1e3) for _ in range(2)]
+        got = cocoercivity_f(_two_point_trace(xs, gs, fs), 0, 1)
+        want = old_cocoercivity_f(xs[0], gs[0], fs[0], xs[1], gs[1], fs[1])
+        assert type(got) is float
+        assert got.hex() == want.hex()
 
 
 def test_cocoercivity_star_requires_optimum():
