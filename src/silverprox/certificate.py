@@ -2,8 +2,8 @@
 
 For a horizon n = 2**k - 1 the certificate consists of
 
-  * multipliers for the smooth part (a dense grid ``lambda_bar`` over
-    iterate pairs plus a separate row for the optimum),
+  * multipliers for the smooth part (``lambda_bar`` over iterate pairs
+    plus a separate row for the optimum),
   * multipliers for the nonsmooth part (``mu_bar`` plus its optimum row),
   * a slack matrix S whose positive semidefiniteness makes the residual
     quadratic form a sum of squares, and
@@ -14,6 +14,10 @@ glues two copies of the order-k certificate and adds a sparse correction
 (O(1) entries) plus a low-rank correction (O(1) rows built from the
 stepsizes and their companion sequence).  Everything lives in Q(sqrt2) and
 every check below is an exact computation: no floating point is involved.
+
+``lambda_bar``, ``mu_bar``, L and S are sparse rows: one dict per row from
+column to value, keys ascending, no stored zeros (an unstored entry is an
+exact zero).  Builders, checks and identity trials walk stored entries only.
 
 The descent identity states that the multiplier-weighted sum of
 co-coercivities equals
@@ -48,7 +52,21 @@ from .schedule import c_sequence, silver_schedule
 INV_SQRT2 = RadicalScalar(0, Fraction(1, 2))  # 1/sqrt2 = sqrt2/2
 RHO_OVER_2SQRT2 = RadicalScalar(Fraction(1, 2), Fraction(1, 4))  # rho/(2 sqrt2)
 
-Matrix = list[list[RadicalScalar]]
+
+class SparseRow(dict):
+    """A stored matrix row: column -> nonzero value, columns ascending.
+
+    Keys are columns as in any dict, but iterating a row yields its values
+    in column order, as a dense row's would less its zeros (perfbench reads rows so).
+    """
+
+    __slots__ = ()
+
+    def __iter__(self):
+        return iter(self.values())
+
+
+Rows = list[dict[int, RadicalScalar]]  # stored rows are SparseRows
 
 
 @dataclass(frozen=True)
@@ -60,10 +78,10 @@ class Multipliers:
     iterate j).  For the nonsmooth part (``mu``) every iterate index is
     offset by +1, since subgradients exist only from iterate 1 on:
     ``bar[i][j]`` weights (iterate i+1, iterate j+1) for 0 <= i, j <= n-1
-    and ``star_row[j]`` weights (optimum, iterate j+1).
+    and ``star_row[j]`` weights (optimum, iterate j+1).  An unstored j weighs 0.
     """
 
-    bar: Matrix
+    bar: Rows
     star_row: list[RadicalScalar]
 
 
@@ -74,11 +92,12 @@ class SlackMatrix:
     ``lap`` is the (n+1) x (n+1) Laplacian: the n x n slack core in its
     top-left block, bordered by -c with corner 2(rho**k - 1).  ``s`` is the
     (n+2) x (n+2) matrix with corner 1/sqrt2 whose positive semidefiniteness
-    is certified via a Schur complement.
+    is certified via a Schur complement.  Both are sparse rows (n+1 and
+    n+2 of them); an unstored entry is zero.
     """
 
-    lap: Matrix
-    s: Matrix
+    lap: Rows
+    s: Rows
 
 
 @dataclass(frozen=True)
@@ -106,61 +125,59 @@ class CertificateBundle:
     u_coeffs: UCoefficients
 
 
-def _zeros(rows: int, cols: int) -> Matrix:
-    return [[ZERO] * cols for _ in range(rows)]
+def _accumulate(row: dict[int, RadicalScalar], j: int, v: RadicalScalar) -> None:
+    """Add ``v`` to ``row[j]``, dropping the entry if it cancels to zero."""
+    total = row.pop(j) + v if j in row else v
+    if total:
+        row[j] = total
 
 
-def _glue(bar: Matrix, size: int, offset: int) -> Matrix:
+def _glue(bar: Rows, offset: int) -> Rows:
     """Gluing step of the doubling recursion: two copies of an order-j block.
 
-    Returns a ``size x size`` matrix holding ``bar`` at (0, 0) and
-    ``rho**2 * bar`` at (offset, offset), zero elsewhere; the order-(j+1)
-    builders then add their sparse and low-rank corrections to it.  Zero
-    entries of ``bar`` are skipped.
+    Returns ``offset + len(bar)`` rows holding ``bar`` at (0, 0) and
+    ``rho**2 * bar`` at (offset, offset); the builders' corrections then
+    leave keys unordered until each builder sorts its final rows.
     """
     rho2 = rho_pow(2)
-    new = _zeros(size, size)
-    for i, src in enumerate(bar):
-        lo, hi = new[i], new[offset + i]
-        for j, v in enumerate(src):
-            if v:
-                lo[j] = v
-                hi[offset + j] = rho2 * v
+    new = [dict(src) for src in bar]
+    new += [{} for _ in range(offset - len(bar))]
+    new += [{offset + j: rho2 * v for j, v in src.items()} for src in bar]
     return new
 
 
 def build_lambda(k: int) -> Multipliers:
     """Smooth-part multipliers of order k."""
-    bar: Matrix = [[ZERO, RHO], [ONE, ZERO]]
+    bar: Rows = [{1: RHO}, {0: ONE}]
     for j in range(1, k):
         n = 2**j - 1
         pi = silver_schedule(j)
-        new = _glue(bar, 2 * n + 2, n + 1)
+        new = _glue(bar, n + 1)
         # sparse correction: two entries coupling the copies
-        new[n][2 * n + 1] = new[n][2 * n + 1] + RHO
-        new[2 * n + 1][n] = new[2 * n + 1][n] + rho_pow(j)
+        _accumulate(new[n], 2 * n + 1, RHO)
+        _accumulate(new[2 * n + 1], n, rho_pow(j))
         # low-rank correction: two rows proportional to the stepsizes
         for jj in range(n + 1, 2 * n + 1):
             add = RHO * pi[jj - n - 1]
-            new[n][jj] = new[n][jj] + add
-            new[2 * n + 1][jj] = new[2 * n + 1][jj] + add
+            _accumulate(new[n], jj, add)
+            _accumulate(new[2 * n + 1], jj, add)
         bar = new
     star = silver_schedule(k) + [rho_pow(k)]
-    return Multipliers(bar=bar, star_row=star)
+    return Multipliers(bar=[SparseRow(sorted(r.items())) for r in bar], star_row=star)
 
 
 def build_mu(k: int) -> Multipliers:
     """Nonsmooth-part multipliers of order k."""
-    bar: Matrix = [[ZERO]]
+    bar: Rows = [{}]
     for j in range(1, k):
         n = 2**j - 1
         pi = silver_schedule(j)
         c = c_sequence(j)
-        new = _glue(bar, 2 * n + 1, n + 1)
+        new = _glue(bar, n + 1)
         # sparse correction (rows/cols here are 0-based: iterate i+1)
-        new[n - 1][n] = new[n - 1][n] + rho_pow(j)
-        new[n][n + 1] = new[n][n + 1] + rho_pow(2)
-        new[2 * n][n] = new[2 * n][n] + (RHO - rho_pow(-j)) * (rho_pow(j - 1) + ONE)
+        _accumulate(new[n - 1], n, rho_pow(j))
+        _accumulate(new[n], n + 1, rho_pow(2))
+        _accumulate(new[2 * n], n, (RHO - rho_pow(-j)) * (rho_pow(j - 1) + ONE))
         # low-rank correction
         mid = rho_pow(j - 1) + ONE
         w_hi = rho_pow(j) / mid
@@ -169,66 +186,64 @@ def build_mu(k: int) -> Multipliers:
         for jj in range(n):
             gap = c[jj] - pi[jj]
             if gap:
-                new[n - 1][jj] = new[n - 1][jj] + w_lo * gap
-                new[n][jj] = new[n][jj] + w_hi * gap
+                _accumulate(new[n - 1], jj, w_lo * gap)
+                _accumulate(new[n], jj, w_hi * gap)
         for jj in range(n + 1, 2 * n + 1):
             p = pi[jj - n - 1]
-            new[n - 1][jj] = new[n - 1][jj] + w_hi * p
-            new[n][jj] = new[n][jj] + w_rho * p
-            new[2 * n][jj] = (
-                new[2 * n][jj] + (RHO + ONE) * c[jj - n - 1] - (ONE + rho_pow(-j)) * p
-            )
+            _accumulate(new[n - 1], jj, w_hi * p)
+            _accumulate(new[n], jj, w_rho * p)
+            _accumulate(new[2 * n], jj,
+                        (RHO + ONE) * c[jj - n - 1] - (ONE + rho_pow(-j)) * p)
         bar = new
     c = c_sequence(k)
     star = [c[0] + ONE] + c[1:]
-    return Multipliers(bar=bar, star_row=star)
+    return Multipliers(bar=[SparseRow(sorted(r.items())) for r in bar], star_row=star)
+
+
+def _bordered(lap: Rows) -> Rows:
+    """S: the Laplacian L with first row and column (1/sqrt2, -1, 0, ..., 0, +1)."""
+    head = {0: INV_SQRT2, 1: -ONE, len(lap): ONE}  # the border, read as row or column
+    return [SparseRow(head)] + [
+        SparseRow(({0: head[r]} if r in head else {}) | {1 + s: v for s, v in row.items()})
+        for r, row in enumerate(lap, start=1)]
 
 
 def build_slack(k: int) -> SlackMatrix:
-    """Slack matrices of order k."""
-    bar: Matrix = [[SQRT2 * 2]]  # 2(rho - 1)
+    """Slack matrices of order k (gap outer products touch its support only)."""
+    bar: Rows = [{0: SQRT2 * 2}]  # 2(rho - 1)
     for j in range(1, k):
         n = 2**j - 1
         pi = silver_schedule(j)
         c = c_sequence(j)
         gap = [c[t] - pi[t] for t in range(n)]
-        core = [[bar[r][s] + gap[r] * gap[s] for s in range(n)] for r in range(n)]
-        new = _glue(core, 2 * n + 1, n + 1)
+        support = [t for t in range(n) if gap[t]]
+        core = [dict(row) for row in bar]
+        for r in support:
+            for s in support:
+                _accumulate(core[r], s, gap[r] * gap[s])
+        new = _glue(core, n + 1)
         rk = rho_pow(j)
+        border = new[n]
+        for r in support:
+            new[r][n] = border[r] = -(rk * gap[r])
         for r in range(n):
-            v = -(rk * gap[r])
-            new[r][n] = v
-            new[n][r] = v
-            w = -(RHO * pi[r])
-            new[n + 1 + r][n] = w
-            new[n][n + 1 + r] = w
-        new[n][n] = (rho_pow(j - 1) + ONE) * (rho_pow(j + 1) + ONE)
+            new[n + 1 + r][n] = border[n + 1 + r] = -(RHO * pi[r])
+        border[n] = (rho_pow(j - 1) + ONE) * (rho_pow(j + 1) + ONE)
         # subtract the outer product of the next-level companion gap
         pi_next = silver_schedule(j + 1)
         c_next = c_sequence(j + 1)
         big_gap = [c_next[t] - pi_next[t] for t in range(2 * n + 1)]
-        for r in range(2 * n + 1):
-            gr = big_gap[r]
-            if gr:
-                row = new[r]
-                for s in range(2 * n + 1):
-                    if big_gap[s]:
-                        row[s] = row[s] - gr * big_gap[s]
+        big_support = [t for t in range(2 * n + 1) if big_gap[t]]
+        for r in big_support:
+            row, minus_gr = new[r], -big_gap[r]
+            for s in big_support:
+                _accumulate(row, s, minus_gr * big_gap[s])
         bar = new
     n = 2**k - 1
     c = c_sequence(k)
-    lap = [row + [-c[r]] for r, row in enumerate(bar)]
-    lap.append([-c[s] for s in range(n)] + [(rho_pow(k) - ONE) * 2])
-    s_mat = _zeros(n + 2, n + 2)
-    s_mat[0][0] = INV_SQRT2
-    s_mat[0][1] = -ONE
-    s_mat[1][0] = -ONE
-    s_mat[0][n + 1] = ONE
-    s_mat[n + 1][0] = ONE
-    for r in range(n + 1):
-        for s in range(n + 1):
-            s_mat[1 + r][1 + s] = lap[r][s]
-    return SlackMatrix(lap=lap, s=s_mat)
+    lap = [SparseRow(sorted(row.items()) + [(n, -c[r])]) for r, row in enumerate(bar)]
+    lap.append(SparseRow({s: -c[s] for s in range(n)} | {n: (rho_pow(k) - ONE) * 2}))
+    return SlackMatrix(lap=lap, s=_bordered(lap))
 
 
 def build_u_coeffs(k: int) -> UCoefficients:
@@ -266,6 +281,15 @@ def build_bundle(k: int) -> CertificateBundle:
 TAMPER_TARGETS = ("lambda", "mu", "slack", "u")
 
 
+def _plus(rows: Rows, i: int, j: int, v: RadicalScalar) -> Rows:
+    """Copy of ``rows`` with ``v`` added at [i][j]; only row i is new storage."""
+    out = list(rows)
+    row = dict(rows[i])
+    _accumulate(row, j, v)
+    out[i] = SparseRow(sorted(row.items()))
+    return out
+
+
 def tamper_bundle(bundle: CertificateBundle, target: str) -> CertificateBundle:
     """Return a copy of the bundle with one entry perturbed by +1.
 
@@ -273,16 +297,14 @@ def tamper_bundle(bundle: CertificateBundle, target: str) -> CertificateBundle:
     identity fail on random inputs.
     """
     if target == "lambda":
-        bar = [row[:] for row in bundle.lam.bar]
-        bar[0][1] = bar[0][1] + ONE
+        bar = _plus(bundle.lam.bar, 0, 1, ONE)
         return replace(bundle, lam=replace(bundle.lam, bar=bar))
     if target == "mu":
         star = bundle.mu.star_row[:]
         star[0] = star[0] + ONE
         return replace(bundle, mu=replace(bundle.mu, star_row=star))
     if target == "slack":
-        s_mat = [row[:] for row in bundle.slack.s]
-        s_mat[0][0] = s_mat[0][0] + ONE
+        s_mat = _plus(bundle.slack.s, 0, 0, ONE)
         return replace(bundle, slack=replace(bundle.slack, s=s_mat))
     if target == "u":
         g = list(bundle.u_coeffs.g)
@@ -312,32 +334,29 @@ def check_multipliers_nonneg(bundle: CertificateBundle) -> CheckReport:
     """
     for label, mult in (("lambda", bundle.lam), ("mu", bundle.mu)):
         for i, row in enumerate(mult.bar):
-            for j, v in enumerate(row):
+            for j, v in row.items():
                 if i != j and v.sign() < 0:
                     return CheckReport("nonneg", False, f"{label}_bar[{i}][{j}] = {v} < 0")
         for j, v in enumerate(mult.star_row):
             if v.sign() < 0:
                 return CheckReport("nonneg", False, f"{label}_star[{j}] = {v} < 0")
-    mu = bundle.mu
     n = bundle.n
+    last = bundle.mu.bar[n - 1]
     scale = rho_pow(bundle.k) - ONE
     for j in range(n - 1):
         expected = scale * (bundle.c[j] - bundle.pi[j])
-        if mu.bar[n - 1][j] != expected:
-            return CheckReport(
-                "nonneg",
-                False,
-                f"mu_bar[{n - 1}][{j}] = {mu.bar[n - 1][j]} deviates from "
-                f"closed form {expected}",
-            )
+        v = last.get(j, ZERO)
+        if v != expected:
+            detail = f"mu_bar[{n - 1}][{j}] = {v} deviates from closed form {expected}"
+            return CheckReport("nonneg", False, detail)
     return CheckReport("nonneg", True)
 
 
-def _laplacian_violation(mat: Matrix, prefix: str, name: str) -> str:
+def _laplacian_violation(mat: Rows, prefix: str, name: str) -> str:
     """Detail of the first positive off-diagonal entry or nonzero row sum, or ""."""
     for r, row in enumerate(mat):
         total = ZERO
-        for s, v in enumerate(row):
+        for s, v in row.items():
             total = total + v
             if r != s and v.sign() > 0:
                 return f"{prefix}off-diagonal {name}[{r}][{s}] = {v} > 0"
@@ -352,33 +371,37 @@ def check_laplacian(bundle: CertificateBundle) -> CheckReport:
     Verifies (a) every row of L sums to exactly zero with nonpositive
     off-diagonal entries, and then (b) the core of L (its top-left n x n
     block) plus the companion-gap outer product has nonpositive off-diagonal
-    entries.
+    entries.  Part (b) examines only pairs (r, s) on the support of the gap
+    c - pi: off it the outer product vanishes, so the entry equals L[r][s],
+    which (a) has just shown to be <= 0.
     """
     lap = bundle.slack.lap
     detail = _laplacian_violation(lap, "", "L")
     if detail:
         return CheckReport("laplacian", False, detail)
-    n = bundle.n
-    gap = [bundle.c[t] - bundle.pi[t] for t in range(n)]
-    for r in range(n):
-        for s in range(n):
-            if r != s and (lap[r][s] + gap[r] * gap[s]).sign() > 0:
-                detail = f"core-plus-outer entry [{r}][{s}] is positive"
-                return CheckReport("laplacian", False, detail)
+    gap = [ci - pi for ci, pi in zip(bundle.c, bundle.pi)]
+    support = [t for t, g in enumerate(gap) if g]
+    for r in support:
+        row, gr = lap[r], gap[r]
+        for s in support:
+            if r != s:
+                v = row.get(s, ZERO) + gr * gap[s]
+                if v.sign() > 0:
+                    detail = f"core-plus-outer entry [{r}][{s}] = {v} > 0"
+                    return CheckReport("laplacian", False, detail)
     return CheckReport("laplacian", True)
 
 
-def _border_violation(s_mat: Matrix, lap: Matrix) -> str:
+def _border_violation(s_mat: Rows, lap: Rows) -> str:
     """Detail of the first entry where S is not L with border (1/sqrt2, -1, 0, ..., 0, +1)."""
-    border = [INV_SQRT2, -ONE] + [ZERO] * (len(lap) - 2) + [ONE]
-    expected = [border] + [[b] + row for b, row in zip(border[1:], lap)]
-    if s_mat == expected:
-        return ""
+    expected = _bordered(lap)
     for r, (row, want) in enumerate(zip(s_mat, expected)):
-        for c, (v, w) in enumerate(zip(row, want)):
-            if v != w:
-                return f"S[{r}][{c}] = {v}, not {w}"
-    return f"S is not {len(expected)} x {len(expected)}"
+        if row != want:
+            for c in sorted(row.keys() | want.keys()):
+                v, w = row.get(c, ZERO), want.get(c, ZERO)
+                if v != w:
+                    return f"S[{r}][{c}] = {v}, not {w}"
+    return "" if len(s_mat) == len(expected) else f"S is not {len(expected)} x {len(expected)}"
 
 
 def check_schur_psd(bundle: CertificateBundle) -> CheckReport:
@@ -393,16 +416,15 @@ def check_schur_psd(bundle: CertificateBundle) -> CheckReport:
     """
     n = bundle.n
     lap = bundle.slack.lap
-    schur = [row[:] for row in lap]
-    schur[0][0] = schur[0][0] - SQRT2
-    schur[n][n] = schur[n][n] - SQRT2
-    schur[0][n] = schur[0][n] + SQRT2
-    schur[n][0] = schur[n][0] + SQRT2
+    schur = lap
+    for r, s, v in ((0, 0, -SQRT2), (n, n, -SQRT2), (0, n, SQRT2), (n, 0, SQRT2)):
+        schur = _plus(schur, r, s, v)
     violation = (_laplacian_violation(schur, "Schur complement ", "")
                  or _border_violation(bundle.slack.s, lap))
     if violation:
         return CheckReport("schur", False, violation)
-    detail = f"corner entry (1,{n + 1}) = {schur[0][n]} <= 0 since c_1 >= sqrt2"
+    corner = schur[0].get(n, ZERO)
+    detail = f"corner entry (1,{n + 1}) = {corner} <= 0 since c_1 >= sqrt2"
     return CheckReport("schur", True, detail)
 
 
@@ -491,8 +513,8 @@ def evaluate_identity(bundle: CertificateBundle, trace) -> tuple[RadicalScalar, 
         (bundle.mu, cocoercivity_h, 1),
     ):
         for i, row in enumerate(mult.bar):
-            for j, v in enumerate(row):
-                if v and i != j:
+            for j, v in row.items():
+                if i != j:
                     lhs = lhs + v * cocoercivity(trace, i + offset, j + offset)
         for j, v in enumerate(mult.star_row):
             if v:
@@ -513,21 +535,13 @@ def evaluate_identity(bundle: CertificateBundle, trace) -> tuple[RadicalScalar, 
         acc = acc + uc.s_star * trace.s_star[l]
         u_norm2 = u_norm2 + acc * acc
 
-    # Tr(V S V^T) with V columns [x_0 - x_*, s_1, ..., s_n, s_*]
+    # Tr(V S V^T) with V columns [x_0 - x_*, s_1, ..., s_n, s_*], taking
+    # each Gram entry only where S stores a value (S need not be symmetric)
     cols = [w] + trace.ss + [trace.s_star]
-    m = n + 2
-    gram = [[0] * m for _ in range(m)]
-    for i in range(m):
-        for j in range(i, m):
-            gram[i][j] = gram[j][i] = _dot(cols[i], cols[j])
     trace_term = ZERO
-    s_mat = bundle.slack.s
-    for i in range(m):
-        row = s_mat[i]
-        for j in range(m):
-            v = row[j]
-            if v:
-                trace_term = trace_term + v * gram[i][j]
+    for col, row in zip(cols, bundle.slack.s):
+        for j, v in row.items():
+            trace_term = trace_term + v * _dot(col, cols[j])
 
     rhs = gap_term + RHO_OVER_2SQRT2 * w_norm2 - (u_norm2 + trace_term) / 2
     return lhs, rhs

@@ -69,13 +69,13 @@ def test_criterion_2_descent_identity_and_negative_controls():
 
 def test_criterion_3_base_case_golden_data():
     bundle = build_bundle(1)
-    assert bundle.lam.bar == [[ZERO, RHO], [ONE, ZERO]]
+    assert bundle.lam.bar == [{1: RHO}, {0: ONE}]
     assert bundle.lam.star_row == [SQRT2, RHO]  # [rho-1, rho]
-    assert bundle.mu.bar == [[ZERO]]
+    assert bundle.mu.bar == [{}]
     assert bundle.mu.star_row == [RHO * 2 - 1]
     assert bundle.slack.lap == [
-        [TWO_RHO_MINUS_2, -TWO_RHO_MINUS_2],
-        [-TWO_RHO_MINUS_2, TWO_RHO_MINUS_2],
+        {0: TWO_RHO_MINUS_2, 1: -TWO_RHO_MINUS_2},
+        {0: -TWO_RHO_MINUS_2, 1: TWO_RHO_MINUS_2},
     ]
     s = bundle.slack.s
     assert s[0][0] == RadicalScalar(0, Fraction(1, 2))  # 1/sqrt2

@@ -22,6 +22,7 @@ from silverprox.certificate import (
 )
 from silverprox.exactnum import ONE, RHO, SQRT2, ZERO, RadicalScalar, rho_pow
 from silverprox.schedule import c_sequence, silver_schedule
+from sparse_rows import dense, with_entries
 
 TWO_RHO_MINUS_2 = SQRT2 * 2  # 2(rho - 1)
 
@@ -33,13 +34,13 @@ TWO_RHO_MINUS_2 = SQRT2 * 2  # 2(rho - 1)
 
 def test_lambda_base_case():
     lam = build_lambda(1)
-    assert lam.bar == [[ZERO, RHO], [ONE, ZERO]]
+    assert lam.bar == [{1: RHO}, {0: ONE}]
     assert lam.star_row == [SQRT2, RHO]  # [rho - 1, rho]
 
 
 def test_lambda_first_doubling():
     lam = build_lambda(2)
-    bar = lam.bar
+    bar = dense(lam.bar)
     assert bar[1][3] == RHO  # sparse coupling, first copy -> second
     assert bar[3][1] == RHO  # sparse coupling back, value rho^1
     assert bar[1][2] == RadicalScalar(2, 1)  # low-rank row: rho * sqrt2
@@ -47,7 +48,7 @@ def test_lambda_first_doubling():
     assert bar[3][2] == rho_pow(2) * ONE + RadicalScalar(2, 1)
     # glued copies: top-left block is the order-1 grid, bottom-right rho^2
     # times it plus the documented corrections
-    assert [row[:2] for row in bar[:2]] == build_lambda(1).bar
+    assert [row[:2] for row in bar[:2]] == dense(build_lambda(1).bar)
     assert bar[2][3] == rho_pow(2) * RHO
     assert bar[2][2] == ZERO and bar[3][3] == ZERO
     assert lam.star_row == silver_schedule(2) + [rho_pow(2)]
@@ -55,13 +56,13 @@ def test_lambda_first_doubling():
 
 def test_mu_base_case():
     mu = build_mu(1)
-    assert mu.bar == [[ZERO]]
+    assert mu.bar == [{}]
     assert mu.star_row == [RHO * 2 - 1]
 
 
 def test_mu_first_doubling():
     mu = build_mu(2)
-    bar = mu.bar
+    bar = dense(mu.bar)
     # rows/cols are 0-based for iterates 1..3
     assert bar[2][1] == (RHO - rho_pow(-1)) * 2  # sparse entry at (3, 2)
     assert bar[2][0] == ZERO  # entry (3, 1)
@@ -83,7 +84,7 @@ def test_mu_last_row_closed_form():
         n = 2**k - 1
         scale = rho_pow(k) - ONE
         for j in range(n - 1):
-            assert mu.bar[n - 1][j] == scale * (c[j] - pi[j])
+            assert mu.bar[n - 1].get(j, ZERO) == scale * (c[j] - pi[j])
 
 
 def test_mu_glued_row_closed_form():
@@ -94,7 +95,7 @@ def test_mu_glued_row_closed_form():
         n = 2**k - 1
         factor = rho_pow(2 * k - 1) / (rho_pow(k - 1) + ONE)
         for j in range(n - 1):
-            assert big.bar[n - 1][j] == factor * (c[j] - pi[j])
+            assert big.bar[n - 1].get(j, ZERO) == factor * (c[j] - pi[j])
 
 
 def test_recursive_blocks_preserved():
@@ -102,25 +103,25 @@ def test_recursive_blocks_preserved():
         small_lam, big_lam = build_lambda(k), build_lambda(k + 1)
         n = 2**k - 1
         for i in range(n + 1):
-            assert big_lam.bar[i][: n + 1] == small_lam.bar[i]
+            assert {j: v for j, v in big_lam.bar[i].items() if j <= n} == small_lam.bar[i]
         small_mu, big_mu = build_mu(k), build_mu(k + 1)
         c, pi = c_sequence(k), silver_schedule(k)
         mid = rho_pow(k - 1) + ONE
         w_lo = ONE - rho_pow(k) / mid
         for i in range(n):
             for j in range(n):
-                expected = small_mu.bar[i][j]
+                expected = small_mu.bar[i].get(j, ZERO)
                 if i == n - 1:
                     expected = expected + w_lo * (c[j] - pi[j])
-                assert big_mu.bar[i][j] == expected
+                assert big_mu.bar[i].get(j, ZERO) == expected
 
 
 def test_slack_base_case():
     slack = build_slack(1)
     assert slack.lap[0][0] == TWO_RHO_MINUS_2  # the 1 x 1 core
     assert slack.lap == [
-        [TWO_RHO_MINUS_2, -TWO_RHO_MINUS_2],
-        [-TWO_RHO_MINUS_2, TWO_RHO_MINUS_2],
+        {0: TWO_RHO_MINUS_2, 1: -TWO_RHO_MINUS_2},
+        {0: -TWO_RHO_MINUS_2, 1: TWO_RHO_MINUS_2},
     ]
     s = slack.s
     assert s[0][0] == RadicalScalar(0, 1) / 2  # 1/sqrt2
@@ -140,7 +141,7 @@ def test_slack_first_doubling():
     c2 = c_sequence(2)
     for r in range(3):
         total = ZERO
-        for v in slack.lap[r][:3]:
+        for v in dense(slack.lap)[r][:3]:
             total = total + v
         assert total == c2[r]
 
@@ -149,10 +150,26 @@ def test_slack_symmetry():
     for k in (1, 2, 3, 4):
         s = build_slack(k).s
         size = len(s)
-        assert all(len(row) == size for row in s)
+        assert all(0 <= j < size for row in s for j in row.keys())
         for i in range(size):
             for j in range(size):
-                assert s[i][j] == s[j][i]
+                assert s[i].get(j, ZERO) == s[j].get(i, ZERO)
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_sparse_row_storage_invariants(k):
+    bundle = build_bundle(k)
+    n = bundle.n
+    for rows, count in ((bundle.lam.bar, n + 1), (bundle.mu.bar, n),
+                        (bundle.slack.lap, n + 1), (bundle.slack.s, n + 2)):
+        assert len(rows) == count
+        for row in rows:
+            keys = list(row.keys())
+            assert keys == sorted(keys)
+            assert all(0 <= j < count for j in keys)
+            assert all(row.values())  # no stored zero
+        # iterating the rows reads like a dense scan that skips the zeros
+        assert [v for row in rows for v in row] == [v for row in dense(rows) for v in row if v]
 
 
 def test_u_coefficients_base_case():
@@ -193,8 +210,7 @@ def test_schur_base_case_value():
 ], ids=["corner", "border", "core"])
 def test_schur_negative_control_reads_s(row, col, value, detail):
     bundle = build_bundle(2)
-    s_mat = [r[:] for r in bundle.slack.s]
-    s_mat[row][col] = value
+    s_mat = with_entries(bundle.slack.s, {(row, col): value})
     bad = replace(bundle, slack=replace(bundle.slack, s=s_mat))
     assert check_laplacian(bad).passed  # S is read by the Schur check alone
     report = check_schur_psd(bad)
@@ -226,8 +242,7 @@ def test_nonneg_negative_control(part, row, col, change, detail):
         star[col] = change(star[col])
         mult = replace(mult, star_row=star)
     else:
-        bar = [r[:] for r in mult.bar]
-        bar[row][col] = change(bar[row][col])
+        bar = with_entries(mult.bar, {(row, col): change(mult.bar[row].get(col, ZERO))})
         mult = replace(mult, bar=bar)
     report = check_multipliers_nonneg(replace(bundle, **{part: mult}))
     assert not report.passed
@@ -236,8 +251,10 @@ def test_nonneg_negative_control(part, row, col, change, detail):
 
 def test_laplacian_negative_control():
     bundle = build_bundle(2)
-    lap = [row[:] for row in bundle.slack.lap]
-    lap[-1][-1] = lap[-1][-1] + ONE  # corner becomes 2(rho^k - 1) + 1
+    n = bundle.n
+    lap = bundle.slack.lap
+    # corner becomes 2(rho^k - 1) + 1
+    lap = with_entries(lap, {(n, n): lap[n][n] + ONE})
     bad = replace(bundle, slack=replace(bundle.slack, lap=lap))
     report = check_laplacian(bad)
     assert not report.passed
@@ -252,29 +269,63 @@ def test_laplacian_core_check_reads_stored_lap():
     # its value onto both diagonals: L keeps zero row sums and nonpositive
     # off-diagonals, but core plus gap gap^T turns positive at [1][2].
     bundle = build_bundle(2)
-    lap = [row[:] for row in bundle.slack.lap]
-    s_mat = [row[:] for row in bundle.slack.s]
-    old = lap[1][2]
+    old = bundle.slack.lap[1][2]
     assert old == RadicalScalar(6, -9)
-    for mat, shift in ((lap, 0), (s_mat, 1)):
-        mat[1 + shift][2 + shift] = mat[2 + shift][1 + shift] = ZERO
-        mat[1 + shift][1 + shift] = mat[1 + shift][1 + shift] + old
-        mat[2 + shift][2 + shift] = mat[2 + shift][2 + shift] + old
+
+    def moved(rows, a):
+        b = a + 1
+        return with_entries(rows, {(a, b): ZERO, (b, a): ZERO,
+                                   (a, a): rows[a][a] + old, (b, b): rows[b][b] + old})
+
+    lap, s_mat = moved(bundle.slack.lap, 1), moved(bundle.slack.s, 2)
     bad = replace(bundle, slack=replace(bundle.slack, lap=lap, s=s_mat))
     report = check_laplacian(bad)
     assert not report.passed
-    assert report.detail == "core-plus-outer entry [1][2] is positive"
+    assert report.detail == "core-plus-outer entry [1][2] = -8/1 + 8/1*sqrt2 > 0"
     assert check_schur_psd(bad).passed  # the edit keeps S = L with its border
 
 
 def test_laplacian_positive_off_diagonal_named():
     bundle = build_bundle(2)
-    lap = [row[:] for row in bundle.slack.lap]
-    lap[1][2] = lap[1][2] + 10  # 6 - 9 sqrt2 + 10 > 0
+    lap = bundle.slack.lap
+    lap = with_entries(lap, {(1, 2): lap[1][2] + 10})  # 6 - 9 sqrt2 + 10 > 0
     bad = replace(bundle, slack=replace(bundle.slack, lap=lap))
     assert check_laplacian(bad).detail == "off-diagonal L[1][2] = 16/1 + -9/1*sqrt2 > 0"
     assert (check_schur_psd(bad).detail
             == "Schur complement off-diagonal [1][2] = 16/1 + -9/1*sqrt2 > 0")
+
+
+# Negative controls at positions the k=2 certificate does not store: a scan
+# over stored entries only must still see a value placed there.  The details
+# and the residual were recorded with dense list-of-lists storage.
+
+
+def test_nonneg_control_at_unstored_position():
+    bundle = build_bundle(2)
+    assert 3 not in bundle.lam.bar[0]
+    bar = with_entries(bundle.lam.bar, {(0, 3): -ONE})
+    report = check_multipliers_nonneg(replace(bundle, lam=replace(bundle.lam, bar=bar)))
+    assert not report.passed
+    assert report.detail == "lambda_bar[0][3] = -1/1 + 0/1*sqrt2 < 0"
+
+
+def test_laplacian_control_at_unstored_position():
+    bundle = build_bundle(2)
+    assert 2 not in bundle.slack.lap[0]
+    lap = with_entries(bundle.slack.lap, {(0, 2): ONE})
+    report = check_laplacian(replace(bundle, slack=replace(bundle.slack, lap=lap)))
+    assert not report.passed
+    assert report.detail == "off-diagonal L[0][2] = 1/1 + 0/1*sqrt2 > 0"
+
+
+def test_identity_control_at_unstored_position():
+    bundle = build_bundle(2)
+    assert 3 not in bundle.lam.bar[0]
+    bar = with_entries(bundle.lam.bar, {(0, 3): ONE})
+    bad = replace(bundle, lam=replace(bundle.lam, bar=bar))
+    report = verify_descent_identity(2, trials=20, dim=4, seed=2, bundle=bad)
+    assert report.failures == tuple(range(20))
+    assert report.first_residual == "-137/1 + 66/1*sqrt2"
 
 
 # ---------------------------------------------------------------------------
@@ -299,8 +350,7 @@ def test_identity_single_sample_both_sides():
 
 def test_identity_detects_perturbed_lambda():
     bundle = build_bundle(2)
-    bar = [row[:] for row in bundle.lam.bar]
-    bar[1][3] = bar[1][3] + ONE
+    bar = with_entries(bundle.lam.bar, {(1, 3): bundle.lam.bar[1][3] + ONE})
     bad = replace(bundle, lam=replace(bundle.lam, bar=bar))
     report = verify_descent_identity(2, trials=20, dim=4, seed=3, bundle=bad)
     assert report.failures

@@ -1,12 +1,14 @@
-"""Golden SHA-256 of every certificate entry for k = 1..7.
+"""Golden SHA-256 of every certificate entry for k = 1..8.
 
 Each digest hashes the ``exact_str`` of every entry of ``build_bundle(k)``,
 one per line, in this order: ``pi``, ``c``, ``lam.bar`` (row by row),
 ``lam.star_row``, ``mu.bar``, ``mu.star_row``, the slack core (the top-left
 n x n block of ``slack.lap``), ``slack.lap``, ``slack.s`` and the ``u_coeffs``
-fields.  The digests were recorded with the original Fraction-pair
+fields.  The matrices are densified first, so every zero entry is hashed
+too.  The k <= 7 digests were recorded with the original Fraction-pair
 implementation of ``RadicalScalar``, when the core was stored as a separate
-matrix; no change to the arithmetic or the storage may move a single entry.
+matrix, and the k = 8 digest with dense list-of-lists storage; no change to
+the arithmetic or the storage may move a single entry.
 """
 
 import hashlib
@@ -14,6 +16,7 @@ import hashlib
 import pytest
 
 from silverprox.certificate import build_bundle
+from sparse_rows import dense
 
 GOLDEN = {
     1: "2a067c042978d8f09e96ee1462809d532f4db51e794a5d403f5a6836edb86737",
@@ -23,6 +26,7 @@ GOLDEN = {
     5: "968595514da77ae352f9154079383cae6089cccf63ced3e354b51e0b76041934",
     6: "ffb66a531117809fdf706cbc931063150b5286c640de07d0d05a408d849d1e99",
     7: "9c97fef2e017673fad1cb2735ac7d5ee8c531711d2268decab177cde90ce9a59",
+    8: "21ef2ff8701630ee6fe6e8ac946b55a1379a7abff7b86549e0ec9130ae5318f1",
 }
 
 
@@ -30,11 +34,11 @@ def bundle_entries(bundle):
     yield from bundle.pi
     yield from bundle.c
     for mult in (bundle.lam, bundle.mu):
-        for row in mult.bar:
+        for row in dense(mult.bar):
             yield from row
         yield from mult.star_row
-    lap = bundle.slack.lap
-    for mat in ([row[:-1] for row in lap[:-1]], lap, bundle.slack.s):
+    lap = dense(bundle.slack.lap)
+    for mat in ([row[:-1] for row in lap[:-1]], lap, dense(bundle.slack.s)):
         for row in mat:
             yield from row
     u = bundle.u_coeffs
