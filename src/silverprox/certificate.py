@@ -536,11 +536,17 @@ def evaluate_identity(bundle: CertificateBundle, trace) -> tuple[RadicalScalar, 
         u_norm2 = u_norm2 + acc * acc
 
     # Tr(V S V^T) with V columns [x_0 - x_*, s_1, ..., s_n, s_*], taking
-    # each Gram entry only where S stores a value (S need not be symmetric)
+    # each Gram entry once: a stored mirror S[j][r] joins S[r][j] on one dot
+    # product, and S need not be symmetric
     cols = [w] + trace.ss + [trace.s_star]
+    s = bundle.slack.s
     trace_term = ZERO
-    for col, row in zip(cols, bundle.slack.s):
+    for r, (col, row) in enumerate(zip(cols, s)):
         for j, v in row.items():
+            if j > r:
+                v = v + s[j].get(r, ZERO)
+            elif j < r and r in s[j]:
+                continue  # counted at (j, r)
             trace_term = trace_term + v * _dot(col, cols[j])
 
     rhs = gap_term + RHO_OVER_2SQRT2 * w_norm2 - (u_norm2 + trace_term) / 2

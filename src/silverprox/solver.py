@@ -11,13 +11,14 @@ runs used to reproduce the worst-case gap of the tight lower-bound
 instance.  Subgradients of the nonsmooth part are recovered from the
 update itself: s_{t+1} = (x_t - a_t g_t - x_{t+1}) / a_t.
 
-The random quadratic instances make one numpy BLAS matvec per oracle call;
-their float results match a left-to-right sum only to rounding.
+The random quadratic instances make one matvec per point; value and gradient
+at the same point share it, and match a left-to-right sum only to rounding.
 """
 
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
@@ -113,6 +114,17 @@ class Trace:
         return len(self.ss)
 
 
+def _finite(x: Vector) -> bool:
+    """False when a float coordinate is inf or nan; points without floats pass.
+
+    One sum clears a finite point (a float sum is finite if every term is);
+    a non-finite sum, which finite terms reach by overflow, is rescanned.
+    """
+    if not any(isinstance(v, float) for v in x):
+        return True
+    return math.isfinite(sum(x)) or all(math.isfinite(v) for v in x if isinstance(v, float))
+
+
 def _total(fv, hv):
     if isinstance(hv, float) and math.isinf(hv):
         return math.inf
@@ -124,8 +136,8 @@ def proximal_gd_run(problem: ProblemInstance, steps, x0: Vector) -> Trace:
     """Run proximal gradient descent for len(steps) iterations.
 
     Stepsizes are in unit-normalized form and are divided by the declared
-    smoothness constant internally.  Raises on empty or nonpositive steps
-    and on non-finite floating-point iterates.
+    smoothness constant internally.  Raises on empty or nonpositive steps,
+    an x0 not of the problem's dimension and non-finite float iterates.
     """
     steps = list(steps)
     if not steps:
@@ -135,6 +147,8 @@ def proximal_gd_run(problem: ProblemInstance, steps, x0: Vector) -> Trace:
     hval, prox = problem.nonsmooth.value, problem.nonsmooth.prox
 
     x = list(x0)
+    if len(x) != problem.dimension:
+        raise ValueError(f"x0 has {len(x)} coordinates, the problem {problem.dimension}")
     xs, gs, ss = [x], [], []
     fs, hs = [fval(x)], [hval(x)]
     Fs = [_total(fs[0], hs[0])]
@@ -145,7 +159,7 @@ def proximal_gd_run(problem: ProblemInstance, steps, x0: Vector) -> Trace:
         g = grad(x)
         y = [xv - a * gv for xv, gv in zip(x, g)]
         x_next = prox(y, a)
-        if not all(math.isfinite(v) for v in x_next if isinstance(v, float)):
+        if not _finite(x_next):
             raise ArithmeticError(f"non-finite iterate at iteration {t + 1}")
         gs.append(g)
         ss.append([(yv - xv) / a for yv, xv in zip(y, x_next)])
@@ -164,11 +178,9 @@ def proximal_gd_run(problem: ProblemInstance, steps, x0: Vector) -> Trace:
         trace.s_star = [-v for v in g_star]
         trace.f_star = fval(x_star)
         trace.h_star = hval(x_star)
-        trace.F_star = (
-            problem.optimal_value
-            if problem.optimal_value is not None
-            else _total(trace.f_star, trace.h_star)
-        )
+        trace.F_star = problem.optimal_value
+        if trace.F_star is None:
+            trace.F_star = _total(trace.f_star, trace.h_star)
     return trace
 
 
@@ -193,19 +205,12 @@ def prox_library(name: str, **params) -> ProxOracle:
             raise ValueError(f"l1 weight must be nonnegative, got {weight}")
 
         def value(x):
-            return weight * sum(abs(v) for v in x)
+            return weight * sum(map(abs, x))
 
         def prox(x, a):
             thr = a * weight
-            out = []
-            for v in x:
-                if v > thr:
-                    out.append(v - thr)
-                elif v < -thr:
-                    out.append(v + thr)
-                else:
-                    out.append(v * 0)
-            return out
+            neg = -thr
+            return [v - thr if v > thr else v + thr if v < neg else v * 0 for v in x]
 
         return ProxOracle(value=value, prox=prox)
 
@@ -331,14 +336,8 @@ def lower_bound_instance(k: int, exact: bool = True):
         optimum = [0.0]
         optimal_value = 0.0
         smoothness = 1.0
-    smooth = SmoothOracle(
-        value=lambda x: a * x[0],
-        gradient=lambda x: [a],
-        smoothness=smoothness,
-        strong_convexity=0,
-    )
     problem = ProblemInstance(
-        smooth=smooth,
+        smooth=SmoothOracle(lambda x: a * x[0], lambda x: [a], smoothness),
         nonsmooth=prox_library("halfline"),
         dimension=1,
         optimum=optimum,
@@ -416,19 +415,31 @@ def restart_solve(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class _Quadratic:
-    """x^T mat x / 2 + lin^T x on float64 arrays; lists of floats in and out."""
+    """x^T mat x / 2 + lin^T x on float64 arrays; lists of floats in and out.
 
-    mat: np.ndarray
-    lin: np.ndarray
+    ``value`` and ``gradient`` share ``mat @ z`` of the last point, keyed on its
+    float64 bytes: only a bit-identical point (not -0.0 for 0.0) reuses it.
+    """
+
+    def __init__(self, mat: np.ndarray, lin: np.ndarray):
+        self.mat, self.lin = mat, lin
+        self._pack = struct.Struct(f"{len(lin)}d").pack  # a point's float64 bytes
+        self._key, self._z, self._mz = b"", None, None
+
+    def _product(self, x: Vector):
+        key = self._pack(*x)
+        if key != self._key:
+            self._key, self._z = key, np.frombuffer(key)
+            self._mz = self.mat @ self._z
+        return self._z, self._mz
 
     def value(self, x: Vector) -> float:
-        z = np.asarray(x, dtype=float)
-        return float(0.5 * (z @ (self.mat @ z)) + self.lin @ z)
+        z, mz = self._product(x)
+        return float(0.5 * (z @ mz) + self.lin @ z)
 
     def gradient(self, x: Vector) -> Vector:
-        return (self.mat @ np.asarray(x, dtype=float) + self.lin).tolist()
+        return (self._product(x)[1] + self.lin).tolist()
 
 
 def random_quadratic_instance(
@@ -488,21 +499,15 @@ def random_quadratic_instance(
         raise ValueError(f"unknown nonsmooth kind {h_kind!r}")
 
     lin = -(mat @ x_star + s_star)
-    quad = _Quadratic(mat=mat, lin=lin)
+    quad = _Quadratic(mat, lin)
     x_star_list = [float(v) for v in x_star]
-    f_at_star = quad.value(x_star_list)
-    smooth = SmoothOracle(
-        value=quad.value,
-        gradient=quad.gradient,
-        smoothness=float(m_smooth),
-        strong_convexity=float(m_strong),
-    )
     problem = ProblemInstance(
-        smooth=smooth,
+        smooth=SmoothOracle(value=quad.value, gradient=quad.gradient,
+                            smoothness=float(m_smooth), strong_convexity=float(m_strong)),
         nonsmooth=nonsmooth,
         dimension=dim,
         optimum=x_star_list,
-        optimal_value=f_at_star + h_at_star,
+        optimal_value=quad.value(x_star_list) + h_at_star,
         name=f"quadratic-{h_kind}-d{dim}",
     )
     radius = rng.uniform(0.5, 2.0)

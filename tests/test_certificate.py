@@ -383,6 +383,33 @@ def test_identity_tamper_residuals_pinned(target):
     assert report.first_residual == TAMPER_RESIDUALS[target]
 
 
+def _dense_slack_trace(s_rows, trace):
+    """Tr(V S V^T) over every entry of the dense S, V = [w, s_1, ..., s_n, s_*]."""
+    cols = [trace.xs[0]] + trace.ss + [trace.s_star]
+    return sum((v * sum(a * b for a, b in zip(cols[r], cols[j]))
+                for r, row in enumerate(dense(s_rows)) for j, v in enumerate(row)), ZERO)
+
+
+@pytest.mark.parametrize("k", [2, 4])
+def test_identity_slack_term_without_mirrors(k):
+    # Pairs stored only above or only below the diagonal, and a pair whose two
+    # values differ, each enter the slack term as the dense sum has them.
+    bundle = build_bundle(k)
+    s = bundle.slack.s
+    pairs = [(r, j) for r, row in enumerate(s) for j in row.keys() if j > r and r in s[j]]
+    (r1, j1), (r2, j2), (r3, j3) = pairs[0], pairs[len(pairs) // 2], pairs[-1]
+    edits = {(j1, r1): ZERO, (r2, j2): ZERO, (r3, j3): s[r3][j3] + ONE}
+    bad = replace(bundle, slack=replace(bundle.slack, s=with_entries(s, edits)))
+    assert r1 not in bad.slack.s[j1] and j2 not in bad.slack.s[r2]
+    trace = sample_free_trace(bundle.pi, 3, random.Random(11))
+    lhs, rhs = evaluate_identity(bundle, trace)
+    bad_lhs, bad_rhs = evaluate_identity(bad, trace)
+    assert lhs == rhs and bad_lhs == lhs
+    change = _dense_slack_trace(bad.slack.s, trace) - _dense_slack_trace(s, trace)
+    assert change  # the edits move the term on this trace
+    assert bad_rhs - rhs == -change / 2
+
+
 def test_free_trace_is_plain_ints():
     trace = sample_free_trace(build_bundle(2).pi, 2, random.Random(7))
     assert trace.gs == [[0, -3], [1, 5], [-5, -4], [3, -4]]

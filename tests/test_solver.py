@@ -1,6 +1,8 @@
+import hashlib
 import math
 import random
 import warnings
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -201,6 +203,13 @@ def test_run_input_validation():
         proximal_gd_run(problem, [], [1.0])
     with pytest.raises(ValueError):
         proximal_gd_run(problem, [1.0, -0.5], [1.0])
+    # an x0 of another length: zip would drop coordinates of the 1-D instance
+    # silently, and the quadratic's product would fail deep in the oracle
+    quadratic, x0 = random_quadratic_instance(4, 0.0, 1.0, "l1", np.random.default_rng(0))
+    for problem, x in ((lower_bound_instance(2, exact=False)[0], [1.0, 2.0]),
+                       (quadratic, x0[:3])):
+        with pytest.raises(ValueError, match="coordinates"):
+            proximal_gd_run(problem, [1.0], x)
 
 
 def test_divergence_raises_named_iteration():
@@ -530,3 +539,186 @@ def test_divergence_raises_under_warnings_as_errors():
         with pytest.raises(ArithmeticError, match="iteration"):
             proximal_gd_run(problem, [1e150] * 8, x0)
     assert np.geterr() == before  # the run does not leak its error state
+
+
+# ---------------------------------------------------------------------------
+# float bits: golden trace digest and the quadratic oracle's shared product
+# ---------------------------------------------------------------------------
+
+# SHA-256 of repr(xs, gs, ss, Fs, F_star) over the three seeded float runs of
+# _golden_runs, recorded before value and gradient shared a product (numpy
+# 2.4.6, OpenBLAS 0.3.31).  It pins every float bit of the loop, the prox
+# oracles and the quadratic oracle.  Another BLAS may round its products
+# otherwise, so the digest is compared only where the instances and a first
+# product hash as they did then (BLAS_DIGEST); on every platform the runs must
+# equal those of the two-product oracle, bit for bit.
+FLOAT_TRACE_DIGEST = "49e5f0f095f4ef6acab18adb1a4d9060205712af7168be968eade961561eb104"
+BLAS_DIGEST = "b15a4162c6c4b9e0767698115b45acd7fe0a00abd312f74de3694d444cba8065"
+
+
+def _golden_runs():
+    silver = [v.to_float() for v in silver_schedule(8)]
+    for seed, dim, kind, steps in ((11, 256, "l1", silver), (12, 8, "box", silver),
+                                   (13, 8, "zero", [1.0] * 255)):
+        problem, x0 = random_quadratic_instance(
+            dim, 0.0, 1.0, kind, np.random.default_rng(seed))
+        yield problem, x0, steps
+
+
+def _trace_bits(trace):
+    return repr((trace.xs, trace.gs, trace.ss, trace.Fs, trace.F_star)).encode()
+
+
+def _two_product(problem):
+    """The instance with value and gradient each taking their own product."""
+    quad = problem.smooth.value.__self__
+
+    def value(x):
+        z = np.asarray(x, dtype=float)
+        return float(0.5 * (z @ (quad.mat @ z)) + quad.lin @ z)
+
+    def gradient(x):
+        return (quad.mat @ np.asarray(x, dtype=float) + quad.lin).tolist()
+
+    return replace(problem, smooth=replace(problem.smooth, value=value, gradient=gradient))
+
+
+def test_float_traces_equal_two_product_oracle():
+    for problem, x0, steps in _golden_runs():
+        assert _trace_bits(proximal_gd_run(problem, steps, x0)) == _trace_bits(
+            proximal_gd_run(_two_product(problem), steps, x0))
+
+
+def test_float_trace_bits_golden():
+    runs, blas = hashlib.sha256(), hashlib.sha256()
+    for problem, x0, steps in _golden_runs():
+        quad = problem.smooth.value.__self__
+        blas.update(repr((quad.mat.tolist(), quad.lin.tolist(), x0,
+                          (quad.mat @ np.asarray(x0)).tolist())).encode())
+        runs.update(_trace_bits(proximal_gd_run(problem, steps, x0)))
+    if blas.hexdigest() != BLAS_DIGEST:
+        pytest.skip("this BLAS rounds otherwise than the recording build")
+    assert runs.hexdigest() == FLOAT_TRACE_DIGEST
+
+
+class _CountingMat:
+    """Stands in for ``_Quadratic.mat`` and counts the products taken with it."""
+
+    def __init__(self, mat):
+        self.mat, self.products = mat, 0
+
+    def __matmul__(self, z):
+        self.products += 1
+        return self.mat @ z
+
+
+def _counted_quadratic(seed):
+    problem, x0 = random_quadratic_instance(8, 0.0, 1.0, "l1", np.random.default_rng(seed))
+    quad = problem.smooth.value.__self__
+    fresh = type(quad)(quad.mat, quad.lin)  # same data, cold cache: the reference
+    quad.mat = _CountingMat(quad.mat)
+    return x0, quad, fresh
+
+
+def _same_bits(quad, fresh, x):
+    assert repr(quad.value(x)) == repr(fresh.value(list(x)))
+    assert repr(quad.gradient(x)) == repr(fresh.gradient(list(x)))
+
+
+def test_quadratic_value_then_gradient_share_one_product():
+    x, quad, fresh = _counted_quadratic(60)
+    _same_bits(quad, fresh, x)
+    assert quad.mat.products == 1
+
+
+def test_quadratic_alternating_points():
+    x, quad, fresh = _counted_quadratic(61)
+    y = [v / 3 for v in x]
+    for point in (x, y, x, y, y):
+        _same_bits(quad, fresh, point)
+    assert quad.mat.products == 4  # one per change of point
+
+
+@pytest.mark.parametrize("edit", ["changed", "zero-sign"])
+def test_quadratic_point_mutated_in_place(edit):
+    x, quad, fresh = _counted_quadratic(62)
+    x[2] = 0.0
+    before = quad.value(x)
+    if edit == "changed":
+        x[5] += 1.0
+    else:
+        x[2] = -0.0  # equal under ==, but other bits; BLAS sums drop the sign
+        # of a zero, so only the product count tells a stale hit from a fresh one
+    assert repr(quad.gradient(x)) == repr(fresh.gradient(list(x)))
+    assert repr(quad.value(x)) == repr(fresh.value(list(x)))
+    assert quad.mat.products == 2
+    if edit == "changed":
+        assert quad.value(x) != before
+
+
+def test_quadratic_fresh_list_with_equal_bits_hits():
+    x, quad, fresh = _counted_quadratic(63)
+    x[0] = 0.0
+    quad.value(x)
+    copy = [float(repr(v)) for v in x]  # new float objects, the same bits
+    assert all(a is not b for a, b in zip(x, copy))
+    _same_bits(quad, fresh, copy)
+    assert quad.mat.products == 1
+    flipped = [-0.0] + copy[1:]
+    assert flipped == copy
+    _same_bits(quad, fresh, flipped)
+    assert quad.mat.products == 2
+
+
+def test_quadratic_gradient_list_is_the_callers():
+    x, quad, fresh = _counted_quadratic(64)
+    first = quad.gradient(x)
+    first[0] = 1e9
+    assert repr(quad.gradient(x)) == repr(fresh.gradient(x))
+
+
+@pytest.mark.parametrize("kind", ["zero", "l1", "box"])
+def test_one_product_per_point_of_a_run(kind):
+    problem, x0 = random_quadratic_instance(16, 0.0, 1.0, kind, np.random.default_rng(65))
+    quad = problem.smooth.value.__self__
+    quad.mat = _CountingMat(quad.mat)
+    steps = [v.to_float() for v in silver_schedule(4)]
+    trace = proximal_gd_run(problem, steps, x0)
+    assert quad.mat.products == len(steps) + 2  # x_0, ..., x_n and x_*
+    assert trace.n == len(steps)
+
+
+# ---------------------------------------------------------------------------
+# the finiteness guard
+# ---------------------------------------------------------------------------
+
+
+def _flat_problem(dim):
+    return ProblemInstance(
+        smooth=SmoothOracle(value=lambda x: 0.0, gradient=lambda x: [0.0] * dim, smoothness=1),
+        nonsmooth=prox_library("zero"),
+        dimension=dim,
+    )
+
+
+def test_finite_coordinates_whose_sum_overflows_pass():
+    trace = proximal_gd_run(_flat_problem(2), [1.0, 1.0], [1e308, 1e308])
+    assert trace.xs[-1] == [1e308, 1e308]
+
+
+def test_infinities_of_both_signs_raise():
+    with pytest.raises(ArithmeticError, match="iteration 1"):
+        proximal_gd_run(_flat_problem(2), [1.0], [math.inf, -math.inf])
+
+
+def test_exact_run_never_converts_to_float(monkeypatch):
+    with pytest.raises(TypeError):
+        ONE + 0.0  # so a float-seeded sum cannot shortcut the guard
+
+    def no_float(self):
+        raise AssertionError("exact coordinate converted to float")
+
+    monkeypatch.setattr(RadicalScalar, "__float__", no_float)
+    problem, gap = lower_bound_instance(4)
+    trace = proximal_gd_run(problem, silver_schedule(4), [ONE])
+    assert trace.Fs[-1] - trace.F_star == gap
