@@ -9,7 +9,9 @@ Q(sqrt2) numbers (verification mode).  The same list-based update loop
 therefore runs both the floating-point benchmarks and the exact-arithmetic
 runs used to reproduce the worst-case gap of the tight lower-bound
 instance.  Subgradients of the nonsmooth part are recovered from the
-update itself: s_{t+1} = (x_t - a_t g_t - x_{t+1}) / a_t.
+update itself, s_{t+1} = (x_t - a_t g_t - x_{t+1}) / a_t, on the first read of
+``Trace.ss``: the loop does not build them, since only the co-coercivity
+checks read them.
 
 The random quadratic instances make one matvec per point; value and gradient
 at the same point share it, and match a left-to-right sum only to rounding.
@@ -19,7 +21,7 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from fractions import Fraction
 from typing import Callable
 
@@ -88,30 +90,61 @@ class ProblemInstance:
     name: str = ""
 
 
+class _RecoveredSubgradients:
+    """``Trace.ss`` while a trace has none: recovers them and keeps them on the trace.
+
+    Each s_{t+1} = (y - x_{t+1}) / a with y = x_t - a g_t, as the loop computes
+    y.  A non-data descriptor, so once they are kept the instance attribute
+    wins; read on the class it gives None, which makes None the default of ``ss``.
+    """
+
+    def __get__(self, trace, owner=None):
+        if trace is None:
+            return None
+        big_m, ss = trace.smoothness, []
+        for step, x, g, x_next in zip(trace.steps, trace.xs, trace.gs, trace.xs[1:]):
+            a = step if big_m == 1 else step / big_m
+            y = [xv - a * gv for xv, gv in zip(x, g)]
+            ss.append([(yv - xv) / a for yv, xv in zip(y, x_next)])
+        trace.ss = ss
+        return ss
+
+
 @dataclass
 class Trace:
     """Per-iteration record of a proximal gradient run.
 
-    ``ss[t]`` holds the recovered subgradient s_{t+1}; optimum data is
-    attached when the instance knows its minimizer (s_* = -grad f(x_*)).
+    ``ss[t]`` holds the subgradient s_{t+1}.  A trace built without ``ss``
+    (every solver run) recovers it on first read from ``steps``, ``xs``,
+    ``gs`` and ``smoothness``, with the loop's own expressions, so it is
+    bit-identical to building it in the loop; a trace built with ``ss`` keeps
+    that list.  Optimum data is attached when the instance knows its
+    minimizer (s_* = -grad f(x_*)).
     """
 
     steps: list
     xs: list[Vector]
     gs: list[Vector]
-    ss: list[Vector]
     fs: list
     hs: list
     Fs: list
+    # Init-only, so that no hook stands in front of the other fields: on
+    # CPython 3.11 a __getattr__ made every attribute read about 4x slower.
+    ss: InitVar[list[Vector] | None] = _RecoveredSubgradients()
+    smoothness: object = 1
     x_star: Vector | None = None
     s_star: Vector | None = None
     f_star: object | None = None
     h_star: object | None = None
     F_star: object | None = None
 
+    def __post_init__(self, ss):
+        if ss is not None:
+            self.ss = ss
+
     @property
     def n(self) -> int:
-        return len(self.ss)
+        return len(self.steps)
 
 
 def _finite(x: Vector) -> bool:
@@ -149,7 +182,7 @@ def proximal_gd_run(problem: ProblemInstance, steps, x0: Vector) -> Trace:
     x = list(x0)
     if len(x) != problem.dimension:
         raise ValueError(f"x0 has {len(x)} coordinates, the problem {problem.dimension}")
-    xs, gs, ss = [x], [], []
+    xs, gs = [x], []
     fs, hs = [fval(x)], [hval(x)]
     Fs = [_total(fs[0], hs[0])]
     for t, step in enumerate(steps):
@@ -162,7 +195,6 @@ def proximal_gd_run(problem: ProblemInstance, steps, x0: Vector) -> Trace:
         if not _finite(x_next):
             raise ArithmeticError(f"non-finite iterate at iteration {t + 1}")
         gs.append(g)
-        ss.append([(yv - xv) / a for yv, xv in zip(y, x_next)])
         xs.append(x_next)
         fs.append(fval(x_next))
         hs.append(hval(x_next))
@@ -170,7 +202,7 @@ def proximal_gd_run(problem: ProblemInstance, steps, x0: Vector) -> Trace:
         x = x_next
     gs.append(grad(x))  # gradient at the final iterate, needed by the trace
 
-    trace = Trace(steps=steps, xs=xs, gs=gs, ss=ss, fs=fs, hs=hs, Fs=Fs)
+    trace = Trace(steps=steps, xs=xs, gs=gs, fs=fs, hs=hs, Fs=Fs, smoothness=big_m)
     if problem.optimum is not None:
         x_star = list(problem.optimum)
         g_star = grad(x_star)
@@ -358,12 +390,16 @@ def restart_epoch_order(kappa: float) -> int:
     Contraction per epoch of n = 2**k - 1 silver steps follows from the
     rate bound and strong convexity: ||x_n - x_*||^2 <= 2 kappa B_k
     ||x_0 - x_*||^2, so 2 kappa B_k <= 1/4 guarantees halving.  Ties go to
-    the smaller k.
+    the smaller k.  The comparison B_k <= 1 / (8 kappa) is exact: B_k as a
+    float loses its digits to cancellation as k grows (it reads 0.0 at k=45).
     """
     if not kappa >= 1:
         raise ValueError(f"condition number must be >= 1, got {kappa}")
+    if kappa == math.inf:
+        raise ValueError("condition number must be finite, got inf")
+    limit = Fraction(1, 8) / Fraction(kappa)
     k = 1
-    while 2.0 * kappa * float(rate_from_certificate(k)) > 0.25:
+    while rate_from_certificate(k) > limit:
         k += 1
     return k
 

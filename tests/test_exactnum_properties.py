@@ -69,10 +69,11 @@ numerators = st.one_of(
 denominators = st.one_of(st.just(1), st.sampled_from((2, 3, 4, 6)), st.integers(1, 60))
 rationals = st.builds(Fraction, numerators, denominators)
 pairs = st.tuples(rationals, rationals)
-# Right-hand operands: another scalar, an int, or a Fraction, zero included.
+# Right-hand operands: another scalar, an int (bools and ints far above the
+# components too), or a Fraction, zero included.
 operands = st.one_of(
     pairs.map(lambda ab: (RadicalScalar(*ab), Ref(*ab))),
-    numerators.map(lambda n: (n, n)),
+    st.one_of(numerators, st.integers(-(2**300), 2**300), st.booleans()).map(lambda n: (n, n)),
     rationals.map(lambda r: (r, r)),
 )
 
@@ -121,6 +122,11 @@ def test_unary_and_sign_match_reference(ab):
 
 @settings(deadline=None)
 @given(pairs, operands)
+@example((Fraction(7, 3), Fraction(-5, 3)), (0, 0))  # d > 1 against ints
+@example((Fraction(7, 3), Fraction(-5, 3)), (-1, -1))
+@example((Fraction(-1, 6), Fraction(1, 6)), (True, True))
+@example((Fraction(1, 6), Fraction(0)), (False, False))
+@example((Fraction(2**200 + 1, 2), Fraction(0)), (2**199, 2**199))
 def test_comparisons_and_hash_match_reference(ab, operand):
     x, rx = RadicalScalar(*ab), Ref(*ab)
     y, ry = operand

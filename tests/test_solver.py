@@ -10,6 +10,7 @@ import pytest
 
 from silverprox.certificate import display_rate, rate_from_certificate
 from silverprox.exactnum import ONE, SQRT2, ZERO, RadicalScalar, rho_pow
+from silverprox import solver
 from silverprox.schedule import silver_schedule
 from silverprox.solver import (
     ProblemInstance,
@@ -443,19 +444,55 @@ def test_restart_epoch_order_monotone():
         restart_epoch_order(0.5)
 
 
+# restart_epoch_order(m * 10**e) for e = 0..15 and m = 1, 2, 5 (row by row), as
+# the float comparison it replaced gave them: the exact one agrees there.
+EPOCH_ORDERS = [
+    [2, 3, 4], [5, 5, 6], [7, 8, 9], [10, 11, 12], [12, 13, 14], [15, 16, 17],
+    [18, 18, 19], [20, 21, 22], [23, 24, 25], [25, 26, 27], [28, 29, 30],
+    [31, 31, 32], [33, 34, 35], [36, 37, 38], [38, 39, 40], [41, 42, 43],
+]
+
+
+def test_restart_epoch_order_unchanged_below_1e16():
+    assert [[restart_epoch_order(m * 10**e) for m in (1, 2, 5)]
+            for e in range(16)] == EPOCH_ORDERS
+
+
+def test_restart_epoch_order_past_float_cancellation():
+    # float(B_45) reads 0.0, so every kappa >= 1e16 used to get k = 45
+    for kappa, k in ((1e16, 44), (5e16, 46), (1e19, 52)):
+        assert restart_epoch_order(kappa) == k
+        assert rate_from_certificate(k) <= Fraction(1, 8) / Fraction(kappa)
+        assert rate_from_certificate(k - 1) > Fraction(1, 8) / Fraction(kappa)
+
+
 @pytest.mark.parametrize("call", [
     lambda: random_quadratic_instance(0, 0.0, 1.0, "zero", np.random.default_rng(0)),
     lambda: restart_solve(simple_quadratic(), math.nan, [1.0]),
     lambda: restart_epoch_order(math.nan),
+    lambda: restart_epoch_order(math.inf),
     lambda: rate_bound(3, math.nan, 1.0),
     lambda: rate_bound(3, 1.0, math.nan),
     lambda: constant_baseline(3, -1.0, 1.0),
     lambda: constant_baseline(3, 1.0, math.nan),
-], ids=["instance-dim-0", "restart-epsilon-nan", "epoch-kappa-nan",
+], ids=["instance-dim-0", "restart-epsilon-nan", "epoch-kappa-nan", "epoch-kappa-inf",
         "rate-m-nan", "rate-dist2-nan", "baseline-m-negative", "baseline-dist2-nan"])
 def test_boundary_rejects_nan_and_bad_signs(call):
     with pytest.raises(ValueError):
         call()
+
+
+def test_restart_rejects_subnormal_strong_convexity(monkeypatch):
+    # M / m overflows to inf; an order picked for it would ask for a schedule
+    # of 2**45 steps, so none may be built
+    def no_schedule(k):
+        raise AssertionError(f"silver_schedule({k}) built for an infinite kappa")
+
+    monkeypatch.setattr(solver, "silver_schedule", no_schedule)
+    problem = replace(simple_quadratic(),
+                      smooth=replace(simple_quadratic().smooth, strong_convexity=5e-324))
+    with pytest.raises(ValueError, match="finite"):
+        restart_solve(problem, 1e-3, [1.0])
 
 
 def test_restart_requires_strong_convexity():
@@ -599,6 +636,59 @@ def test_float_trace_bits_golden():
     if blas.hexdigest() != BLAS_DIGEST:
         pytest.skip("this BLAS rounds otherwise than the recording build")
     assert runs.hexdigest() == FLOAT_TRACE_DIGEST
+
+
+def _eager_subgradients(problem, steps, x0):
+    """s_{t+1} built on every iteration, as the loop once did."""
+    big_m = problem.smooth.smoothness
+    x, ss = list(x0), []
+    for step in steps:
+        a = step if big_m == 1 else step / big_m
+        y = [xv - a * gv for xv, gv in zip(x, problem.smooth.gradient(x))]
+        x_next = problem.nonsmooth.prox(y, a)
+        ss.append([(yv - xv) / a for yv, xv in zip(y, x_next)])
+        x = x_next
+    return ss
+
+
+def test_subgradients_on_first_read_equal_eager_loop():
+    exact, _ = lower_bound_instance(6)
+    scaled, scaled_x0 = random_quadratic_instance(5, 0.0, 4.0, "l1", np.random.default_rng(66))
+    runs = [*_golden_runs(), (exact, [ONE], silver_schedule(6)), (exact, [ONE], [1] * 63),
+            (scaled, scaled_x0, [v.to_float() for v in silver_schedule(3)])]  # M = 4
+    for problem, x0, steps in runs:
+        trace = proximal_gd_run(problem, steps, x0)
+        assert "ss" not in vars(trace)  # nothing built until read
+        assert trace.n == len(steps)
+        ss = trace.ss
+        assert repr(ss) == repr(_eager_subgradients(problem, steps, x0))
+        assert trace.ss is ss  # kept after the first read
+
+
+def test_exact_run_divides_only_when_subgradients_are_read(monkeypatch):
+    problem, gap = lower_bound_instance(8)
+    steps = silver_schedule(8)
+    calls = []
+    divide = RadicalScalar.__truediv__
+
+    def counted(self, other):
+        calls.append(other)
+        return divide(self, other)
+
+    monkeypatch.setattr(RadicalScalar, "__truediv__", counted)
+    trace = proximal_gd_run(problem, steps, [ONE])
+    assert trace.Fs[-1] - trace.F_star == gap
+    assert calls == []
+    assert all(s == [ZERO] for s in trace.ss)
+    assert len(calls) == 255  # one per step at d = 1
+
+
+def test_explicit_subgradients_kept():
+    given = [[ONE], [ZERO]]
+    trace = Trace(steps=[1, 1], xs=[[ONE]] * 3, gs=[[ZERO]] * 3, ss=given,
+                  fs=[0] * 3, hs=[0] * 3, Fs=[0] * 3)
+    assert trace.ss is given
+    assert trace.n == 2
 
 
 class _CountingMat:
