@@ -20,7 +20,6 @@ from .certificate import (
     check_laplacian,
     check_multipliers_nonneg,
     check_schur_psd,
-    display_rate,
     rate_from_certificate,
     verify_descent_identity,
 )
@@ -72,7 +71,6 @@ __all__ = [
     "cocoercivity_f",
     "cocoercivity_h",
     "constant_baseline",
-    "display_rate",
     "lower_bound_instance",
     "prox_library",
     "proximal_gd_run",

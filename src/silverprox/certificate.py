@@ -15,9 +15,11 @@ glues two copies of the order-k certificate and adds a sparse correction
 stepsizes and their companion sequence).  Everything lives in Q(sqrt2) and
 every check below is an exact computation: no floating point is involved.
 
-``lambda_bar``, ``mu_bar``, L and S are sparse rows: one dict per row from
+``lambda_bar``, ``mu_bar`` and L are sparse rows: one dict per row from
 column to value, keys ascending, no stored zeros (an unstored entry is an
-exact zero).  Builders, checks and identity trials walk stored entries only.
+exact zero).  L keeps its upper triangle only, so it is symmetric by
+construction, and S is L plus one border row.  Builders, checks and
+identity trials walk stored entries only.
 
 The descent identity states that the multiplier-weighted sum of
 co-coercivities equals
@@ -32,7 +34,7 @@ exactly is a sound identity test.  The residual has degree at most 2, so by
 Schwartz-Zippel a wrong coefficient survives one trial with the 11 values
 -5..5 per variable with probability at most 2/11, independently per trial.
 
-Note on the slack matrix: S is stored symmetric, with first row and column
+Note on the slack matrix: S is symmetric, with first row and column
 (1/sqrt2, -1, 0, ..., 0, +1).  An equivalent presentation elsewhere lists
 the first row with opposite signs; expanding the two squared terms of the
 order-1 certificate confirms the symmetric form used here.
@@ -40,7 +42,6 @@ order-1 certificate confirms the symmetric form used here.
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -87,17 +88,17 @@ class Multipliers:
 
 @dataclass(frozen=True)
 class SlackMatrix:
-    """Slack quadratic-form matrices.
+    """Slack quadratic-form matrices L and S, each symmetric pair stored once.
 
-    ``lap`` is the (n+1) x (n+1) Laplacian: the n x n slack core in its
-    top-left block, bordered by -c with corner 2(rho**k - 1).  ``s`` is the
-    (n+2) x (n+2) matrix with corner 1/sqrt2 whose positive semidefiniteness
-    is certified via a Schur complement.  Both are sparse rows (n+1 and
-    n+2 of them); an unstored entry is zero.
+    ``lap`` is the upper triangle of the (n+1) x (n+1) Laplacian L (the n x n
+    slack core, bordered by -c with corner 2(rho**k - 1)): n+1 sparse rows,
+    row r holding the columns >= r.  S, whose positive semidefiniteness is
+    certified via a Schur complement, is L shifted by one with ``border``
+    as first row and column: {0: 1/sqrt2, 1: -1, n+1: +1}.
     """
 
     lap: Rows
-    s: Rows
+    border: dict[int, RadicalScalar]
 
 
 @dataclass(frozen=True)
@@ -200,16 +201,13 @@ def build_mu(k: int) -> Multipliers:
     return Multipliers(bar=[SparseRow(sorted(r.items())) for r in bar], star_row=star)
 
 
-def _bordered(lap: Rows) -> Rows:
-    """S: the Laplacian L with first row and column (1/sqrt2, -1, 0, ..., 0, +1)."""
-    head = {0: INV_SQRT2, 1: -ONE, len(lap): ONE}  # the border, read as row or column
-    return [SparseRow(head)] + [
-        SparseRow(({0: head[r]} if r in head else {}) | {1 + s: v for s, v in row.items()})
-        for r, row in enumerate(lap, start=1)]
+def _border(n: int) -> SparseRow:
+    """S's first row and column at order n: (1/sqrt2, -1, 0, ..., 0, +1)."""
+    return SparseRow({0: INV_SQRT2, 1: -ONE, n + 1: ONE})
 
 
 def build_slack(k: int) -> SlackMatrix:
-    """Slack matrices of order k (gap outer products touch its support only)."""
+    """Slack matrices of order k (upper triangles; gap outer products touch its support only)."""
     bar: Rows = [{0: SQRT2 * 2}]  # 2(rho - 1)
     for j in range(1, k):
         n = 2**j - 1
@@ -218,32 +216,32 @@ def build_slack(k: int) -> SlackMatrix:
         gap = [c[t] - pi[t] for t in range(n)]
         support = [t for t in range(n) if gap[t]]
         core = [dict(row) for row in bar]
-        for r in support:
-            for s in support:
-                _accumulate(core[r], s, gap[r] * gap[s])
+        for i, r in enumerate(support):
+            row, gr = core[r], gap[r]
+            for s in support[i:]:
+                _accumulate(row, s, gr * gap[s])
         new = _glue(core, n + 1)
         rk = rho_pow(j)
-        border = new[n]
-        for r in support:
-            new[r][n] = border[r] = -(rk * gap[r])
-        for r in range(n):
-            new[n + 1 + r][n] = border[n + 1 + r] = -(RHO * pi[r])
-        border[n] = (rho_pow(j - 1) + ONE) * (rho_pow(j + 1) + ONE)
+        for r in support:  # the gluing column n above the diagonal
+            new[r][n] = -(rk * gap[r])
+        new[n][n] = (rho_pow(j - 1) + ONE) * (rho_pow(j + 1) + ONE)
+        for r in range(n):  # and the gluing row n right of it
+            new[n][n + 1 + r] = -(RHO * pi[r])
         # subtract the outer product of the next-level companion gap
         pi_next = silver_schedule(j + 1)
         c_next = c_sequence(j + 1)
         big_gap = [c_next[t] - pi_next[t] for t in range(2 * n + 1)]
         big_support = [t for t in range(2 * n + 1) if big_gap[t]]
-        for r in big_support:
+        for i, r in enumerate(big_support):
             row, minus_gr = new[r], -big_gap[r]
-            for s in big_support:
+            for s in big_support[i:]:
                 _accumulate(row, s, minus_gr * big_gap[s])
         bar = new
     n = 2**k - 1
     c = c_sequence(k)
     lap = [SparseRow(sorted(row.items()) + [(n, -c[r])]) for r, row in enumerate(bar)]
-    lap.append(SparseRow({s: -c[s] for s in range(n)} | {n: (rho_pow(k) - ONE) * 2}))
-    return SlackMatrix(lap=lap, s=_bordered(lap))
+    lap.append(SparseRow({n: (rho_pow(k) - ONE) * 2}))
+    return SlackMatrix(lap=lap, border=_border(n))
 
 
 def build_u_coeffs(k: int) -> UCoefficients:
@@ -304,8 +302,9 @@ def tamper_bundle(bundle: CertificateBundle, target: str) -> CertificateBundle:
         star[0] = star[0] + ONE
         return replace(bundle, mu=replace(bundle.mu, star_row=star))
     if target == "slack":
-        s_mat = _plus(bundle.slack.s, 0, 0, ONE)
-        return replace(bundle, slack=replace(bundle.slack, s=s_mat))
+        border = SparseRow(bundle.slack.border)
+        border[0] = border[0] + ONE
+        return replace(bundle, slack=replace(bundle.slack, border=border))
     if target == "u":
         g = list(bundle.u_coeffs.g)
         g[-1] = g[-1] + ONE
@@ -353,13 +352,23 @@ def check_multipliers_nonneg(bundle: CertificateBundle) -> CheckReport:
 
 
 def _laplacian_violation(mat: Rows, prefix: str, name: str) -> str:
-    """Detail of the first positive off-diagonal entry or nonzero row sum, or ""."""
+    """Detail of the first misplaced or positive off-diagonal entry or nonzero row sum, or "".
+
+    ``mat`` is an upper triangle, so an off-diagonal entry joins the sums of
+    its row and its column; row r's sum is whole once row r has been read.
+    """
+    size = len(mat)
+    sums = [ZERO] * size
     for r, row in enumerate(mat):
-        total = ZERO
+        total = sums[r]
         for s, v in row.items():
+            if s != r:
+                if not r < s < size:
+                    return f"{prefix}entry {name}[{r}][{s}] = {v} is outside the upper triangle"
+                if v.sign() > 0:
+                    return f"{prefix}off-diagonal {name}[{r}][{s}] = {v} > 0"
+                sums[s] = sums[s] + v
             total = total + v
-            if r != s and v.sign() > 0:
-                return f"{prefix}off-diagonal {name}[{r}][{s}] = {v} > 0"
         if total:
             return f"{prefix}row {r} sums to {total}, not 0"
     return ""
@@ -371,9 +380,9 @@ def check_laplacian(bundle: CertificateBundle) -> CheckReport:
     Verifies (a) every row of L sums to exactly zero with nonpositive
     off-diagonal entries, and then (b) the core of L (its top-left n x n
     block) plus the companion-gap outer product has nonpositive off-diagonal
-    entries.  Part (b) examines only pairs (r, s) on the support of the gap
+    entries.  Part (b) examines only pairs r < s on the support of the gap
     c - pi: off it the outer product vanishes, so the entry equals L[r][s],
-    which (a) has just shown to be <= 0.
+    which (a) has just shown to be <= 0, and both sides are symmetric.
     """
     lap = bundle.slack.lap
     detail = _laplacian_violation(lap, "", "L")
@@ -381,27 +390,24 @@ def check_laplacian(bundle: CertificateBundle) -> CheckReport:
         return CheckReport("laplacian", False, detail)
     gap = [ci - pi for ci, pi in zip(bundle.c, bundle.pi)]
     support = [t for t, g in enumerate(gap) if g]
-    for r in support:
+    for i, r in enumerate(support):
         row, gr = lap[r], gap[r]
-        for s in support:
-            if r != s:
-                v = row.get(s, ZERO) + gr * gap[s]
-                if v.sign() > 0:
-                    detail = f"core-plus-outer entry [{r}][{s}] = {v} > 0"
-                    return CheckReport("laplacian", False, detail)
+        for s in support[i + 1:]:
+            v = row.get(s, ZERO) + gr * gap[s]
+            if v.sign() > 0:
+                detail = f"core-plus-outer entry [{r}][{s}] = {v} > 0"
+                return CheckReport("laplacian", False, detail)
     return CheckReport("laplacian", True)
 
 
-def _border_violation(s_mat: Rows, lap: Rows) -> str:
-    """Detail of the first entry where S is not L with border (1/sqrt2, -1, 0, ..., 0, +1)."""
-    expected = _bordered(lap)
-    for r, (row, want) in enumerate(zip(s_mat, expected)):
-        if row != want:
-            for c in sorted(row.keys() | want.keys()):
-                v, w = row.get(c, ZERO), want.get(c, ZERO)
-                if v != w:
-                    return f"S[{r}][{c}] = {v}, not {w}"
-    return "" if len(s_mat) == len(expected) else f"S is not {len(expected)} x {len(expected)}"
+def _border_violation(border: dict[int, RadicalScalar], n: int) -> str:
+    """Detail of the first entry where S's border is not (1/sqrt2, -1, 0, ..., 0, +1)."""
+    expected = _border(n)
+    for c in sorted(border.keys() | expected.keys()):
+        v, w = border.get(c, ZERO), expected.get(c, ZERO)
+        if v != w:
+            return f"S[0][{c}] = {v}, not {w}"
+    return ""
 
 
 def check_schur_psd(bundle: CertificateBundle) -> CheckReport:
@@ -410,17 +416,16 @@ def check_schur_psd(bundle: CertificateBundle) -> CheckReport:
     The corner of S is 1/sqrt2 > 0, so S is positive semidefinite iff
     L - sqrt2 * v v^T with v = -e_1 + e_{n+1} is.  That matrix is shown to
     be Laplacian: zero row sums and nonpositive off-diagonals (the only
-    entries that change are the four in rows/columns 1 and n+1, and the
-    off-diagonal one needs c_1 >= sqrt2).  Then S itself is checked to be
-    exactly L with that border, so the proof is about the stored S.
+    stored entries that change are the three in rows 1 and n+1, and the
+    off-diagonal one needs c_1 >= sqrt2).  Then the stored border is checked
+    to be exactly that one, so the proof is about the stored S.
     """
     n = bundle.n
-    lap = bundle.slack.lap
-    schur = lap
-    for r, s, v in ((0, 0, -SQRT2), (n, n, -SQRT2), (0, n, SQRT2), (n, 0, SQRT2)):
+    schur = bundle.slack.lap
+    for r, s, v in ((0, 0, -SQRT2), (n, n, -SQRT2), (0, n, SQRT2)):
         schur = _plus(schur, r, s, v)
     violation = (_laplacian_violation(schur, "Schur complement ", "")
-                 or _border_violation(bundle.slack.s, lap))
+                 or _border_violation(bundle.slack.border, n))
     if violation:
         return CheckReport("schur", False, violation)
     corner = schur[0].get(n, ZERO)
@@ -535,19 +540,18 @@ def evaluate_identity(bundle: CertificateBundle, trace) -> tuple[RadicalScalar, 
         acc = acc + uc.s_star * trace.s_star[l]
         u_norm2 = u_norm2 + acc * acc
 
-    # Tr(V S V^T) with V columns [x_0 - x_*, s_1, ..., s_n, s_*], taking
-    # each Gram entry once: a stored mirror S[j][r] joins S[r][j] on one dot
-    # product, and S need not be symmetric
+    # Tr(V S V^T) with V columns [x_0 - x_*, s_1, ..., s_n, s_*]: the border
+    # is S's first row and column, L (shifted by one) the rest, and each
+    # stored off-diagonal entry stands for a symmetric pair
     cols = [w] + trace.ss + [trace.s_star]
-    s = bundle.slack.s
     trace_term = ZERO
-    for r, (col, row) in enumerate(zip(cols, s)):
+    for j, v in bundle.slack.border.items():
+        g = _dot(w, cols[j])
+        trace_term = trace_term + v * (g if j == 0 else g + g)
+    for r, row in enumerate(bundle.slack.lap, start=1):
         for j, v in row.items():
-            if j > r:
-                v = v + s[j].get(r, ZERO)
-            elif j < r and r in s[j]:
-                continue  # counted at (j, r)
-            trace_term = trace_term + v * _dot(col, cols[j])
+            g = _dot(cols[r], cols[j + 1])
+            trace_term = trace_term + v * (g if j + 1 == r else g + g)
 
     rhs = gap_term + RHO_OVER_2SQRT2 * w_norm2 - (u_norm2 + trace_term) / 2
     return lhs, rhs
@@ -607,10 +611,3 @@ def rate_from_certificate(k: int) -> RadicalScalar:
     if k < 1:
         raise ValueError(f"certificate order k must be >= 1, got {k}")
     return RHO / (SQRT2 * (rho_pow(k) * 4 - 2))
-
-
-def display_rate(k: int) -> float:
-    """Looser headline constant rho / (4 sqrt2 n**log2(rho)), as a float."""
-    n = 2**k - 1
-    rho = RHO.to_float()
-    return rho / (4.0 * math.sqrt(2.0) * n ** math.log2(rho))

@@ -28,6 +28,7 @@ from silverprox.solver import (
     random_quadratic_instance,
     restart_solve,
 )
+from sparse_rows import bordered, symmetric
 
 TWO_RHO_MINUS_2 = SQRT2 * 2
 
@@ -73,11 +74,12 @@ def test_criterion_3_base_case_golden_data():
     assert bundle.lam.star_row == [SQRT2, RHO]  # [rho-1, rho]
     assert bundle.mu.bar == [{}]
     assert bundle.mu.star_row == [RHO * 2 - 1]
-    assert bundle.slack.lap == [
+    assert bundle.slack.lap == [{0: TWO_RHO_MINUS_2, 1: -TWO_RHO_MINUS_2}, {1: TWO_RHO_MINUS_2}]
+    assert symmetric(bundle.slack.lap) == [
         {0: TWO_RHO_MINUS_2, 1: -TWO_RHO_MINUS_2},
         {0: -TWO_RHO_MINUS_2, 1: TWO_RHO_MINUS_2},
     ]
-    s = bundle.slack.s
+    s = bordered(bundle.slack)
     assert s[0][0] == RadicalScalar(0, Fraction(1, 2))  # 1/sqrt2
     assert (s[0][1], s[0][2]) == (-ONE, ONE)
     assert (s[1][0], s[2][0]) == (-ONE, ONE)

@@ -1,3 +1,4 @@
+import math
 import operator
 import random
 from dataclasses import replace
@@ -13,7 +14,6 @@ from silverprox.certificate import (
     check_laplacian,
     check_multipliers_nonneg,
     check_schur_psd,
-    display_rate,
     evaluate_identity,
     rate_from_certificate,
     sample_free_trace,
@@ -22,7 +22,7 @@ from silverprox.certificate import (
 )
 from silverprox.exactnum import ONE, RHO, SQRT2, ZERO, RadicalScalar, rho_pow
 from silverprox.schedule import c_sequence, silver_schedule
-from sparse_rows import dense, with_entries
+from sparse_rows import bordered, dense, symmetric, with_entries
 
 TWO_RHO_MINUS_2 = SQRT2 * 2  # 2(rho - 1)
 
@@ -119,17 +119,20 @@ def test_recursive_blocks_preserved():
 def test_slack_base_case():
     slack = build_slack(1)
     assert slack.lap[0][0] == TWO_RHO_MINUS_2  # the 1 x 1 core
-    assert slack.lap == [
+    assert slack.lap == [{0: TWO_RHO_MINUS_2, 1: -TWO_RHO_MINUS_2}, {1: TWO_RHO_MINUS_2}]
+    lap = symmetric(slack.lap)
+    assert lap == [
         {0: TWO_RHO_MINUS_2, 1: -TWO_RHO_MINUS_2},
         {0: -TWO_RHO_MINUS_2, 1: TWO_RHO_MINUS_2},
     ]
-    s = slack.s
+    assert slack.border == {0: RadicalScalar(0, 1) / 2, 1: -ONE, 2: ONE}
+    s = bordered(slack)
     assert s[0][0] == RadicalScalar(0, 1) / 2  # 1/sqrt2
     assert s[0][1] == -ONE and s[1][0] == -ONE
     assert s[0][2] == ONE and s[2][0] == ONE
     for r in range(2):
         for c in range(2):
-            assert s[1 + r][1 + c] == slack.lap[r][c]
+            assert s[1 + r][1 + c] == lap[r][c]
 
 
 def test_slack_first_doubling():
@@ -141,27 +144,17 @@ def test_slack_first_doubling():
     c2 = c_sequence(2)
     for r in range(3):
         total = ZERO
-        for v in dense(slack.lap)[r][:3]:
+        for v in dense(symmetric(slack.lap))[r][:3]:
             total = total + v
         assert total == c2[r]
-
-
-def test_slack_symmetry():
-    for k in (1, 2, 3, 4):
-        s = build_slack(k).s
-        size = len(s)
-        assert all(0 <= j < size for row in s for j in row.keys())
-        for i in range(size):
-            for j in range(size):
-                assert s[i].get(j, ZERO) == s[j].get(i, ZERO)
 
 
 @pytest.mark.parametrize("k", range(1, 9))
 def test_sparse_row_storage_invariants(k):
     bundle = build_bundle(k)
     n = bundle.n
-    for rows, count in ((bundle.lam.bar, n + 1), (bundle.mu.bar, n),
-                        (bundle.slack.lap, n + 1), (bundle.slack.s, n + 2)):
+    lap, border = bundle.slack.lap, bundle.slack.border
+    for rows, count in ((bundle.lam.bar, n + 1), (bundle.mu.bar, n), (lap, n + 1)):
         assert len(rows) == count
         for row in rows:
             keys = list(row.keys())
@@ -170,6 +163,10 @@ def test_sparse_row_storage_invariants(k):
             assert all(row.values())  # no stored zero
         # iterating the rows reads like a dense scan that skips the zeros
         assert [v for row in rows for v in row] == [v for row in dense(rows) for v in row if v]
+    assert all(min(row.keys()) >= r for r, row in enumerate(lap))  # L's upper triangle
+    keys = list(border.keys())
+    assert keys == sorted(keys) and all(0 <= j <= n + 1 for j in keys)
+    assert all(border.values()) and list(border) == list(border.values())
 
 
 def test_u_coefficients_base_case():
@@ -195,7 +192,7 @@ def test_all_checks_pass(k):
 
 def test_schur_base_case_value():
     bundle = build_bundle(1)
-    lap = bundle.slack.lap
+    lap = symmetric(bundle.slack.lap)
     shifted = [
         [lap[0][0] - SQRT2, lap[0][1] + SQRT2],
         [lap[1][0] + SQRT2, lap[1][1] - SQRT2],
@@ -203,16 +200,17 @@ def test_schur_base_case_value():
     assert shifted == [[SQRT2, -SQRT2], [-SQRT2, SQRT2]]
 
 
-@pytest.mark.parametrize("row, col, value, detail", [
-    (0, 0, -ONE, "S[0][0] = -1/1 + 0/1*sqrt2, not 0/1 + 1/2*sqrt2"),
-    (4, 0, ZERO, "S[4][0] = 0/1 + 0/1*sqrt2, not 1/1 + 0/1*sqrt2"),
-    (2, 3, ONE, "S[2][3] = 1/1 + 0/1*sqrt2, not 6/1 + -9/1*sqrt2"),
-], ids=["corner", "border", "core"])
-def test_schur_negative_control_reads_s(row, col, value, detail):
+@pytest.mark.parametrize("col, value, detail", [
+    (0, -ONE, "S[0][0] = -1/1 + 0/1*sqrt2, not 0/1 + 1/2*sqrt2"),
+    (4, ZERO, "S[0][4] = 0/1 + 0/1*sqrt2, not 1/1 + 0/1*sqrt2"),
+], ids=["corner", "border"])
+def test_schur_negative_control_reads_s(col, value, detail):
     bundle = build_bundle(2)
-    s_mat = with_entries(bundle.slack.s, {(row, col): value})
-    bad = replace(bundle, slack=replace(bundle.slack, s=s_mat))
-    assert check_laplacian(bad).passed  # S is read by the Schur check alone
+    border = with_entries([bundle.slack.border], {(0, col): value})[0]
+    bad = replace(bundle, slack=replace(bundle.slack, border=border))
+    s_mat = dense(bordered(bad.slack))
+    assert s_mat[0][col] == s_mat[col][0] == value  # the border is S's row and column
+    assert check_laplacian(bad).passed  # S's border is read by the Schur check alone
     report = check_schur_psd(bad)
     assert not report.passed
     assert report.detail == detail
@@ -269,20 +267,17 @@ def test_laplacian_core_check_reads_stored_lap():
     # its value onto both diagonals: L keeps zero row sums and nonpositive
     # off-diagonals, but core plus gap gap^T turns positive at [1][2].
     bundle = build_bundle(2)
-    old = bundle.slack.lap[1][2]
+    lap = bundle.slack.lap
+    old = lap[1][2]
     assert old == RadicalScalar(6, -9)
-
-    def moved(rows, a):
-        b = a + 1
-        return with_entries(rows, {(a, b): ZERO, (b, a): ZERO,
-                                   (a, a): rows[a][a] + old, (b, b): rows[b][b] + old})
-
-    lap, s_mat = moved(bundle.slack.lap, 1), moved(bundle.slack.s, 2)
-    bad = replace(bundle, slack=replace(bundle.slack, lap=lap, s=s_mat))
+    lap = with_entries(lap, {(1, 2): ZERO, (1, 1): lap[1][1] + old, (2, 2): lap[2][2] + old})
+    bad = replace(bundle, slack=replace(bundle.slack, lap=lap))
+    full = symmetric(lap)
+    assert 1 not in full[2] and all(sum(row.values(), ZERO) == 0 for row in full)
     report = check_laplacian(bad)
     assert not report.passed
     assert report.detail == "core-plus-outer entry [1][2] = -8/1 + 8/1*sqrt2 > 0"
-    assert check_schur_psd(bad).passed  # the edit keeps S = L with its border
+    assert check_schur_psd(bad).passed  # the edit keeps S Laplacian past its corner
 
 
 def test_laplacian_positive_off_diagonal_named():
@@ -293,6 +288,35 @@ def test_laplacian_positive_off_diagonal_named():
     assert check_laplacian(bad).detail == "off-diagonal L[1][2] = 16/1 + -9/1*sqrt2 > 0"
     assert (check_schur_psd(bad).detail
             == "Schur complement off-diagonal [1][2] = 16/1 + -9/1*sqrt2 > 0")
+
+
+def test_mass_shift_within_a_row_fails_both_checks():
+    # Move 100 from L[0][3] onto L[0][0]: row 0 still sums to zero, but the
+    # pair (0, 3) is one stored entry, so row 3 of the symmetric L loses 100.
+    # When L stored both halves, this edit of row 0 alone passed both checks
+    # while the quadratic form it stored had an eigenvalue of about -14.8.
+    bundle = build_bundle(2)
+    lap = bundle.slack.lap
+    lap = with_entries(lap, {(0, 3): lap[0][3] - 100, (0, 0): lap[0][0] + 100})
+    bad = replace(bundle, slack=replace(bundle.slack, lap=lap))
+    detail = "row 3 sums to -100/1 + 0/1*sqrt2, not 0"
+    report = check_laplacian(bad)
+    assert not report.passed
+    assert report.detail == detail
+    schur = check_schur_psd(bad)
+    assert not schur.passed
+    assert schur.detail == "Schur complement " + detail
+
+
+def test_laplacian_names_entry_below_diagonal():
+    bundle = build_bundle(2)
+    lap = with_entries(bundle.slack.lap, {(2, 1): bundle.slack.lap[1][2]})
+    bad = replace(bundle, slack=replace(bundle.slack, lap=lap))
+    report = check_laplacian(bad)
+    assert not report.passed
+    assert report.detail == "entry L[2][1] = 6/1 + -9/1*sqrt2 is outside the upper triangle"
+    assert (check_schur_psd(bad).detail
+            == "Schur complement entry [2][1] = 6/1 + -9/1*sqrt2 is outside the upper triangle")
 
 
 # Negative controls at positions the k=2 certificate does not store: a scan
@@ -383,29 +407,30 @@ def test_identity_tamper_residuals_pinned(target):
     assert report.first_residual == TAMPER_RESIDUALS[target]
 
 
-def _dense_slack_trace(s_rows, trace):
-    """Tr(V S V^T) over every entry of the dense S, V = [w, s_1, ..., s_n, s_*]."""
+def _dense_slack_trace(slack, trace):
+    """Tr(V S V^T) over every entry of the full S, V = [w, s_1, ..., s_n, s_*]."""
     cols = [trace.xs[0]] + trace.ss + [trace.s_star]
     return sum((v * sum(a * b for a, b in zip(cols[r], cols[j]))
-                for r, row in enumerate(dense(s_rows)) for j, v in enumerate(row)), ZERO)
+                for r, row in enumerate(dense(bordered(slack))) for j, v in enumerate(row)),
+               ZERO)
 
 
 @pytest.mark.parametrize("k", [2, 4])
-def test_identity_slack_term_without_mirrors(k):
-    # Pairs stored only above or only below the diagonal, and a pair whose two
-    # values differ, each enter the slack term as the dense sum has them.
+def test_identity_slack_term_matches_dense_sum(k):
+    # One stored off-diagonal pair of L and one border entry, each edited, enter
+    # the slack term as the dense sum over the mirrored S has them.
     bundle = build_bundle(k)
-    s = bundle.slack.s
-    pairs = [(r, j) for r, row in enumerate(s) for j in row.keys() if j > r and r in s[j]]
-    (r1, j1), (r2, j2), (r3, j3) = pairs[0], pairs[len(pairs) // 2], pairs[-1]
-    edits = {(j1, r1): ZERO, (r2, j2): ZERO, (r3, j3): s[r3][j3] + ONE}
-    bad = replace(bundle, slack=replace(bundle.slack, s=with_entries(s, edits)))
-    assert r1 not in bad.slack.s[j1] and j2 not in bad.slack.s[r2]
+    slack = bundle.slack
+    pairs = [(r, j) for r, row in enumerate(slack.lap) for j in row.keys() if j > r]
+    r, j = pairs[len(pairs) // 2]
+    lap = with_entries(slack.lap, {(r, j): slack.lap[r][j] + ONE})
+    border = with_entries([slack.border], {(0, 1): slack.border[1] + 3})[0]
+    bad = replace(bundle, slack=replace(slack, lap=lap, border=border))
     trace = sample_free_trace(bundle.pi, 3, random.Random(11))
     lhs, rhs = evaluate_identity(bundle, trace)
     bad_lhs, bad_rhs = evaluate_identity(bad, trace)
     assert lhs == rhs and bad_lhs == lhs
-    change = _dense_slack_trace(bad.slack.s, trace) - _dense_slack_trace(s, trace)
+    change = _dense_slack_trace(bad.slack, trace) - _dense_slack_trace(slack, trace)
     assert change  # the edits move the term on this trace
     assert bad_rhs - rhs == -change / 2
 
@@ -457,8 +482,11 @@ def test_rate_exact_values():
 
 
 def test_rate_below_display_constant():
+    # the paper's looser headline constant rho / (4 sqrt2 n**log2(rho))
+    rho = 1 + math.sqrt(2)
     for k in range(1, 13):
-        assert float(rate_from_certificate(k)) <= display_rate(k) + 1e-15
+        display = rho / (4 * math.sqrt(2) * (2**k - 1) ** math.log2(rho))
+        assert float(rate_from_certificate(k)) <= display + 1e-15
 
 
 def test_rate_rejects_bad_order():

@@ -3,12 +3,13 @@
 Each digest hashes the ``exact_str`` of every entry of ``build_bundle(k)``,
 one per line, in this order: ``pi``, ``c``, ``lam.bar`` (row by row),
 ``lam.star_row``, ``mu.bar``, ``mu.star_row``, the slack core (the top-left
-n x n block of ``slack.lap``), ``slack.lap``, ``slack.s`` and the ``u_coeffs``
-fields.  The matrices are densified first, so every zero entry is hashed
-too.  The k <= 7 digests were recorded with the original Fraction-pair
+n x n block of L), L, S and the ``u_coeffs`` fields.  L is rebuilt in full
+from the upper triangle that ``slack.lap`` stores, and S from L and
+``slack.border``.  The matrices are densified first, so every zero entry is
+hashed too.  The k <= 7 digests were recorded with the original Fraction-pair
 implementation of ``RadicalScalar``, when the core was stored as a separate
-matrix, and the k = 8 digest with dense list-of-lists storage; no change to
-the arithmetic or the storage may move a single entry.
+matrix, and the k = 8 digest with dense list-of-lists storage of the full L
+and S; no change to the arithmetic or the storage may move a single entry.
 """
 
 import hashlib
@@ -16,7 +17,7 @@ import hashlib
 import pytest
 
 from silverprox.certificate import build_bundle
-from sparse_rows import dense
+from sparse_rows import bordered, dense, symmetric
 
 GOLDEN = {
     1: "2a067c042978d8f09e96ee1462809d532f4db51e794a5d403f5a6836edb86737",
@@ -37,8 +38,8 @@ def bundle_entries(bundle):
         for row in dense(mult.bar):
             yield from row
         yield from mult.star_row
-    lap = dense(bundle.slack.lap)
-    for mat in ([row[:-1] for row in lap[:-1]], lap, dense(bundle.slack.s)):
+    lap = dense(symmetric(bundle.slack.lap))
+    for mat in ([row[:-1] for row in lap[:-1]], lap, dense(bordered(bundle.slack))):
         for row in mat:
             yield from row
     u = bundle.u_coeffs

@@ -8,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from silverprox.certificate import display_rate, rate_from_certificate
+from silverprox.certificate import rate_from_certificate
 from silverprox.exactnum import ONE, SQRT2, ZERO, RadicalScalar, rho_pow
 from silverprox import solver
 from silverprox.schedule import silver_schedule
@@ -390,11 +390,9 @@ def test_cocoercivity_nonneg_on_random_instances():
 
 
 def test_rate_bound_values():
-    assert display_rate(2) == pytest.approx(0.10556, abs=1e-4)
     assert rate_bound(2, 1.0, 1.0) == pytest.approx(0.08009, abs=1e-4)
     bound1 = rate_bound(1, 1.0, 1.0)
     assert bound1 == pytest.approx(float(rate_from_certificate(1)))
-    assert bound1 <= display_rate(1)
     with pytest.raises(ValueError):
         rate_bound(2, -1.0, 1.0)
 
