@@ -10,6 +10,7 @@ into the ``silverprox`` command.
 
 from .certificate import (
     CertificateBundle,
+    GluingLevel,
     Multipliers,
     SlackMatrix,
     UCoefficients,
@@ -48,6 +49,7 @@ from .solver import (
 
 __all__ = [
     "CertificateBundle",
+    "GluingLevel",
     "Multipliers",
     "ONE",
     "ProblemInstance",

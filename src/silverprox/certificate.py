@@ -15,11 +15,16 @@ glues two copies of the order-k certificate and adds a sparse correction
 stepsizes and their companion sequence).  Everything lives in Q(sqrt2) and
 every check below is an exact computation: no floating point is involved.
 
-``lambda_bar``, ``mu_bar`` and L are sparse rows: one dict per row from
-column to value, keys ascending, no stored zeros (an unstored entry is an
-exact zero).  L keeps its upper triangle only, so it is symmetric by
-construction, and S is L plus one border row.  Builders, checks and
-identity trials walk stored entries only.
+``lambda_bar`` and ``mu_bar`` are sparse rows: one dict per row from column
+to value, keys ascending, no stored zeros (an unstored entry is an exact
+zero).  The slack matrix is stored as its gluing tree: with
+gap_j = c(j) - pi(j) and core'_j = core_j + gap_j gap_j^T, each level adds
+one border column B_j to two glued copies of core'_j, and L is core'_k less
+gap_k gap_k^T, bordered by -c; S is L plus one border row.  The tree holds
+O(n) entries, so L is symmetric by construction, the Laplacian checks are
+an induction over the levels in O(n), and the slack term of an identity
+trial is a recursion over them in O(n k dim).  ``SlackMatrix.lap``
+generates L's rows from the tree for readers that want them.
 
 The descent identity states that the multiplier-weighted sum of
 co-coercivities equals
@@ -43,11 +48,15 @@ order-1 certificate confirms the symmetric form used here.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
+from operator import mul
 
-from .exactnum import ONE, RHO, SQRT2, ZERO, RadicalScalar, rho_pow
+from .exactnum import ONE, RHO, SQRT2, ZERO, RadicalScalar, _reduced, rho_pow
 from .schedule import c_sequence, silver_schedule
 
 INV_SQRT2 = RadicalScalar(0, Fraction(1, 2))  # 1/sqrt2 = sqrt2/2
@@ -87,18 +96,71 @@ class Multipliers:
 
 
 @dataclass(frozen=True)
-class SlackMatrix:
-    """Slack quadratic-form matrices L and S, each symmetric pair stored once.
+class GluingLevel:
+    """Level j of the slack tree: the border column B_j that glues two copies of core'_j.
 
-    ``lap`` is the upper triangle of the (n+1) x (n+1) Laplacian L (the n x n
-    slack core, bordered by -c with corner 2(rho**k - 1)): n+1 sparse rows,
-    row r holding the columns >= r.  S, whose positive semidefiniteness is
-    certified via a Schur complement, is L shifted by one with ``border``
-    as first row and column: {0: 1/sqrt2, 1: -1, n+1: +1}.
+    With n_j = 2**j - 1, B_j is the column (and row) at index n_j of
+    core'_{j+1}: ``-rho**j gap`` on the first copy, ``diag`` on the diagonal
+    and ``-rho pi`` on the second copy.
     """
 
-    lap: Rows
+    gap: list[RadicalScalar]  # gap_j = c(j) - pi(j), n_j entries
+    diag: RadicalScalar  # (rho**(j-1) + 1)(rho**(j+1) + 1)
+    pi: list[RadicalScalar]  # pi(j), n_j entries
+
+
+@dataclass(frozen=True)
+class SlackMatrix:
+    """Slack quadratic-form matrices L and S, stored as their gluing tree.
+
+    The n x n core of L is ``core'_k - gap gap^T``, where core'_1 = [base]
+    and core'_{j+1} glues core'_j at (0, 0) and ``rho**2 core'_j`` at
+    (n_j + 1, n_j + 1), with ``levels[j - 1]``'s column B_j between them.
+    L is (n+1) x (n+1): that core, bordered by ``-c`` with ``corner``
+    2(rho**k - 1).  S, whose positive semidefiniteness is certified via a
+    Schur complement, is L shifted by one with ``border`` as first row and
+    column: {0: 1/sqrt2, 1: -1, n+1: +1}.  The tree holds O(n) entries; the
+    checks and the identity read it directly, and ``lap`` generates L's rows.
+    """
+
+    base: RadicalScalar
+    levels: tuple[GluingLevel, ...]  # levels 1..k-1
+    gap: list[RadicalScalar]  # gap_k = c(k) - pi(k)
+    c: list[RadicalScalar]
+    corner: RadicalScalar
     border: dict[int, RadicalScalar]
+
+    @property
+    def lap(self) -> Iterator[SparseRow]:
+        """L's upper triangle, one row at a time: row r holds its nonzero columns >= r."""
+        n, gap = len(self.c), self.gap
+        support = [t for t, g in enumerate(gap) if g]
+        for r in range(n):
+            row = dict(self._core_row(r))
+            if gap[r]:
+                minus_gr = -gap[r]
+                for s in support[bisect_left(support, r):]:
+                    _accumulate(row, s, minus_gr * gap[s])
+            _accumulate(row, n, -self.c[r])
+            yield SparseRow(sorted(row.items()))
+        yield SparseRow({n: self.corner} if self.corner else {})
+
+    def _core_row(self, r: int) -> list[tuple[int, RadicalScalar]]:
+        """Nonzero entries (column, value) of core'_k's row r on and right of its diagonal."""
+        scale, offset, above = ONE, 0, []
+        for j in range(len(self.levels), 0, -1):
+            level, mid = self.levels[j - 1], offset + 2**j - 1
+            if r < mid:  # first copy: B_j's entry in this row sits right of the copy
+                above.append((mid, -(scale * rho_pow(j) * level.gap[r - offset])))
+            elif r == mid:  # B_j itself: its diagonal, then its second-copy entries
+                own = [(mid, scale * level.diag)]
+                own += [(mid + 1 + t, -(scale * RHO * p)) for t, p in enumerate(level.pi)]
+                break
+            else:  # second copy, scaled by rho**2
+                offset, scale = mid + 1, scale * rho_pow(2)
+        else:
+            own = [(r, scale * self.base)]
+        return [(s, v) for s, v in own + above[::-1] if v]
 
 
 @dataclass(frozen=True)
@@ -207,41 +269,22 @@ def _border(n: int) -> SparseRow:
 
 
 def build_slack(k: int) -> SlackMatrix:
-    """Slack matrices of order k (upper triangles; gap outer products touch its support only)."""
-    bar: Rows = [{0: SQRT2 * 2}]  # 2(rho - 1)
+    """Slack matrices of order k, stored as their gluing tree (O(n) entries, O(n k) time)."""
+    levels = []
     for j in range(1, k):
-        n = 2**j - 1
-        pi = silver_schedule(j)
-        c = c_sequence(j)
-        gap = [c[t] - pi[t] for t in range(n)]
-        support = [t for t in range(n) if gap[t]]
-        core = [dict(row) for row in bar]
-        for i, r in enumerate(support):
-            row, gr = core[r], gap[r]
-            for s in support[i:]:
-                _accumulate(row, s, gr * gap[s])
-        new = _glue(core, n + 1)
-        rk = rho_pow(j)
-        for r in support:  # the gluing column n above the diagonal
-            new[r][n] = -(rk * gap[r])
-        new[n][n] = (rho_pow(j - 1) + ONE) * (rho_pow(j + 1) + ONE)
-        for r in range(n):  # and the gluing row n right of it
-            new[n][n + 1 + r] = -(RHO * pi[r])
-        # subtract the outer product of the next-level companion gap
-        pi_next = silver_schedule(j + 1)
-        c_next = c_sequence(j + 1)
-        big_gap = [c_next[t] - pi_next[t] for t in range(2 * n + 1)]
-        big_support = [t for t in range(2 * n + 1) if big_gap[t]]
-        for i, r in enumerate(big_support):
-            row, minus_gr = new[r], -big_gap[r]
-            for s in big_support[i:]:
-                _accumulate(row, s, minus_gr * big_gap[s])
-        bar = new
-    n = 2**k - 1
-    c = c_sequence(k)
-    lap = [SparseRow(sorted(row.items()) + [(n, -c[r])]) for r, row in enumerate(bar)]
-    lap.append(SparseRow({n: (rho_pow(k) - ONE) * 2}))
-    return SlackMatrix(lap=lap, border=_border(n))
+        pi, c = silver_schedule(j), c_sequence(j)
+        gap = [ct - pt for ct, pt in zip(c, pi)]
+        diag = (rho_pow(j - 1) + ONE) * (rho_pow(j + 1) + ONE)
+        levels.append(GluingLevel(gap=gap, diag=diag, pi=pi))
+    pi, c = silver_schedule(k), c_sequence(k)
+    return SlackMatrix(
+        base=SQRT2 * 2 + 2,  # core'_1 = 2(rho - 1) + gap_1**2, gap_1 = c(1) - pi(1) = [sqrt2]
+        levels=tuple(levels),
+        gap=[ct - pt for ct, pt in zip(c, pi)],
+        c=c,
+        corner=(rho_pow(k) - ONE) * 2,
+        border=_border(2**k - 1),
+    )
 
 
 def build_u_coeffs(k: int) -> UCoefficients:
@@ -279,15 +322,6 @@ def build_bundle(k: int) -> CertificateBundle:
 TAMPER_TARGETS = ("lambda", "mu", "slack", "u")
 
 
-def _plus(rows: Rows, i: int, j: int, v: RadicalScalar) -> Rows:
-    """Copy of ``rows`` with ``v`` added at [i][j]; only row i is new storage."""
-    out = list(rows)
-    row = dict(rows[i])
-    _accumulate(row, j, v)
-    out[i] = SparseRow(sorted(row.items()))
-    return out
-
-
 def tamper_bundle(bundle: CertificateBundle, target: str) -> CertificateBundle:
     """Return a copy of the bundle with one entry perturbed by +1.
 
@@ -295,7 +329,9 @@ def tamper_bundle(bundle: CertificateBundle, target: str) -> CertificateBundle:
     identity fail on random inputs.
     """
     if target == "lambda":
-        bar = _plus(bundle.lam.bar, 0, 1, ONE)
+        bar = list(bundle.lam.bar)
+        bar[0] = SparseRow(bar[0])
+        bar[0][1] = bar[0][1] + ONE
         return replace(bundle, lam=replace(bundle.lam, bar=bar))
     if target == "mu":
         star = bundle.mu.star_row[:]
@@ -351,53 +387,55 @@ def check_multipliers_nonneg(bundle: CertificateBundle) -> CheckReport:
     return CheckReport("nonneg", True)
 
 
-def _laplacian_violation(mat: Rows, prefix: str, name: str) -> str:
-    """Detail of the first misplaced or positive off-diagonal entry or nonzero row sum, or "".
+def _tree_violation(slack: SlackMatrix, schur: bool) -> str:
+    """Detail of the first failure of the tree's Laplacian induction, or "".
 
-    ``mat`` is an upper triangle, so an off-diagonal entry joins the sums of
-    its row and its column; row r's sum is whole once row r has been read.
+    Proves that L (or its Schur complement L - sqrt2 v v^T, v = e_0 - e_n)
+    has nonpositive off-diagonals and zero row sums.  Gluing scales by
+    rho**2 > 0, so the off-diagonals of every core'_j are <= 0 once each
+    level's gap and pi are >= 0; L's are then <= 0 once gap_k >= 0 and
+    c >= 0, and the Schur step raises only the off-diagonal [0][n] to
+    sqrt2 - c[0].  Row sums of core'_j follow
+    ``rs'_{j+1} = [rs'_j + B_lo, sum(B_j), rho**2 rs'_j + B_hi]``, and the
+    Schur step moves no row sum.
     """
-    size = len(mat)
-    sums = [ZERO] * size
-    for r, row in enumerate(mat):
-        total = sums[r]
-        for s, v in row.items():
-            if s != r:
-                if not r < s < size:
-                    return f"{prefix}entry {name}[{r}][{s}] = {v} is outside the upper triangle"
-                if v.sign() > 0:
-                    return f"{prefix}off-diagonal {name}[{r}][{s}] = {v} > 0"
-                sums[s] = sums[s] + v
-            total = total + v
+    prefix = "Schur complement " if schur else ""
+    n, k = len(slack.c), len(slack.levels) + 1
+    sized = [(f"level {j} {part}", getattr(level, part), 2**j - 1)
+             for j, level in enumerate(slack.levels, start=1) for part in ("gap", "pi")]
+    for label, values, size in sized + [(f"level {k} gap", slack.gap, n), ("c", slack.c, n)]:
+        if len(values) != size:
+            return f"{prefix}{label} has {len(values)} entries, not {size}"
+        for r, v in enumerate(values):
+            if v.sign() < 0:
+                return f"{prefix}{label}[{r}] = {v} < 0"
+    if schur and slack.c[0] < SQRT2:
+        return f"{prefix}c[0] = {slack.c[0]} < sqrt2"
+    sums = [slack.base]
+    rho2, minus_rho = rho_pow(2), -RHO
+    for j, level in enumerate(slack.levels, start=1):
+        minus_rk = -rho_pow(j)  # B_j = (-rho**j gap_j, diag, -rho pi(j))
+        lo = [minus_rk * g for g in level.gap]
+        hi = [minus_rho * p for p in level.pi]
+        sums = ([s + b for s, b in zip(sums, lo)] + [sum(lo + hi, level.diag)]
+                + [rho2 * s + b for s, b in zip(sums, hi)])
+    gap_total = sum(slack.gap, ZERO)
+    sums = [s - g * gap_total - c for s, g, c in zip(sums, slack.gap, slack.c)]
+    for r, total in enumerate(sums + [slack.corner - sum(slack.c, ZERO)]):
         if total:
-            return f"{prefix}row {r} sums to {total}, not 0"
+            return f"{prefix or 'L '}row {r} sums to {total}, not 0"
     return ""
 
 
 def check_laplacian(bundle: CertificateBundle) -> CheckReport:
-    """Exact Laplacian structure of the bordered slack matrix L.
+    """Exact Laplacian structure of the bordered slack matrix L, by induction over its tree.
 
-    Verifies (a) every row of L sums to exactly zero with nonpositive
-    off-diagonal entries, and then (b) the core of L (its top-left n x n
-    block) plus the companion-gap outer product has nonpositive off-diagonal
-    entries.  Part (b) examines only pairs r < s on the support of the gap
-    c - pi: off it the outer product vanishes, so the entry equals L[r][s],
-    which (a) has just shown to be <= 0, and both sides are symmetric.
+    Verifies that every row of L sums to exactly zero and that every
+    off-diagonal entry of L, and of each core'_j (so of the core of L plus
+    the companion-gap outer product), is nonpositive.
     """
-    lap = bundle.slack.lap
-    detail = _laplacian_violation(lap, "", "L")
-    if detail:
-        return CheckReport("laplacian", False, detail)
-    gap = [ci - pi for ci, pi in zip(bundle.c, bundle.pi)]
-    support = [t for t, g in enumerate(gap) if g]
-    for i, r in enumerate(support):
-        row, gr = lap[r], gap[r]
-        for s in support[i + 1:]:
-            v = row.get(s, ZERO) + gr * gap[s]
-            if v.sign() > 0:
-                detail = f"core-plus-outer entry [{r}][{s}] = {v} > 0"
-                return CheckReport("laplacian", False, detail)
-    return CheckReport("laplacian", True)
+    detail = _tree_violation(bundle.slack, schur=False)
+    return CheckReport("laplacian", not detail, detail)
 
 
 def _border_violation(border: dict[int, RadicalScalar], n: int) -> str:
@@ -415,20 +453,17 @@ def check_schur_psd(bundle: CertificateBundle) -> CheckReport:
 
     The corner of S is 1/sqrt2 > 0, so S is positive semidefinite iff
     L - sqrt2 * v v^T with v = -e_1 + e_{n+1} is.  That matrix is shown to
-    be Laplacian: zero row sums and nonpositive off-diagonals (the only
-    stored entries that change are the three in rows 1 and n+1, and the
-    off-diagonal one needs c_1 >= sqrt2).  Then the stored border is checked
-    to be exactly that one, so the proof is about the stored S.
+    be Laplacian by the tree induction of ``check_laplacian``: it changes
+    no row sum and one off-diagonal, sqrt2 - c_1, which needs c_1 >= sqrt2.
+    Then the stored border is checked to be exactly that one, so the proof
+    is about the stored S.
     """
     n = bundle.n
-    schur = bundle.slack.lap
-    for r, s, v in ((0, 0, -SQRT2), (n, n, -SQRT2), (0, n, SQRT2)):
-        schur = _plus(schur, r, s, v)
-    violation = (_laplacian_violation(schur, "Schur complement ", "")
+    violation = (_tree_violation(bundle.slack, schur=True)
                  or _border_violation(bundle.slack.border, n))
     if violation:
         return CheckReport("schur", False, violation)
-    corner = schur[0].get(n, ZERO)
+    corner = SQRT2 - bundle.slack.c[0]
     detail = f"corner entry (1,{n + 1}) = {corner} <= 0 since c_1 >= sqrt2"
     return CheckReport("schur", True, detail)
 
@@ -454,10 +489,11 @@ class IdentityReport:
 def sample_free_trace(pi: list[RadicalScalar], dim: int, rng: random.Random):
     """Random assignment of the identity's free variables, as a solver trace.
 
-    Gradient/subgradient coordinates and all function values are small
-    random Python ints in -5..5, so the identity's arithmetic runs on ints
-    and Z[sqrt2] values rather than on ``Fraction``s; the iterates are then
-    forced by the update x_{t+1} = x_t - alpha_t (g_t + s_{t+1}), the optimum
+    The coordinates of x_0 and of the gradients and subgradients, and all
+    function values, are small random Python ints in -5..5, so the
+    identity's arithmetic runs on ints and Z[sqrt2] values rather than on
+    ``Fraction``s; the later iterates are then forced by the update
+    x_{t+1} = x_t - alpha_t (g_t + s_{t+1}), the optimum
     sits at the origin, and g_* = -s_*.  Both sides of the descent identity
     are polynomials in these free variables, so exact evaluation on random
     integer points is a sound identity test.
@@ -478,12 +514,15 @@ def sample_free_trace(pi: list[RadicalScalar], dim: int, rng: random.Random):
     fs = [coord() for _ in range(n + 1)]
     hs = [coord() for _ in range(n + 1)]  # h_0 never enters the identity
     f_star, h_star = coord(), coord()
-    xs = [[RadicalScalar(c) for c in vec()]]
+    # d x_t as integer pairs (p, q) for p + q sqrt2, with pi = (ps + qs sqrt2)/d
+    ps, qs, d = _int_parts(pi)
+    xs = [vec()]  # x_0 - x_* has free integer coordinates too
+    xp, xq = [c * d for c in xs[0]], [0] * dim
     for t in range(n):
-        a = pi[t]
-        xs.append(
-            [xv - a * (gv + sv) for xv, gv, sv in zip(xs[-1], gs[t], ss[t])]
-        )
+        step = [gv + sv for gv, sv in zip(gs[t], ss[t])]
+        xp = [p - ps[t] * u for p, u in zip(xp, step)]
+        xq = [q - qs[t] * u for q, u in zip(xq, step)]
+        xs.append([_reduced(p, q, d) for p, q in zip(xp, xq)])
     return Trace(
         steps=list(pi),
         xs=xs,
@@ -500,15 +539,90 @@ def sample_free_trace(pi: list[RadicalScalar], dim: int, rng: random.Random):
     )
 
 
+def _int_parts(values) -> tuple[list[int], list[int], int]:
+    """Integer lists ps, qs and one denominator d with values[i] = (ps[i] + qs[i] sqrt2)/d."""
+    d = lcm(*{v.d for v in values})
+    if d == 1:
+        return [v.p for v in values], [v.q for v in values], 1
+    return [v.p * (d // v.d) for v in values], [v.q * (d // v.d) for v in values], d
+
+
+def _slack_term(slack: SlackMatrix, cols: list) -> RadicalScalar:
+    """Tr(V S V^T) for V = cols = [w, s_1, ..., s_n, s_*], with integer s columns.
+
+    S's border is read entry by entry.  L's form over [s_1, ..., s_n, s_*] is
+    core'_k's form, by the gluing recursion
+    Q'_{j+1}(v) = Q'_j(first copy) + rho**2 Q'_j(second copy)
+    + 2 <v_mid, sum_r B_r v_r> + B_mid ||v_mid||**2,
+    less ||sum_r gap_k[r] v_r||**2, plus the border -c and the corner.
+    Unrolled, index r of the core is a leaf (r even) or the middle of one
+    node of level v2(r + 1), inside popcount(r + 1) - 1 second copies, so
+    its terms carry the scale rho**(2 (popcount(r + 1) - 1)).  Each level
+    sums its terms as integer pairs (p, q) for p + q sqrt2, so a trial is
+    O(n k dim) integer work and O(k) field operations.
+    """
+    from .solver import _dot
+
+    w, ss, s_star = cols[0], cols[1:-1], cols[-1]
+    term = ZERO
+    for j, v in slack.border.items():  # an off-diagonal entry stands for two
+        g = _dot(w, cols[j])
+        term = term + v * (g if j == 0 else g + g)
+    n = len(ss)
+    coords = [[col[l] for col in ss] for l in range(len(s_star))]
+    scales = [(x.p, x.q) for x in map(rho_pow, range(0, 2 * len(slack.levels) + 1, 2))]
+    norm_p = norm_q = 0
+    for r in range(0, n, 2):  # the leaves, core'_1 = [base]
+        a, b = scales[(r + 1).bit_count() - 1]
+        sq = sum(map(mul, ss[r], ss[r]))
+        norm_p, norm_q = norm_p + a * sq, norm_q + b * sq
+    core = slack.base * _reduced(norm_p, norm_q, 1)
+    for j, level in enumerate(slack.levels, start=1):
+        m = 2**j - 1  # core'_j's size; a node of level j spans 2m + 1 columns
+        gap_ps, gap_qs, gap_d = _int_parts(level.gap)
+        pi_ps, pi_qs, pi_d = _int_parts(level.pi)
+        norm_p = norm_q = lo_p = lo_q = hi_p = hi_q = 0
+        for mid in range(m, n, 2 * m + 2):
+            a, b = scales[(mid + 1).bit_count() - 1]
+            v = ss[mid]
+            sq = sum(map(mul, v, v))
+            gp = gq = pp = pq = 0  # <v_mid, sum gap_j v> and <v_mid, sum pi(j) v>
+            for x, vl in zip(coords, v):
+                if vl:
+                    first, second = x[mid - m:mid], x[mid + 1:mid + 1 + m]
+                    gp += vl * sum(map(mul, gap_ps, first))
+                    gq += vl * sum(map(mul, gap_qs, first))
+                    pp += vl * sum(map(mul, pi_ps, second))
+                    pq += vl * sum(map(mul, pi_qs, second))
+            norm_p, norm_q = norm_p + a * sq, norm_q + b * sq
+            lo_p, lo_q = lo_p + a * gp + 2 * b * gq, lo_q + a * gq + b * gp
+            hi_p, hi_q = hi_p + a * pp + 2 * b * pq, hi_q + a * pq + b * pp
+        # B_j is -rho**j gap_j on the first copy and -rho pi(j) on the second
+        cross = rho_pow(j) * _reduced(lo_p, lo_q, gap_d) + RHO * _reduced(hi_p, hi_q, pi_d)
+        core = core + level.diag * _reduced(norm_p, norm_q, 1) - cross - cross
+    gap_ps, gap_qs, gap_d = _int_parts(slack.gap)
+    c_ps, c_qs, c_d = _int_parts(slack.c)
+    outer_p = outer_q = c_p = c_q = 0
+    for x, y in zip(coords, s_star):
+        gp, gq = sum(map(mul, gap_ps, x)), sum(map(mul, gap_qs, x))
+        outer_p, outer_q = outer_p + gp * gp + 2 * gq * gq, outer_q + 2 * gp * gq
+        c_p, c_q = c_p + y * sum(map(mul, c_ps, x)), c_q + y * sum(map(mul, c_qs, x))
+    bordered = _reduced(c_p, c_q, c_d)
+    lap = (core - _reduced(outer_p, outer_q, gap_d * gap_d) - bordered - bordered
+           + slack.corner * sum(map(mul, s_star, s_star)))
+    return term + lap
+
+
 def evaluate_identity(bundle: CertificateBundle, trace) -> tuple[RadicalScalar, RadicalScalar]:
     """Evaluate both sides of the descent identity on one trace, exactly.
 
     The left side weights the trace's co-coercivities (evaluated by the
     solver module) with the bundle's multipliers; the right side combines
     the objective gap, the initial distance, and the sum of squares built
-    from u and the slack matrix S.
+    from u and the slack matrix S.  The trace's gradient and subgradient
+    coordinates must be ints, as ``sample_free_trace`` draws them.
     """
-    from .solver import _dot, _norm2, cocoercivity_f, cocoercivity_h
+    from .solver import _norm2, cocoercivity_f, cocoercivity_h
 
     n = bundle.n
     lhs = ZERO
@@ -530,29 +644,17 @@ def evaluate_identity(bundle: CertificateBundle, trace) -> tuple[RadicalScalar, 
     w_norm2 = _norm2(w)
 
     uc = bundle.u_coeffs
+    g_ps, g_qs, g_d = _int_parts(uc.g)  # the g and s coordinates are ints:
+    s_ps, s_qs, s_d = _int_parts(uc.s)  # integer dots over p and q
     u_norm2 = ZERO
-    for l in range(len(w)):
-        acc = uc.init * w[l]
-        for i in range(n + 1):
-            acc = acc + uc.g[i] * trace.gs[i][l]
-        for j in range(n):
-            acc = acc + uc.s[j] * trace.ss[j][l]
-        acc = acc + uc.s_star * trace.s_star[l]
+    for l, wl in enumerate(w):
+        gl, sl = [g[l] for g in trace.gs], [s[l] for s in trace.ss]
+        acc = (uc.init * wl + uc.s_star * trace.s_star[l]
+               + _reduced(sum(map(mul, g_ps, gl)), sum(map(mul, g_qs, gl)), g_d)
+               + _reduced(sum(map(mul, s_ps, sl)), sum(map(mul, s_qs, sl)), s_d))
         u_norm2 = u_norm2 + acc * acc
 
-    # Tr(V S V^T) with V columns [x_0 - x_*, s_1, ..., s_n, s_*]: the border
-    # is S's first row and column, L (shifted by one) the rest, and each
-    # stored off-diagonal entry stands for a symmetric pair
-    cols = [w] + trace.ss + [trace.s_star]
-    trace_term = ZERO
-    for j, v in bundle.slack.border.items():
-        g = _dot(w, cols[j])
-        trace_term = trace_term + v * (g if j == 0 else g + g)
-    for r, row in enumerate(bundle.slack.lap, start=1):
-        for j, v in row.items():
-            g = _dot(cols[r], cols[j + 1])
-            trace_term = trace_term + v * (g if j + 1 == r else g + g)
-
+    trace_term = _slack_term(bundle.slack, [w] + trace.ss + [trace.s_star])
     rhs = gap_term + RHO_OVER_2SQRT2 * w_norm2 - (u_norm2 + trace_term) / 2
     return lhs, rhs
 

@@ -235,6 +235,24 @@ class RadicalScalar:
 
     __float__ = to_float
 
+    def nearest_float(self) -> float:
+        """The float nearest the exact value (ties to even), unlike ``to_float``."""
+        p, q, d = self.p, self.q, self.d
+        if q == 0:
+            return p / d  # int true division rounds correctly
+        if self.sign() < 0:
+            return -(-self).nearest_float()
+        # value >= 2**low, since |p + q sqrt2| = |p^2 - 2 q^2| / |p - q sqrt2|
+        low = abs(p * p - 2 * q * q).bit_length() - 1
+        low -= (abs(p) + 2 * abs(q)).bit_length() + d.bit_length()
+        e = max(0, 66 - low)  # value * 2**e >= 2**66, well past 53 bits
+        # q sqrt2 2**e is irrational, so it lies strictly between root and root + 1
+        root = math.isqrt(2 * q * q << 2 * e)
+        floor = (p << e) + root if q > 0 else (p << e) - root - 1
+        # value * 2**e lies strictly between floor // d and the next integer;
+        # rounding to odd there keeps the one rounding below correct
+        return ((floor // d) | 1) / (1 << e)
+
     def exact_str(self) -> str:
         """Canonical serialization "a/b + c/d*sqrt2" in lowest terms."""
         p, q, d = self.p, self.q, self.d

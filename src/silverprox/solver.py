@@ -334,7 +334,7 @@ def _require_m_and_dist2(big_m: float, dist2: float) -> None:
 def rate_bound(k: int, big_m: float, dist2: float) -> float:
     """Certificate bound on F(x_n) - F_* after n = 2**k - 1 silver steps."""
     _require_m_and_dist2(big_m, dist2)
-    return float(rate_from_certificate(k)) * big_m * dist2
+    return rate_from_certificate(k).nearest_float() * big_m * dist2
 
 
 def constant_baseline(n: int, big_m: float, dist2: float) -> float:

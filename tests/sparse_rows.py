@@ -1,15 +1,17 @@
 """Test helpers for the certificate's sparse-row matrices.
 
-The certificate stores each matrix as one dict per row, from column to
-nonzero value, with ascending keys.  L is stored as its upper triangle and
-S as L plus one border row.  ``symmetric`` and ``bordered`` rebuild the full
-L and S from that storage, as an oracle independent of the checks;
+The certificate stores the multipliers as one dict per row, from column to
+nonzero value, with ascending keys, and the slack matrix as its gluing tree,
+whose ``lap`` generates L's upper-triangle rows.  ``symmetric`` and
+``bordered`` rebuild the full L and S from those rows, and
+``laplacian_violation`` scans them entry by entry: an oracle independent of
+the checks, which prove the same structure by induction over the tree.
 ``dense`` turns rows into a square list of lists for whole-matrix reads;
 ``with_entries`` builds an edited copy that keeps the storage invariants,
 for negative controls.
 """
 
-from silverprox.exactnum import ZERO
+from silverprox.exactnum import SQRT2, ZERO
 
 
 def dense(rows):
@@ -31,7 +33,8 @@ def with_entries(rows, entries):
 
 
 def symmetric(rows):
-    """Full rows of the symmetric matrix whose upper triangle ``rows`` stores."""
+    """Full rows of the symmetric matrix whose upper triangle ``rows`` holds."""
+    rows = list(rows)
     out = [dict(row) for row in rows]
     for r, row in enumerate(rows):
         for s, v in row.items():
@@ -45,3 +48,36 @@ def bordered(slack):
     return [dict(border)] + [
         ({0: border[r]} if r in border else {}) | {1 + s: v for s, v in row.items()}
         for r, row in enumerate(symmetric(slack.lap), start=1)]
+
+
+def schur_rows(slack):
+    """Upper triangle of S's Schur complement L - sqrt2 v v^T, v = -e_0 + e_n."""
+    lap = list(slack.lap)
+    n = len(lap) - 1
+    return with_entries(lap, {(0, 0): lap[0].get(0, ZERO) - SQRT2,
+                              (n, n): lap[n].get(n, ZERO) - SQRT2,
+                              (0, n): lap[0].get(n, ZERO) + SQRT2})
+
+
+def laplacian_violation(rows):
+    """First misplaced or positive off-diagonal entry or nonzero row sum of an upper triangle.
+
+    Each stored off-diagonal entry joins the sums of its row and its column;
+    row r's sum is whole once row r has been read.  Returns "" for a
+    Laplacian.
+    """
+    rows = list(rows)
+    sums = [ZERO] * len(rows)
+    for r, row in enumerate(rows):
+        total = sums[r]
+        for s, v in row.items():
+            if s != r:
+                if not r < s < len(rows):
+                    return f"entry [{r}][{s}] = {v} is outside the upper triangle"
+                if v.sign() > 0:
+                    return f"off-diagonal [{r}][{s}] = {v} > 0"
+                sums[s] = sums[s] + v
+            total = total + v
+        if total:
+            return f"row {r} sums to {total}, not 0"
+    return ""

@@ -74,7 +74,8 @@ def test_criterion_3_base_case_golden_data():
     assert bundle.lam.star_row == [SQRT2, RHO]  # [rho-1, rho]
     assert bundle.mu.bar == [{}]
     assert bundle.mu.star_row == [RHO * 2 - 1]
-    assert bundle.slack.lap == [{0: TWO_RHO_MINUS_2, 1: -TWO_RHO_MINUS_2}, {1: TWO_RHO_MINUS_2}]
+    assert list(bundle.slack.lap) == [
+        {0: TWO_RHO_MINUS_2, 1: -TWO_RHO_MINUS_2}, {1: TWO_RHO_MINUS_2}]
     assert symmetric(bundle.slack.lap) == [
         {0: TWO_RHO_MINUS_2, 1: -TWO_RHO_MINUS_2},
         {0: -TWO_RHO_MINUS_2, 1: TWO_RHO_MINUS_2},

@@ -4,8 +4,11 @@ import random
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from silverprox.certificate import (
+    _slack_term,
     build_bundle,
     build_lambda,
     build_mu,
@@ -22,7 +25,14 @@ from silverprox.certificate import (
 )
 from silverprox.exactnum import ONE, RHO, SQRT2, ZERO, RadicalScalar, rho_pow
 from silverprox.schedule import c_sequence, silver_schedule
-from sparse_rows import bordered, dense, symmetric, with_entries
+from sparse_rows import (
+    bordered,
+    dense,
+    laplacian_violation,
+    schur_rows,
+    symmetric,
+    with_entries,
+)
 
 TWO_RHO_MINUS_2 = SQRT2 * 2  # 2(rho - 1)
 
@@ -118,9 +128,14 @@ def test_recursive_blocks_preserved():
 
 def test_slack_base_case():
     slack = build_slack(1)
-    assert slack.lap[0][0] == TWO_RHO_MINUS_2  # the 1 x 1 core
-    assert slack.lap == [{0: TWO_RHO_MINUS_2, 1: -TWO_RHO_MINUS_2}, {1: TWO_RHO_MINUS_2}]
-    lap = symmetric(slack.lap)
+    # the tree of order 1: core'_1 = [2(rho - 1) + gap_1**2] and no gluing level
+    assert slack.base == TWO_RHO_MINUS_2 + 2 and slack.levels == ()
+    assert slack.gap == [SQRT2] and slack.c == [TWO_RHO_MINUS_2]
+    assert slack.corner == TWO_RHO_MINUS_2
+    rows = list(slack.lap)
+    assert rows[0][0] == TWO_RHO_MINUS_2  # the 1 x 1 core
+    assert rows == [{0: TWO_RHO_MINUS_2, 1: -TWO_RHO_MINUS_2}, {1: TWO_RHO_MINUS_2}]
+    lap = symmetric(rows)
     assert lap == [
         {0: TWO_RHO_MINUS_2, 1: -TWO_RHO_MINUS_2},
         {0: -TWO_RHO_MINUS_2, 1: TWO_RHO_MINUS_2},
@@ -137,14 +152,17 @@ def test_slack_base_case():
 
 def test_slack_first_doubling():
     slack = build_slack(2)
-    # middle diagonal of the gluing correction is (rho^0+1)(rho^2+1) = 8+4sqrt2,
-    # reduced by the squared companion-gap middle entry
-    assert slack.lap[1][1] == RadicalScalar(-4, 12)
+    # the gluing column B_1: -rho gap_1, (rho^0+1)(rho^2+1) = 8+4sqrt2, -rho pi(1)
+    (level,) = slack.levels
+    assert (level.gap, level.diag, level.pi) == ([SQRT2], RadicalScalar(8, 4), [SQRT2])
+    # the middle diagonal of L is that diagonal less the squared middle gap entry
+    lap = dense(symmetric(slack.lap))
+    assert lap[1][1] == RadicalScalar(-4, 12)
     # row sums of the core (top-left 3 x 3 block of L) equal the companion sequence
     c2 = c_sequence(2)
     for r in range(3):
         total = ZERO
-        for v in dense(symmetric(slack.lap))[r][:3]:
+        for v in lap[r][:3]:
             total = total + v
         assert total == c2[r]
 
@@ -153,7 +171,7 @@ def test_slack_first_doubling():
 def test_sparse_row_storage_invariants(k):
     bundle = build_bundle(k)
     n = bundle.n
-    lap, border = bundle.slack.lap, bundle.slack.border
+    lap, border = list(bundle.slack.lap), bundle.slack.border
     for rows, count in ((bundle.lam.bar, n + 1), (bundle.mu.bar, n), (lap, n + 1)):
         assert len(rows) == count
         for row in rows:
@@ -167,6 +185,19 @@ def test_sparse_row_storage_invariants(k):
     keys = list(border.keys())
     assert keys == sorted(keys) and all(0 <= j <= n + 1 for j in keys)
     assert all(border.values()) and list(border) == list(border.values())
+    # the tree holds O(n) entries: two of size 2**j - 1 per level, gap_k and c
+    slack = bundle.slack
+    assert [(len(lv.gap), len(lv.pi)) for lv in slack.levels] == [
+        (2**j - 1, 2**j - 1) for j in range(1, k)]
+    assert len(slack.gap) == len(slack.c) == n
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_tree_checks_agree_with_row_oracle(k):
+    # The induction's verdict, on the rows it generates, by an explicit scan.
+    slack = build_bundle(k).slack
+    assert laplacian_violation(slack.lap) == ""
+    assert laplacian_violation(schur_rows(slack)) == ""
 
 
 def test_u_coefficients_base_case():
@@ -247,81 +278,131 @@ def test_nonneg_negative_control(part, row, col, change, detail):
     assert report.detail == detail
 
 
+def _with_slack(bundle, **fields):
+    return replace(bundle, slack=replace(bundle.slack, **fields))
+
+
+def _with_level(bundle, j, **fields):
+    levels = list(bundle.slack.levels)
+    levels[j - 1] = replace(levels[j - 1], **fields)
+    return _with_slack(bundle, levels=tuple(levels))
+
+
+def _edited(values, r, value):
+    out = list(values)
+    out[r] = value
+    return out
+
+
 def test_laplacian_negative_control():
     bundle = build_bundle(2)
-    n = bundle.n
-    lap = bundle.slack.lap
     # corner becomes 2(rho^k - 1) + 1
-    lap = with_entries(lap, {(n, n): lap[n][n] + ONE})
-    bad = replace(bundle, slack=replace(bundle.slack, lap=lap))
+    bad = _with_slack(bundle, corner=bundle.slack.corner + ONE)
+    assert laplacian_violation(bad.slack.lap) == "row 3 sums to 1/1 + 0/1*sqrt2, not 0"
     report = check_laplacian(bad)
     assert not report.passed
-    assert report.detail == "row 3 sums to 1/1 + 0/1*sqrt2, not 0"
+    assert report.detail == "L row 3 sums to 1/1 + 0/1*sqrt2, not 0"
     schur = check_schur_psd(bad)
     assert not schur.passed
     assert schur.detail == "Schur complement row 3 sums to 1/1 + 0/1*sqrt2, not 0"
 
 
 def test_laplacian_core_check_reads_stored_lap():
-    # Zero the off-diagonal core pair L[1][2] = L[2][1] = 6 - 9 sqrt2 and move
-    # its value onto both diagonals: L keeps zero row sums and nonpositive
-    # off-diagonals, but core plus gap gap^T turns positive at [1][2].
+    # Negate pi(1) as level 1 of the tree stores it: B_1's second-copy entry
+    # -rho pi(1)[0] turns positive, so core'_2 = core + gap gap^T is positive at
+    # [1][2].  The bundle's own schedule is untouched: the check reads the tree.
     bundle = build_bundle(2)
-    lap = bundle.slack.lap
-    old = lap[1][2]
-    assert old == RadicalScalar(6, -9)
-    lap = with_entries(lap, {(1, 2): ZERO, (1, 1): lap[1][1] + old, (2, 2): lap[2][2] + old})
-    bad = replace(bundle, slack=replace(bundle.slack, lap=lap))
-    full = symmetric(lap)
-    assert 1 not in full[2] and all(sum(row.values(), ZERO) == 0 for row in full)
+    bad = _with_level(bundle, 1, pi=[-SQRT2])
+    assert bad.pi == bundle.pi == silver_schedule(2)
+    core = dense(symmetric(bad.slack.lap))
+    gap = bad.slack.gap
+    assert (core[1][2] + gap[1] * gap[2]).sign() > 0
     report = check_laplacian(bad)
     assert not report.passed
-    assert report.detail == "core-plus-outer entry [1][2] = -8/1 + 8/1*sqrt2 > 0"
-    assert check_schur_psd(bad).passed  # the edit keeps S Laplacian past its corner
+    assert report.detail == "level 1 pi[0] = 0/1 + -1/1*sqrt2 < 0"
+    assert check_schur_psd(bad).detail == "Schur complement " + report.detail
 
 
 def test_laplacian_positive_off_diagonal_named():
+    # c[1] < 0 makes L's border entry L[1][3] = -c[1] positive
     bundle = build_bundle(2)
-    lap = bundle.slack.lap
-    lap = with_entries(lap, {(1, 2): lap[1][2] + 10})  # 6 - 9 sqrt2 + 10 > 0
-    bad = replace(bundle, slack=replace(bundle.slack, lap=lap))
-    assert check_laplacian(bad).detail == "off-diagonal L[1][2] = 16/1 + -9/1*sqrt2 > 0"
-    assert (check_schur_psd(bad).detail
-            == "Schur complement off-diagonal [1][2] = 16/1 + -9/1*sqrt2 > 0")
+    bad = _with_slack(bundle, c=_edited(bundle.slack.c, 1, -bundle.slack.c[1]))
+    assert laplacian_violation(bad.slack.lap) == "off-diagonal [1][3] = 0/1 + 2/1*sqrt2 > 0"
+    assert check_laplacian(bad).detail == "c[1] = 0/1 + -2/1*sqrt2 < 0"
+    assert check_schur_psd(bad).detail == "Schur complement c[1] = 0/1 + -2/1*sqrt2 < 0"
 
 
 def test_mass_shift_within_a_row_fails_both_checks():
-    # Move 100 from L[0][3] onto L[0][0]: row 0 still sums to zero, but the
-    # pair (0, 3) is one stored entry, so row 3 of the symmetric L loses 100.
-    # When L stored both halves, this edit of row 0 alone passed both checks
-    # while the quadratic form it stored had an eigenvalue of about -14.8.
+    # Move 1 from L[1][3] = -c[1] onto L[0][3] = -c[0]: the border row 3 still
+    # sums to zero, but each c[r] is one stored value for the pair (r, 3) and
+    # (3, r), so rows 0 and 1 of the symmetric L are off by -1 and +1.
     bundle = build_bundle(2)
-    lap = bundle.slack.lap
-    lap = with_entries(lap, {(0, 3): lap[0][3] - 100, (0, 0): lap[0][0] + 100})
-    bad = replace(bundle, slack=replace(bundle.slack, lap=lap))
-    detail = "row 3 sums to -100/1 + 0/1*sqrt2, not 0"
+    c = bundle.slack.c
+    bad = _with_slack(bundle, c=[c[0] + 1, c[1] - 1, c[2]])
+    rows = symmetric(bad.slack.lap)
+    assert sum(rows[3].values(), ZERO) == 0
+    detail = "row 0 sums to -1/1 + 0/1*sqrt2, not 0"
+    assert laplacian_violation(bad.slack.lap) == detail
     report = check_laplacian(bad)
     assert not report.passed
-    assert report.detail == detail
+    assert report.detail == "L " + detail
     schur = check_schur_psd(bad)
     assert not schur.passed
     assert schur.detail == "Schur complement " + detail
 
 
-def test_laplacian_names_entry_below_diagonal():
-    bundle = build_bundle(2)
-    lap = with_entries(bundle.slack.lap, {(2, 1): bundle.slack.lap[1][2]})
-    bad = replace(bundle, slack=replace(bundle.slack, lap=lap))
+def test_laplacian_names_misshapen_level():
+    # The tree holds no entry below a diagonal; its analogue of a misplaced
+    # entry is a level list of the wrong length, which would glue misaligned
+    # copies.
+    bundle = build_bundle(3)
+    bad = _with_level(bundle, 2, pi=bundle.slack.levels[1].pi + [SQRT2])
     report = check_laplacian(bad)
     assert not report.passed
-    assert report.detail == "entry L[2][1] = 6/1 + -9/1*sqrt2 is outside the upper triangle"
-    assert (check_schur_psd(bad).detail
-            == "Schur complement entry [2][1] = 6/1 + -9/1*sqrt2 is outside the upper triangle")
+    assert report.detail == "level 2 pi has 4 entries, not 3"
+    assert check_schur_psd(bad).detail == "Schur complement " + report.detail
+
+
+def test_level_diagonal_edit_fails_named_row_sum():
+    # Level 2 of k=5 glues at local index 3; its first node sits at rows 0..6
+    # with scale 1, so the first row sum to fail is row 3's.
+    bundle = build_bundle(5)
+    level = bundle.slack.levels[1]
+    bad = _with_level(bundle, 2, diag=level.diag + ONE)
+    detail = "row 3 sums to 1/1 + 0/1*sqrt2, not 0"
+    assert laplacian_violation(bad.slack.lap) == detail
+    assert check_laplacian(bad).detail == "L " + detail
+    assert check_schur_psd(bad).detail == "Schur complement " + detail
+
+
+def test_negative_gap_names_level_and_entry():
+    bundle = build_bundle(5)
+    gap = bundle.slack.levels[2].gap
+    assert gap[5] == RadicalScalar(8, -4)  # > 0
+    bad = _with_level(bundle, 3, gap=_edited(gap, 5, -gap[5]))
+    assert laplacian_violation(bad.slack.lap) != ""
+    report = check_laplacian(bad)
+    assert not report.passed
+    assert report.detail == "level 3 gap[5] = -8/1 + 4/1*sqrt2 < 0"
+    assert check_schur_psd(bad).detail == "Schur complement " + report.detail
+
+
+def test_schur_needs_c0_at_least_sqrt2():
+    # At k=1, c = [1] with base 3 and corner 1 keeps L Laplacian, but the Schur
+    # complement's off-diagonal [0][1] becomes sqrt2 - 1 > 0: S is indefinite.
+    bad = _with_slack(build_bundle(1), base=RadicalScalar(3), c=[ONE], corner=ONE)
+    assert laplacian_violation(bad.slack.lap) == ""
+    assert laplacian_violation(schur_rows(bad.slack)) == (
+        "off-diagonal [0][1] = -1/1 + 1/1*sqrt2 > 0")
+    assert check_laplacian(bad).passed
+    report = check_schur_psd(bad)
+    assert not report.passed
+    assert report.detail == "Schur complement c[0] = 1/1 + 0/1*sqrt2 < sqrt2"
 
 
 # Negative controls at positions the k=2 certificate does not store: a scan
-# over stored entries only must still see a value placed there.  The details
-# and the residual were recorded with dense list-of-lists storage.
+# over stored entries only must still see a value placed there.  The nonneg
+# detail and the residual were recorded with dense list-of-lists storage.
 
 
 def test_nonneg_control_at_unstored_position():
@@ -334,12 +415,14 @@ def test_nonneg_control_at_unstored_position():
 
 
 def test_laplacian_control_at_unstored_position():
+    # gap_2[0] = c(2)[0] - pi(2)[0] is zero, so no generated row holds an entry
+    # from it; the induction reads it anyway.
     bundle = build_bundle(2)
-    assert 2 not in bundle.slack.lap[0]
-    lap = with_entries(bundle.slack.lap, {(0, 2): ONE})
-    report = check_laplacian(replace(bundle, slack=replace(bundle.slack, lap=lap)))
+    assert bundle.slack.gap[0] == ZERO
+    bad = _with_slack(bundle, gap=_edited(bundle.slack.gap, 0, -ONE))
+    report = check_laplacian(bad)
     assert not report.passed
-    assert report.detail == "off-diagonal L[0][2] = 1/1 + 0/1*sqrt2 > 0"
+    assert report.detail == "level 2 gap[0] = -1/1 + 0/1*sqrt2 < 0"
 
 
 def test_identity_control_at_unstored_position():
@@ -408,24 +491,24 @@ def test_identity_tamper_residuals_pinned(target):
 
 
 def _dense_slack_trace(slack, trace):
-    """Tr(V S V^T) over every entry of the full S, V = [w, s_1, ..., s_n, s_*]."""
+    """Tr(V S V^T) over every stored entry of the full S, V = [w, s_1, ..., s_n, s_*]."""
     cols = [trace.xs[0]] + trace.ss + [trace.s_star]
     return sum((v * sum(a * b for a, b in zip(cols[r], cols[j]))
-                for r, row in enumerate(dense(bordered(slack))) for j, v in enumerate(row)),
+                for r, row in enumerate(bordered(slack)) for j, v in row.items()),
                ZERO)
 
 
 @pytest.mark.parametrize("k", [2, 4])
 def test_identity_slack_term_matches_dense_sum(k):
-    # One stored off-diagonal pair of L and one border entry, each edited, enter
-    # the slack term as the dense sum over the mirrored S has them.
+    # One gap entry of the top gluing level and one border entry, each edited,
+    # move the recursive slack term as the dense sum over the generated S does.
     bundle = build_bundle(k)
     slack = bundle.slack
-    pairs = [(r, j) for r, row in enumerate(slack.lap) for j in row.keys() if j > r]
-    r, j = pairs[len(pairs) // 2]
-    lap = with_entries(slack.lap, {(r, j): slack.lap[r][j] + ONE})
+    j = k - 1
+    gap = slack.levels[j - 1].gap
+    r = len(gap) // 2
     border = with_entries([slack.border], {(0, 1): slack.border[1] + 3})[0]
-    bad = replace(bundle, slack=replace(slack, lap=lap, border=border))
+    bad = _with_level(_with_slack(bundle, border=border), j, gap=_edited(gap, r, gap[r] + ONE))
     trace = sample_free_trace(bundle.pi, 3, random.Random(11))
     lhs, rhs = evaluate_identity(bundle, trace)
     bad_lhs, bad_rhs = evaluate_identity(bad, trace)
@@ -433,6 +516,17 @@ def test_identity_slack_term_matches_dense_sum(k):
     change = _dense_slack_trace(bad.slack, trace) - _dense_slack_trace(slack, trace)
     assert change  # the edits move the term on this trace
     assert bad_rhs - rhs == -change / 2
+
+
+@settings(max_examples=24, deadline=None)
+@given(k=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))
+def test_recursive_slack_term_equals_dense_sum(k, seed):
+    # The recursion over the tree against the dense sum over the generated S,
+    # on random integer columns of dim 3.
+    bundle = build_bundle(k)
+    trace = sample_free_trace(bundle.pi, 3, random.Random(seed))
+    cols = [trace.xs[0]] + trace.ss + [trace.s_star]
+    assert _slack_term(bundle.slack, cols) == _dense_slack_trace(bundle.slack, trace)
 
 
 def test_free_trace_is_plain_ints():
@@ -443,8 +537,8 @@ def test_free_trace_is_plain_ints():
     assert trace.fs == [1, -4, -2, -4]
     assert trace.hs == [3, 1, -5, 4]
     assert (trace.f_star, trace.h_star) == (-4, -2)
-    assert trace.xs[0] == [RadicalScalar(5), RadicalScalar(5)]
-    free = [*trace.fs, *trace.hs, trace.f_star, trace.h_star, *trace.s_star]
+    assert trace.xs[0] == [5, 5]
+    free = [*trace.fs, *trace.hs, trace.f_star, trace.h_star, *trace.s_star, *trace.xs[0]]
     free += [v for vec in trace.gs + trace.ss for v in vec]
     assert all(type(v) is int for v in free)
 

@@ -352,16 +352,18 @@ def test_bench_exact_mode_and_timings(tmp_path, capsys):
 
 # SHA-256 of stdout followed by the CSV bytes, recorded before `solve` and
 # `bench` shared one run path; the constant-step digest was re-recorded when
-# its last stdout line became the unit-step bound.  None of these runs
+# its last stdout line became the unit-step bound, and the two silver-step
+# digests when `rate_bound` became correctly rounded (only the bound's last
+# digits moved, in stdout and in the CSV's bound column).  None of these runs
 # touches numpy, so the digests hold on any IEEE-754 machine.
 GOLDEN_RUNS = {
     "lower-bound-k8-exact": (
         ("solve", "--problem", "lower-bound", "--k", "8", "--exact"),
-        "f4a1ac71a2926c8169bc736599d7be01f437ef563c4e972b7f5a1f470064da53",
+        "09f59dba494c7018a4046ce5c69f0f7c1969df60bd8a57fef8772991d0b93979",
     ),
     "lower-bound-k6": (
         ("solve", "--problem", "lower-bound", "--k", "6"),
-        "b3e6c6f320c94b4a23e0cc9a563e4eed575bbdb51ec45350b5c4932992479642",
+        "3be33598319e6fe585e0ceff4ca714d34a6d2fda6db54118ad10933240ba31ba",
     ),
     "lower-bound-k6-constant-exact": (
         ("solve", "--problem", "lower-bound", "--k", "6", "--schedule", "constant",

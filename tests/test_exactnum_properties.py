@@ -1,5 +1,6 @@
 """Property tests: RadicalScalar against a Fraction-pair reference model."""
 
+import math
 from fractions import Fraction
 from math import gcd
 
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from silverprox.exactnum import ZERO, RadicalScalar
+from silverprox.exactnum import ZERO, RadicalScalar, rho_pow
 
 
 class Ref:
@@ -171,3 +172,41 @@ def test_floats_are_rejected(ab):
         with pytest.raises(TypeError):
             bad()
     assert x != 0.5
+
+
+def rounds_to(value, x):
+    """x lies between the midpoints to float ``value``'s neighbours (exact comparisons)."""
+    below = (Fraction(value) + Fraction(math.nextafter(value, -math.inf))) / 2
+    above = (Fraction(value) + Fraction(math.nextafter(value, math.inf))) / 2
+    return x >= below and x <= above
+
+
+@settings(deadline=None)
+@given(pairs)
+@example((Fraction(-math.isqrt(2 * 4**100)), Fraction(2**100)))  # p + q sqrt2 cancels
+@example((Fraction(5, 2), Fraction(0)))  # a tie, rounded to even
+def test_nearest_float_is_correctly_rounded(ab):
+    x = RadicalScalar(*ab)
+    assert rounds_to(x.nearest_float(), x)
+
+
+@pytest.mark.parametrize("j", range(0, 61, 6))
+def test_nearest_float_of_cancelling_powers(j):
+    # rho**-j = p + q sqrt2, whose components cancel to within rho**-j
+    for x in (rho_pow(-j), -rho_pow(-j)):
+        assert rounds_to(x.nearest_float(), x)
+
+
+@pytest.mark.parametrize("j", [21, 31, 41])
+def test_nearest_float_just_beside_a_midpoint(j):
+    # rho**j = P + Q sqrt2 with Q sqrt2 = P + rho**-j for odd j, so
+    # x = m +- (Q sqrt2 - P) lies within rho**-j of the midpoint m between the
+    # floats 2**60 and 2**60 + 256, on either side: there an integer floor that
+    # is off by one flips the rounding.
+    big_p, big_q = rho_pow(j).p, rho_pow(j).q
+    m = 2**60 + 128
+    above = RadicalScalar(m - big_p, big_q)  # m + (Q sqrt2 - P)
+    below = RadicalScalar(m + big_p, -big_q)  # m - (Q sqrt2 - P)
+    assert below < m < above
+    assert below.nearest_float() == 2.0**60
+    assert above.nearest_float() == 2.0**60 + 256

@@ -4,9 +4,9 @@ Each digest hashes the ``exact_str`` of every entry of ``build_bundle(k)``,
 one per line, in this order: ``pi``, ``c``, ``lam.bar`` (row by row),
 ``lam.star_row``, ``mu.bar``, ``mu.star_row``, the slack core (the top-left
 n x n block of L), L, S and the ``u_coeffs`` fields.  L is rebuilt in full
-from the upper triangle that ``slack.lap`` stores, and S from L and
-``slack.border``.  The matrices are densified first, so every zero entry is
-hashed too.  The k <= 7 digests were recorded with the original Fraction-pair
+from the upper-triangle rows that ``slack.lap`` generates from the gluing
+tree, and S from L and ``slack.border``.  The matrices are densified first,
+so every zero entry is hashed too.  The k <= 7 digests were recorded with the original Fraction-pair
 implementation of ``RadicalScalar``, when the core was stored as a separate
 matrix, and the k = 8 digest with dense list-of-lists storage of the full L
 and S; no change to the arithmetic or the storage may move a single entry.
@@ -16,7 +16,7 @@ import hashlib
 
 import pytest
 
-from silverprox.certificate import build_bundle
+from silverprox.certificate import build_bundle, build_slack
 from sparse_rows import bordered, dense, symmetric
 
 GOLDEN = {
@@ -55,3 +55,15 @@ def test_bundle_entries_match_golden_digest(k):
     for value in bundle_entries(build_bundle(k)):
         digest.update(value.exact_str().encode() + b"\n")
     assert digest.hexdigest() == GOLDEN[k]
+
+
+def test_slack_rows_pinned_for_perfbench():
+    # perfbench's exactnum_micro draws its operands from these values, in this
+    # order; the digest was recorded when L's upper triangle was stored.
+    values = [v for row in build_slack(8).lap for v in row if v]
+    assert len(values) == 9216
+    digest = hashlib.sha256()
+    for value in values:
+        digest.update(value.exact_str().encode() + b"\n")
+    assert digest.hexdigest() == (
+        "d792fd03f5d974d43cc6648f299bbdeb5e824f0f690cd2ace8dae25b271260f8")

@@ -397,6 +397,22 @@ def test_rate_bound_values():
         rate_bound(2, -1.0, 1.0)
 
 
+def _rounds_to(value, exact):
+    """``value`` is the float nearest ``exact``: exact lies strictly between the
+    midpoints to value's float neighbours (exact comparisons in Q(sqrt2))."""
+    below = (Fraction(value) + Fraction(math.nextafter(value, -math.inf))) / 2
+    above = (Fraction(value) + Fraction(math.nextafter(value, math.inf))) / 2
+    return exact > below and exact < above
+
+
+@pytest.mark.parametrize("k", range(1, 26))
+def test_rate_bound_is_correctly_rounded(k):
+    exact = rate_from_certificate(k)
+    assert _rounds_to(rate_bound(k, 1.0, 1.0), exact)
+    if k == 20:  # the two-component float sum was off by 1.1e-9 relative here
+        assert not _rounds_to(exact.to_float(), exact)
+
+
 def test_constant_baseline_values():
     assert constant_baseline(3, 1.0, 1.0) == pytest.approx(1 / 12)
     assert constant_baseline(255, 1.0, 1.0) == pytest.approx(1 / 1020)
