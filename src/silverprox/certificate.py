@@ -672,10 +672,11 @@ def verify_descent_identity(
     is reported with the offending trial.  ``bundle`` defaults to
     ``build_bundle(k)``; a negative control passes a ``tamper_bundle`` copy,
     which is expected to make trials fail.  A bundle of another order than
-    ``k`` raises ``ValueError``.
+    ``k`` and a negative ``seed`` (``random.Random`` would draw the trials of
+    ``-seed``) raise ``ValueError``.
     """
-    if trials < 1 or dim < 1:
-        raise ValueError("trials and dim must be positive")
+    if trials < 1 or dim < 1 or seed < 0:
+        raise ValueError(f"need trials, dim >= 1 and seed >= 0, got {trials}, {dim}, {seed}")
     if bundle is None:
         bundle = build_bundle(k)
     elif bundle.k != k:

@@ -22,8 +22,6 @@ import os
 import sys
 import time
 
-import numpy as np
-
 from .certificate import (
     TAMPER_TARGETS,
     build_bundle,
@@ -48,6 +46,8 @@ from .solver import (
 
 
 CERT_SCHEMA = "silverprox.cert/1"
+# Largest --dim: a random instance's d x d float64 matrices then take 128 MiB each.
+MAX_DIM = 4096
 
 
 class UsageError(Exception):
@@ -87,6 +87,13 @@ def _single_k(args) -> int:
     if len(ks) != 1:
         raise UsageError(f"{args.command} takes a single k, not a range")
     return ks[0]
+
+
+def _require_dim_and_seed(args) -> None:
+    if not 1 <= args.dim <= MAX_DIM:
+        raise UsageError(f"--dim must be between 1 and {MAX_DIM}")
+    if args.seed < 0:
+        raise UsageError("--seed must be nonnegative")
 
 
 # ---------------------------------------------------------------------------
@@ -156,9 +163,10 @@ def _verify_one(k: int, args) -> tuple[dict, str, bool]:
 
 
 def cmd_cert_verify(args) -> int:
+    _require_dim_and_seed(args)
+    if args.trials < 1:
+        raise UsageError("--trials must be positive")
     ks = _parse_k_spec(args.k)
-    if args.trials < 1 or args.dim < 1:
-        raise UsageError("--trials and --dim must be positive")
     all_pass = True
     results = []
     for k in ks:
@@ -238,11 +246,11 @@ def _bound(const, j: int, problem, x0):
     return constant_baseline(2**j - 1, big_m, dist2) if const == 1 else None
 
 
-def _require_dim_and_seed(args) -> None:
-    if args.dim < 1:
-        raise UsageError("--dim must be positive")
-    if args.seed < 0:
-        raise UsageError("--seed must be nonnegative")
+def _generator(seed: int):
+    """numpy's generator for the random families: only they load numpy."""
+    import numpy as np
+
+    return np.random.default_rng(seed)
 
 
 def cmd_solve(args) -> int:
@@ -250,7 +258,8 @@ def cmd_solve(args) -> int:
     k = _single_k(args)
     if args.exact and PROBLEMS[args.problem] is not None:
         raise UsageError(f"--exact is only supported for lower-bound, not {args.problem!r}")
-    problem, x0 = _instance(args.problem, k, args, np.random.default_rng(args.seed))
+    rng = _generator(args.seed) if PROBLEMS[args.problem] else None
+    problem, x0 = _instance(args.problem, k, args, rng)
     const = _parse_schedule(args.schedule, args.exact)
     try:
         trace = proximal_gd_run(problem, _steps(const, k, args.exact), x0)
@@ -285,7 +294,7 @@ def cmd_solve(args) -> int:
 def cmd_bench(args) -> int:
     _require_dim_and_seed(args)
     ks = _parse_k_spec(args.k)
-    rng = np.random.default_rng(args.seed)
+    rng = _generator(args.seed)
     rows = []
     sound = True
     for name, kind in PROBLEMS.items():

@@ -15,21 +15,25 @@ checks read them.
 
 The random quadratic instances make one matvec per point; value and gradient
 at the same point share it, and match a left-to-right sum only to rounding.
+Building one is the only thing in the package that imports numpy.
 """
 
 from __future__ import annotations
 
 import math
 import struct
+import sys
+from contextlib import nullcontext
 from dataclasses import InitVar, dataclass
 from fractions import Fraction
-from typing import Callable
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable
 
 from .certificate import rate_from_certificate
 from .exactnum import ONE, ZERO, rho_pow
 from .schedule import silver_schedule
+
+if TYPE_CHECKING:
+    import numpy as np
 
 Vector = list
 
@@ -164,7 +168,6 @@ def _total(fv, hv):
     return fv + hv
 
 
-@np.errstate(over="ignore", invalid="ignore")  # divergence: the guard reports it
 def proximal_gd_run(problem: ProblemInstance, steps, x0: Vector) -> Trace:
     """Run proximal gradient descent for len(steps) iterations.
 
@@ -182,38 +185,42 @@ def proximal_gd_run(problem: ProblemInstance, steps, x0: Vector) -> Trace:
     x = list(x0)
     if len(x) != problem.dimension:
         raise ValueError(f"x0 has {len(x)} coordinates, the problem {problem.dimension}")
-    xs, gs = [x], []
-    fs, hs = [fval(x)], [hval(x)]
-    Fs = [_total(fs[0], hs[0])]
-    for t, step in enumerate(steps):
-        if not step > 0:
-            raise ValueError(f"stepsize {t} is not positive: {step}")
-        a = step if big_m == 1 else step / big_m  # keep exact scalars exact
-        g = grad(x)
-        y = [xv - a * gv for xv, gv in zip(x, g)]
-        x_next = prox(y, a)
-        if not _finite(x_next):
-            raise ArithmeticError(f"non-finite iterate at iteration {t + 1}")
-        gs.append(g)
-        xs.append(x_next)
-        fs.append(fval(x_next))
-        hs.append(hval(x_next))
-        Fs.append(_total(fs[-1], hs[-1]))
-        x = x_next
-    gs.append(grad(x))  # gradient at the final iterate, needed by the trace
+    # Divergence: numpy's overflow warnings must not replace the guard's error.
+    # Only an oracle on numpy arrays raises them, and it has loaded numpy.
+    numpy = sys.modules.get("numpy")
+    with numpy.errstate(over="ignore", invalid="ignore") if numpy else nullcontext():
+        xs, gs = [x], []
+        fs, hs = [fval(x)], [hval(x)]
+        Fs = [_total(fs[0], hs[0])]
+        for t, step in enumerate(steps):
+            if not step > 0:
+                raise ValueError(f"stepsize {t} is not positive: {step}")
+            a = step if big_m == 1 else step / big_m  # keep exact scalars exact
+            g = grad(x)
+            y = [xv - a * gv for xv, gv in zip(x, g)]
+            x_next = prox(y, a)
+            if not _finite(x_next):
+                raise ArithmeticError(f"non-finite iterate at iteration {t + 1}")
+            gs.append(g)
+            xs.append(x_next)
+            fs.append(fval(x_next))
+            hs.append(hval(x_next))
+            Fs.append(_total(fs[-1], hs[-1]))
+            x = x_next
+        gs.append(grad(x))  # gradient at the final iterate, needed by the trace
 
-    trace = Trace(steps=steps, xs=xs, gs=gs, fs=fs, hs=hs, Fs=Fs, smoothness=big_m)
-    if problem.optimum is not None:
-        x_star = list(problem.optimum)
-        g_star = grad(x_star)
-        trace.x_star = x_star
-        trace.s_star = [-v for v in g_star]
-        trace.f_star = fval(x_star)
-        trace.h_star = hval(x_star)
-        trace.F_star = problem.optimal_value
-        if trace.F_star is None:
-            trace.F_star = _total(trace.f_star, trace.h_star)
-    return trace
+        trace = Trace(steps=steps, xs=xs, gs=gs, fs=fs, hs=hs, Fs=Fs, smoothness=big_m)
+        if problem.optimum is not None:
+            x_star = list(problem.optimum)
+            g_star = grad(x_star)
+            trace.x_star = x_star
+            trace.s_star = [-v for v in g_star]
+            trace.f_star = fval(x_star)
+            trace.h_star = hval(x_star)
+            trace.F_star = problem.optimal_value
+            if trace.F_star is None:
+                trace.F_star = _total(trace.f_star, trace.h_star)
+        return trace
 
 
 # ---------------------------------------------------------------------------
@@ -459,14 +466,17 @@ class _Quadratic:
     """
 
     def __init__(self, mat: np.ndarray, lin: np.ndarray):
+        from numpy import frombuffer
+
         self.mat, self.lin = mat, lin
         self._pack = struct.Struct(f"{len(lin)}d").pack  # a point's float64 bytes
+        self._frombuffer = frombuffer
         self._key, self._z, self._mz = b"", None, None
 
     def _product(self, x: Vector):
         key = self._pack(*x)
         if key != self._key:
-            self._key, self._z = key, np.frombuffer(key)
+            self._key, self._z = key, self._frombuffer(key)
             self._mz = self.mat @ self._z
         return self._z, self._mz
 
@@ -497,6 +507,8 @@ def random_quadratic_instance(
 
     Returns (instance, x0).
     """
+    import numpy as np
+
     if not dim > 0:
         raise ValueError(f"dimension must be positive, got {dim}")
     if not (0 <= m_strong <= m_smooth and m_smooth > 0):

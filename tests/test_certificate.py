@@ -558,6 +558,8 @@ def test_identity_rejects_bad_arguments():
         verify_descent_identity(1, trials=0)
     with pytest.raises(ValueError):
         verify_descent_identity(1, dim=0)
+    with pytest.raises(ValueError, match="got 20, 4, -1"):
+        verify_descent_identity(1, seed=-1)
     with pytest.raises(ValueError):
         build_bundle(0)
 

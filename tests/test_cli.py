@@ -5,7 +5,11 @@ import io
 import json
 import math
 import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -13,7 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from silverprox.cli import main
+from silverprox.cli import MAX_DIM, _require_dim_and_seed, main
 from silverprox.exactnum import rho_pow
 from silverprox.solver import random_quadratic_instance
 
@@ -238,12 +242,36 @@ def test_solve_constant_schedule(capsys):
     ("solve", "--problem", "lower-bound", "--k", "2", "--schedule", "constantXYZ"),
     ("solve", "--problem", "lower-bound", "--k", "2", "--schedule", "constantly"),
     ("solve", "--problem", "lower-bound", "--k", "2", "--schedule", "constant:"),
+    ("cert", "verify", "--k", "2", "--seed", "-5"),
+    ("cert", "verify", "--k", "1", "--dim", "0"),
 ])
 def test_bad_argument_is_usage_error(capsys, argv):
     code, _, err = run(capsys, *argv)
     assert code == 2
     assert err.startswith("usage error:")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("solve", "--problem", "lasso", "--k", "2", "--dim", "99999999999"),
+    ("solve", "--problem", "vanilla-qp", "--k", "1", "--dim", str(MAX_DIM + 1)),
+    ("bench", "--k", "1", "--dim", str(MAX_DIM + 1)),
+    ("cert", "verify", "--k", "1", "--dim", "10000000000000"),
+    ("cert", "verify", "--k", "1", "--dim", str(MAX_DIM + 1)),
+])
+def test_dim_above_the_bound_is_refused_before_anything_is_built(capsys, monkeypatch, argv):
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"{argv[0]} built inputs for --dim {argv[-1]}")
+
+    for name in ("random_quadratic_instance", "build_bundle", "verify_descent_identity"):
+        monkeypatch.setattr(f"silverprox.cli.{name}", refuse)
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert err.startswith(f"usage error: --dim must be between 1 and {MAX_DIM}\n")
+
+
+def test_dim_bound_is_inclusive():
+    _require_dim_and_seed(SimpleNamespace(dim=MAX_DIM, seed=0))
 
 
 @pytest.mark.parametrize("problem,k,step", [
@@ -448,3 +476,49 @@ def test_exit_code_contract(argv):
         code = main(argv)
     assert code in (0, 1, 2)
     assert "Traceback" not in err.getvalue()
+
+
+# ---------------------------------------------------------------------------
+# the exact half runs without numpy
+# ---------------------------------------------------------------------------
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+# sys.modules["numpy"] = None makes every import of numpy raise ImportError.
+CLI_WITHOUT_NUMPY = ("import sys; sys.modules['numpy'] = None; "
+                     "from silverprox.cli import main; sys.exit(main())")
+CLI = "import sys; from silverprox.cli import main; sys.exit(main())"
+
+
+def _python(code: str, *argv: str) -> subprocess.CompletedProcess:
+    env = {**os.environ, "PYTHONPATH": SRC}
+    return subprocess.run([sys.executable, "-c", code, *argv], capture_output=True,
+                          text=True, env=env, timeout=120)
+
+
+@pytest.mark.parametrize("argv", [
+    ("cert", "verify", "--k", "1..3", "--trials", "1", "--dim", "1"),
+    ("schedule", "--k", "4"),
+    ("solve", "--problem", "lower-bound", "--k", "4", "--exact"),
+    ("solve", "--problem", "lower-bound", "--k", "4"),
+])
+def test_exact_half_runs_with_numpy_blocked(argv):
+    blocked, plain = _python(CLI_WITHOUT_NUMPY, *argv), _python(CLI, *argv)
+    assert blocked.returncode == 0, blocked.stderr
+    assert plain.returncode == 0, plain.stderr
+    assert blocked.stdout == plain.stdout
+    assert blocked.stdout
+
+
+def test_import_and_cert_verify_leave_numpy_unloaded():
+    code = "\n".join([
+        "import contextlib, io, sys",
+        "import silverprox",
+        "imported = 'numpy' in sys.modules",
+        "from silverprox.cli import main",
+        "with contextlib.redirect_stdout(io.StringIO()):",
+        "    main(sys.argv[1:])",
+        "print(imported, 'numpy' in sys.modules)",
+    ])
+    done = _python(code, "cert", "verify", "--k", "1..2", "--trials", "1", "--dim", "1")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "False False\n"
