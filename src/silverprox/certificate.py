@@ -21,10 +21,13 @@ zero).  The slack matrix is stored as its gluing tree: with
 gap_j = c(j) - pi(j) and core'_j = core_j + gap_j gap_j^T, each level adds
 one border column B_j to two glued copies of core'_j, and L is core'_k less
 gap_k gap_k^T, bordered by -c; S is L plus one border row.  The tree holds
-O(n) entries, so L is symmetric by construction, the Laplacian checks are
-an induction over the levels in O(n), and the slack term of an identity
-trial is a recursion over them in O(n k dim).  ``SlackMatrix.lap``
-generates L's rows from the tree for readers that want them.
+O(n) entries, so L is symmetric by construction and the Laplacian checks
+are an induction over the levels in O(n).  The slack term of an identity
+trial, O(n k dim) integer work, and ``SlackMatrix.lap``, which generates
+L's rows for readers that want them, both read the tree in one walk over
+its nodes (``SlackMatrix._nodes``).  Sums of field values times integer
+coordinates go through ``exactnum.int_dot``, so nothing here reads a
+``RadicalScalar``'s integer form.
 
 The descent identity states that the multiplier-weighted sum of
 co-coercivities equals
@@ -53,11 +56,10 @@ from collections.abc import Iterator
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
 from operator import mul
 
-from .exactnum import ONE, RHO, SQRT2, ZERO, RadicalScalar, _reduced, rho_pow
-from .schedule import c_sequence, silver_schedule
+from .exactnum import ONE, RHO, SQRT2, ZERO, RadicalScalar, int_dot, rho_pow
+from .schedule import c_sequence, silver_schedule, two_adic_valuation
 
 INV_SQRT2 = RadicalScalar(0, Fraction(1, 2))  # 1/sqrt2 = sqrt2/2
 RHO_OVER_2SQRT2 = RadicalScalar(Fraction(1, 2), Fraction(1, 4))  # rho/(2 sqrt2)
@@ -120,7 +122,8 @@ class SlackMatrix:
     2(rho**k - 1).  S, whose positive semidefiniteness is certified via a
     Schur complement, is L shifted by one with ``border`` as first row and
     column: {0: 1/sqrt2, 1: -1, n+1: +1}.  The tree holds O(n) entries; the
-    checks and the identity read it directly, and ``lap`` generates L's rows.
+    checks read it level by level, and the identity's slack term and
+    ``lap`` node by node, through ``_nodes``.
     """
 
     base: RadicalScalar
@@ -130,37 +133,41 @@ class SlackMatrix:
     corner: RadicalScalar
     border: dict[int, RadicalScalar]
 
+    def _nodes(self) -> Iterator[tuple[int, int, RadicalScalar, GluingLevel]]:
+        """Each index r of core'_k as a tree node: (r, j, scale, level).
+
+        Index r is the middle column of one node of level j = v2(r + 1)
+        (j = 0 is a leaf, core'_1 = [base]), which spans columns
+        r - (2**j - 1) .. r + 2**j - 1.  It lies inside popcount(r + 1) - 1
+        second copies, so its column B_j carries the scale
+        rho**(2 (popcount(r + 1) - 1)).
+        """
+        leaf = GluingLevel(gap=[], diag=self.base, pi=[])
+        for r in range(len(self.c)):
+            j = two_adic_valuation(r + 1)
+            scale = rho_pow(2 * ((r + 1).bit_count() - 1))
+            yield r, j, scale, self.levels[j - 1] if j else leaf
+
     @property
     def lap(self) -> Iterator[SparseRow]:
         """L's upper triangle, one row at a time: row r holds its nonzero columns >= r."""
         n, gap = len(self.c), self.gap
+        rows: Rows = [{} for _ in range(n)]
+        for r, j, scale, level in self._nodes():  # B_j = (-rho**j gap, diag, -rho pi)
+            rows[r][r] = scale * level.diag
+            first, second = -(scale * rho_pow(j)), -(scale * RHO)
+            for t, g in enumerate(level.gap, start=r + 1 - 2**j):
+                rows[t][r] = first * g
+            rows[r].update((t, second * p) for t, p in enumerate(level.pi, start=r + 1))
         support = [t for t, g in enumerate(gap) if g]
-        for r in range(n):
-            row = dict(self._core_row(r))
+        for r, row in enumerate(rows):
             if gap[r]:
                 minus_gr = -gap[r]
                 for s in support[bisect_left(support, r):]:
                     _accumulate(row, s, minus_gr * gap[s])
             _accumulate(row, n, -self.c[r])
-            yield SparseRow(sorted(row.items()))
+            yield SparseRow(sorted((s, v) for s, v in row.items() if v))
         yield SparseRow({n: self.corner} if self.corner else {})
-
-    def _core_row(self, r: int) -> list[tuple[int, RadicalScalar]]:
-        """Nonzero entries (column, value) of core'_k's row r on and right of its diagonal."""
-        scale, offset, above = ONE, 0, []
-        for j in range(len(self.levels), 0, -1):
-            level, mid = self.levels[j - 1], offset + 2**j - 1
-            if r < mid:  # first copy: B_j's entry in this row sits right of the copy
-                above.append((mid, -(scale * rho_pow(j) * level.gap[r - offset])))
-            elif r == mid:  # B_j itself: its diagonal, then its second-copy entries
-                own = [(mid, scale * level.diag)]
-                own += [(mid + 1 + t, -(scale * RHO * p)) for t, p in enumerate(level.pi)]
-                break
-            else:  # second copy, scaled by rho**2
-                offset, scale = mid + 1, scale * rho_pow(2)
-        else:
-            own = [(r, scale * self.base)]
-        return [(s, v) for s, v in own + above[::-1] if v]
 
 
 @dataclass(frozen=True)
@@ -493,10 +500,10 @@ def sample_free_trace(pi: list[RadicalScalar], dim: int, rng: random.Random):
     function values, are small random Python ints in -5..5, so the
     identity's arithmetic runs on ints and Z[sqrt2] values rather than on
     ``Fraction``s; the later iterates are then forced by the update
-    x_{t+1} = x_t - alpha_t (g_t + s_{t+1}), the optimum
-    sits at the origin, and g_* = -s_*.  Both sides of the descent identity
-    are polynomials in these free variables, so exact evaluation on random
-    integer points is a sound identity test.
+    x_{t+1} = x_t - alpha_t (g_t + s_{t+1}), in Z[sqrt2] since the steps
+    are, the optimum sits at the origin, and g_* = -s_*.  Both sides of the
+    descent identity are polynomials in these free variables, so exact
+    evaluation on random integer points is a sound identity test.
     """
     from .solver import Trace
 
@@ -514,15 +521,9 @@ def sample_free_trace(pi: list[RadicalScalar], dim: int, rng: random.Random):
     fs = [coord() for _ in range(n + 1)]
     hs = [coord() for _ in range(n + 1)]  # h_0 never enters the identity
     f_star, h_star = coord(), coord()
-    # d x_t as integer pairs (p, q) for p + q sqrt2, with pi = (ps + qs sqrt2)/d
-    ps, qs, d = _int_parts(pi)
     xs = [vec()]  # x_0 - x_* has free integer coordinates too
-    xp, xq = [c * d for c in xs[0]], [0] * dim
-    for t in range(n):
-        step = [gv + sv for gv, sv in zip(gs[t], ss[t])]
-        xp = [p - ps[t] * u for p, u in zip(xp, step)]
-        xq = [q - qs[t] * u for q, u in zip(xq, step)]
-        xs.append([_reduced(p, q, d) for p, q in zip(xp, xq)])
+    for a, g, s in zip(pi, gs, ss):
+        xs.append([x - a * (gv + sv) for x, gv, sv in zip(xs[-1], g, s)])
     return Trace(
         steps=list(pi),
         xs=xs,
@@ -539,76 +540,42 @@ def sample_free_trace(pi: list[RadicalScalar], dim: int, rng: random.Random):
     )
 
 
-def _int_parts(values) -> tuple[list[int], list[int], int]:
-    """Integer lists ps, qs and one denominator d with values[i] = (ps[i] + qs[i] sqrt2)/d."""
-    d = lcm(*{v.d for v in values})
-    if d == 1:
-        return [v.p for v in values], [v.q for v in values], 1
-    return [v.p * (d // v.d) for v in values], [v.q * (d // v.d) for v in values], d
-
-
 def _slack_term(slack: SlackMatrix, cols: list) -> RadicalScalar:
-    """Tr(V S V^T) for V = cols = [w, s_1, ..., s_n, s_*], with integer s columns.
+    """Tr(V S V^T) for V = cols = [w, s_1, ..., s_n, s_*], with integer columns.
 
     S's border is read entry by entry.  L's form over [s_1, ..., s_n, s_*] is
     core'_k's form, by the gluing recursion
     Q'_{j+1}(v) = Q'_j(first copy) + rho**2 Q'_j(second copy)
     + 2 <v_mid, sum_r B_r v_r> + B_mid ||v_mid||**2,
-    less ||sum_r gap_k[r] v_r||**2, plus the border -c and the corner.
-    Unrolled, index r of the core is a leaf (r even) or the middle of one
-    node of level v2(r + 1), inside popcount(r + 1) - 1 second copies, so
-    its terms carry the scale rho**(2 (popcount(r + 1) - 1)).  Each level
-    sums its terms as integer pairs (p, q) for p + q sqrt2, so a trial is
-    O(n k dim) integer work and O(k) field operations.
+    less ||sum_r gap_k[r] s_r||**2, plus the border -c and the corner.
+    Unrolled over the tree's nodes, node r of level j with scale ``scale``
+    adds scale (B_mid ||s_r||**2 - 2 rho**j <s_r, gap_j . first copy>
+    - 2 rho <s_r, pi(j) . second copy>).  The inner products of s_r with its
+    neighbours are ints, so a trial is O(n k dim) integer work and O(n)
+    field operations.
     """
-    from .solver import _dot
-
     w, ss, s_star = cols[0], cols[1:-1], cols[-1]
     term = ZERO
     for j, v in slack.border.items():  # an off-diagonal entry stands for two
-        g = _dot(w, cols[j])
+        g = sum(map(mul, w, cols[j]))
         term = term + v * (g if j == 0 else g + g)
-    n = len(ss)
-    coords = [[col[l] for col in ss] for l in range(len(s_star))]
-    scales = [(x.p, x.q) for x in map(rho_pow, range(0, 2 * len(slack.levels) + 1, 2))]
-    norm_p = norm_q = 0
-    for r in range(0, n, 2):  # the leaves, core'_1 = [base]
-        a, b = scales[(r + 1).bit_count() - 1]
-        sq = sum(map(mul, ss[r], ss[r]))
-        norm_p, norm_q = norm_p + a * sq, norm_q + b * sq
-    core = slack.base * _reduced(norm_p, norm_q, 1)
-    for j, level in enumerate(slack.levels, start=1):
-        m = 2**j - 1  # core'_j's size; a node of level j spans 2m + 1 columns
-        gap_ps, gap_qs, gap_d = _int_parts(level.gap)
-        pi_ps, pi_qs, pi_d = _int_parts(level.pi)
-        norm_p = norm_q = lo_p = lo_q = hi_p = hi_q = 0
-        for mid in range(m, n, 2 * m + 2):
-            a, b = scales[(mid + 1).bit_count() - 1]
-            v = ss[mid]
-            sq = sum(map(mul, v, v))
-            gp = gq = pp = pq = 0  # <v_mid, sum gap_j v> and <v_mid, sum pi(j) v>
-            for x, vl in zip(coords, v):
-                if vl:
-                    first, second = x[mid - m:mid], x[mid + 1:mid + 1 + m]
-                    gp += vl * sum(map(mul, gap_ps, first))
-                    gq += vl * sum(map(mul, gap_qs, first))
-                    pp += vl * sum(map(mul, pi_ps, second))
-                    pq += vl * sum(map(mul, pi_qs, second))
-            norm_p, norm_q = norm_p + a * sq, norm_q + b * sq
-            lo_p, lo_q = lo_p + a * gp + 2 * b * gq, lo_q + a * gq + b * gp
-            hi_p, hi_q = hi_p + a * pp + 2 * b * pq, hi_q + a * pq + b * pp
-        # B_j is -rho**j gap_j on the first copy and -rho pi(j) on the second
-        cross = rho_pow(j) * _reduced(lo_p, lo_q, gap_d) + RHO * _reduced(hi_p, hi_q, pi_d)
-        core = core + level.diag * _reduced(norm_p, norm_q, 1) - cross - cross
-    gap_ps, gap_qs, gap_d = _int_parts(slack.gap)
-    c_ps, c_qs, c_d = _int_parts(slack.c)
-    outer_p = outer_q = c_p = c_q = 0
-    for x, y in zip(coords, s_star):
-        gp, gq = sum(map(mul, gap_ps, x)), sum(map(mul, gap_qs, x))
-        outer_p, outer_q = outer_p + gp * gp + 2 * gq * gq, outer_q + 2 * gp * gq
-        c_p, c_q = c_p + y * sum(map(mul, c_ps, x)), c_q + y * sum(map(mul, c_qs, x))
-    bordered = _reduced(c_p, c_q, c_d)
-    lap = (core - _reduced(outer_p, outer_q, gap_d * gap_d) - bordered - bordered
+    core = ZERO
+    for r, j, scale, level in slack._nodes():
+        v = ss[r]
+        node = level.diag * sum(map(mul, v, v))
+        if j:  # a leaf has no border column
+            m = 2**j - 1
+            first = [sum(map(mul, v, u)) for u in ss[r - m:r]]
+            second = [sum(map(mul, v, u)) for u in ss[r + 1:r + 1 + m]]
+            cross = rho_pow(j) * int_dot(level.gap, first) + RHO * int_dot(level.pi, second)
+            node = node - cross - cross
+        core = core + scale * node
+    outer = ZERO
+    for x in zip(*ss):  # ||sum_r gap_k[r] s_r||**2, one coordinate at a time
+        g = int_dot(slack.gap, x)
+        outer = outer + g * g
+    bordered = int_dot(slack.c, [sum(map(mul, s, s_star)) for s in ss])
+    lap = (core - outer - bordered - bordered
            + slack.corner * sum(map(mul, s_star, s_star)))
     return term + lap
 
@@ -622,7 +589,7 @@ def evaluate_identity(bundle: CertificateBundle, trace) -> tuple[RadicalScalar, 
     from u and the slack matrix S.  The trace's gradient and subgradient
     coordinates must be ints, as ``sample_free_trace`` draws them.
     """
-    from .solver import _norm2, cocoercivity_f, cocoercivity_h
+    from .solver import cocoercivity_f, cocoercivity_h
 
     n = bundle.n
     lhs = ZERO
@@ -641,17 +608,13 @@ def evaluate_identity(bundle: CertificateBundle, trace) -> tuple[RadicalScalar, 
 
     gap_term = (rho_pow(bundle.k) * 2 - ONE) * (trace.F_star - trace.Fs[n])
     w = trace.xs[0]  # x_0 - x_* since the optimum is at the origin
-    w_norm2 = _norm2(w)
+    w_norm2 = sum(map(mul, w, w))
 
     uc = bundle.u_coeffs
-    g_ps, g_qs, g_d = _int_parts(uc.g)  # the g and s coordinates are ints:
-    s_ps, s_qs, s_d = _int_parts(uc.s)  # integer dots over p and q
     u_norm2 = ZERO
-    for l, wl in enumerate(w):
-        gl, sl = [g[l] for g in trace.gs], [s[l] for s in trace.ss]
-        acc = (uc.init * wl + uc.s_star * trace.s_star[l]
-               + _reduced(sum(map(mul, g_ps, gl)), sum(map(mul, g_qs, gl)), g_d)
-               + _reduced(sum(map(mul, s_ps, sl)), sum(map(mul, s_qs, sl)), s_d))
+    for wl, gl, sl, sl_star in zip(w, zip(*trace.gs), zip(*trace.ss), trace.s_star):
+        acc = (uc.init * wl + uc.s_star * sl_star
+               + int_dot(uc.g, gl) + int_dot(uc.s, sl))
         u_norm2 = u_norm2 + acc * acc
 
     trace_term = _slack_term(bundle.slack, [w] + trace.ss + [trace.s_star])

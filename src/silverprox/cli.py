@@ -48,6 +48,9 @@ from .solver import (
 CERT_SCHEMA = "silverprox.cert/1"
 # Largest --dim: a random instance's d x d float64 matrices then take 128 MiB each.
 MAX_DIM = 4096
+# Largest --trials: 20 trials already leave a wrong coefficient alive with
+# probability at most (2/11)**20.
+MAX_TRIALS = 1000
 
 
 class UsageError(Exception):
@@ -164,8 +167,8 @@ def _verify_one(k: int, args) -> tuple[dict, str, bool]:
 
 def cmd_cert_verify(args) -> int:
     _require_dim_and_seed(args)
-    if args.trials < 1:
-        raise UsageError("--trials must be positive")
+    if not 1 <= args.trials <= MAX_TRIALS:
+        raise UsageError(f"--trials must be between 1 and {MAX_TRIALS}")
     ks = _parse_k_spec(args.k)
     all_pass = True
     results = []

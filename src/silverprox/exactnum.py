@@ -13,14 +13,18 @@ canonical, so equality compares the three ints directly.  Almost every
 certificate quantity lies in Z[sqrt2] (d == 1); arithmetic on such values is
 plain integer arithmetic with no gcd at all, and the exact sign of
 p + q*sqrt2 compares p*p with 2*q*q.  The rational components a = p/d and
-b = q/d are available as ``Fraction`` properties.
+b = q/d are available as ``Fraction`` properties.  ``int_dot`` sums values
+times ints on the integer form and reduces once, so that other modules
+never read it.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
+from operator import attrgetter, mul
 
 _SQRT2_FLOAT = math.sqrt(2.0)
 
@@ -172,17 +176,7 @@ class RadicalScalar:
 
     def sign(self) -> int:
         """Exact sign of the real number a + b*sqrt2: -1, 0, or +1."""
-        # d > 0, so the sign is that of p + q sqrt2: _sign's body, inlined
-        # because the certificate checks call this in their inner loops (a
-        # call through _sign made the k=8 checks about 6% slower)
-        p, q = self.p, self.q
-        if p >= 0:
-            if q >= 0:
-                return 1 if p or q else 0
-            return 1 if p * p > 2 * q * q else -1
-        if q <= 0:
-            return -1
-        return -1 if p * p > 2 * q * q else 1
+        return _sign(self.p, self.q)  # d > 0
 
     def __bool__(self):
         return self.p != 0 or self.q != 0
@@ -289,6 +283,7 @@ def _sign(p: int, q: int) -> int:
 
 
 _alloc = object.__new__
+_get_p, _get_q, _get_d = attrgetter("p"), attrgetter("q"), attrgetter("d")
 
 
 def _new(p: int, q: int, d: int) -> RadicalScalar:
@@ -306,6 +301,20 @@ def _reduced(p: int, q: int, d: int) -> RadicalScalar:
     if g != 1:
         p, q, d = p // g, q // g, d // g
     return _new(p, q, d)
+
+
+def int_dot(values: Sequence[RadicalScalar], xs: Iterable[int]) -> RadicalScalar:
+    """Exact sum(values[i] * xs[i]) for ``RadicalScalar`` values and ints xs.
+
+    The values are brought to one common denominator, the two components
+    are summed as integers, and the total is reduced once.
+    """
+    d = lcm(*map(_get_d, values))
+    ps, qs = map(_get_p, values), map(_get_q, values)
+    if d != 1:
+        up = [d // v.d for v in values]
+        ps, qs = map(mul, ps, up), map(mul, qs, up)
+    return _reduced(sum(map(mul, ps, xs)), sum(map(mul, qs, xs)), d)
 
 
 ZERO = RadicalScalar(0, 0)

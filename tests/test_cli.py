@@ -17,7 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from silverprox.cli import MAX_DIM, _require_dim_and_seed, main
+from silverprox.cli import MAX_DIM, MAX_TRIALS, _require_dim_and_seed, main
 from silverprox.exactnum import rho_pow
 from silverprox.solver import random_quadratic_instance
 
@@ -272,6 +272,25 @@ def test_dim_above_the_bound_is_refused_before_anything_is_built(capsys, monkeyp
 
 def test_dim_bound_is_inclusive():
     _require_dim_and_seed(SimpleNamespace(dim=MAX_DIM, seed=0))
+
+
+@pytest.mark.parametrize("trials", ["10000000000000", str(MAX_TRIALS + 1)])
+def test_trials_above_the_bound_are_refused_before_anything_is_built(capsys, monkeypatch, trials):
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"cert verify built inputs for --trials {trials}")
+
+    for name in ("build_bundle", "verify_descent_identity"):
+        monkeypatch.setattr(f"silverprox.cli.{name}", refuse)
+    code, _, err = run(capsys, "cert", "verify", "--k", "1", "--trials", trials)
+    assert code == 2
+    assert err.startswith(f"usage error: --trials must be between 1 and {MAX_TRIALS}\n")
+
+
+def test_trials_bound_is_inclusive(capsys):
+    code, out, _ = run(capsys, "cert", "verify", "--k", "1", "--trials", str(MAX_TRIALS),
+                       "--dim", "1")
+    assert code == 0
+    assert f"identity={MAX_TRIALS}/{MAX_TRIALS}" in out
 
 
 @pytest.mark.parametrize("problem,k,step", [

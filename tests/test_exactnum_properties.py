@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from silverprox.exactnum import ZERO, RadicalScalar, rho_pow
+from silverprox.exactnum import ZERO, RadicalScalar, int_dot, rho_pow
 
 
 class Ref:
@@ -109,6 +109,18 @@ def test_arithmetic_matches_reference(ab, operand):
                 num / den
         else:
             same(num / den, want)
+
+
+@settings(deadline=None)
+@given(st.lists(st.tuples(pairs, numerators), max_size=8))
+@example([])
+@example([((Fraction(1, 6), Fraction(-5, 4)), -3), ((Fraction(2, 3), Fraction(0)), 7)])
+def test_int_dot_matches_sum_of_products(terms):
+    # Values with d > 1 over ints of either sign, on one common denominator.
+    values, xs = [RadicalScalar(*ab) for ab, _ in terms], [x for _, x in terms]
+    got = int_dot(values, xs)
+    assert got == sum((v * x for v, x in zip(values, xs)), ZERO)
+    assert got.d >= 1 and gcd(got.p, got.q, got.d) == 1
 
 
 @settings(deadline=None)
