@@ -26,7 +26,8 @@ are an induction over the levels in O(n).  The slack term of an identity
 trial, O(n k dim) integer work, and ``SlackMatrix.lap``, which generates
 L's rows for readers that want them, both read the tree in one walk over
 its nodes (``SlackMatrix._nodes``).  Sums of field values times integer
-coordinates go through ``exactnum.int_dot``, so nothing here reads a
+coordinates go through ``exactnum.int_dot``, and the iterates' common
+denominator through ``exactnum.int_form``, so nothing here reads a
 ``RadicalScalar``'s integer form.
 
 The descent identity states that the multiplier-weighted sum of
@@ -41,6 +42,16 @@ those variables, evaluating them on random integer points and comparing
 exactly is a sound identity test.  The residual has degree at most 2, so by
 Schwartz-Zippel a wrong coefficient survives one trial with the 11 values
 -5..5 per variable with probability at most 2/11, independently per trial.
+
+The left side is read as in the Gram view of performance estimation.  Over
+one common denominator the iterates are x_i = (X_i + sqrt2 Y_i) / d with
+int vectors X_i, Y_i (d = 1 for the silver steps), so twice d times each
+co-coercivity is A + sqrt2 B with A, B a few int inner products.  The
+O(n k) stored ``bar`` entries are summed so: two ``int_dot``s per chunk of
+``BAR_CHUNK`` entries, and no field operation per entry.  The O(n) optimum
+rows stay on the solver's own definition, ``solver.cocoercivity_f`` and
+``cocoercivity_h``: they cost little there, and perfbench's traced run
+looks for those functions under ``cert verify``.
 
 Note on the slack matrix: S is symmetric, with first row and column
 (1/sqrt2, -1, 0, ..., 0, +1).  An equivalent presentation elsewhere lists
@@ -58,11 +69,14 @@ from fractions import Fraction
 from functools import lru_cache
 from operator import mul
 
-from .exactnum import ONE, RHO, SQRT2, ZERO, RadicalScalar, int_dot, rho_pow
+from .exactnum import ONE, RHO, SQRT2, ZERO, RadicalScalar, int_dot, int_form, rho_pow
 from .schedule import c_sequence, silver_schedule, two_adic_valuation
 
 INV_SQRT2 = RadicalScalar(0, Fraction(1, 2))  # 1/sqrt2 = sqrt2/2
 RHO_OVER_2SQRT2 = RadicalScalar(Fraction(1, 2), Fraction(1, 4))  # rho/(2 sqrt2)
+# Multiplier entries whose integer co-coercivities the identity holds at once:
+# one chunk per part up to k=8, and a bounded list at higher orders.
+BAR_CHUNK = 8192
 
 
 class SparseRow(dict):
@@ -580,28 +594,85 @@ def _slack_term(slack: SlackMatrix, cols: list) -> RadicalScalar:
     return term + lap
 
 
+def _require_int_trace(trace) -> None:
+    """Raise ``ValueError`` naming the first free field of ``trace`` that holds a non-int."""
+    fields = (("gs", [v for g in trace.gs for v in g]), ("ss", [v for s in trace.ss for v in s]),
+              ("s_star", trace.s_star), ("fs", trace.fs), ("hs", trace.hs), ("xs[0]", trace.xs[0]))
+    for name, values in fields:
+        if not set(map(type, values)) <= {int}:
+            raise ValueError(f"trace {name} must hold ints, as sample_free_trace draws them")
+
+
+def _bar_term(bar: Rows, xs: list, ys: list, d: int, grads: list, values: list,
+              smooth: bool) -> RadicalScalar:
+    """2d times the sum of ``bar[i][j]`` times the co-coercivity of points i and j.
+
+    Point i is x_i = (X_i + sqrt2 Y_i) / d, with int vectors X_i = ``xs[i]``
+    and Y_i = ``ys[i]``, gradient (or subgradient) g_i = ``grads[i]`` and
+    value v_i = ``values[i]``, all ints.  Then 2d co(i, j) = A + sqrt2 B with
+    the ints
+    A = 2d (v_i - v_j) - 2 <g_j, X_i - X_j> - [smooth] d ||g_i - g_j||**2 and
+    B = -2 <g_j, Y_i - Y_j>.  Grouped by index, with e = [smooth] d,
+    A = a_i - b_j - <g_j, 2 (X_i - e g_i)> for a_i = 2d v_i - e ||g_i||**2 and
+    b_j = 2d v_j + e ||g_j||**2 - 2 <g_j, X_j>, so an entry costs two int
+    dots of length dim.  The multipliers weigh A and B in one ``int_dot``
+    each per ``BAR_CHUNK`` entries (one chunk per part up to k=8), which
+    bounds the integer lists.
+    """
+    e = d if smooth else 0
+    norms = [e * sum(map(mul, g, g)) for g in grads]
+    shifted = [[2 * (x - e * t) for x, t in zip(xi, g)] for xi, g in zip(xs, grads)]
+    a = [2 * d * v - m for v, m in zip(values, norms)]
+    b = [2 * d * v + m - 2 * sum(map(mul, g, xi))
+         for v, m, g, xi in zip(values, norms, grads, xs)]
+    gy = [sum(map(mul, g, yi)) for g, yi in zip(grads, ys)]
+    total, weights, big_a, half_b = ZERO, [], [], []
+    last = len(bar) - 1
+    for i, row in enumerate(bar):
+        zi, yi, ai, cols = shifted[i], ys[i], a[i], row.keys()
+        weights += row.values()
+        big_a += [ai - b[j] - sum(map(mul, grads[j], zi)) for j in cols]
+        half_b += [gy[j] - sum(map(mul, grads[j], yi)) for j in cols]
+        if len(weights) >= BAR_CHUNK or i == last:
+            total = total + int_dot(weights, big_a) + SQRT2 * 2 * int_dot(weights, half_b)
+            weights, big_a, half_b = [], [], []
+    return total
+
+
 def evaluate_identity(bundle: CertificateBundle, trace) -> tuple[RadicalScalar, RadicalScalar]:
     """Evaluate both sides of the descent identity on one trace, exactly.
 
-    The left side weights the trace's co-coercivities (evaluated by the
-    solver module) with the bundle's multipliers; the right side combines
-    the objective gap, the initial distance, and the sum of squares built
-    from u and the slack matrix S.  The trace's gradient and subgradient
-    coordinates must be ints, as ``sample_free_trace`` draws them.
+    The left side weights the trace's co-coercivities with the bundle's
+    multipliers; the right side combines the objective gap, the initial
+    distance, and the sum of squares built from u and the slack matrix S.
+    The trace's gradients, subgradients, ``s_star``, ``fs``, ``hs`` and
+    x_0 must hold ints, as ``sample_free_trace`` draws them; a field that
+    does not raises ``ValueError``.
+
+    The O(n k) stored ``bar`` entries are summed on the iterates' integer
+    form (``exactnum.int_form``, one common denominator d) by ``_bar_term``,
+    with no field operation per entry.  The O(n) optimum rows go through
+    ``solver.cocoercivity_f`` and ``cocoercivity_h``, the solver's own
+    definition: they cost little, and perfbench's traced run looks for those
+    functions under ``cert verify``.
     """
     from .solver import cocoercivity_f, cocoercivity_h
 
-    n = bundle.n
-    lhs = ZERO
+    _require_int_trace(trace)
+    n, dim = bundle.n, len(trace.xs[0])
+    coords = [v if isinstance(v, RadicalScalar) else RadicalScalar(v)
+              for x in trace.xs for v in x]
+    ps, qs, d = int_form(coords)
+    xs = [ps[t * dim:(t + 1) * dim] for t in range(n + 1)]
+    ys = [qs[t * dim:(t + 1) * dim] for t in range(n + 1)]
     # subgradients start at iterate 1, so mu's indices are offset by one
+    lhs = (_bar_term(bundle.lam.bar, xs, ys, d, trace.gs, trace.fs, smooth=True)
+           + _bar_term(bundle.mu.bar, xs[1:], ys[1:], d, trace.ss, trace.hs[1:], smooth=False)
+           ) / (2 * d)
     for mult, cocoercivity, offset in (
         (bundle.lam, cocoercivity_f, 0),
         (bundle.mu, cocoercivity_h, 1),
     ):
-        for i, row in enumerate(mult.bar):
-            for j, v in row.items():
-                if i != j:
-                    lhs = lhs + v * cocoercivity(trace, i + offset, j + offset)
         for j, v in enumerate(mult.star_row):
             if v:
                 lhs = lhs + v * cocoercivity(trace, "*", j + offset)

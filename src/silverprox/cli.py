@@ -51,6 +51,9 @@ MAX_DIM = 4096
 # Largest --trials: 20 trials already leave a wrong coefficient alive with
 # probability at most (2/11)**20.
 MAX_TRIALS = 1000
+# Largest --trials x --dim x n for cert verify, n = 2**k - 1 at the largest
+# --k: one k=8 trial at the largest --dim, or 1000 trials at k=8 and --dim 4.
+MAX_WORK = 255 * MAX_DIM
 
 
 class UsageError(Exception):
@@ -83,6 +86,12 @@ def _parse_k_spec(text: str) -> list[int]:
             "raise the environment variable to allow larger orders"
         )
     return list(range(lo, hi + 1))
+
+
+def _require_work(args, ks: list[int]) -> None:
+    work = args.trials * args.dim * (2 ** max(ks) - 1)
+    if work > MAX_WORK:
+        raise UsageError(f"--trials x --dim x n = {work} exceeds the limit {MAX_WORK}")
 
 
 def _single_k(args) -> int:
@@ -170,6 +179,7 @@ def cmd_cert_verify(args) -> int:
     if not 1 <= args.trials <= MAX_TRIALS:
         raise UsageError(f"--trials must be between 1 and {MAX_TRIALS}")
     ks = _parse_k_spec(args.k)
+    _require_work(args, ks)
     all_pass = True
     results = []
     for k in ks:

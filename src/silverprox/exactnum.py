@@ -13,15 +13,16 @@ canonical, so equality compares the three ints directly.  Almost every
 certificate quantity lies in Z[sqrt2] (d == 1); arithmetic on such values is
 plain integer arithmetic with no gcd at all, and the exact sign of
 p + q*sqrt2 compares p*p with 2*q*q.  The rational components a = p/d and
-b = q/d are available as ``Fraction`` properties.  ``int_dot`` sums values
-times ints on the integer form and reduces once, so that other modules
-never read it.
+b = q/d are available as ``Fraction`` properties.  ``int_form`` puts a list
+of values over one common denominator, and ``int_dot`` sums values times
+ints on that form and reduces once, so that other modules never read the
+three ints of a value.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 from fractions import Fraction
 from math import gcd, lcm
 from operator import attrgetter, mul
@@ -303,17 +304,27 @@ def _reduced(p: int, q: int, d: int) -> RadicalScalar:
     return _new(p, q, d)
 
 
-def int_dot(values: Sequence[RadicalScalar], xs: Iterable[int]) -> RadicalScalar:
-    """Exact sum(values[i] * xs[i]) for ``RadicalScalar`` values and ints xs.
+def int_form(values: Sequence[RadicalScalar]) -> tuple[list[int], list[int], int]:
+    """Integer form of ``values`` over one denominator: ``(ps, qs, d)``.
 
-    The values are brought to one common denominator, the two components
-    are summed as integers, and the total is reduced once.
+    ``values[i] == (ps[i] + qs[i] sqrt2) / d`` for every i, where d is the
+    lcm of the values' denominators (1 for an empty list).
     """
     d = lcm(*map(_get_d, values))
-    ps, qs = map(_get_p, values), map(_get_q, values)
+    ps, qs = list(map(_get_p, values)), list(map(_get_q, values))
     if d != 1:
         up = [d // v.d for v in values]
-        ps, qs = map(mul, ps, up), map(mul, qs, up)
+        ps, qs = list(map(mul, ps, up)), list(map(mul, qs, up))
+    return ps, qs, d
+
+
+def int_dot(values: Sequence[RadicalScalar], xs: Sequence[int]) -> RadicalScalar:
+    """Exact sum(values[i] * xs[i]) for ``RadicalScalar`` values and ints xs.
+
+    The two components of the values' ``int_form`` are summed against xs as
+    integers, and the total is reduced once.
+    """
+    ps, qs, d = int_form(values)
     return _reduced(sum(map(mul, ps, xs)), sum(map(mul, qs, xs)), d)
 
 

@@ -1,13 +1,19 @@
 import math
 import operator
 import random
+import re
 from dataclasses import replace
+from fractions import Fraction
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from silverprox import certificate
 from silverprox.certificate import (
+    BAR_CHUNK,
+    TAMPER_TARGETS,
     _slack_term,
     build_bundle,
     build_lambda,
@@ -25,6 +31,7 @@ from silverprox.certificate import (
 )
 from silverprox.exactnum import ONE, RHO, SQRT2, ZERO, RadicalScalar, rho_pow
 from silverprox.schedule import c_sequence, silver_schedule
+from silverprox.solver import cocoercivity_f, cocoercivity_h
 from sparse_rows import (
     bordered,
     dense,
@@ -541,6 +548,63 @@ def test_free_trace_is_plain_ints():
     free = [*trace.fs, *trace.hs, trace.f_star, trace.h_star, *trace.s_star, *trace.xs[0]]
     free += [v for vec in trace.gs + trace.ss for v in vec]
     assert all(type(v) is int for v in free)
+
+
+def _lhs_by_definition(bundle, trace):
+    """The identity's left side: v * co(i, j) over every stored entry, through the solver."""
+    total = ZERO
+    for mult, cocoercivity, offset in ((bundle.lam, cocoercivity_f, 0),
+                                       (bundle.mu, cocoercivity_h, 1)):
+        for i, row in enumerate(mult.bar):
+            for j, v in row.items():
+                total = total + v * cocoercivity(trace, i + offset, j + offset)
+        for j, v in enumerate(mult.star_row):
+            total = total + v * cocoercivity(trace, "*", j + offset)
+    return total
+
+
+@settings(max_examples=16, deadline=None)
+@given(k=st.integers(1, 8), dim=st.integers(1, 4),
+       target=st.sampled_from((None,) + TAMPER_TARGETS), thirds=st.booleans(),
+       chunk=st.sampled_from((BAR_CHUNK, 1, 7)), seed=st.integers(0, 2**32 - 1))
+@example(k=8, dim=4, target=None, thirds=True, chunk=BAR_CHUNK, seed=0)
+@example(k=6, dim=3, target="lambda", thirds=True, chunk=7, seed=1)
+@example(k=3, dim=3, target="mu", thirds=False, chunk=1, seed=2)
+@example(k=2, dim=1, target="slack", thirds=True, chunk=BAR_CHUNK, seed=3)
+@example(k=4, dim=4, target="u", thirds=False, chunk=7, seed=4)
+def test_identity_lhs_matches_cocoercivity_sum(k, dim, target, thirds, chunk, seed):
+    # Steps pi / 3 put the iterates over d = 3**m, so the integer form takes
+    # the common-denominator path; silver steps keep d = 1.  Small chunks
+    # split each multiplier part over several sums, as high orders do.
+    bundle = build_bundle(k)
+    steps = [p / 3 for p in bundle.pi] if thirds else bundle.pi
+    trace = sample_free_trace(steps, dim, random.Random(seed))
+    if target is not None:
+        bundle = tamper_bundle(bundle, target)
+    with mock.patch.object(certificate, "BAR_CHUNK", chunk):
+        lhs, _ = evaluate_identity(bundle, trace)
+    assert lhs == _lhs_by_definition(bundle, trace)
+
+
+@pytest.mark.parametrize("field", ["gs", "ss", "s_star", "fs", "hs", "xs[0]"])
+def test_identity_rejects_a_trace_with_non_int_field(field):
+    bundle = build_bundle(2)
+    trace = sample_free_trace(bundle.pi, 2, random.Random(7))
+    half = Fraction(1, 2)
+    if field == "gs":
+        trace.gs[1][0] = half
+    elif field == "ss":
+        trace.ss[2][1] = half
+    elif field == "s_star":
+        trace.s_star[0] = half
+    elif field == "fs":
+        trace.fs[3] = half
+    elif field == "hs":
+        trace.hs[1] = half
+    else:
+        trace.xs[0][1] = half
+    with pytest.raises(ValueError, match=rf"trace {re.escape(field)} must hold ints"):
+        evaluate_identity(bundle, trace)
 
 
 def test_identity_rejects_mismatched_order():

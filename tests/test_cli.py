@@ -17,7 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from silverprox.cli import MAX_DIM, MAX_TRIALS, _require_dim_and_seed, main
+from silverprox.cli import MAX_DIM, MAX_TRIALS, MAX_WORK, _require_dim_and_seed, main
 from silverprox.exactnum import rho_pow
 from silverprox.solver import random_quadratic_instance
 
@@ -291,6 +291,37 @@ def test_trials_bound_is_inclusive(capsys):
                        "--dim", "1")
     assert code == 0
     assert f"identity={MAX_TRIALS}/{MAX_TRIALS}" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ("--k", "8", "--trials", str(MAX_TRIALS), "--dim", str(MAX_DIM)),
+    ("--k", "1..8", "--trials", "2", "--dim", str(MAX_DIM)),  # n from the largest order
+])
+def test_work_above_the_bound_is_refused_before_anything_is_built(capsys, monkeypatch, argv):
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"cert verify built inputs for {argv}")
+
+    for name in ("build_bundle", "verify_descent_identity"):
+        monkeypatch.setattr(f"silverprox.cli.{name}", refuse)
+    code, _, err = run(capsys, "cert", "verify", *argv)
+    assert code == 2
+    work = int(argv[3]) * int(argv[5]) * 255
+    assert err.startswith(
+        f"usage error: --trials x --dim x n = {work} exceeds the limit {MAX_WORK}\n")
+
+
+def test_work_bound_is_inclusive(monkeypatch):
+    # One k=8 trial at the largest --dim is exactly the limit, and gets past every check.
+    class Reached(Exception):
+        pass
+
+    def reached(k, args):
+        raise Reached
+
+    monkeypatch.setattr("silverprox.cli._verify_one", reached)
+    assert 1 * MAX_DIM * 255 == MAX_WORK
+    with pytest.raises(Reached):
+        main(["cert", "verify", "--k", "1..8", "--trials", "1", "--dim", str(MAX_DIM)])
 
 
 @pytest.mark.parametrize("problem,k,step", [

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from silverprox.exactnum import ZERO, RadicalScalar, int_dot, rho_pow
+from silverprox.exactnum import ZERO, RadicalScalar, int_dot, int_form, rho_pow
 
 
 class Ref:
@@ -121,6 +121,21 @@ def test_int_dot_matches_sum_of_products(terms):
     got = int_dot(values, xs)
     assert got == sum((v * x for v, x in zip(values, xs)), ZERO)
     assert got.d >= 1 and gcd(got.p, got.q, got.d) == 1
+
+
+@settings(deadline=None)
+@given(st.lists(pairs, max_size=8))
+@example([])
+@example([(Fraction(1, 6), Fraction(-5, 4)), (Fraction(2, 3), Fraction(0))])
+def test_int_form_is_exact_over_the_lcm_of_denominators(components):
+    values = [RadicalScalar(*ab) for ab in components]
+    ps, qs, d = int_form(values)
+    # the lcm of the denominators of a_i and b_i, read through the public properties
+    assert d == math.lcm(*(math.lcm(v.a.denominator, v.b.denominator) for v in values))
+    assert len(ps) == len(qs) == len(values)
+    for p, q, v in zip(ps, qs, values):
+        assert type(p) is int and type(q) is int
+        assert RadicalScalar(Fraction(p, d), Fraction(q, d)) == v
 
 
 @settings(deadline=None)
