@@ -70,7 +70,7 @@ from functools import lru_cache
 from operator import mul
 
 from .exactnum import ONE, RHO, SQRT2, ZERO, RadicalScalar, int_dot, int_form, rho_pow
-from .schedule import c_sequence, silver_schedule, two_adic_valuation
+from .schedule import c_sequence, silver_levels, silver_schedule, two_adic_valuation
 
 INV_SQRT2 = RadicalScalar(0, Fraction(1, 2))  # 1/sqrt2 = sqrt2/2
 RHO_OVER_2SQRT2 = RadicalScalar(Fraction(1, 2), Fraction(1, 4))  # rho/(2 sqrt2)
@@ -231,11 +231,11 @@ def _glue(bar: Rows, offset: int) -> Rows:
 
 
 def build_lambda(k: int) -> Multipliers:
-    """Smooth-part multipliers of order k."""
+    """Smooth-part multipliers of order k; level j reads pi(j) as the prefix of pi(k)."""
+    pi = silver_schedule(k)
     bar: Rows = [{1: RHO}, {0: ONE}]
     for j in range(1, k):
         n = 2**j - 1
-        pi = silver_schedule(j)
         new = _glue(bar, n + 1)
         # sparse correction: two entries coupling the copies
         _accumulate(new[n], 2 * n + 1, RHO)
@@ -246,17 +246,17 @@ def build_lambda(k: int) -> Multipliers:
             _accumulate(new[n], jj, add)
             _accumulate(new[2 * n + 1], jj, add)
         bar = new
-    star = silver_schedule(k) + [rho_pow(k)]
+    star = pi + [rho_pow(k)]
     return Multipliers(bar=[SparseRow(sorted(r.items())) for r in bar], star_row=star)
 
 
 def build_mu(k: int) -> Multipliers:
-    """Nonsmooth-part multipliers of order k."""
+    """Nonsmooth-part multipliers of order k, from one walk of ``silver_levels(k)``."""
     bar: Rows = [{}]
-    for j in range(1, k):
+    for j, (pi, c) in enumerate(silver_levels(k), start=1):
+        if j == k:  # pi and c are pi(k) and c(k): every level is glued
+            break
         n = 2**j - 1
-        pi = silver_schedule(j)
-        c = c_sequence(j)
         new = _glue(bar, n + 1)
         # sparse correction (rows/cols here are 0-based: iterate i+1)
         _accumulate(new[n - 1], n, rho_pow(j))
@@ -279,7 +279,6 @@ def build_mu(k: int) -> Multipliers:
             _accumulate(new[2 * n], jj,
                         (RHO + ONE) * c[jj - n - 1] - (ONE + rho_pow(-j)) * p)
         bar = new
-    c = c_sequence(k)
     star = [c[0] + ONE] + c[1:]
     return Multipliers(bar=[SparseRow(sorted(r.items())) for r in bar], star_row=star)
 
@@ -290,18 +289,18 @@ def _border(n: int) -> SparseRow:
 
 
 def build_slack(k: int) -> SlackMatrix:
-    """Slack matrices of order k, stored as their gluing tree (O(n) entries, O(n k) time)."""
+    """Slack matrices of order k as their gluing tree (O(n) entries), from one silver_levels(k)."""
     levels = []
-    for j in range(1, k):
-        pi, c = silver_schedule(j), c_sequence(j)
+    for j, (pi, c) in enumerate(silver_levels(k), start=1):
         gap = [ct - pt for ct, pt in zip(c, pi)]
+        if j == k:
+            break
         diag = (rho_pow(j - 1) + ONE) * (rho_pow(j + 1) + ONE)
         levels.append(GluingLevel(gap=gap, diag=diag, pi=pi))
-    pi, c = silver_schedule(k), c_sequence(k)
     return SlackMatrix(
         base=SQRT2 * 2 + 2,  # core'_1 = 2(rho - 1) + gap_1**2, gap_1 = c(1) - pi(1) = [sqrt2]
         levels=tuple(levels),
-        gap=[ct - pt for ct, pt in zip(c, pi)],
+        gap=gap,
         c=c,
         corner=(rho_pow(k) - ONE) * 2,
         border=_border(2**k - 1),
@@ -309,8 +308,7 @@ def build_slack(k: int) -> SlackMatrix:
 
 
 def build_u_coeffs(k: int) -> UCoefficients:
-    pi = silver_schedule(k)
-    c = c_sequence(k)
+    *_, (pi, c) = silver_levels(k)
     return UCoefficients(
         init=ONE,
         g=tuple(-a for a in pi) + (-rho_pow(k),),
@@ -322,8 +320,6 @@ def build_u_coeffs(k: int) -> UCoefficients:
 @lru_cache(maxsize=None)
 def build_bundle(k: int) -> CertificateBundle:
     """Full certificate of order k (memoized; treat as read-only)."""
-    if k < 1:
-        raise ValueError(f"certificate order k must be >= 1, got {k}")
     return CertificateBundle(
         k=k,
         n=2**k - 1,
@@ -594,11 +590,19 @@ def _slack_term(slack: SlackMatrix, cols: list) -> RadicalScalar:
     return term + lap
 
 
-def _require_int_trace(trace) -> None:
-    """Raise ``ValueError`` naming the first free field of ``trace`` that holds a non-int."""
-    fields = (("gs", [v for g in trace.gs for v in g]), ("ss", [v for s in trace.ss for v in s]),
-              ("s_star", trace.s_star), ("fs", trace.fs), ("hs", trace.hs), ("xs[0]", trace.xs[0]))
-    for name, values in fields:
+def _require_free_trace(trace, n: int) -> None:
+    """Raise ``ValueError`` naming the first field of ``trace`` that evaluate_identity rejects."""
+    sizes = {"steps": n, "ss": n, "xs": n + 1, "gs": n + 1, "fs": n + 1, "hs": n + 1}
+    fields = [(name, getattr(trace, name), size) for name, size in sizes.items()]
+    dim = len(trace.xs[0]) if trace.xs else 0  # an empty xs fails its own size first
+    fields += [(f"{name}[{i}]", v, dim) for name in ("xs", "gs", "ss")
+               for i, v in enumerate(getattr(trace, name))] + [("s_star", trace.s_star, dim)]
+    for name, values, size in fields:
+        if len(values) != size:
+            raise ValueError(f"trace {name} has {len(values)} entries, not {size}")
+    free = (("gs", [v for g in trace.gs for v in g]), ("ss", [v for s in trace.ss for v in s]),
+            ("s_star", trace.s_star), ("fs", trace.fs), ("hs", trace.hs), ("xs[0]", trace.xs[0]))
+    for name, values in free:
         if not set(map(type, values)) <= {int}:
             raise ValueError(f"trace {name} must hold ints, as sample_free_trace draws them")
 
@@ -645,9 +649,9 @@ def evaluate_identity(bundle: CertificateBundle, trace) -> tuple[RadicalScalar, 
     The left side weights the trace's co-coercivities with the bundle's
     multipliers; the right side combines the objective gap, the initial
     distance, and the sum of squares built from u and the slack matrix S.
-    The trace's gradients, subgradients, ``s_star``, ``fs``, ``hs`` and
-    x_0 must hold ints, as ``sample_free_trace`` draws them; a field that
-    does not raises ``ValueError``.
+    The trace must fit the bundle (n ``steps`` and ``ss``, n + 1 ``xs``, ``gs``, ``fs``, ``hs``,
+    each vector as long as x_0) and hold ints in ``gs``, ``ss``, ``s_star``, ``fs``, ``hs``
+    and x_0, as ``sample_free_trace`` draws them; a field that does not raises ``ValueError``.
 
     The O(n k) stored ``bar`` entries are summed on the iterates' integer
     form (``exactnum.int_form``, one common denominator d) by ``_bar_term``,
@@ -658,7 +662,7 @@ def evaluate_identity(bundle: CertificateBundle, trace) -> tuple[RadicalScalar, 
     """
     from .solver import cocoercivity_f, cocoercivity_h
 
-    _require_int_trace(trace)
+    _require_free_trace(trace, bundle.n)
     n, dim = bundle.n, len(trace.xs[0])
     coords = [v if isinstance(v, RadicalScalar) else RadicalScalar(v)
               for x in trace.xs for v in x]
@@ -706,32 +710,23 @@ def verify_descent_identity(
     is reported with the offending trial.  ``bundle`` defaults to
     ``build_bundle(k)``; a negative control passes a ``tamper_bundle`` copy,
     which is expected to make trials fail.  A bundle of another order than
-    ``k`` and a negative ``seed`` (``random.Random`` would draw the trials of
-    ``-seed``) raise ``ValueError``.
+    ``k``, non-int ``trials``, ``dim`` or ``seed`` and a negative ``seed``
+    (``random.Random`` would draw the trials of ``-seed``) raise ``ValueError``.
     """
-    if trials < 1 or dim < 1 or seed < 0:
-        raise ValueError(f"need trials, dim >= 1 and seed >= 0, got {trials}, {dim}, {seed}")
+    if any(type(v) is not int for v in (trials, dim, seed)) or min(trials, dim) < 1 or seed < 0:
+        raise ValueError(f"need int trials, dim >= 1 and seed >= 0, got {trials}, {dim}, {seed}")
     if bundle is None:
         bundle = build_bundle(k)
     elif bundle.k != k:
         raise ValueError(f"bundle has order {bundle.k}, not k={k}")
     rng = random.Random(seed)
-    failures = []
-    first_residual = ""
-    for t in range(trials):
-        trace = sample_free_trace(bundle.pi, dim, rng)
-        lhs, rhs = evaluate_identity(bundle, trace)
-        if lhs != rhs:
-            failures.append(t)
-            if not first_residual:
-                first_residual = (lhs - rhs).exact_str()
-    return IdentityReport(
-        k=k,
-        trials=trials,
-        dim=dim,
-        failures=tuple(failures),
-        first_residual=first_residual,
-    )
+    residuals = []
+    for _ in range(trials):
+        lhs, rhs = evaluate_identity(bundle, sample_free_trace(bundle.pi, dim, rng))
+        residuals.append(lhs - rhs)
+    failures = tuple(t for t, r in enumerate(residuals) if r)
+    first = residuals[failures[0]].exact_str() if failures else ""
+    return IdentityReport(k=k, trials=trials, dim=dim, failures=failures, first_residual=first)
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,7 @@ from .certificate import (
     verify_descent_identity,
 )
 from .exactnum import ONE
-from .schedule import c_sequence, silver_schedule
+from .schedule import silver_levels, silver_schedule
 from .solver import (
     _norm2,
     _sub,
@@ -115,11 +115,8 @@ def _require_dim_and_seed(args) -> None:
 
 def cmd_schedule(args) -> int:
     k = _single_k(args)
-    sections = []
-    if args.seq in ("pi", "both"):
-        sections.append(("pi", silver_schedule(k)))
-    if args.seq in ("c", "both"):
-        sections.append(("c", c_sequence(k)))
+    *_, (pi, c) = silver_levels(k)
+    sections = [(name, seq) for name, seq in (("pi", pi), ("c", c)) if args.seq in (name, "both")]
     for label, seq in sections:
         print(f"# {label} k={k} entries={len(seq)}")
         for value in seq:

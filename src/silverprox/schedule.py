@@ -17,10 +17,14 @@ rate certificate.  It starts from c(1) = [2(rho-1)] and doubles as
               rho*c(k) - (rho - 1 - rho**-k)*pi(k)],
 
 which keeps sum(pi(k)) = rho**k - 1, sum(c(k)) = 2(rho**k - 1), and
-c(k) >= pi(k) entrywise -- all exactly, and all checked in the tests.
+c(k) >= pi(k) entrywise -- all exactly, and all checked in the tests.  Since
+pi(j) is the prefix of pi(k), one doubling yields every order: ``silver_levels``
+gives (pi(j), c(j)) for j = 1..k, and ``c_sequence`` is its last item.
 """
 
 from __future__ import annotations
+
+from collections.abc import Iterator
 
 from .exactnum import ONE, RHO, SQRT2, RadicalScalar, rho_pow
 
@@ -39,29 +43,30 @@ def silver_step(t: int) -> RadicalScalar:
     return rho_pow(two_adic_valuation(t + 1) - 1) + ONE
 
 
-def _require_order(k: int) -> None:
-    if k < 1:
-        raise ValueError(f"schedule order k must be >= 1, got {k}")
-
-
 def silver_schedule(k: int) -> list[RadicalScalar]:
     """First 2**k - 1 stepsizes, built by the doubling recursion."""
-    _require_order(k)
+    if k < 1:
+        raise ValueError(f"schedule order k must be >= 1, got {k}")
     pi = [SQRT2]
     for j in range(1, k):
         pi = pi + [rho_pow(j - 1) + ONE] + pi
     return pi
 
 
-def c_sequence(k: int) -> list[RadicalScalar]:
-    """Companion sequence c(k) of length 2**k - 1."""
-    _require_order(k)
-    pi = [SQRT2]
+def silver_levels(k: int) -> Iterator[tuple[list[RadicalScalar], list[RadicalScalar]]]:
+    """(pi(j), c(j)) for j = 1..k, from one pi(k): pi(j) is its prefix of length 2**j - 1."""
+    pi = silver_schedule(k)
     c = [SQRT2 * 2]
     for j in range(1, k):
-        mid = (ONE + rho_pow(-j)) * (rho_pow(j - 1) + ONE)
+        head = pi[:len(c)]
+        yield head, c
+        mid = (ONE + rho_pow(-j)) * pi[len(c)]  # rho**(j-1) + 1, pi(j+1)'s middle step
         drag = RHO - ONE - rho_pow(-j)
-        c = pi + [mid] + [RHO * cj - drag * pj for cj, pj in zip(c, pi)]
-        pi = pi + [rho_pow(j - 1) + ONE] + pi
-    return c
+        c = head + [mid] + [RHO * cj - drag * pj for cj, pj in zip(c, head)]
+    yield pi, c
 
+
+def c_sequence(k: int) -> list[RadicalScalar]:
+    """Companion sequence c(k) of length 2**k - 1."""
+    *_, (_, c) = silver_levels(k)
+    return c

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from silverprox import certificate
+from silverprox import certificate, schedule
 from silverprox.certificate import (
     BAR_CHUNK,
     TAMPER_TARGETS,
@@ -605,6 +605,61 @@ def test_identity_rejects_a_trace_with_non_int_field(field):
         trace.xs[0][1] = half
     with pytest.raises(ValueError, match=rf"trace {re.escape(field)} must hold ints"):
         evaluate_identity(bundle, trace)
+
+
+@pytest.mark.parametrize("field", ["steps", "ss", "xs", "gs", "fs", "hs",
+                                   "xs[1]", "gs[2]", "ss[0]", "s_star"])
+def test_identity_rejects_a_trace_of_the_wrong_shape(field):
+    # a list field loses its last entry, a vector its last coordinate (x_0
+    # sets the dimension)
+    bundle = build_bundle(2)
+    trace = sample_free_trace(bundle.pi, 3, random.Random(7))
+    name, _, index = field.partition("[")
+    values = getattr(trace, name)
+    (values[int(index[:-1])] if index else values).pop()
+    with pytest.raises(ValueError, match=rf"trace {re.escape(field)} has \d+ entries, not"):
+        evaluate_identity(bundle, trace)
+
+
+def test_identity_rejects_a_trace_of_another_order():
+    short = sample_free_trace(build_bundle(2).pi, 2, random.Random(1))
+    with pytest.raises(ValueError, match="trace steps has 3 entries, not 7"):
+        evaluate_identity(build_bundle(3), short)
+    long = sample_free_trace(build_bundle(3).pi, 2, random.Random(1))
+    with pytest.raises(ValueError, match="trace steps has 7 entries, not 3"):
+        evaluate_identity(build_bundle(2), long)
+
+
+@pytest.mark.parametrize("argument", [{"trials": 2.5}, {"dim": 2.0}, {"seed": 1.5}, {"seed": True}])
+def test_identity_rejects_non_int_arguments(argument):
+    with pytest.raises(ValueError, match="need int trials"):
+        verify_descent_identity(1, **argument)
+
+
+def test_build_bundle_walks_the_silver_doubling_once_per_builder(monkeypatch):
+    # Every doubling of pi runs in silver_schedule and every recursion of c in
+    # silver_levels; c_sequence has neither of its own.
+    calls = {}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] = calls.get(name, 0) + 1
+            return fn(*args)
+        return wrapper
+
+    for name in ("silver_schedule", "silver_levels", "c_sequence"):
+        wrapper = counted(name, getattr(schedule, name))
+        monkeypatch.setattr(schedule, name, wrapper)
+        monkeypatch.setattr(certificate, name, wrapper, raising=False)
+    build_bundle.cache_clear()
+    try:
+        build_bundle(8)
+    finally:
+        build_bundle.cache_clear()
+    assert calls["silver_schedule"] <= 6 and calls["silver_levels"] <= 4, calls
+    calls.clear()
+    schedule.c_sequence(8)
+    assert calls == {"c_sequence": 1, "silver_levels": 1, "silver_schedule": 1}
 
 
 def test_identity_rejects_mismatched_order():

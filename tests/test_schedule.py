@@ -3,6 +3,7 @@ import pytest
 from silverprox.exactnum import ONE, SQRT2, RadicalScalar, rho_pow
 from silverprox.schedule import (
     c_sequence,
+    silver_levels,
     silver_schedule,
     silver_step,
     two_adic_valuation,
@@ -65,6 +66,13 @@ def test_schedule_palindromic_recursion():
         assert pi[half] == rho_pow(k - 2) + ONE
 
 
+@pytest.mark.parametrize("k", range(1, 11))
+def test_silver_levels_yield_every_order(k):
+    # pi(j) is read as the prefix of pi(k), and c(j + 1) is built from c(j)
+    expected = [(silver_schedule(j), c_sequence(j)) for j in range(1, k + 1)]
+    assert list(silver_levels(k)) == expected
+
+
 def test_c_sequence_small_orders():
     assert c_sequence(1) == [SQRT2 * 2]  # 2(rho - 1)
     c2 = c_sequence(2)
@@ -81,3 +89,5 @@ def test_invalid_order():
     for fn in (silver_schedule, c_sequence):
         with pytest.raises(ValueError):
             fn(0)
+    with pytest.raises(ValueError):
+        next(silver_levels(0))

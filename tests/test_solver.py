@@ -99,6 +99,18 @@ def test_prox_l1_soft_threshold():
     assert exact == [SQRT2 - 1]
 
 
+def test_prox_l1_value_is_a_left_fold():
+    # From Python 3.12 sum() adds floats with compensation; a left fold from
+    # int 0, as solver._dot is, gives the same bits on every version.
+    rng = random.Random(0)
+    x = [rng.uniform(-1, 1) * 10 ** rng.randint(-8, 8) for _ in range(256)]
+    total = 0
+    for v in x:
+        total = total + abs(v)
+    value = prox_library("l1", weight=0.5).value(x)
+    assert value == 0.5 * total == 394281403.83714026
+
+
 def test_prox_halfline_projection():
     oracle = prox_library("halfline")
     assert oracle.prox([-0.7], 0.3) == [0]
