@@ -12,7 +12,10 @@ For a horizon n = 2**k - 1 the certificate consists of
 All objects are built by a doubling recursion: a certificate of order k+1
 glues two copies of the order-k certificate and adds a sparse correction
 (O(1) entries) plus a low-rank correction (O(1) rows built from the
-stepsizes and their companion sequence).  Everything lives in Q(sqrt2) and
+stepsizes and their companion sequence).  Each order is that one level on
+the memoized order below, ``build_bundle(k - 1)``: it shares the rows and
+slack levels the level leaves unchanged and copies only the rows it
+corrects, so every bundle is read-only.  Everything lives in Q(sqrt2) and
 every check below is an exact computation: no floating point is involved.
 
 ``lambda_bar`` and ``mu_bar`` are sparse rows: one dict per row from column
@@ -26,9 +29,9 @@ are an induction over the levels in O(n).  The slack term of an identity
 trial, O(n k dim) integer work, and ``SlackMatrix.lap``, which generates
 L's rows for readers that want them, both read the tree in one walk over
 its nodes (``SlackMatrix._nodes``).  Sums of field values times integer
-coordinates go through ``exactnum.int_dot``, and the iterates' common
-denominator through ``exactnum.int_form``, so nothing here reads a
-``RadicalScalar``'s integer form.
+coordinates go through ``exactnum.int_dot`` or ``int_norm2``, and the
+iterates' common denominator through ``exactnum.int_form``: nothing here
+reads a ``RadicalScalar``'s integer form, and each identity part reduces once.
 
 The descent identity states that the multiplier-weighted sum of
 co-coercivities equals
@@ -69,8 +72,9 @@ from fractions import Fraction
 from functools import lru_cache
 from operator import mul
 
-from .exactnum import ONE, RHO, SQRT2, ZERO, RadicalScalar, int_dot, int_form, rho_pow
-from .schedule import c_sequence, silver_levels, silver_schedule, two_adic_valuation
+from .exactnum import (ONE, RHO, SQRT2, ZERO, RadicalScalar, int_dot, int_form, int_norm2,
+                       rho_pow)
+from .schedule import c_double, c_sequence, silver_schedule, two_adic_valuation
 
 INV_SQRT2 = RadicalScalar(0, Fraction(1, 2))  # 1/sqrt2 = sqrt2/2
 RHO_OVER_2SQRT2 = RadicalScalar(Fraction(1, 2), Fraction(1, 4))  # rho/(2 sqrt2)
@@ -147,27 +151,26 @@ class SlackMatrix:
     corner: RadicalScalar
     border: dict[int, RadicalScalar]
 
-    def _nodes(self) -> Iterator[tuple[int, int, RadicalScalar, GluingLevel]]:
-        """Each index r of core'_k as a tree node: (r, j, scale, level).
+    def _nodes(self) -> Iterator[tuple[int, int, int, GluingLevel]]:
+        """Each index r of core'_k as a tree node: (r, j, t, level).
 
         Index r is the middle column of one node of level j = v2(r + 1)
         (j = 0 is a leaf, core'_1 = [base]), which spans columns
-        r - (2**j - 1) .. r + 2**j - 1.  It lies inside popcount(r + 1) - 1
-        second copies, so its column B_j carries the scale
-        rho**(2 (popcount(r + 1) - 1)).
+        r - (2**j - 1) .. r + 2**j - 1.  It lies inside t = popcount(r + 1) - 1
+        second copies, so its column B_j carries the scale rho**(2 t).
         """
         leaf = GluingLevel(gap=[], diag=self.base, pi=[])
         for r in range(len(self.c)):
             j = two_adic_valuation(r + 1)
-            scale = rho_pow(2 * ((r + 1).bit_count() - 1))
-            yield r, j, scale, self.levels[j - 1] if j else leaf
+            yield r, j, (r + 1).bit_count() - 1, self.levels[j - 1] if j else leaf
 
     @property
     def lap(self) -> Iterator[SparseRow]:
         """L's upper triangle, one row at a time: row r holds its nonzero columns >= r."""
         n, gap = len(self.c), self.gap
         rows: Rows = [{} for _ in range(n)]
-        for r, j, scale, level in self._nodes():  # B_j = (-rho**j gap, diag, -rho pi)
+        for r, j, depth, level in self._nodes():  # B_j = (-rho**j gap, diag, -rho pi)
+            scale = rho_pow(2 * depth)
             rows[r][r] = scale * level.diag
             first, second = -(scale * rho_pow(j)), -(scale * RHO)
             for t, g in enumerate(level.gap, start=r + 1 - 2**j):
@@ -219,68 +222,65 @@ def _accumulate(row: dict[int, RadicalScalar], j: int, v: RadicalScalar) -> None
 def _glue(bar: Rows, offset: int) -> Rows:
     """Gluing step of the doubling recursion: two copies of an order-j block.
 
-    Returns ``offset + len(bar)`` rows holding ``bar`` at (0, 0) and
-    ``rho**2 * bar`` at (offset, offset); the builders' corrections then
-    leave keys unordered until each builder sorts its final rows.
+    Returns ``offset + len(bar)`` rows: ``bar``'s own rows at (0, 0), shared
+    and not copied, empty rows up to ``offset``, and ``rho**2 * bar`` at
+    (offset, offset), whose shifted keys stay ascending.
     """
     rho2 = rho_pow(2)
-    new = [dict(src) for src in bar]
-    new += [{} for _ in range(offset - len(bar))]
-    new += [{offset + j: rho2 * v for j, v in src.items()} for src in bar]
-    return new
+    return (list(bar) + [SparseRow() for _ in range(offset - len(bar))]
+            + [SparseRow(zip([offset + j for j in src.keys()], [rho2 * v for v in src.values()]))
+               for src in bar])
+
+
+def _correct(bar: Rows, i: int, entries) -> None:
+    """Replace ``bar[i]`` by a sorted copy with each (column, value) of ``entries`` added."""
+    row = dict(bar[i])
+    for j, v in entries:
+        _accumulate(row, j, v)
+    bar[i] = SparseRow(sorted(row.items()))
+
+
+def _below(k: int) -> tuple[CertificateBundle | None, list[RadicalScalar], list[RadicalScalar]]:
+    """Order k - 1's memoized bundle (None at k = 1), pi(k), and c(k) by one ``c_double``."""
+    pi = silver_schedule(k)  # the first step of every builder: a bad k fails here
+    prev = build_bundle(k - 1) if k > 1 else None
+    return prev, pi, c_double(k - 1, pi, prev.c) if prev else c_sequence(1)
 
 
 def build_lambda(k: int) -> Multipliers:
-    """Smooth-part multipliers of order k; level j reads pi(j) as the prefix of pi(k)."""
-    pi = silver_schedule(k)
-    bar: Rows = [{1: RHO}, {0: ONE}]
-    for j in range(1, k):
-        n = 2**j - 1
-        new = _glue(bar, n + 1)
-        # sparse correction: two entries coupling the copies
-        _accumulate(new[n], 2 * n + 1, RHO)
-        _accumulate(new[2 * n + 1], n, rho_pow(j))
-        # low-rank correction: two rows proportional to the stepsizes
-        for jj in range(n + 1, 2 * n + 1):
-            add = RHO * pi[jj - n - 1]
-            _accumulate(new[n], jj, add)
-            _accumulate(new[2 * n + 1], jj, add)
-        bar = new
-    star = pi + [rho_pow(k)]
-    return Multipliers(bar=[SparseRow(sorted(r.items())) for r in bar], star_row=star)
+    """Smooth-part multipliers of order k: order k - 1 glued once, rows n and 2n+1 corrected."""
+    star = silver_schedule(k) + [rho_pow(k)]
+    if k == 1:
+        return Multipliers(bar=[SparseRow({1: RHO}), SparseRow({0: ONE})], star_row=star)
+    j, n, prev = k - 1, 2**(k - 1) - 1, build_bundle(k - 1)
+    bar = _glue(prev.lam.bar, n + 1)
+    # a sparse coupling of the copies, and two rows proportional to the stepsizes pi(j)
+    low_rank = list(zip(range(n + 1, 2 * n + 1), [RHO * p for p in prev.pi]))
+    _correct(bar, n, [(2 * n + 1, RHO)] + low_rank)
+    _correct(bar, 2 * n + 1, [(n, rho_pow(j))] + low_rank)
+    return Multipliers(bar=bar, star_row=star)
 
 
 def build_mu(k: int) -> Multipliers:
-    """Nonsmooth-part multipliers of order k, from one walk of ``silver_levels(k)``."""
-    bar: Rows = [{}]
-    for j, (pi, c) in enumerate(silver_levels(k), start=1):
-        if j == k:  # pi and c are pi(k) and c(k): every level is glued
-            break
-        n = 2**j - 1
-        new = _glue(bar, n + 1)
-        # sparse correction (rows/cols here are 0-based: iterate i+1)
-        _accumulate(new[n - 1], n, rho_pow(j))
-        _accumulate(new[n], n + 1, rho_pow(2))
-        _accumulate(new[2 * n], n, (RHO - rho_pow(-j)) * (rho_pow(j - 1) + ONE))
-        # low-rank correction
-        mid = rho_pow(j - 1) + ONE
-        w_hi = rho_pow(j) / mid
-        w_lo = ONE - w_hi
-        w_rho = RHO / mid
-        for jj in range(n):
-            gap = c[jj] - pi[jj]
-            if gap:
-                _accumulate(new[n - 1], jj, w_lo * gap)
-                _accumulate(new[n], jj, w_hi * gap)
-        for jj in range(n + 1, 2 * n + 1):
-            p = pi[jj - n - 1]
-            _accumulate(new[n - 1], jj, w_hi * p)
-            _accumulate(new[n], jj, w_rho * p)
-            _accumulate(new[2 * n], jj,
-                        (RHO + ONE) * c[jj - n - 1] - (ONE + rho_pow(-j)) * p)
-        bar = new
+    """Nonsmooth-part multipliers of order k: order k - 1 glued once, rows n-1, n, 2n corrected."""
+    prev, pi, c = _below(k)
     star = [c[0] + ONE] + c[1:]
-    return Multipliers(bar=[SparseRow(sorted(r.items())) for r in bar], star_row=star)
+    if prev is None:
+        return Multipliers(bar=[SparseRow()], star_row=star)
+    j, n = k - 1, 2**(k - 1) - 1  # rows and columns here are 0-based: iterate i+1
+    bar = _glue(prev.mu.bar, n + 1)
+    mid = rho_pow(j - 1) + ONE
+    w_hi = rho_pow(j) / mid
+    w_lo, w_rho, w_c, w_p = ONE - w_hi, RHO / mid, RHO + ONE, ONE + rho_pow(-j)
+    gaps = [(t, g) for t, g in enumerate(prev.slack.gap) if g]  # gap_j = c(j) - pi(j)
+    second = range(n + 1, 2 * n + 1)
+    _correct(bar, n - 1, [(n, rho_pow(j))] + [(t, w_lo * g) for t, g in gaps]
+             + [(t, w_hi * p) for t, p in zip(second, prev.pi)])
+    _correct(bar, n, [(n + 1, rho_pow(2))] + [(t, w_hi * g) for t, g in gaps]
+             + [(t, w_rho * p) for t, p in zip(second, prev.pi)])
+    _correct(bar, 2 * n, [(n, (RHO - rho_pow(-j)) * mid)]
+             + [(t, w_c * cj - w_p * p) for t, cj, p in zip(second, prev.c, prev.pi)])
+    return Multipliers(bar=bar, star_row=star)
 
 
 def _border(n: int) -> SparseRow:
@@ -289,18 +289,14 @@ def _border(n: int) -> SparseRow:
 
 
 def build_slack(k: int) -> SlackMatrix:
-    """Slack matrices of order k as their gluing tree (O(n) entries), from one silver_levels(k)."""
-    levels = []
-    for j, (pi, c) in enumerate(silver_levels(k), start=1):
-        gap = [ct - pt for ct, pt in zip(c, pi)]
-        if j == k:
-            break
-        diag = (rho_pow(j - 1) + ONE) * (rho_pow(j + 1) + ONE)
-        levels.append(GluingLevel(gap=gap, diag=diag, pi=pi))
+    """Slack matrices of order k as their gluing tree: order k - 1's levels and level k - 1."""
+    prev, pi, c = _below(k)  # level k - 1's gap and pi are order k - 1's gap and pi
+    levels = () if prev is None else prev.slack.levels + (GluingLevel(
+        gap=prev.slack.gap, diag=(rho_pow(k - 2) + ONE) * (rho_pow(k) + ONE), pi=prev.pi),)
     return SlackMatrix(
         base=SQRT2 * 2 + 2,  # core'_1 = 2(rho - 1) + gap_1**2, gap_1 = c(1) - pi(1) = [sqrt2]
-        levels=tuple(levels),
-        gap=gap,
+        levels=levels,
+        gap=[ct - pt for ct, pt in zip(c, pi)],
         c=c,
         corner=(rho_pow(k) - ONE) * 2,
         border=_border(2**k - 1),
@@ -308,28 +304,19 @@ def build_slack(k: int) -> SlackMatrix:
 
 
 def build_u_coeffs(k: int) -> UCoefficients:
-    *_, (pi, c) = silver_levels(k)
-    return UCoefficients(
-        init=ONE,
-        g=tuple(-a for a in pi) + (-rho_pow(k),),
-        s=tuple(-cj for cj in c),
-        s_star=-ONE,
-    )
+    _, pi, c = _below(k)
+    # pi(k) repeats k values and c(k) starts with pi(k - 1): negate each object once
+    minus = {i: -v for i, v in {id(v): v for v in pi + c}.items()}
+    return UCoefficients(init=ONE, g=tuple(minus[id(a)] for a in pi) + (-rho_pow(k),),
+                         s=tuple(minus[id(cj)] for cj in c), s_star=-ONE)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def build_bundle(k: int) -> CertificateBundle:
-    """Full certificate of order k (memoized; treat as read-only)."""
-    return CertificateBundle(
-        k=k,
-        n=2**k - 1,
-        pi=silver_schedule(k),
-        c=c_sequence(k),
-        lam=build_lambda(k),
-        mu=build_mu(k),
-        slack=build_slack(k),
-        u_coeffs=build_u_coeffs(k),
-    )
+    """Full certificate of order k (memoized, every order; orders share rows, so read-only)."""
+    lam, mu, slack = build_lambda(k), build_mu(k), build_slack(k)
+    return CertificateBundle(k=k, n=2**k - 1, pi=silver_schedule(k), c=slack.c,  # c(k), shared
+                             lam=lam, mu=mu, slack=slack, u_coeffs=build_u_coeffs(k))
 
 
 # ---------------------------------------------------------------------------
@@ -518,9 +505,13 @@ def sample_free_trace(pi: list[RadicalScalar], dim: int, rng: random.Random):
     from .solver import Trace
 
     n = len(pi)
+    getrandbits = rng.getrandbits
 
-    def coord():
-        return rng.randint(-5, 5)
+    def coord():  # rng.randint(-5, 5)'s own draw, without its call overhead
+        r = getrandbits(4)
+        while r >= 11:
+            r = getrandbits(4)
+        return r - 5
 
     def vec():
         return [coord() for _ in range(dim)]
@@ -558,32 +549,33 @@ def _slack_term(slack: SlackMatrix, cols: list) -> RadicalScalar:
     Q'_{j+1}(v) = Q'_j(first copy) + rho**2 Q'_j(second copy)
     + 2 <v_mid, sum_r B_r v_r> + B_mid ||v_mid||**2,
     less ||sum_r gap_k[r] s_r||**2, plus the border -c and the corner.
-    Unrolled over the tree's nodes, node r of level j with scale ``scale``
-    adds scale (B_mid ||s_r||**2 - 2 rho**j <s_r, gap_j . first copy>
+    Unrolled over the tree's nodes, node r of level j inside t second copies
+    adds rho**(2 t) (B_mid ||s_r||**2 - 2 rho**j <s_r, gap_j . first copy>
     - 2 rho <s_r, pi(j) . second copy>).  The inner products of s_r with its
-    neighbours are ints, so a trial is O(n k dim) integer work and O(n)
-    field operations.
+    neighbours are ints, summed over the nodes of one (j, t) before they meet
+    a field value, so a trial is O(n k dim) integer work and O(k**2) field
+    operations.
     """
     w, ss, s_star = cols[0], cols[1:-1], cols[-1]
     term = ZERO
     for j, v in slack.border.items():  # an off-diagonal entry stands for two
         g = sum(map(mul, w, cols[j]))
         term = term + v * (g if j == 0 else g + g)
+    groups = {}  # (j, t) -> [level, sums of ||s_r||**2 and of the first and second inner products]
+    for r, j, t, level in slack._nodes():
+        v, m = ss[r], 2**j - 1
+        group = groups.get((j, t)) or groups.setdefault((j, t), [level, 0, [0] * m, [0] * m])
+        group[1] += sum(map(mul, v, v))
+        group[2] = [g + sum(map(mul, v, u)) for g, u in zip(group[2], ss[r - m:r])]
+        group[3] = [g + sum(map(mul, v, u)) for g, u in zip(group[3], ss[r + 1:r + 1 + m])]
     core = ZERO
-    for r, j, scale, level in slack._nodes():
-        v = ss[r]
-        node = level.diag * sum(map(mul, v, v))
+    for (j, t), (level, norm, first, second) in groups.items():
+        node = level.diag * norm
         if j:  # a leaf has no border column
-            m = 2**j - 1
-            first = [sum(map(mul, v, u)) for u in ss[r - m:r]]
-            second = [sum(map(mul, v, u)) for u in ss[r + 1:r + 1 + m]]
             cross = rho_pow(j) * int_dot(level.gap, first) + RHO * int_dot(level.pi, second)
             node = node - cross - cross
-        core = core + scale * node
-    outer = ZERO
-    for x in zip(*ss):  # ||sum_r gap_k[r] s_r||**2, one coordinate at a time
-        g = int_dot(slack.gap, x)
-        outer = outer + g * g
+        core = core + rho_pow(2 * t) * node
+    outer = int_norm2(slack.gap, ss)  # ||sum_r gap_k[r] s_r||**2
     bordered = int_dot(slack.c, [sum(map(mul, s, s_star)) for s in ss])
     lap = (core - outer - bordered - bordered
            + slack.corner * sum(map(mul, s_star, s_star)))
@@ -618,10 +610,10 @@ def _bar_term(bar: Rows, xs: list, ys: list, d: int, grads: list, values: list,
     A = 2d (v_i - v_j) - 2 <g_j, X_i - X_j> - [smooth] d ||g_i - g_j||**2 and
     B = -2 <g_j, Y_i - Y_j>.  Grouped by index, with e = [smooth] d,
     A = a_i - b_j - <g_j, 2 (X_i - e g_i)> for a_i = 2d v_i - e ||g_i||**2 and
-    b_j = 2d v_j + e ||g_j||**2 - 2 <g_j, X_j>, so an entry costs two int
-    dots of length dim.  The multipliers weigh A and B in one ``int_dot``
-    each per ``BAR_CHUNK`` entries (one chunk per part up to k=8), which
-    bounds the integer lists.
+    b_j = 2d v_j + e ||g_j||**2 - 2 <g_j, X_j>, and B = 2 <g_j, Y_j> - <g_j, 2 Y_i>,
+    so an entry costs two int dots of length dim.  The multipliers weigh
+    A + sqrt2 B in one ``int_dot`` per ``BAR_CHUNK`` entries (one chunk
+    per part up to k=8), which bounds the integer lists.
     """
     e = d if smooth else 0
     norms = [e * sum(map(mul, g, g)) for g in grads]
@@ -629,17 +621,17 @@ def _bar_term(bar: Rows, xs: list, ys: list, d: int, grads: list, values: list,
     a = [2 * d * v - m for v, m in zip(values, norms)]
     b = [2 * d * v + m - 2 * sum(map(mul, g, xi))
          for v, m, g, xi in zip(values, norms, grads, xs)]
-    gy = [sum(map(mul, g, yi)) for g, yi in zip(grads, ys)]
-    total, weights, big_a, half_b = ZERO, [], [], []
+    gy = [2 * sum(map(mul, g, yi)) for g, yi in zip(grads, ys)]
+    total, weights, big_a, big_b = ZERO, [], [], []
     last = len(bar) - 1
     for i, row in enumerate(bar):
-        zi, yi, ai, cols = shifted[i], ys[i], a[i], row.keys()
+        zi, yi, ai, cols = shifted[i], [y + y for y in ys[i]], a[i], row.keys()
         weights += row.values()
         big_a += [ai - b[j] - sum(map(mul, grads[j], zi)) for j in cols]
-        half_b += [gy[j] - sum(map(mul, grads[j], yi)) for j in cols]
+        big_b += [gy[j] - sum(map(mul, grads[j], yi)) for j in cols]
         if len(weights) >= BAR_CHUNK or i == last:
-            total = total + int_dot(weights, big_a) + SQRT2 * 2 * int_dot(weights, half_b)
-            weights, big_a, half_b = [], [], []
+            total = total + int_dot(weights, big_a, big_b)
+            weights, big_a, big_b = [], [], []
     return total
 
 
@@ -686,11 +678,7 @@ def evaluate_identity(bundle: CertificateBundle, trace) -> tuple[RadicalScalar, 
     w_norm2 = sum(map(mul, w, w))
 
     uc = bundle.u_coeffs
-    u_norm2 = ZERO
-    for wl, gl, sl, sl_star in zip(w, zip(*trace.gs), zip(*trace.ss), trace.s_star):
-        acc = (uc.init * wl + uc.s_star * sl_star
-               + int_dot(uc.g, gl) + int_dot(uc.s, sl))
-        u_norm2 = u_norm2 + acc * acc
+    u_norm2 = int_norm2((uc.init, *uc.g, *uc.s, uc.s_star), [w, *trace.gs, *trace.ss, trace.s_star])
 
     trace_term = _slack_term(bundle.slack, [w] + trace.ss + [trace.s_star])
     rhs = gap_term + RHO_OVER_2SQRT2 * w_norm2 - (u_norm2 + trace_term) / 2

@@ -14,9 +14,9 @@ certificate quantity lies in Z[sqrt2] (d == 1); arithmetic on such values is
 plain integer arithmetic with no gcd at all, and the exact sign of
 p + q*sqrt2 compares p*p with 2*q*q.  The rational components a = p/d and
 b = q/d are available as ``Fraction`` properties.  ``int_form`` puts a list
-of values over one common denominator, and ``int_dot`` sums values times
-ints on that form and reduces once, so that other modules never read the
-three ints of a value.
+of values over one common denominator, and ``int_dot`` (values times ints, or
+times x + y sqrt2) and ``int_norm2`` sum on that form and reduce once, so that
+other modules never read the three ints of a value.
 """
 
 from __future__ import annotations
@@ -318,14 +318,23 @@ def int_form(values: Sequence[RadicalScalar]) -> tuple[list[int], list[int], int
     return ps, qs, d
 
 
-def int_dot(values: Sequence[RadicalScalar], xs: Sequence[int]) -> RadicalScalar:
-    """Exact sum(values[i] * xs[i]) for ``RadicalScalar`` values and ints xs.
+def int_dot(values: Sequence[RadicalScalar], xs: Sequence[int],
+            ys: Sequence[int] = ()) -> RadicalScalar:
+    """Exact sum(values[i] * (xs[i] + ys[i] sqrt2)) for ``RadicalScalar`` values and ints.
 
-    The two components of the values' ``int_form`` are summed against xs as
-    integers, and the total is reduced once.
+    ``ys`` defaults to zeros.  The two components of the values' ``int_form``
+    are summed against xs and ys as integers, and the total is reduced once.
     """
     ps, qs, d = int_form(values)
-    return _reduced(sum(map(mul, ps, xs)), sum(map(mul, qs, xs)), d)
+    return _reduced(sum(map(mul, ps, xs)) + 2 * sum(map(mul, qs, ys)),
+                    sum(map(mul, qs, xs)) + sum(map(mul, ps, ys)), d)
+
+
+def int_norm2(values: Sequence[RadicalScalar], vectors: Sequence[Sequence[int]]) -> RadicalScalar:
+    """Exact ||sum(values[i] * vectors[i])||**2 for int vectors of one length, reduced once."""
+    ps, qs, d = int_form(values)
+    sums = [(sum(map(mul, ps, col)), sum(map(mul, qs, col))) for col in zip(*vectors)]
+    return _reduced(sum(p * p + 2 * q * q for p, q in sums), 2 * sum(p * q for p, q in sums), d * d)
 
 
 ZERO = RadicalScalar(0, 0)

@@ -536,6 +536,19 @@ def test_recursive_slack_term_equals_dense_sum(k, seed):
     assert _slack_term(bundle.slack, cols) == _dense_slack_trace(bundle.slack, trace)
 
 
+def test_free_trace_draws_as_randint():
+    # sample_free_trace inlines randint(-5, 5)'s draw: the same values and the
+    # same generator state afterwards, so pinned residuals keep their meaning.
+    pi = build_bundle(4).pi
+    for seed in range(200):
+        rng, ref = random.Random(seed), random.Random(seed)
+        trace = sample_free_trace(pi, 3, rng)
+        drawn = ([v for g in trace.gs for v in g] + [v for s in trace.ss for v in s]
+                 + trace.s_star + trace.fs + trace.hs + [trace.f_star, trace.h_star] + trace.xs[0])
+        assert drawn == [ref.randint(-5, 5) for _ in drawn]
+        assert rng.getstate() == ref.getstate()
+
+
 def test_free_trace_is_plain_ints():
     trace = sample_free_trace(build_bundle(2).pi, 2, random.Random(7))
     assert trace.gs == [[0, -3], [1, 5], [-5, -4], [3, -4]]
@@ -637,8 +650,9 @@ def test_identity_rejects_non_int_arguments(argument):
 
 
 def test_build_bundle_walks_the_silver_doubling_once_per_builder(monkeypatch):
-    # Every doubling of pi runs in silver_schedule and every recursion of c in
-    # silver_levels; c_sequence has neither of its own.
+    # Each order is glued from the memoized order below: every builder that
+    # holds c(k) (mu's star row, the slack's top level and u) doubles c once,
+    # and none walks c's recursion from level 1.
     calls = {}
 
     def counted(name, fn):
@@ -647,19 +661,56 @@ def test_build_bundle_walks_the_silver_doubling_once_per_builder(monkeypatch):
             return fn(*args)
         return wrapper
 
-    for name in ("silver_schedule", "silver_levels", "c_sequence"):
+    for name in ("c_double", "silver_levels", "c_sequence"):
         wrapper = counted(name, getattr(schedule, name))
         monkeypatch.setattr(schedule, name, wrapper)
         monkeypatch.setattr(certificate, name, wrapper, raising=False)
     build_bundle.cache_clear()
     try:
         build_bundle(8)
+        fresh = dict(calls)
+        calls.clear()
+        build_bundle(9)
+        one_more = dict(calls)
     finally:
         build_bundle.cache_clear()
-    assert calls["silver_schedule"] <= 6 and calls["silver_levels"] <= 4, calls
+    assert one_more == {"c_double": 3}, one_more
+    assert fresh == {"c_double": 7 * 3, "c_sequence": 3, "silver_levels": 3}, fresh  # c(1)
     calls.clear()
     schedule.c_sequence(8)
-    assert calls == {"c_sequence": 1, "silver_levels": 1, "silver_schedule": 1}
+    assert calls == {"c_sequence": 1, "silver_levels": 1, "c_double": 7}
+
+
+def test_orders_share_the_rows_a_level_leaves_unchanged():
+    for k in range(2, 7):
+        low, high = build_bundle(k - 1), build_bundle(k)
+        n = low.n
+        assert [high.lam.bar[i] is row for i, row in enumerate(low.lam.bar)] == [True] * n + [False]
+        assert ([high.mu.bar[i] is row for i, row in enumerate(low.mu.bar)]
+                == [True] * (n - 1) + [False])
+        assert high.slack.levels[:-1] == low.slack.levels
+        assert all(a is b for a, b in zip(high.slack.levels, low.slack.levels))
+        assert high.slack.levels[-1].gap is low.slack.gap and high.slack.levels[-1].pi is low.pi
+        for row in high.lam.bar + high.mu.bar:
+            assert type(row) is certificate.SparseRow and list(row.keys()) == sorted(row.keys())
+
+
+@pytest.mark.parametrize("target", TAMPER_TARGETS)
+def test_tamper_leaves_the_neighbouring_orders_unchanged(target):
+    # tamper_bundle copies on write, so the rows it edits stay shared and intact
+    for k in (2, 3):
+        before = [repr(build_bundle(j)) for j in (k - 1, k, k + 1)]
+        tamper_bundle(build_bundle(k), target)
+        assert [repr(build_bundle(j)) for j in (k - 1, k, k + 1)] == before
+
+
+@pytest.mark.parametrize("builder", [build_bundle, build_lambda, build_mu, build_slack,
+                                     build_u_coeffs])
+@pytest.mark.parametrize("k", [0, -1, 2.0, True, "3"])
+def test_builders_reject_bad_orders_at_the_boundary(builder, k):
+    build_bundle(2)  # a memoized order 2 must not answer for 2.0
+    with pytest.raises(ValueError, match="order k must be an int >= 1"):
+        builder(k)
 
 
 def test_identity_rejects_mismatched_order():
@@ -679,8 +730,6 @@ def test_identity_rejects_bad_arguments():
         verify_descent_identity(1, dim=0)
     with pytest.raises(ValueError, match="got 20, 4, -1"):
         verify_descent_identity(1, seed=-1)
-    with pytest.raises(ValueError):
-        build_bundle(0)
 
 
 # ---------------------------------------------------------------------------

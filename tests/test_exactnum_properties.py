@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from silverprox.exactnum import ZERO, RadicalScalar, int_dot, int_form, rho_pow
+from silverprox.exactnum import SQRT2, ZERO, RadicalScalar, int_dot, int_form, int_norm2, rho_pow
 
 
 class Ref:
@@ -112,14 +112,33 @@ def test_arithmetic_matches_reference(ab, operand):
 
 
 @settings(deadline=None)
-@given(st.lists(st.tuples(pairs, numerators), max_size=8))
+@given(st.lists(st.tuples(pairs, numerators, numerators), max_size=8))
 @example([])
-@example([((Fraction(1, 6), Fraction(-5, 4)), -3), ((Fraction(2, 3), Fraction(0)), 7)])
+@example([((Fraction(1, 6), Fraction(-5, 4)), -3, 2), ((Fraction(2, 3), Fraction(0)), 7, -1)])
 def test_int_dot_matches_sum_of_products(terms):
-    # Values with d > 1 over ints of either sign, on one common denominator.
-    values, xs = [RadicalScalar(*ab) for ab, _ in terms], [x for _, x in terms]
-    got = int_dot(values, xs)
-    assert got == sum((v * x for v, x in zip(values, xs)), ZERO)
+    # Values with d > 1 over ints of either sign, on one common denominator,
+    # and over coordinates x + y sqrt2.
+    values = [RadicalScalar(*ab) for ab, _, _ in terms]
+    xs, ys = [x for _, x, _ in terms], [y for _, _, y in terms]
+    for got, coords in ((int_dot(values, xs), xs),
+                        (int_dot(values, xs, ys), [SQRT2 * y + x for x, y in zip(xs, ys)])):
+        assert got == sum((v * x for v, x in zip(values, coords)), ZERO)
+        assert got.d >= 1 and gcd(got.p, got.q, got.d) == 1
+
+
+@settings(deadline=None)
+@given(st.integers(0, 3).flatmap(lambda dim: st.lists(
+    st.tuples(pairs, st.lists(numerators, min_size=dim, max_size=dim)), max_size=6)))
+@example([])
+@example([((Fraction(1, 6), Fraction(-5, 4)), [-3, 1]), ((Fraction(2, 3), Fraction(0)), [7, 0])])
+def test_int_norm2_matches_the_squared_norm(terms):
+    values, vectors = [RadicalScalar(*ab) for ab, _ in terms], [v for _, v in terms]
+    got = int_norm2(values, vectors)
+    total = ZERO
+    for col in zip(*vectors):
+        coord = sum((v * x for v, x in zip(values, col)), ZERO)
+        total = total + coord * coord
+    assert got == total
     assert got.d >= 1 and gcd(got.p, got.q, got.d) == 1
 
 

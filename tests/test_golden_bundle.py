@@ -57,6 +57,14 @@ def test_bundle_entries_match_golden_digest(k):
     assert digest.hexdigest() == GOLDEN[k]
 
 
+def test_higher_orders_leave_the_shared_rows_intact():
+    # Orders share rows, so gluing orders 9 and 10 must not edit one of 1..8.
+    build_bundle.cache_clear()
+    build_bundle(10)
+    for k in sorted(GOLDEN):
+        test_bundle_entries_match_golden_digest(k)
+
+
 def test_slack_rows_pinned_for_perfbench():
     # perfbench's exactnum_micro draws its operands from these values, in this
     # order; the digest was recorded when L's upper triangle was stored.
