@@ -74,7 +74,7 @@ from operator import mul
 
 from .exactnum import (ONE, RHO, SQRT2, ZERO, RadicalScalar, int_dot, int_form, int_norm2,
                        rho_pow)
-from .schedule import c_double, c_sequence, silver_schedule, two_adic_valuation
+from .schedule import c_double, pi_double, two_adic_valuation
 
 INV_SQRT2 = RadicalScalar(0, Fraction(1, 2))  # 1/sqrt2 = sqrt2/2
 RHO_OVER_2SQRT2 = RadicalScalar(Fraction(1, 2), Fraction(1, 4))  # rho/(2 sqrt2)
@@ -151,26 +151,27 @@ class SlackMatrix:
     corner: RadicalScalar
     border: dict[int, RadicalScalar]
 
-    def _nodes(self) -> Iterator[tuple[int, int, int, GluingLevel]]:
-        """Each index r of core'_k as a tree node: (r, j, t, level).
+    def _nodes(self) -> Iterator[tuple[int, int, RadicalScalar, GluingLevel]]:
+        """Each index r of core'_k as a tree node: (r, j, scale, level).
 
         Index r is the middle column of one node of level j = v2(r + 1)
         (j = 0 is a leaf, core'_1 = [base]), which spans columns
-        r - (2**j - 1) .. r + 2**j - 1.  It lies inside t = popcount(r + 1) - 1
-        second copies, so its column B_j carries the scale rho**(2 t).
+        r - (2**j - 1) .. r + 2**j - 1.  It lies inside popcount(r + 1) - 1
+        second copies, so its column B_j carries the scale
+        rho**(2 (popcount(r + 1) - 1)).
         """
         leaf = GluingLevel(gap=[], diag=self.base, pi=[])
         for r in range(len(self.c)):
             j = two_adic_valuation(r + 1)
-            yield r, j, (r + 1).bit_count() - 1, self.levels[j - 1] if j else leaf
+            scale = rho_pow(2 * ((r + 1).bit_count() - 1))
+            yield r, j, scale, self.levels[j - 1] if j else leaf
 
     @property
     def lap(self) -> Iterator[SparseRow]:
         """L's upper triangle, one row at a time: row r holds its nonzero columns >= r."""
         n, gap = len(self.c), self.gap
         rows: Rows = [{} for _ in range(n)]
-        for r, j, depth, level in self._nodes():  # B_j = (-rho**j gap, diag, -rho pi)
-            scale = rho_pow(2 * depth)
+        for r, j, scale, level in self._nodes():  # B_j = (-rho**j gap, diag, -rho pi)
             rows[r][r] = scale * level.diag
             first, second = -(scale * rho_pow(j)), -(scale * RHO)
             for t, g in enumerate(level.gap, start=r + 1 - 2**j):
@@ -241,21 +242,25 @@ def _correct(bar: Rows, i: int, entries) -> None:
 
 
 def _below(k: int) -> tuple[CertificateBundle | None, list[RadicalScalar], list[RadicalScalar]]:
-    """Order k - 1's memoized bundle (None at k = 1), pi(k), and c(k) by one ``c_double``."""
-    pi = silver_schedule(k)  # the first step of every builder: a bad k fails here
-    prev = build_bundle(k - 1) if k > 1 else None
-    return prev, pi, c_double(k - 1, pi, prev.c) if prev else c_sequence(1)
+    """Order k - 1's memoized bundle with its pi and c; at k = 1, None and the empty order 0."""
+    if isinstance(k, bool) or not isinstance(k, int) or k < 1:  # before any recursion
+        raise ValueError(f"certificate order k must be an int >= 1, got {k!r}")
+    if k == 1:
+        return None, [], []
+    prev = build_bundle(k - 1)
+    return prev, prev.pi, prev.c
 
 
 def build_lambda(k: int) -> Multipliers:
     """Smooth-part multipliers of order k: order k - 1 glued once, rows n and 2n+1 corrected."""
-    star = silver_schedule(k) + [rho_pow(k)]
-    if k == 1:
+    prev, pi, _ = _below(k)
+    star = pi_double(k - 1, pi) + [rho_pow(k)]
+    if prev is None:
         return Multipliers(bar=[SparseRow({1: RHO}), SparseRow({0: ONE})], star_row=star)
-    j, n, prev = k - 1, 2**(k - 1) - 1, build_bundle(k - 1)
+    j, n = k - 1, prev.n
     bar = _glue(prev.lam.bar, n + 1)
     # a sparse coupling of the copies, and two rows proportional to the stepsizes pi(j)
-    low_rank = list(zip(range(n + 1, 2 * n + 1), [RHO * p for p in prev.pi]))
+    low_rank = list(zip(range(n + 1, 2 * n + 1), [RHO * p for p in pi]))
     _correct(bar, n, [(2 * n + 1, RHO)] + low_rank)
     _correct(bar, 2 * n + 1, [(n, rho_pow(j))] + low_rank)
     return Multipliers(bar=bar, star_row=star)
@@ -264,10 +269,11 @@ def build_lambda(k: int) -> Multipliers:
 def build_mu(k: int) -> Multipliers:
     """Nonsmooth-part multipliers of order k: order k - 1 glued once, rows n-1, n, 2n corrected."""
     prev, pi, c = _below(k)
-    star = [c[0] + ONE] + c[1:]
+    c_k = c_double(k - 1, pi, c)
+    star = [c_k[0] + ONE] + c_k[1:]
     if prev is None:
         return Multipliers(bar=[SparseRow()], star_row=star)
-    j, n = k - 1, 2**(k - 1) - 1  # rows and columns here are 0-based: iterate i+1
+    j, n = k - 1, prev.n  # rows and columns here are 0-based: iterate i+1
     bar = _glue(prev.mu.bar, n + 1)
     mid = rho_pow(j - 1) + ONE
     w_hi = rho_pow(j) / mid
@@ -275,11 +281,11 @@ def build_mu(k: int) -> Multipliers:
     gaps = [(t, g) for t, g in enumerate(prev.slack.gap) if g]  # gap_j = c(j) - pi(j)
     second = range(n + 1, 2 * n + 1)
     _correct(bar, n - 1, [(n, rho_pow(j))] + [(t, w_lo * g) for t, g in gaps]
-             + [(t, w_hi * p) for t, p in zip(second, prev.pi)])
+             + [(t, w_hi * p) for t, p in zip(second, pi)])
     _correct(bar, n, [(n + 1, rho_pow(2))] + [(t, w_hi * g) for t, g in gaps]
-             + [(t, w_rho * p) for t, p in zip(second, prev.pi)])
+             + [(t, w_rho * p) for t, p in zip(second, pi)])
     _correct(bar, 2 * n, [(n, (RHO - rho_pow(-j)) * mid)]
-             + [(t, w_c * cj - w_p * p) for t, cj, p in zip(second, prev.c, prev.pi)])
+             + [(t, w_c * cj - w_p * p) for t, cj, p in zip(second, c, pi)])
     return Multipliers(bar=bar, star_row=star)
 
 
@@ -292,7 +298,8 @@ def build_slack(k: int) -> SlackMatrix:
     """Slack matrices of order k as their gluing tree: order k - 1's levels and level k - 1."""
     prev, pi, c = _below(k)  # level k - 1's gap and pi are order k - 1's gap and pi
     levels = () if prev is None else prev.slack.levels + (GluingLevel(
-        gap=prev.slack.gap, diag=(rho_pow(k - 2) + ONE) * (rho_pow(k) + ONE), pi=prev.pi),)
+        gap=prev.slack.gap, diag=(rho_pow(k - 2) + ONE) * (rho_pow(k) + ONE), pi=pi),)
+    pi, c = pi_double(k - 1, pi), c_double(k - 1, pi, c)
     return SlackMatrix(
         base=SQRT2 * 2 + 2,  # core'_1 = 2(rho - 1) + gap_1**2, gap_1 = c(1) - pi(1) = [sqrt2]
         levels=levels,
@@ -305,6 +312,7 @@ def build_slack(k: int) -> SlackMatrix:
 
 def build_u_coeffs(k: int) -> UCoefficients:
     _, pi, c = _below(k)
+    pi, c = pi_double(k - 1, pi), c_double(k - 1, pi, c)
     # pi(k) repeats k values and c(k) starts with pi(k - 1): negate each object once
     minus = {i: -v for i, v in {id(v): v for v in pi + c}.items()}
     return UCoefficients(init=ONE, g=tuple(minus[id(a)] for a in pi) + (-rho_pow(k),),
@@ -315,7 +323,7 @@ def build_u_coeffs(k: int) -> UCoefficients:
 def build_bundle(k: int) -> CertificateBundle:
     """Full certificate of order k (memoized, every order; orders share rows, so read-only)."""
     lam, mu, slack = build_lambda(k), build_mu(k), build_slack(k)
-    return CertificateBundle(k=k, n=2**k - 1, pi=silver_schedule(k), c=slack.c,  # c(k), shared
+    return CertificateBundle(k=k, n=2**k - 1, pi=lam.star_row[:-1], c=slack.c,  # pi(k), c(k)
                              lam=lam, mu=mu, slack=slack, u_coeffs=build_u_coeffs(k))
 
 
@@ -549,32 +557,28 @@ def _slack_term(slack: SlackMatrix, cols: list) -> RadicalScalar:
     Q'_{j+1}(v) = Q'_j(first copy) + rho**2 Q'_j(second copy)
     + 2 <v_mid, sum_r B_r v_r> + B_mid ||v_mid||**2,
     less ||sum_r gap_k[r] s_r||**2, plus the border -c and the corner.
-    Unrolled over the tree's nodes, node r of level j inside t second copies
-    adds rho**(2 t) (B_mid ||s_r||**2 - 2 rho**j <s_r, gap_j . first copy>
+    Unrolled over the tree's nodes, node r of level j with scale ``scale``
+    adds scale (B_mid ||s_r||**2 - 2 rho**j <s_r, gap_j . first copy>
     - 2 rho <s_r, pi(j) . second copy>).  The inner products of s_r with its
-    neighbours are ints, summed over the nodes of one (j, t) before they meet
-    a field value, so a trial is O(n k dim) integer work and O(k**2) field
-    operations.
+    neighbours are ints, so a trial is O(n k dim) integer work and O(n)
+    field operations.
     """
     w, ss, s_star = cols[0], cols[1:-1], cols[-1]
     term = ZERO
     for j, v in slack.border.items():  # an off-diagonal entry stands for two
         g = sum(map(mul, w, cols[j]))
         term = term + v * (g if j == 0 else g + g)
-    groups = {}  # (j, t) -> [level, sums of ||s_r||**2 and of the first and second inner products]
-    for r, j, t, level in slack._nodes():
-        v, m = ss[r], 2**j - 1
-        group = groups.get((j, t)) or groups.setdefault((j, t), [level, 0, [0] * m, [0] * m])
-        group[1] += sum(map(mul, v, v))
-        group[2] = [g + sum(map(mul, v, u)) for g, u in zip(group[2], ss[r - m:r])]
-        group[3] = [g + sum(map(mul, v, u)) for g, u in zip(group[3], ss[r + 1:r + 1 + m])]
     core = ZERO
-    for (j, t), (level, norm, first, second) in groups.items():
-        node = level.diag * norm
+    for r, j, scale, level in slack._nodes():
+        v = ss[r]
+        node = level.diag * sum(map(mul, v, v))
         if j:  # a leaf has no border column
+            m = 2**j - 1
+            first = [sum(map(mul, v, u)) for u in ss[r - m:r]]
+            second = [sum(map(mul, v, u)) for u in ss[r + 1:r + 1 + m]]
             cross = rho_pow(j) * int_dot(level.gap, first) + RHO * int_dot(level.pi, second)
             node = node - cross - cross
-        core = core + rho_pow(2 * t) * node
+        core = core + scale * node
     outer = int_norm2(slack.gap, ss)  # ||sum_r gap_k[r] s_r||**2
     bordered = int_dot(slack.c, [sum(map(mul, s, s_star)) for s in ss])
     lap = (core - outer - bordered - bordered

@@ -20,7 +20,9 @@ which keeps sum(pi(k)) = rho**k - 1, sum(c(k)) = 2(rho**k - 1), and
 c(k) >= pi(k) entrywise -- all exactly, and all checked in the tests.  Since
 pi(j) is the prefix of pi(k), one doubling yields every order: ``silver_levels``
 gives (pi(j), c(j)) for j = 1..k, and ``c_sequence`` is its last item.  One
-level of c's doubling is ``c_double``, which the certificate's builders share.
+level of each doubling is ``pi_double`` and ``c_double``; the certificate's
+builders apply them to the order below.  Both also hold from the empty order 0:
+pi(1) = [rho**-1 + 1] = [sqrt2] and c(1) = [2 (rho**-1 + 1)] = [2 sqrt2].
 """
 
 from __future__ import annotations
@@ -45,21 +47,25 @@ def silver_step(t: int) -> RadicalScalar:
 
 
 def silver_schedule(k: int) -> list[RadicalScalar]:
-    """First 2**k - 1 stepsizes, by the doubling recursion; k must be an int >= 1."""
-    if type(k) is not int or k < 1:
-        raise ValueError(f"schedule order k must be an int >= 1, got {k!r}")
+    """First 2**k - 1 stepsizes, built by the doubling recursion."""
+    if k < 1:
+        raise ValueError(f"schedule order k must be >= 1, got {k}")
     pi = [SQRT2]
     for j in range(1, k):
-        pi = pi + [rho_pow(j - 1) + ONE] + pi
+        pi = pi_double(j, pi)
     return pi
 
 
+def pi_double(j: int, pi: list[RadicalScalar]) -> list[RadicalScalar]:
+    """pi(j+1) from pi(j) = ``pi``: one level of the doubling."""
+    return pi + [rho_pow(j - 1) + ONE] + pi
+
+
 def c_double(j: int, pi: list[RadicalScalar], c: list[RadicalScalar]) -> list[RadicalScalar]:
-    """c(j+1) from c(j) = ``c``, one level of the doubling; ``pi`` is pi(k) for any k > j."""
-    head = pi[:len(c)]
-    mid = (ONE + rho_pow(-j)) * pi[len(c)]  # rho**(j-1) + 1, pi(j+1)'s middle step
+    """c(j+1) from pi(j) = ``pi`` and c(j) = ``c``: one level of the doubling."""
+    mid = (ONE + rho_pow(-j)) * (rho_pow(j - 1) + ONE)  # pi(j+1)'s middle step, scaled
     drag = RHO - ONE - rho_pow(-j)
-    return head + [mid] + [RHO * cj - drag * pj for cj, pj in zip(c, head)]
+    return pi + [mid] + [RHO * cj - drag * pj for cj, pj in zip(c, pi)]
 
 
 def silver_levels(k: int) -> Iterator[tuple[list[RadicalScalar], list[RadicalScalar]]]:
@@ -67,8 +73,9 @@ def silver_levels(k: int) -> Iterator[tuple[list[RadicalScalar], list[RadicalSca
     pi = silver_schedule(k)
     c = [SQRT2 * 2]
     for j in range(1, k):
-        yield pi[:len(c)], c
-        c = c_double(j, pi, c)
+        head = pi[:len(c)]
+        yield head, c
+        c = c_double(j, head, c)
     yield pi, c
 
 

@@ -651,8 +651,9 @@ def test_identity_rejects_non_int_arguments(argument):
 
 def test_build_bundle_walks_the_silver_doubling_once_per_builder(monkeypatch):
     # Each order is glued from the memoized order below: every builder that
-    # holds c(k) (mu's star row, the slack's top level and u) doubles c once,
-    # and none walks c's recursion from level 1.
+    # holds pi(k) (lambda's star row, the slack and u) or c(k) (mu's star row,
+    # the slack and u) takes one level of its doubling, and none walks pi's or
+    # c's recursion from level 1.  Order 1 is one level up from the empty order 0.
     calls = {}
 
     def counted(name, fn):
@@ -661,7 +662,7 @@ def test_build_bundle_walks_the_silver_doubling_once_per_builder(monkeypatch):
             return fn(*args)
         return wrapper
 
-    for name in ("c_double", "silver_levels", "c_sequence"):
+    for name in ("silver_schedule", "pi_double", "c_double", "silver_levels", "c_sequence"):
         wrapper = counted(name, getattr(schedule, name))
         monkeypatch.setattr(schedule, name, wrapper)
         monkeypatch.setattr(certificate, name, wrapper, raising=False)
@@ -674,11 +675,12 @@ def test_build_bundle_walks_the_silver_doubling_once_per_builder(monkeypatch):
         one_more = dict(calls)
     finally:
         build_bundle.cache_clear()
-    assert one_more == {"c_double": 3}, one_more
-    assert fresh == {"c_double": 7 * 3, "c_sequence": 3, "silver_levels": 3}, fresh  # c(1)
+    assert fresh == {"pi_double": 8 * 3, "c_double": 8 * 3}, fresh
+    assert one_more == {"pi_double": 3, "c_double": 3}, one_more
     calls.clear()
     schedule.c_sequence(8)
-    assert calls == {"c_sequence": 1, "silver_levels": 1, "c_double": 7}
+    assert calls == {"c_sequence": 1, "silver_levels": 1, "silver_schedule": 1,
+                     "pi_double": 7, "c_double": 7}
 
 
 def test_orders_share_the_rows_a_level_leaves_unchanged():
@@ -730,6 +732,8 @@ def test_identity_rejects_bad_arguments():
         verify_descent_identity(1, dim=0)
     with pytest.raises(ValueError, match="got 20, 4, -1"):
         verify_descent_identity(1, seed=-1)
+    with pytest.raises(ValueError):
+        build_bundle(0)
 
 
 # ---------------------------------------------------------------------------

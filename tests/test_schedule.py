@@ -1,3 +1,5 @@
+import enum
+
 import pytest
 
 from silverprox.exactnum import ONE, SQRT2, RadicalScalar, rho_pow
@@ -83,6 +85,15 @@ def test_c_dominates_pi():
     for k in range(1, 13):
         for cj, pj in zip(c_sequence(k), silver_schedule(k)):
             assert (cj - pj).sign() >= 0
+
+
+def test_schedule_takes_an_int_subclass_as_order():
+    # silver_schedule is the solver's and the CLI's API too: only the
+    # certificate's builders refuse a bool or a non-int order.
+    class Order(enum.IntEnum):
+        THREE = 3
+
+    assert silver_schedule(Order.THREE) == silver_schedule(3)
 
 
 def test_invalid_order():
