@@ -18,14 +18,24 @@ slack levels the level leaves unchanged and copies only the rows it
 corrects, so every bundle is read-only.  Everything lives in Q(sqrt2) and
 every check below is an exact computation: no floating point is involved.
 
-``lambda_bar`` and ``mu_bar`` are sparse rows: one dict per row from column
-to value, keys ascending, no stored zeros (an unstored entry is an exact
-zero).  The slack matrix is stored as its gluing tree: with
+``lambda_bar`` and ``mu_bar`` are stored as their gluing tree too.  Only
+the rows a level corrects (lambda's n and 2n+1, mu's n-1, n and 2n) and
+order 1's rows are stored, each as a ``SparseRow``: a dict from column to
+value, keys ascending, no stored zeros (an unstored entry is an exact zero).
+Every row of a glued copy is a ``ScaledRow``, a read-only reference
+(stored row, power, offset) that reads as ``rho**(2 power)`` times the
+stored row shifted by ``offset`` columns; a copy of a copy refers to the
+stored row itself.  So the multipliers hold O(n) entries, and a reader that
+wants plain rows still gets a mapping per row.  The checks and the identity
+take every row as (stored row, power, offset), a plain row as (row, 0, 0):
+the sign check scans each stored row once, and the identity groups entries
+by power.  The slack matrix is stored as its gluing tree: with
 gap_j = c(j) - pi(j) and core'_j = core_j + gap_j gap_j^T, each level adds
 one border column B_j to two glued copies of core'_j, and L is core'_k less
 gap_k gap_k^T, bordered by -c; S is L plus one border row.  The tree holds
 O(n) entries, so L is symmetric by construction and the Laplacian checks
-are an induction over the levels in O(n).  The slack term of an identity
+are an induction over the levels in O(n), on one integer form of the
+tree's values.  The slack term of an identity
 trial, O(n k dim) integer work, and ``SlackMatrix.lap``, which generates
 L's rows for readers that want them, both read the tree in one walk over
 its nodes (``SlackMatrix._nodes``).  Sums of field values times integer
@@ -50,11 +60,13 @@ The left side is read as in the Gram view of performance estimation.  Over
 one common denominator the iterates are x_i = (X_i + sqrt2 Y_i) / d with
 int vectors X_i, Y_i (d = 1 for the silver steps), so twice d times each
 co-coercivity is A + sqrt2 B with A, B a few int inner products.  The
-O(n k) stored ``bar`` entries are summed so: two ``int_dot``s per chunk of
-``BAR_CHUNK`` entries, and no field operation per entry.  The O(n) optimum
-rows stay on the solver's own definition, ``solver.cocoercivity_f`` and
-``cocoercivity_h``: they cost little there, and perfbench's traced run
-looks for those functions under ``cert verify``.
+O(n k) entries the ``bar`` rows read as are summed so, weighted by their
+stored values: one ``exactnum.scaled_int_dot`` per chunk of ``BAR_CHUNK``
+entries applies each power's rho**(2 power) once, and no field operation
+runs per entry.  The O(n) optimum rows stay on the solver's own
+definition, ``solver.cocoercivity_f`` and ``cocoercivity_h``: they cost
+little there, and perfbench's traced run looks for those functions under
+``cert verify``.
 
 Note on the slack matrix: S is symmetric, with first row and column
 (1/sqrt2, -1, 0, ..., 0, +1).  An equivalent presentation elsewhere lists
@@ -66,14 +78,14 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_left
-from collections.abc import Iterator
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 from operator import mul
 
 from .exactnum import (ONE, RHO, SQRT2, ZERO, RadicalScalar, int_dot, int_form, int_norm2,
-                       rho_pow)
+                       rho_pow, scaled_int_dot, signs)
 from .schedule import c_double, pi_double, two_adic_valuation
 
 INV_SQRT2 = RadicalScalar(0, Fraction(1, 2))  # 1/sqrt2 = sqrt2/2
@@ -96,7 +108,50 @@ class SparseRow(dict):
         return iter(self.values())
 
 
-Rows = list[dict[int, RadicalScalar]]  # stored rows are SparseRows
+class ScaledRow(Mapping):
+    """A row of a glued copy: column ``offset + j`` holds ``rho**(2 power) row[j]``.
+
+    A read-only reference to the stored ``SparseRow`` ``row``, with
+    ``power >= 1``; its values are computed when read.  Like a ``SparseRow``,
+    it iterates its values in column order.
+    """
+
+    __slots__ = ("row", "power", "offset")
+
+    def __init__(self, row: SparseRow, power: int, offset: int):
+        self.row, self.power, self.offset = row, power, offset
+
+    def __getitem__(self, j: int) -> RadicalScalar:
+        return rho_pow(2 * self.power) * self.row[j - self.offset]
+
+    def __len__(self) -> int:
+        return len(self.row)
+
+    def __iter__(self):
+        return iter(self.values())
+
+    def keys(self) -> list[int]:
+        return [self.offset + j for j in self.row.keys()]
+
+    def values(self) -> list[RadicalScalar]:
+        scale = rho_pow(2 * self.power)
+        return [scale * v for v in self.row.values()]
+
+    def items(self) -> list[tuple[int, RadicalScalar]]:
+        return list(zip(self.keys(), self.values()))
+
+    def __repr__(self):
+        return f"ScaledRow({self.row!r}, power={self.power}, offset={self.offset})"
+
+
+Rows = list[Mapping[int, RadicalScalar]]  # SparseRows and ScaledRows
+
+
+def _ref(row: Mapping[int, RadicalScalar]) -> tuple[Mapping[int, RadicalScalar], int, int]:
+    """(stored row, rho**2 power, column offset) of any row: a plain row is (row, 0, 0)."""
+    if type(row) is ScaledRow:
+        return row.row, row.power, row.offset
+    return row, 0, 0
 
 
 @dataclass(frozen=True)
@@ -225,17 +280,25 @@ def _glue(bar: Rows, offset: int) -> Rows:
 
     Returns ``offset + len(bar)`` rows: ``bar``'s own rows at (0, 0), shared
     and not copied, empty rows up to ``offset``, and ``rho**2 * bar`` at
-    (offset, offset), whose shifted keys stay ascending.
+    (offset, offset) as ``ScaledRow``s.  A copy of a copy refers to the
+    stored row itself, one power of rho**2 up and its offsets added.
     """
-    rho2 = rho_pow(2)
     return (list(bar) + [SparseRow() for _ in range(offset - len(bar))]
-            + [SparseRow(zip([offset + j for j in src.keys()], [rho2 * v for v in src.values()]))
-               for src in bar])
+            + [ScaledRow(row, power + 1, shift + offset) for row, power, shift in map(_ref, bar)])
+
+
+def _times(w: RadicalScalar, values: list[RadicalScalar]) -> list[RadicalScalar]:
+    """``[w * v for v in values]``, with one product per distinct object of ``values``."""
+    products = {}
+    for v in values:
+        if id(v) not in products:
+            products[id(v)] = w * v
+    return [products[id(v)] for v in values]
 
 
 def _correct(bar: Rows, i: int, entries) -> None:
-    """Replace ``bar[i]`` by a sorted copy with each (column, value) of ``entries`` added."""
-    row = dict(bar[i])
+    """Replace ``bar[i]`` by a sorted stored copy with each (column, value) of ``entries`` added."""
+    row = dict(bar[i].items())
     for j, v in entries:
         _accumulate(row, j, v)
     bar[i] = SparseRow(sorted(row.items()))
@@ -260,7 +323,7 @@ def build_lambda(k: int) -> Multipliers:
     j, n = k - 1, prev.n
     bar = _glue(prev.lam.bar, n + 1)
     # a sparse coupling of the copies, and two rows proportional to the stepsizes pi(j)
-    low_rank = list(zip(range(n + 1, 2 * n + 1), [RHO * p for p in pi]))
+    low_rank = list(zip(range(n + 1, 2 * n + 1), _times(RHO, pi)))
     _correct(bar, n, [(2 * n + 1, RHO)] + low_rank)
     _correct(bar, 2 * n + 1, [(n, rho_pow(j))] + low_rank)
     return Multipliers(bar=bar, star_row=star)
@@ -281,9 +344,9 @@ def build_mu(k: int) -> Multipliers:
     gaps = [(t, g) for t, g in enumerate(prev.slack.gap) if g]  # gap_j = c(j) - pi(j)
     second = range(n + 1, 2 * n + 1)
     _correct(bar, n - 1, [(n, rho_pow(j))] + [(t, w_lo * g) for t, g in gaps]
-             + [(t, w_hi * p) for t, p in zip(second, pi)])
+             + list(zip(second, _times(w_hi, pi))))
     _correct(bar, n, [(n + 1, rho_pow(2))] + [(t, w_hi * g) for t, g in gaps]
-             + [(t, w_rho * p) for t, p in zip(second, pi)])
+             + list(zip(second, _times(w_rho, pi))))
     _correct(bar, 2 * n, [(n, (RHO - rho_pow(-j)) * mid)]
              + [(t, w_c * cj - w_p * p) for t, cj, p in zip(second, c, pi)])
     return Multipliers(bar=bar, star_row=star)
@@ -314,9 +377,9 @@ def build_u_coeffs(k: int) -> UCoefficients:
     _, pi, c = _below(k)
     pi, c = pi_double(k - 1, pi), c_double(k - 1, pi, c)
     # pi(k) repeats k values and c(k) starts with pi(k - 1): negate each object once
-    minus = {i: -v for i, v in {id(v): v for v in pi + c}.items()}
-    return UCoefficients(init=ONE, g=tuple(minus[id(a)] for a in pi) + (-rho_pow(k),),
-                         s=tuple(minus[id(cj)] for cj in c), s_star=-ONE)
+    minus = _times(-ONE, pi + c)
+    return UCoefficients(init=ONE, g=tuple(minus[:len(pi)]) + (-rho_pow(k),),
+                         s=tuple(minus[len(pi):]), s_star=-ONE)
 
 
 @lru_cache(maxsize=None, typed=True)
@@ -378,23 +441,41 @@ def check_multipliers_nonneg(bundle: CertificateBundle) -> CheckReport:
     Also cross-checks the last row of mu_bar against its closed form
     (rho**k - 1) * (c_j - pi_j), which is how the one non-obviously
     nonnegative block is controlled.
+
+    Row i as (stored row, power, offset) holds ``rho**(2 power)`` times the
+    stored values, and rho**(2 power) > 0, so its signs are the stored
+    values', and its diagonal is the stored column i - offset, which all the
+    copies of a stored row share.  So each stored row is scanned once per
+    diagonal column, with signs read from the values' integer form.  Only
+    if that finds a negative off-diagonal entry are the rows read entry by
+    entry, in row-major order, to name the first one.
     """
     for label, mult in (("lambda", bundle.lam), ("mu", bundle.mu)):
-        for i, row in enumerate(mult.bar):
-            for j, v in row.items():
-                if i != j and v.sign() < 0:
-                    return CheckReport("nonneg", False, f"{label}_bar[{i}][{j}] = {v} < 0")
-        for j, v in enumerate(mult.star_row):
-            if v.sign() < 0:
-                return CheckReport("nonneg", False, f"{label}_star[{j}] = {v} < 0")
-    n = bundle.n
-    last = bundle.mu.bar[n - 1]
+        # each stored row once, with its diagonal column i - offset, which every copy shares
+        stored = {(id(row), i - offset): row
+                  for i, (row, _, offset) in enumerate(map(_ref, mult.bar))}
+        if -1 in signs([v for (_, diag), row in stored.items()
+                        for j, v in row.items() if j != diag]):
+            for i, row in enumerate(mult.bar):  # name the first entry as a row-major scan does
+                for j, v in row.items():
+                    if i != j and v.sign() < 0:
+                        return CheckReport("nonneg", False, f"{label}_bar[{i}][{j}] = {v} < 0")
+        star = mult.star_row
+        for j, sign in enumerate(signs(star)):
+            if sign < 0:
+                return CheckReport("nonneg", False, f"{label}_star[{j}] = {star[j]} < 0")
+    n, m = bundle.n, bundle.n - 1
+    last = [bundle.mu.bar[m].get(j, ZERO) for j in range(m)]
     scale = rho_pow(bundle.k) - ONE
-    for j in range(n - 1):
-        expected = scale * (bundle.c[j] - bundle.pi[j])
-        v = last.get(j, ZERO)
-        if v != expected:
-            detail = f"mu_bar[{n - 1}][{j}] = {v} deviates from closed form {expected}"
+    # last[j] == scale (c_j - pi_j) over one denominator d, as the ints of d last[j]
+    ps, qs, d = int_form([scale] + last + bundle.c[:m] + bundle.pi[:m])
+    sp, sq = ps[0], qs[0]
+    entries = zip(ps[1:n], qs[1:n], ps[n:n + m], qs[n:n + m], ps[n + m:], qs[n + m:])
+    for j, (p, q, cp, cq, pp, pq) in enumerate(entries):
+        gp, gq = cp - pp, cq - pq
+        if (d * p, d * q) != (sp * gp + 2 * sq * gq, sp * gq + sq * gp):
+            expected = scale * (bundle.c[j] - bundle.pi[j])
+            detail = f"mu_bar[{m}][{j}] = {last[j]} deviates from closed form {expected}"
             return CheckReport("nonneg", False, detail)
     return CheckReport("nonneg", True)
 
@@ -410,31 +491,53 @@ def _tree_violation(slack: SlackMatrix, schur: bool) -> str:
     sqrt2 - c[0].  Row sums of core'_j follow
     ``rs'_{j+1} = [rs'_j + B_lo, sum(B_j), rho**2 rs'_j + B_hi]``, and the
     Schur step moves no row sum.
+
+    Signs are read from each value's integer form, and the sums run on one
+    ``int_form`` of the tree's values, over one denominator d: a value is
+    kept as the ints p and q of (p + q sqrt2) / d, and its product with
+    rho**j = a + b sqrt2 (Pell numbers) is (a p + 2 b q, b p + a q).
     """
     prefix = "Schur complement " if schur else ""
     n, k = len(slack.c), len(slack.levels) + 1
     sized = [(f"level {j} {part}", getattr(level, part), 2**j - 1)
              for j, level in enumerate(slack.levels, start=1) for part in ("gap", "pi")]
-    for label, values, size in sized + [(f"level {k} gap", slack.gap, n), ("c", slack.c, n)]:
+    sized += [(f"level {k} gap", slack.gap, n), ("c", slack.c, n)]
+    for label, values, size in sized:
         if len(values) != size:
             return f"{prefix}{label} has {len(values)} entries, not {size}"
-        for r, v in enumerate(values):
-            if v.sign() < 0:
-                return f"{prefix}{label}[{r}] = {v} < 0"
+        value_signs = signs(values)
+        if -1 in value_signs:
+            r = value_signs.index(-1)
+            return f"{prefix}{label}[{r}] = {values[r]} < 0"
     if schur and slack.c[0] < SQRT2:
         return f"{prefix}c[0] = {slack.c[0]} < sqrt2"
-    sums = [slack.base]
-    rho2, minus_rho = rho_pow(2), -RHO
-    for j, level in enumerate(slack.levels, start=1):
-        minus_rk = -rho_pow(j)  # B_j = (-rho**j gap_j, diag, -rho pi(j))
-        lo = [minus_rk * g for g in level.gap]
-        hi = [minus_rho * p for p in level.pi]
-        sums = ([s + b for s, b in zip(sums, lo)] + [sum(lo + hi, level.diag)]
-                + [rho2 * s + b for s, b in zip(sums, hi)])
-    gap_total = sum(slack.gap, ZERO)
-    sums = [s - g * gap_total - c for s, g, c in zip(sums, slack.gap, slack.c)]
-    for r, total in enumerate(sums + [slack.corner - sum(slack.c, ZERO)]):
-        if total:
+    head = [slack.base, slack.corner] + [level.diag for level in slack.levels]
+    ps, qs, d = int_form(head + [v for _, values, _ in sized for v in values])
+    sp, sq, at = [ps[0]], [qs[0]], len(head)
+    a, b = 1, 0  # rho**j = a + b sqrt2, and rho = 1 + sqrt2
+    for j in range(1, k):  # B_j = (-rho**j gap_j, diag, -rho pi(j))
+        a, b, m = a + 2 * b, a + b, 2**j - 1
+        gp, gq = ps[at:at + m], qs[at:at + m]
+        pp, pq = ps[at + m:at + 2 * m], qs[at + m:at + 2 * m]
+        at += 2 * m
+        lo_p = [-(a * p + 2 * b * q) for p, q in zip(gp, gq)]
+        lo_q = [-(b * p + a * q) for p, q in zip(gp, gq)]
+        hi_p = [-(p + 2 * q) for p, q in zip(pp, pq)]
+        hi_q = [-(p + q) for p, q in zip(pp, pq)]
+        mid_p = ps[1 + j] + sum(lo_p) + sum(hi_p)
+        mid_q = qs[1 + j] + sum(lo_q) + sum(hi_q)
+        sp, sq = ([s + t for s, t in zip(sp, lo_p)] + [mid_p]  # rho**2 = 3 + 2 sqrt2
+                  + [3 * s + 4 * u + t for s, u, t in zip(sp, sq, hi_p)],
+                  [s + t for s, t in zip(sq, lo_q)] + [mid_q]
+                  + [2 * s + 3 * u + t for s, u, t in zip(sp, sq, hi_q)])
+    gp, gq, cp, cq = ps[at:at + n], qs[at:at + n], ps[at + n:], qs[at + n:]
+    tp, tq = sum(gp), sum(gq)  # gap_k's total; the row sums less gap gap^T are over d**2
+    rows = [(d * (s - c) - (g * tp + 2 * h * tq), d * (u - e) - (g * tq + h * tp), d * d)
+            for s, u, g, h, c, e in zip(sp, sq, gp, gq, cp, cq)]
+    rows.append((ps[1] - sum(cp), qs[1] - sum(cq), d))  # the corner row
+    for r, (p, q, e) in enumerate(rows):
+        if p or q:
+            total = RadicalScalar(Fraction(p, e), Fraction(q, e))
             return f"{prefix or 'L '}row {r} sums to {total}, not 0"
     return ""
 
@@ -603,40 +706,59 @@ def _require_free_trace(trace, n: int) -> None:
             raise ValueError(f"trace {name} must hold ints, as sample_free_trace draws them")
 
 
-def _bar_term(bar: Rows, xs: list, ys: list, d: int, grads: list, values: list,
-              smooth: bool) -> RadicalScalar:
+def _bar_term(d: int, xs: list, ys: list, parts) -> RadicalScalar:
     """2d times the sum of ``bar[i][j]`` times the co-coercivity of points i and j.
 
-    Point i is x_i = (X_i + sqrt2 Y_i) / d, with int vectors X_i = ``xs[i]``
-    and Y_i = ``ys[i]``, gradient (or subgradient) g_i = ``grads[i]`` and
-    value v_i = ``values[i]``, all ints.  Then 2d co(i, j) = A + sqrt2 B with
-    the ints
+    Summed over ``parts`` of (bar, start, grads, values, smooth), one per
+    multiplier part, whose point i is iterate ``start + i``: with int
+    vectors X_i = ``xs[start + i]`` and Y_i = ``ys[start + i]`` it is
+    x_i = (X_i + sqrt2 Y_i) / d, with gradient (or subgradient)
+    g_i = ``grads[i]`` and value v_i = ``values[i]``, all ints.  Then
+    2d co(i, j) = A + sqrt2 B with the ints
     A = 2d (v_i - v_j) - 2 <g_j, X_i - X_j> - [smooth] d ||g_i - g_j||**2 and
     B = -2 <g_j, Y_i - Y_j>.  Grouped by index, with e = [smooth] d,
     A = a_i - b_j - <g_j, 2 (X_i - e g_i)> for a_i = 2d v_i - e ||g_i||**2 and
     b_j = 2d v_j + e ||g_j||**2 - 2 <g_j, X_j>, and B = 2 <g_j, Y_j> - <g_j, 2 Y_i>,
-    so an entry costs two int dots of length dim.  The multipliers weigh
-    A + sqrt2 B in one ``int_dot`` per ``BAR_CHUNK`` entries (one chunk
-    per part up to k=8), which bounds the integer lists.
+    so an entry costs two int dots of length dim.
+
+    Row i, as (stored row, power, offset), weighs its entries with the
+    stored row's own values, and the entries of both parts are grouped by
+    power: one ``scaled_int_dot`` per ``BAR_CHUNK`` entries (one in all up
+    to k=8) applies each power's unit rho**(2 power) to its group's integer
+    sums, so a trial reduces once and the integer lists stay bounded.
     """
-    e = d if smooth else 0
-    norms = [e * sum(map(mul, g, g)) for g in grads]
-    shifted = [[2 * (x - e * t) for x, t in zip(xi, g)] for xi, g in zip(xs, grads)]
-    a = [2 * d * v - m for v, m in zip(values, norms)]
-    b = [2 * d * v + m - 2 * sum(map(mul, g, xi))
-         for v, m, g, xi in zip(values, norms, grads, xs)]
-    gy = [2 * sum(map(mul, g, yi)) for g, yi in zip(grads, ys)]
-    total, weights, big_a, big_b = ZERO, [], [], []
-    last = len(bar) - 1
-    for i, row in enumerate(bar):
-        zi, yi, ai, cols = shifted[i], [y + y for y in ys[i]], a[i], row.keys()
-        weights += row.values()
-        big_a += [ai - b[j] - sum(map(mul, grads[j], zi)) for j in cols]
-        big_b += [gy[j] - sum(map(mul, grads[j], yi)) for j in cols]
-        if len(weights) >= BAR_CHUNK or i == last:
-            total = total + int_dot(weights, big_a, big_b)
-            weights, big_a, big_b = [], [], []
-    return total
+    ys2 = [[y + y for y in yi] for yi in ys]  # 2 Y_i, for both parts
+    total, groups, size = ZERO, {}, 0
+    for bar, start, grads, values, smooth in parts:
+        xs_p, ys2_p = xs[start:], ys2[start:]
+        e = d if smooth else 0
+        norms = [e * sum(map(mul, g, g)) for g in grads] if e else [0] * len(grads)
+        shifted = ([[2 * (x - e * t) for x, t in zip(xi, g)] for xi, g in zip(xs_p, grads)] if e
+                   else [[x + x for x in xi] for xi in xs_p])
+        a = [2 * d * v - m for v, m in zip(values, norms)]
+        b = [2 * d * v + m - 2 * sum(map(mul, g, xi))
+             for v, m, g, xi in zip(values, norms, grads, xs_p)]
+        gy = [sum(map(mul, g, yi)) for g, yi in zip(grads, ys2_p)]
+        for i, row in enumerate(bar):
+            stored, power, offset = _ref(row)
+            zi, yi, ai = shifted[i], ys2_p[i], a[i]
+            cols = [offset + j for j in stored.keys()] if offset else stored.keys()
+            if power in groups:
+                weights, big_a, big_b = groups[power]
+            else:
+                weights, big_a, big_b = groups[power] = [], [], []
+            weights += stored.values()
+            big_a += [ai - b[j] - sum(map(mul, grads[j], zi)) for j in cols]
+            big_b += [gy[j] - sum(map(mul, grads[j], yi)) for j in cols]
+            size += len(stored)
+            if size >= BAR_CHUNK:
+                total, groups, size = total + _rho2_dot(groups), {}, 0
+    return total + _rho2_dot(groups)
+
+
+def _rho2_dot(groups: dict[int, tuple[list, list, list]]) -> RadicalScalar:
+    """Sum of rho**(2 p) * int_dot(weights, A, B) over ``groups`` of p: (weights, A, B)."""
+    return scaled_int_dot([(rho_pow(p + p), w, x, y) for p, (w, x, y) in groups.items()])
 
 
 def evaluate_identity(bundle: CertificateBundle, trace) -> tuple[RadicalScalar, RadicalScalar]:
@@ -660,15 +782,14 @@ def evaluate_identity(bundle: CertificateBundle, trace) -> tuple[RadicalScalar, 
 
     _require_free_trace(trace, bundle.n)
     n, dim = bundle.n, len(trace.xs[0])
-    coords = [v if isinstance(v, RadicalScalar) else RadicalScalar(v)
-              for x in trace.xs for v in x]
+    # x_0's int coordinates enter as ONE * v, without RadicalScalar's Fraction-based constructor
+    coords = [v if isinstance(v, RadicalScalar) else ONE * v for x in trace.xs for v in x]
     ps, qs, d = int_form(coords)
     xs = [ps[t * dim:(t + 1) * dim] for t in range(n + 1)]
     ys = [qs[t * dim:(t + 1) * dim] for t in range(n + 1)]
     # subgradients start at iterate 1, so mu's indices are offset by one
-    lhs = (_bar_term(bundle.lam.bar, xs, ys, d, trace.gs, trace.fs, smooth=True)
-           + _bar_term(bundle.mu.bar, xs[1:], ys[1:], d, trace.ss, trace.hs[1:], smooth=False)
-           ) / (2 * d)
+    lhs = _bar_term(d, xs, ys, [(bundle.lam.bar, 0, trace.gs, trace.fs, True),
+                                (bundle.mu.bar, 1, trace.ss, trace.hs[1:], False)]) / (2 * d)
     for mult, cocoercivity, offset in (
         (bundle.lam, cocoercivity_f, 0),
         (bundle.mu, cocoercivity_h, 1),

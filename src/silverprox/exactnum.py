@@ -15,14 +15,15 @@ plain integer arithmetic with no gcd at all, and the exact sign of
 p + q*sqrt2 compares p*p with 2*q*q.  The rational components a = p/d and
 b = q/d are available as ``Fraction`` properties.  ``int_form`` puts a list
 of values over one common denominator, and ``int_dot`` (values times ints, or
-times x + y sqrt2) and ``int_norm2`` sum on that form and reduce once, so that
-other modules never read the three ints of a value.
+times x + y sqrt2), ``scaled_int_dot`` (a sum of such dots, each times a unit)
+and ``int_norm2`` sum on that form and reduce once; ``signs`` reads the signs
+of many values at once.  So other modules never read the three ints of a value.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from math import gcd, lcm
 from operator import attrgetter, mul
@@ -318,6 +319,14 @@ def int_form(values: Sequence[RadicalScalar]) -> tuple[list[int], list[int], int
     return ps, qs, d
 
 
+def _dot_ints(values: Sequence[RadicalScalar], xs: Sequence[int],
+              ys: Sequence[int]) -> tuple[int, int, int]:
+    """Ints (a, b, d) with sum(values[i] * (xs[i] + ys[i] sqrt2)) == (a + b sqrt2) / d."""
+    ps, qs, d = int_form(values)
+    return (sum(map(mul, ps, xs)) + 2 * sum(map(mul, qs, ys)),
+            sum(map(mul, qs, xs)) + sum(map(mul, ps, ys)), d)
+
+
 def int_dot(values: Sequence[RadicalScalar], xs: Sequence[int],
             ys: Sequence[int] = ()) -> RadicalScalar:
     """Exact sum(values[i] * (xs[i] + ys[i] sqrt2)) for ``RadicalScalar`` values and ints.
@@ -325,9 +334,34 @@ def int_dot(values: Sequence[RadicalScalar], xs: Sequence[int],
     ``ys`` defaults to zeros.  The two components of the values' ``int_form``
     are summed against xs and ys as integers, and the total is reduced once.
     """
-    ps, qs, d = int_form(values)
-    return _reduced(sum(map(mul, ps, xs)) + 2 * sum(map(mul, qs, ys)),
-                    sum(map(mul, qs, xs)) + sum(map(mul, ps, ys)), d)
+    return _reduced(*_dot_ints(values, xs, ys))
+
+
+def scaled_int_dot(parts: Iterable[tuple[RadicalScalar, Sequence[RadicalScalar], Sequence[int],
+                                          Sequence[int]]]) -> RadicalScalar:
+    """Exact sum of ``unit * int_dot(values, xs, ys)`` over ``parts`` of (unit, values, xs, ys).
+
+    Each part is summed as ``int_dot`` sums it, over its own denominator; its
+    unit and the lcm of the denominators are then applied to those ints, so
+    the total is reduced once and no field operation runs per part.
+    """
+    x = y = 0
+    d = 1
+    for unit, values, xs, ys in parts:
+        a, b, e = _dot_ints(values, xs, ys)
+        up, uq, e = unit.p, unit.q, e * unit.d
+        if e != d:  # bring the total and this part over lcm(d, e)
+            m = lcm(d, e)
+            x, y, d = x * (m // d), y * (m // d), m
+        f = d // e
+        x += f * (up * a + 2 * uq * b)
+        y += f * (uq * a + up * b)
+    return _reduced(x, y, d)
+
+
+def signs(values: Sequence[RadicalScalar]) -> list[int]:
+    """Exact signs of ``values``: -1, 0 or +1, read from their integer forms in one pass."""
+    return list(map(_sign, map(_get_p, values), map(_get_q, values)))  # d > 0
 
 
 def int_norm2(values: Sequence[RadicalScalar], vectors: Sequence[Sequence[int]]) -> RadicalScalar:

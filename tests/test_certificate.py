@@ -14,7 +14,10 @@ from silverprox import certificate, schedule
 from silverprox.certificate import (
     BAR_CHUNK,
     TAMPER_TARGETS,
+    ScaledRow,
+    SparseRow,
     _slack_term,
+    _tree_violation,
     build_bundle,
     build_lambda,
     build_mu,
@@ -174,11 +177,30 @@ def test_slack_first_doubling():
         assert total == c2[r]
 
 
+def _as_ref(row):
+    """(stored row, rho**2 power, offset) of a multiplier row; any other row is (row, 0, 0)."""
+    if type(row) is ScaledRow:
+        return row.row, row.power, row.offset
+    return row, 0, 0
+
+
 @pytest.mark.parametrize("k", range(1, 9))
 def test_sparse_row_storage_invariants(k):
     bundle = build_bundle(k)
     n = bundle.n
     lap, border = list(bundle.slack.lap), bundle.slack.border
+    for rows in (bundle.lam.bar, bundle.mu.bar):
+        # a row is a stored SparseRow, or a reference to one with power >= 1
+        for row in rows:
+            if type(row) is ScaledRow:
+                assert type(row.row) is SparseRow and row.power >= 1 and row.offset >= 1
+                scale = rho_pow(2 * row.power)
+                assert row == {row.offset + j: scale * v for j, v in row.row.items()}
+            else:
+                assert type(row) is SparseRow
+        for stored in {id(_as_ref(row)[0]): _as_ref(row)[0] for row in rows}.values():
+            keys = list(stored.keys())
+            assert keys == sorted(keys) and all(stored.values()) and all(j >= 0 for j in keys)
     for rows, count in ((bundle.lam.bar, n + 1), (bundle.mu.bar, n), (lap, n + 1)):
         assert len(rows) == count
         for row in rows:
@@ -186,6 +208,7 @@ def test_sparse_row_storage_invariants(k):
             assert keys == sorted(keys)
             assert all(0 <= j < count for j in keys)
             assert all(row.values())  # no stored zero
+            assert list(row.items()) == list(zip(keys, row.values()))
         # iterating the rows reads like a dense scan that skips the zeros
         assert [v for row in rows for v in row] == [v for row in dense(rows) for v in row if v]
     assert all(min(row.keys()) >= r for r, row in enumerate(lap))  # L's upper triangle
@@ -283,6 +306,134 @@ def test_nonneg_negative_control(part, row, col, change, detail):
     report = check_multipliers_nonneg(replace(bundle, **{part: mult}))
     assert not report.passed
     assert report.detail == detail
+
+
+def _nonneg_by_scan(bundle):
+    """check_multipliers_nonneg's (passed, detail), by a scan of every entry the rows read as."""
+    for label, mult in (("lambda", bundle.lam), ("mu", bundle.mu)):
+        for i, row in enumerate(mult.bar):
+            for j, v in row.items():
+                if i != j and v.sign() < 0:
+                    return False, f"{label}_bar[{i}][{j}] = {v} < 0"
+        for j, v in enumerate(mult.star_row):
+            if v.sign() < 0:
+                return False, f"{label}_star[{j}] = {v} < 0"
+    n, scale = bundle.n, rho_pow(bundle.k) - ONE
+    for j in range(n - 1):
+        v, expected = bundle.mu.bar[n - 1].get(j, ZERO), scale * (bundle.c[j] - bundle.pi[j])
+        if v != expected:
+            return False, f"mu_bar[{n - 1}][{j}] = {v} deviates from closed form {expected}"
+    return True, ""
+
+
+NONNEG_EDITS = {"negate": operator.neg, "minus_one": lambda v: v - ONE,
+                "minus_a_third": lambda v: -(v + ONE) / 3, "drop": lambda v: ZERO}
+
+
+@settings(max_examples=40, deadline=None)
+@given(k=st.integers(2, 6), part=st.sampled_from(("lam", "mu")), pick=st.integers(0, 2**20),
+       edit=st.sampled_from(sorted(NONNEG_EDITS)), keep_first=st.booleans(),
+       materialized=st.booleans())
+@example(k=5, part="lam", pick=0, edit="negate", keep_first=False, materialized=False)
+@example(k=5, part="lam", pick=0, edit="negate", keep_first=True, materialized=False)
+@example(k=4, part="mu", pick=3, edit="minus_a_third", keep_first=True, materialized=False)
+@example(k=3, part="mu", pick=5, edit="drop", keep_first=False, materialized=True)
+def test_nonneg_check_matches_a_scan_of_the_materialized_rows(k, part, pick, edit, keep_first,
+                                                              materialized):
+    # Edit one entry of a stored row.  Every copy that refers to it sees the
+    # edit (order 1's row 0 is shared by 2**(k-1) rows); with keep_first the
+    # row's own position keeps an unedited copy, so only the scaled copies
+    # carry it.  Or edit one materialized row as a plain dict.  The check,
+    # which scans each stored row once, must pass or fail as a scan of every
+    # entry does, and name the same entry.
+    bundle = build_bundle(k)
+    mult = getattr(bundle, part)
+    stored = list({id(_as_ref(row)[0]): _as_ref(row)[0] for row in mult.bar}.values())
+    row = stored[pick % len(stored)]
+    col = list(row.keys())[pick // len(stored) % len(row)] if row else pick % bundle.n
+    value = NONNEG_EDITS[edit](row.get(col, ZERO))
+    first = next(i for i, r in enumerate(mult.bar) if r is row)
+    if materialized:
+        bar = with_entries(mult.bar, {(first, col): value})
+    else:
+        entries = {**dict(row.items()), col: value}
+        edited = SparseRow(sorted((j, v) for j, v in entries.items() if v))
+        bar = [ScaledRow(edited, r.power, r.offset) if type(r) is ScaledRow and r.row is row
+               else edited if r is row else r for r in mult.bar]
+        if keep_first:
+            bar[first] = SparseRow(row.items())
+    bad = replace(bundle, **{part: replace(mult, bar=bar)})
+    report = check_multipliers_nonneg(bad)
+    assert (report.passed, report.detail) == _nonneg_by_scan(bad)
+
+
+def test_nonneg_closed_form_reads_values_over_a_common_denominator():
+    # mu's last row, c and pi all divided by 3 keep the closed form, now over d = 3.
+    bundle = build_bundle(3)
+    n = bundle.n
+    bar = list(bundle.mu.bar)
+    bar[n - 1] = SparseRow((j, v / 3) for j, v in bar[n - 1].items())
+    thirds = replace(bundle, c=[v / 3 for v in bundle.c], pi=[v / 3 for v in bundle.pi],
+                     mu=replace(bundle.mu, bar=bar))
+    assert check_multipliers_nonneg(thirds).passed
+    bar[n - 1] = SparseRow(sorted({**dict(bar[n - 1].items()), 0: ONE / 3}.items()))  # was 0
+    report = check_multipliers_nonneg(replace(thirds, mu=replace(bundle.mu, bar=bar)))
+    assert (report.passed, report.detail) == (False, (
+        "mu_bar[6][0] = 1/3 + 0/1*sqrt2 deviates from closed form 0/1 + 0/1*sqrt2"))
+
+
+TREE_FACTORS = (Fraction(1, 3), Fraction(2, 3), 3, RHO, RadicalScalar(1, Fraction(1, 3)))
+
+
+def _tree_values(slack):
+    """Every value the tree stores, as (field, level, index) for ``_scaled_tree_value``."""
+    places = [("base", None, None), ("corner", None, None)]
+    for j, level in enumerate(slack.levels, start=1):
+        places += [("diag", j, None)] + [(part, j, r) for part in ("gap", "pi")
+                                         for r in range(len(getattr(level, part)))]
+    return places + [(part, None, r) for part in ("gap", "c") for r in range(len(slack.c))]
+
+
+def _scaled_tree_value(slack, place, factor):
+    field, j, r = place
+    if j is not None:
+        level = slack.levels[j - 1]
+        value = getattr(level, field)
+        value = value * factor if r is None else _edited(value, r, value[r] * factor)
+        levels = list(slack.levels)
+        levels[j - 1] = replace(level, **{field: value})
+        return replace(slack, levels=tuple(levels))
+    value = getattr(slack, field)
+    return replace(slack, **{field: value * factor if r is None else
+                             _edited(value, r, value[r] * factor)})
+
+
+@settings(max_examples=40, deadline=None)
+@given(k=st.integers(1, 6), edits=st.lists(st.tuples(
+    st.integers(0, 2**20), st.integers(0, len(TREE_FACTORS) - 1), st.booleans()), max_size=3))
+@example(k=3, edits=[(2, 0, False)])  # level 1's gap divided by 3: values with d = 3
+@example(k=4, edits=[(0, 1, False), (40, 4, False)])
+@example(k=2, edits=[(5, 0, True)])
+def test_integer_induction_agrees_with_the_row_oracle(k, edits):
+    # The induction over the tree's integer form against an entry-by-entry
+    # scan of the rows it stands for, L and the Schur complement's, after
+    # scaling tree values by positive factors (or, flipped, negative ones).
+    # Positive factors keep every sign, so the two agree on the verdict and,
+    # for a row sum, on the row and its value.  The induction asks more than
+    # the scan (nonnegative levels), so a negative factor can fail it alone.
+    slack = build_bundle(k).slack
+    places = _tree_values(slack)
+    for pick, f, flip in edits:
+        slack = _scaled_tree_value(slack, places[pick % len(places)],
+                                   -TREE_FACTORS[f] if flip else TREE_FACTORS[f])
+    for schur, rows, prefix in ((False, slack.lap, "L "),
+                                (True, schur_rows(slack), "Schur complement ")):
+        tree, scan = _tree_violation(slack, schur), laplacian_violation(rows)
+        assert bool(scan) <= bool(tree)
+        if not any(flip for _, _, flip in edits):
+            assert bool(tree) == bool(scan)
+            if "sums to" in scan:
+                assert tree == prefix + scan
 
 
 def _with_slack(bundle, **fields):
@@ -684,17 +835,30 @@ def test_build_bundle_walks_the_silver_doubling_once_per_builder(monkeypatch):
 
 
 def test_orders_share_the_rows_a_level_leaves_unchanged():
+    # Order k is order k - 1's rows themselves, then references to the stored
+    # rows behind them one power of rho**2 up and n + 1 columns on; only the
+    # rows a level corrects are stored anew.
     for k in range(2, 7):
         low, high = build_bundle(k - 1), build_bundle(k)
         n = low.n
-        assert [high.lam.bar[i] is row for i, row in enumerate(low.lam.bar)] == [True] * n + [False]
-        assert ([high.mu.bar[i] is row for i, row in enumerate(low.mu.bar)]
-                == [True] * (n - 1) + [False])
+        for part, corrected in (("lam", {n, 2 * n + 1}), ("mu", {n - 1, n, 2 * n})):
+            low_bar, high_bar = getattr(low, part).bar, getattr(high, part).bar
+            for i, row in enumerate(high_bar):
+                if i in corrected:
+                    assert type(row) is SparseRow
+                    assert all(row is not _as_ref(r)[0] for r in low_bar)
+                elif i < len(low_bar):
+                    assert row is low_bar[i]
+                else:
+                    stored, power, offset = _as_ref(low_bar[i - n - 1])
+                    assert type(row) is ScaledRow and row.row is stored
+                    assert (row.power, row.offset) == (power + 1, offset + n + 1)
+            new = ({id(_as_ref(r)[0]) for r in high_bar}
+                   - {id(_as_ref(r)[0]) for r in low_bar})
+            assert new == {id(high_bar[i]) for i in corrected}
         assert high.slack.levels[:-1] == low.slack.levels
         assert all(a is b for a, b in zip(high.slack.levels, low.slack.levels))
         assert high.slack.levels[-1].gap is low.slack.gap and high.slack.levels[-1].pi is low.pi
-        for row in high.lam.bar + high.mu.bar:
-            assert type(row) is certificate.SparseRow and list(row.keys()) == sorted(row.keys())
 
 
 @pytest.mark.parametrize("target", TAMPER_TARGETS)
@@ -704,6 +868,17 @@ def test_tamper_leaves_the_neighbouring_orders_unchanged(target):
         before = [repr(build_bundle(j)) for j in (k - 1, k, k + 1)]
         tamper_bundle(build_bundle(k), target)
         assert [repr(build_bundle(j)) for j in (k - 1, k, k + 1)] == before
+
+
+@pytest.mark.parametrize("k", [2, 5])
+def test_tamper_lambda_edits_one_entry_of_the_rows_read(k):
+    # Row 0 is stored once and referred to by 2**(k-1) - 1 scaled copies; the
+    # tampered bundle replaces row 0 alone, so the copies keep their values.
+    bundle = build_bundle(k)
+    before, after = dense(bundle.lam.bar), dense(tamper_bundle(bundle, "lambda").lam.bar)
+    changed = [(i, j) for i, row in enumerate(before) for j, v in enumerate(row)
+               if v != after[i][j]]
+    assert changed == [(0, 1)] and after[0][1] == before[0][1] + ONE
 
 
 @pytest.mark.parametrize("builder", [build_bundle, build_lambda, build_mu, build_slack,

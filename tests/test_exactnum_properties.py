@@ -8,7 +8,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from silverprox.exactnum import SQRT2, ZERO, RadicalScalar, int_dot, int_form, int_norm2, rho_pow
+from silverprox.exactnum import (SQRT2, ZERO, RadicalScalar, int_dot, int_form, int_norm2, rho_pow,
+                                 scaled_int_dot, signs)
 
 
 class Ref:
@@ -124,6 +125,29 @@ def test_int_dot_matches_sum_of_products(terms):
                         (int_dot(values, xs, ys), [SQRT2 * y + x for x, y in zip(xs, ys)])):
         assert got == sum((v * x for v, x in zip(values, coords)), ZERO)
         assert got.d >= 1 and gcd(got.p, got.q, got.d) == 1
+
+
+@settings(deadline=None)
+@given(st.lists(st.tuples(pairs, st.lists(st.tuples(pairs, numerators, numerators), max_size=5)),
+                max_size=4))
+@example([])
+@example([((Fraction(3), Fraction(2)), [((Fraction(1, 6), Fraction(-5, 4)), -3, 2)]),
+          ((Fraction(1), Fraction(0)), [((Fraction(2, 3), Fraction(0)), 7, -1)])])
+def test_scaled_int_dot_matches_the_sum_of_scaled_dots(parts):
+    # Units and values with d > 1, each part over its own denominator.
+    built = [(RadicalScalar(*unit), [RadicalScalar(*ab) for ab, _, _ in terms],
+              [x for _, x, _ in terms], [y for _, _, y in terms]) for unit, terms in parts]
+    got = scaled_int_dot(built)
+    assert got == sum((unit * int_dot(v, x, y) for unit, v, x, y in built), ZERO)
+    assert got.d >= 1 and gcd(got.p, got.q, got.d) == 1
+
+
+@settings(deadline=None)
+@given(st.lists(pairs, max_size=8))
+@example([(Fraction(-3, 2), Fraction(1)), (Fraction(3, 2), Fraction(-1)), (Fraction(0), 0)])
+def test_signs_match_each_sign(components):
+    values = [RadicalScalar(*ab) for ab in components]
+    assert signs(values) == [v.sign() for v in values]
 
 
 @settings(deadline=None)
