@@ -82,10 +82,10 @@ from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
-from operator import mul
+from operator import mul, sub
 
 from .exactnum import (ONE, RHO, SQRT2, ZERO, RadicalScalar, int_dot, int_form, int_norm2,
-                       rho_pow, scaled_int_dot, signs)
+                       int_times, rho_pow, scaled_int_dot, signs)
 from .schedule import c_double, pi_double, two_adic_valuation
 
 INV_SQRT2 = RadicalScalar(0, Fraction(1, 2))  # 1/sqrt2 = sqrt2/2
@@ -445,35 +445,35 @@ def check_multipliers_nonneg(bundle: CertificateBundle) -> CheckReport:
     Row i as (stored row, power, offset) holds ``rho**(2 power)`` times the
     stored values, and rho**(2 power) > 0, so its signs are the stored
     values', and its diagonal is the stored column i - offset, which all the
-    copies of a stored row share.  So each stored row is scanned once per
-    diagonal column, with signs read from the values' integer form.  Only
-    if that finds a negative off-diagonal entry are the rows read entry by
-    entry, in row-major order, to name the first one.
+    copies of a stored row share.  So the rows are read in order, each
+    (stored row, diagonal column) once with signs from the values' integer
+    form: a pair seen before was clean, and the first negative off-diagonal
+    entry is the one a row-major scan of every row would name.
     """
     for label, mult in (("lambda", bundle.lam), ("mu", bundle.mu)):
-        # each stored row once, with its diagonal column i - offset, which every copy shares
-        stored = {(id(row), i - offset): row
-                  for i, (row, _, offset) in enumerate(map(_ref, mult.bar))}
-        if -1 in signs([v for (_, diag), row in stored.items()
-                        for j, v in row.items() if j != diag]):
-            for i, row in enumerate(mult.bar):  # name the first entry as a row-major scan does
-                for j, v in row.items():
-                    if i != j and v.sign() < 0:
-                        return CheckReport("nonneg", False, f"{label}_bar[{i}][{j}] = {v} < 0")
+        seen = set()
+        for i, row in enumerate(mult.bar):
+            stored, _, offset = _ref(row)
+            if (id(stored), i - offset) in seen:
+                continue
+            seen.add((id(stored), i - offset))
+            for j, sign in zip(stored.keys(), signs(stored.values())):
+                if sign < 0 and j != i - offset:
+                    value = row[offset + j]
+                    return CheckReport("nonneg", False, f"{label}_bar[{i}][{offset + j}] = {value} < 0")
         star = mult.star_row
         for j, sign in enumerate(signs(star)):
             if sign < 0:
                 return CheckReport("nonneg", False, f"{label}_star[{j}] = {star[j]} < 0")
-    n, m = bundle.n, bundle.n - 1
+    m = bundle.n - 1
     last = [bundle.mu.bar[m].get(j, ZERO) for j in range(m)]
     scale = rho_pow(bundle.k) - ONE
-    # last[j] == scale (c_j - pi_j) over one denominator d, as the ints of d last[j]
-    ps, qs, d = int_form([scale] + last + bundle.c[:m] + bundle.pi[:m])
-    sp, sq = ps[0], qs[0]
-    entries = zip(ps[1:n], qs[1:n], ps[n:n + m], qs[n:n + m], ps[n + m:], qs[n + m:])
-    for j, (p, q, cp, cq, pp, pq) in enumerate(entries):
-        gp, gq = cp - pp, cq - pq
-        if (d * p, d * q) != (sp * gp + 2 * sq * gq, sp * gq + sq * gp):
+    # last[j] == scale (c_j - pi_j) on one integer form, which scale in Z[sqrt2] keeps
+    ps, qs, _ = int_form(last + bundle.c[:m] + bundle.pi[:m])
+    gap = int_times(scale, list(map(sub, ps[m:2 * m], ps[2 * m:])),
+                    list(map(sub, qs[m:2 * m], qs[2 * m:])))
+    for j, (p, q, gp, gq) in enumerate(zip(ps[:m], qs[:m], *gap)):
+        if (p, q) != (gp, gq):
             expected = scale * (bundle.c[j] - bundle.pi[j])
             detail = f"mu_bar[{m}][{j}] = {last[j]} deviates from closed form {expected}"
             return CheckReport("nonneg", False, detail)
@@ -494,8 +494,8 @@ def _tree_violation(slack: SlackMatrix, schur: bool) -> str:
 
     Signs are read from each value's integer form, and the sums run on one
     ``int_form`` of the tree's values, over one denominator d: a value is
-    kept as the ints p and q of (p + q sqrt2) / d, and its product with
-    rho**j = a + b sqrt2 (Pell numbers) is (a p + 2 b q, b p + a q).
+    kept as the ints p and q of (p + q sqrt2) / d, and ``int_times`` keeps
+    it over d when multiplied by a power of rho, which is in Z[sqrt2].
     """
     prefix = "Schur complement " if schur else ""
     n, k = len(slack.c), len(slack.levels) + 1
@@ -514,26 +514,21 @@ def _tree_violation(slack: SlackMatrix, schur: bool) -> str:
     head = [slack.base, slack.corner] + [level.diag for level in slack.levels]
     ps, qs, d = int_form(head + [v for _, values, _ in sized for v in values])
     sp, sq, at = [ps[0]], [qs[0]], len(head)
-    a, b = 1, 0  # rho**j = a + b sqrt2, and rho = 1 + sqrt2
     for j in range(1, k):  # B_j = (-rho**j gap_j, diag, -rho pi(j))
-        a, b, m = a + 2 * b, a + b, 2**j - 1
-        gp, gq = ps[at:at + m], qs[at:at + m]
-        pp, pq = ps[at + m:at + 2 * m], qs[at + m:at + 2 * m]
+        m = 2**j - 1
+        lo_p, lo_q = int_times(rho_pow(j), ps[at:at + m], qs[at:at + m])
+        hi_p, hi_q = int_times(RHO, ps[at + m:at + 2 * m], qs[at + m:at + 2 * m])
+        up_p, up_q = int_times(rho_pow(2), sp, sq)
         at += 2 * m
-        lo_p = [-(a * p + 2 * b * q) for p, q in zip(gp, gq)]
-        lo_q = [-(b * p + a * q) for p, q in zip(gp, gq)]
-        hi_p = [-(p + 2 * q) for p, q in zip(pp, pq)]
-        hi_q = [-(p + q) for p, q in zip(pp, pq)]
-        mid_p = ps[1 + j] + sum(lo_p) + sum(hi_p)
-        mid_q = qs[1 + j] + sum(lo_q) + sum(hi_q)
-        sp, sq = ([s + t for s, t in zip(sp, lo_p)] + [mid_p]  # rho**2 = 3 + 2 sqrt2
-                  + [3 * s + 4 * u + t for s, u, t in zip(sp, sq, hi_p)],
-                  [s + t for s, t in zip(sq, lo_q)] + [mid_q]
-                  + [2 * s + 3 * u + t for s, u, t in zip(sp, sq, hi_q)])
+        sp = (list(map(sub, sp, lo_p)) + [ps[1 + j] - sum(lo_p) - sum(hi_p)]
+              + list(map(sub, up_p, hi_p)))
+        sq = (list(map(sub, sq, lo_q)) + [qs[1 + j] - sum(lo_q) - sum(hi_q)]
+              + list(map(sub, up_q, hi_q)))
     gp, gq, cp, cq = ps[at:at + n], qs[at:at + n], ps[at + n:], qs[at + n:]
-    tp, tq = sum(gp), sum(gq)  # gap_k's total; the row sums less gap gap^T are over d**2
-    rows = [(d * (s - c) - (g * tp + 2 * h * tq), d * (u - e) - (g * tq + h * tp), d * d)
-            for s, u, g, h, c, e in zip(sp, sq, gp, gq, cp, cq)]
+    # row r of gap gap^T sums to gap_r times gap_k's total, d times which is in Z[sqrt2]
+    op, oq = int_times(RadicalScalar(sum(gp), sum(gq)), gp, gq)  # over d**2
+    rows = [(d * (s - c) - o, d * (u - e) - f, d * d)
+            for s, u, c, e, o, f in zip(sp, sq, cp, cq, op, oq)]
     rows.append((ps[1] - sum(cp), qs[1] - sum(cq), d))  # the corner row
     for r, (p, q, e) in enumerate(rows):
         if p or q:

@@ -327,22 +327,35 @@ def _dot_ints(values: Sequence[RadicalScalar], xs: Sequence[int],
             sum(map(mul, qs, xs)) + sum(map(mul, ps, ys)), d)
 
 
-def int_dot(values: Sequence[RadicalScalar], xs: Sequence[int],
-            ys: Sequence[int] = ()) -> RadicalScalar:
-    """Exact sum(values[i] * (xs[i] + ys[i] sqrt2)) for ``RadicalScalar`` values and ints.
+def int_dot(values: Sequence[RadicalScalar], xs: Sequence[int]) -> RadicalScalar:
+    """Exact sum(values[i] * xs[i]) for ``RadicalScalar`` values and ints.
 
-    ``ys`` defaults to zeros.  The two components of the values' ``int_form``
-    are summed against xs and ys as integers, and the total is reduced once.
+    The two components of the values' ``int_form`` are summed against xs as
+    integers, and the total is reduced once.
     """
-    return _reduced(*_dot_ints(values, xs, ys))
+    ps, qs, d = int_form(values)
+    return _reduced(sum(map(mul, ps, xs)), sum(map(mul, qs, xs)), d)
+
+
+def int_times(w: RadicalScalar, ps: Sequence[int], qs: Sequence[int]) -> tuple[list[int], list[int]]:
+    """Ints of ``w * (ps[i] + qs[i] sqrt2)`` for ``w`` in Z[sqrt2], such as rho's powers.
+
+    A list of values over one denominator (an ``int_form``) stays over that
+    denominator when multiplied so; a ``w`` with a denominator raises ``ValueError``.
+    """
+    if w.d != 1:
+        raise ValueError(f"int_times needs a multiplier in Z[sqrt2], got {w}")
+    a, b = w.p, w.q
+    return [a * p + 2 * b * q for p, q in zip(ps, qs)], [b * p + a * q for p, q in zip(ps, qs)]
 
 
 def scaled_int_dot(parts: Iterable[tuple[RadicalScalar, Sequence[RadicalScalar], Sequence[int],
                                           Sequence[int]]]) -> RadicalScalar:
-    """Exact sum of ``unit * int_dot(values, xs, ys)`` over ``parts`` of (unit, values, xs, ys).
+    """Exact sum of ``unit * sum(values[i] * (xs[i] + ys[i] sqrt2))`` over ``parts`` of
+    (unit, values, xs, ys), with ``RadicalScalar`` values and ints xs and ys.
 
-    Each part is summed as ``int_dot`` sums it, over its own denominator; its
-    unit and the lcm of the denominators are then applied to those ints, so
+    Each part's two components are summed as ``int_dot`` sums them, over its
+    own denominator; its unit and the lcm of the denominators are then applied to those ints, so
     the total is reduced once and no field operation runs per part.
     """
     x = y = 0

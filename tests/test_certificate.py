@@ -16,6 +16,7 @@ from silverprox.certificate import (
     TAMPER_TARGETS,
     ScaledRow,
     SparseRow,
+    _ref,
     _slack_term,
     _tree_violation,
     build_bundle,
@@ -177,13 +178,6 @@ def test_slack_first_doubling():
         assert total == c2[r]
 
 
-def _as_ref(row):
-    """(stored row, rho**2 power, offset) of a multiplier row; any other row is (row, 0, 0)."""
-    if type(row) is ScaledRow:
-        return row.row, row.power, row.offset
-    return row, 0, 0
-
-
 @pytest.mark.parametrize("k", range(1, 9))
 def test_sparse_row_storage_invariants(k):
     bundle = build_bundle(k)
@@ -198,7 +192,7 @@ def test_sparse_row_storage_invariants(k):
                 assert row == {row.offset + j: scale * v for j, v in row.row.items()}
             else:
                 assert type(row) is SparseRow
-        for stored in {id(_as_ref(row)[0]): _as_ref(row)[0] for row in rows}.values():
+        for stored in {id(_ref(row)[0]): _ref(row)[0] for row in rows}.values():
             keys = list(stored.keys())
             assert keys == sorted(keys) and all(stored.values()) and all(j >= 0 for j in keys)
     for rows, count in ((bundle.lam.bar, n + 1), (bundle.mu.bar, n), (lap, n + 1)):
@@ -348,7 +342,7 @@ def test_nonneg_check_matches_a_scan_of_the_materialized_rows(k, part, pick, edi
     # entry does, and name the same entry.
     bundle = build_bundle(k)
     mult = getattr(bundle, part)
-    stored = list({id(_as_ref(row)[0]): _as_ref(row)[0] for row in mult.bar}.values())
+    stored = list({id(_ref(row)[0]): _ref(row)[0] for row in mult.bar}.values())
     row = stored[pick % len(stored)]
     col = list(row.keys())[pick // len(stored) % len(row)] if row else pick % bundle.n
     value = NONNEG_EDITS[edit](row.get(col, ZERO))
@@ -365,6 +359,21 @@ def test_nonneg_check_matches_a_scan_of_the_materialized_rows(k, part, pick, edi
     bad = replace(bundle, **{part: replace(mult, bar=bar)})
     report = check_multipliers_nonneg(bad)
     assert (report.passed, report.detail) == _nonneg_by_scan(bad)
+
+
+def test_nonneg_reads_a_stored_row_again_at_another_diagonal():
+    # One stored row at rows 1 and 2: its negative entry at column 1 is row 1's
+    # diagonal, which the check skips, but an off-diagonal entry of row 2, plain
+    # or as a copy one power of rho**2 up with offset 2 (at column 3).
+    bundle = build_bundle(2)
+    shared = SparseRow({1: -ONE})
+    for second, detail in ((shared, "lambda_bar[2][1] = -1/1 + 0/1*sqrt2 < 0"),
+                           (ScaledRow(shared, 1, 2), "lambda_bar[2][3] = -3/1 + -2/1*sqrt2 < 0")):
+        bar = list(bundle.lam.bar)
+        bar[1], bar[2] = shared, second
+        bad = replace(bundle, lam=replace(bundle.lam, bar=bar))
+        report = check_multipliers_nonneg(bad)
+        assert (report.passed, report.detail) == _nonneg_by_scan(bad) == (False, detail)
 
 
 def test_nonneg_closed_form_reads_values_over_a_common_denominator():
@@ -846,15 +855,15 @@ def test_orders_share_the_rows_a_level_leaves_unchanged():
             for i, row in enumerate(high_bar):
                 if i in corrected:
                     assert type(row) is SparseRow
-                    assert all(row is not _as_ref(r)[0] for r in low_bar)
+                    assert all(row is not _ref(r)[0] for r in low_bar)
                 elif i < len(low_bar):
                     assert row is low_bar[i]
                 else:
-                    stored, power, offset = _as_ref(low_bar[i - n - 1])
+                    stored, power, offset = _ref(low_bar[i - n - 1])
                     assert type(row) is ScaledRow and row.row is stored
                     assert (row.power, row.offset) == (power + 1, offset + n + 1)
-            new = ({id(_as_ref(r)[0]) for r in high_bar}
-                   - {id(_as_ref(r)[0]) for r in low_bar})
+            new = ({id(_ref(r)[0]) for r in high_bar}
+                   - {id(_ref(r)[0]) for r in low_bar})
             assert new == {id(high_bar[i]) for i in corrected}
         assert high.slack.levels[:-1] == low.slack.levels
         assert all(a is b for a, b in zip(high.slack.levels, low.slack.levels))

@@ -8,8 +8,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from silverprox.exactnum import (SQRT2, ZERO, RadicalScalar, int_dot, int_form, int_norm2, rho_pow,
-                                 scaled_int_dot, signs)
+from silverprox.exactnum import (SQRT2, ZERO, RadicalScalar, int_dot, int_form, int_norm2,
+                                 int_times, rho_pow, scaled_int_dot, signs)
 
 
 class Ref:
@@ -113,18 +113,29 @@ def test_arithmetic_matches_reference(ab, operand):
 
 
 @settings(deadline=None)
-@given(st.lists(st.tuples(pairs, numerators, numerators), max_size=8))
+@given(st.lists(st.tuples(pairs, numerators), max_size=8))
 @example([])
-@example([((Fraction(1, 6), Fraction(-5, 4)), -3, 2), ((Fraction(2, 3), Fraction(0)), 7, -1)])
+@example([((Fraction(1, 6), Fraction(-5, 4)), -3), ((Fraction(2, 3), Fraction(0)), 7)])
 def test_int_dot_matches_sum_of_products(terms):
-    # Values with d > 1 over ints of either sign, on one common denominator,
-    # and over coordinates x + y sqrt2.
-    values = [RadicalScalar(*ab) for ab, _, _ in terms]
-    xs, ys = [x for _, x, _ in terms], [y for _, _, y in terms]
-    for got, coords in ((int_dot(values, xs), xs),
-                        (int_dot(values, xs, ys), [SQRT2 * y + x for x, y in zip(xs, ys)])):
-        assert got == sum((v * x for v, x in zip(values, coords)), ZERO)
-        assert got.d >= 1 and gcd(got.p, got.q, got.d) == 1
+    # Values with d > 1 over ints of either sign, on one common denominator.
+    values, xs = [RadicalScalar(*ab) for ab, _ in terms], [x for _, x in terms]
+    got = int_dot(values, xs)
+    assert got == sum((v * x for v, x in zip(values, xs)), ZERO)
+    assert got.d >= 1 and gcd(got.p, got.q, got.d) == 1
+
+
+@settings(deadline=None)
+@given(st.tuples(numerators, numerators), st.lists(pairs, max_size=8))
+@example((3, 2), [(Fraction(1, 6), Fraction(-5, 4)), (Fraction(2, 3), Fraction(0))])
+def test_int_times_keeps_the_common_denominator(w, components):
+    # Z[sqrt2] multipliers over values with d > 1, read back over the same d.
+    unit, values = RadicalScalar(*w), [RadicalScalar(*ab) for ab in components]
+    ps, qs, d = int_form(values)
+    got = int_times(unit, ps, qs)
+    assert [RadicalScalar(Fraction(p, d), Fraction(q, d)) for p, q in zip(*got)] == [
+        unit * v for v in values]
+    with pytest.raises(ValueError, match="Z\\[sqrt2\\]"):
+        int_times(RadicalScalar(Fraction(1, 3), 0), ps, qs)
 
 
 @settings(deadline=None)
@@ -138,7 +149,8 @@ def test_scaled_int_dot_matches_the_sum_of_scaled_dots(parts):
     built = [(RadicalScalar(*unit), [RadicalScalar(*ab) for ab, _, _ in terms],
               [x for _, x, _ in terms], [y for _, _, y in terms]) for unit, terms in parts]
     got = scaled_int_dot(built)
-    assert got == sum((unit * int_dot(v, x, y) for unit, v, x, y in built), ZERO)
+    assert got == sum((unit * (int_dot(v, x) + SQRT2 * int_dot(v, y)) for unit, v, x, y in built),
+                      ZERO)
     assert got.d >= 1 and gcd(got.p, got.q, got.d) == 1
 
 
