@@ -15,8 +15,10 @@ glues two copies of the order-k certificate and adds a sparse correction
 stepsizes and their companion sequence).  Each order is that one level on
 the memoized order below, ``build_bundle(k - 1)``: it shares the rows and
 slack levels the level leaves unchanged and copies only the rows it
-corrects, so every bundle is read-only.  Everything lives in Q(sqrt2) and
-every check below is an exact computation: no floating point is involved.
+corrects, so every bundle is read-only, and its level of the stepsizes'
+doubling (pi(k) and c(k)) is taken once, for all of its builders.
+Everything lives in Q(sqrt2) and every check below is an exact
+computation: no floating point is involved.
 
 ``lambda_bar`` and ``mu_bar`` are stored as their gluing tree too.  Only
 the rows a level corrects (lambda's n and 2n+1, mu's n-1, n and 2n) and
@@ -33,15 +35,17 @@ by power.  The slack matrix is stored as its gluing tree: with
 gap_j = c(j) - pi(j) and core'_j = core_j + gap_j gap_j^T, each level adds
 one border column B_j to two glued copies of core'_j, and L is core'_k less
 gap_k gap_k^T, bordered by -c; S is L plus one border row.  The tree holds
-O(n) entries, so L is symmetric by construction and the Laplacian checks
-are an induction over the levels in O(n), on one integer form of the
-tree's values.  The slack term of an identity
-trial, O(n k dim) integer work, and ``SlackMatrix.lap``, which generates
-L's rows for readers that want them, both read the tree in one walk over
-its nodes (``SlackMatrix._nodes``).  Sums of field values times integer
-coordinates go through ``exactnum.int_dot`` or ``int_norm2``, and the
-iterates' common denominator through ``exactnum.int_form``: nothing here
-reads a ``RadicalScalar``'s integer form, and each identity part reduces once.
+O(n) entries, so L is symmetric by construction and both Laplacian checks
+read one induction over the levels in O(n), run once per tree on one
+integer form of the tree's values.  The slack term of an identity trial,
+O(n k dim) integer work, and ``SlackMatrix.lap``, which generates L's rows
+for readers that want them, both read the tree in one walk over its nodes
+(``SlackMatrix._nodes``).  Sums of field values times integer coordinates
+go through ``exactnum``'s ``form_dot``, ``scaled_int_dot`` and
+``norm2_ints``, on values put over one common denominator by
+``exactnum.int_form``: nothing here reads a ``RadicalScalar``'s integer
+form or multiplies two of them by the field's rule, and each side of the
+identity reduces once.
 
 The descent identity states that the multiplier-weighted sum of
 co-coercivities equals
@@ -68,6 +72,16 @@ definition, ``solver.cocoercivity_f`` and ``cocoercivity_h``: they cost
 little there, and perfbench's traced run looks for those functions under
 ``cert verify``.
 
+A trial's cost is the trace's own integer work.  ``verify_descent_identity``
+prepares the bundle's side once per call (``_PreparedIdentity``): the
+integer forms of u's coefficients and of the slack tree's levels, and one
+integer form of every unit of the right side, which holds O(k**2) units
+(three per level and copy count of the tree's nodes).  Each trial then
+sums only ints against that form: the slack term adds each node's int dots
+into its group, and the right side is one ``form_dot``, reduced once, plus
+the gap term.  The loop does not check the traces it draws itself;
+``evaluate_identity`` checks its trace and prepares for that one trace.
+
 Note on the slack matrix: S is symmetric, with first row and column
 (1/sqrt2, -1, 0, ..., 0, +1).  An equivalent presentation elsewhere lists
 the first row with opposite signs; expanding the two squared terms of the
@@ -81,12 +95,12 @@ from bisect import bisect_left
 from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from operator import mul, sub
 
-from .exactnum import (ONE, RHO, SQRT2, ZERO, RadicalScalar, int_dot, int_form, int_norm2,
-                       int_times, rho_pow, scaled_int_dot, signs)
-from .schedule import c_double, pi_double, two_adic_valuation
+from .exactnum import (ONE, RHO, SQRT2, ZERO, RadicalScalar, form_dot, int_form, int_times,
+                       norm2_ints, rho_pow, scaled_int_dot, signs)
+from .schedule import c_double, pi_double
 
 INV_SQRT2 = RadicalScalar(0, Fraction(1, 2))  # 1/sqrt2 = sqrt2/2
 RHO_OVER_2SQRT2 = RadicalScalar(Fraction(1, 2), Fraction(1, 4))  # rho/(2 sqrt2)
@@ -206,27 +220,27 @@ class SlackMatrix:
     corner: RadicalScalar
     border: dict[int, RadicalScalar]
 
-    def _nodes(self) -> Iterator[tuple[int, int, RadicalScalar, GluingLevel]]:
-        """Each index r of core'_k as a tree node: (r, j, scale, level).
+    def _nodes(self) -> Iterator[tuple[int, int, int, GluingLevel]]:
+        """Each index r of core'_k as a tree node, level by level: (r, j, c, level).
 
-        Index r is the middle column of one node of level j = v2(r + 1)
-        (j = 0 is a leaf, core'_1 = [base]), which spans columns
-        r - (2**j - 1) .. r + 2**j - 1.  It lies inside popcount(r + 1) - 1
-        second copies, so its column B_j carries the scale
-        rho**(2 (popcount(r + 1) - 1)).
+        The nodes of level j (j = 0 is a leaf, core'_1 = [base]) are the
+        indices r = 2**j (2t + 1) - 1, one per t; each is the middle column
+        of a node that spans columns r - (2**j - 1) .. r + 2**j - 1.  It lies
+        inside c = popcount(t) = popcount(r + 1) - 1 second copies, so its
+        column B_j carries the scale rho**(2c).
         """
         leaf = GluingLevel(gap=[], diag=self.base, pi=[])
-        for r in range(len(self.c)):
-            j = two_adic_valuation(r + 1)
-            scale = rho_pow(2 * ((r + 1).bit_count() - 1))
-            yield r, j, scale, self.levels[j - 1] if j else leaf
+        for j, level in enumerate((leaf,) + self.levels):
+            for t in range((len(self.c) + 1) >> (j + 1)):
+                yield ((2 * t + 1) << j) - 1, j, t.bit_count(), level
 
     @property
     def lap(self) -> Iterator[SparseRow]:
         """L's upper triangle, one row at a time: row r holds its nonzero columns >= r."""
         n, gap = len(self.c), self.gap
         rows: Rows = [{} for _ in range(n)]
-        for r, j, scale, level in self._nodes():  # B_j = (-rho**j gap, diag, -rho pi)
+        for r, j, c, level in self._nodes():  # B_j = (-rho**j gap, diag, -rho pi)
+            scale = rho_pow(2 * c)
             rows[r][r] = scale * level.diag
             first, second = -(scale * rho_pow(j)), -(scale * RHO)
             for t, g in enumerate(level.gap, start=r + 1 - 2**j):
@@ -241,6 +255,57 @@ class SlackMatrix:
             _accumulate(row, n, -self.c[r])
             yield SparseRow(sorted((s, v) for s, v in row.items() if v))
         yield SparseRow({n: self.corner} if self.corner else {})
+
+    @cached_property
+    def _induction(self) -> tuple[str, str]:
+        """(size or sign failure, row-sum failure) of L's induction over the tree, "" for none.
+
+        Run once per tree, for both slack checks.  Gluing scales by
+        rho**2 > 0, so the off-diagonals of every core'_j are <= 0 once each
+        level's gap and pi are >= 0; L's are then <= 0 once gap_k >= 0 and
+        c >= 0.  Row sums of core'_j follow
+        ``rs'_{j+1} = [rs'_j + B_lo, sum(B_j), rho**2 rs'_j + B_hi]``.  The row
+        sums are not run on a tree of the wrong shape or signs.
+
+        Signs are read from each value's integer form, and the sums run on one
+        ``int_form`` of the tree's values, over one denominator d: a value is
+        kept as the ints p and q of (p + q sqrt2) / d, and ``int_times`` keeps
+        it over d when multiplied by a power of rho, which is in Z[sqrt2].
+        """
+        n, k = len(self.c), len(self.levels) + 1
+        sized = [(f"level {j} {part}", getattr(level, part), 2**j - 1)
+                 for j, level in enumerate(self.levels, start=1) for part in ("gap", "pi")]
+        sized += [(f"level {k} gap", self.gap, n), ("c", self.c, n)]
+        for label, values, size in sized:
+            if len(values) != size:
+                return f"{label} has {len(values)} entries, not {size}", ""
+            value_signs = signs(values)
+            if -1 in value_signs:
+                r = value_signs.index(-1)
+                return f"{label}[{r}] = {values[r]} < 0", ""
+        head = [self.base, self.corner] + [level.diag for level in self.levels]
+        ps, qs, d = int_form(head + [v for _, values, _ in sized for v in values])
+        sp, sq, at = [ps[0]], [qs[0]], len(head)
+        for j in range(1, k):  # B_j = (-rho**j gap_j, diag, -rho pi(j))
+            m = 2**j - 1
+            lo_p, lo_q = int_times(rho_pow(j), ps[at:at + m], qs[at:at + m])
+            hi_p, hi_q = int_times(RHO, ps[at + m:at + 2 * m], qs[at + m:at + 2 * m])
+            up_p, up_q = int_times(rho_pow(2), sp, sq)
+            at += 2 * m
+            sp = (list(map(sub, sp, lo_p)) + [ps[1 + j] - sum(lo_p) - sum(hi_p)]
+                  + list(map(sub, up_p, hi_p)))
+            sq = (list(map(sub, sq, lo_q)) + [qs[1 + j] - sum(lo_q) - sum(hi_q)]
+                  + list(map(sub, up_q, hi_q)))
+        gp, gq, cp, cq = ps[at:at + n], qs[at:at + n], ps[at + n:], qs[at + n:]
+        # row r of gap gap^T sums to gap_r times gap_k's total, d times which is in Z[sqrt2]
+        op, oq = int_times(RadicalScalar(sum(gp), sum(gq)), gp, gq)  # over d**2
+        rows = [(d * (s - c) - o, d * (u - e) - f, d * d)
+                for s, u, c, e, o, f in zip(sp, sq, cp, cq, op, oq)]
+        rows.append((ps[1] - sum(cp), qs[1] - sum(cq), d))  # the corner row
+        for r, (p, q, e) in enumerate(rows):
+            if p or q:
+                return "", f"row {r} sums to {RadicalScalar(Fraction(p, e), Fraction(q, e))}, not 0"
+        return "", ""
 
 
 @dataclass(frozen=True)
@@ -266,6 +331,11 @@ class CertificateBundle:
     mu: Multipliers
     slack: SlackMatrix
     u_coeffs: UCoefficients
+
+    @cached_property
+    def _next_level(self) -> tuple[list[RadicalScalar], list[RadicalScalar]]:
+        """pi(k + 1) and c(k + 1): one level of the doubling, taken when order k + 1 is built."""
+        return pi_double(self.k, self.pi), c_double(self.k, self.pi, self.c)
 
 
 def _accumulate(row: dict[int, RadicalScalar], j: int, v: RadicalScalar) -> None:
@@ -304,20 +374,30 @@ def _correct(bar: Rows, i: int, entries) -> None:
     bar[i] = SparseRow(sorted(row.items()))
 
 
-def _below(k: int) -> tuple[CertificateBundle | None, list[RadicalScalar], list[RadicalScalar]]:
-    """Order k - 1's memoized bundle with its pi and c; at k = 1, None and the empty order 0."""
-    if isinstance(k, bool) or not isinstance(k, int) or k < 1:  # before any recursion
+def _require_order(k: int) -> None:
+    """Raise ``ValueError`` unless the order k is an int >= 1 (a bool is not)."""
+    if isinstance(k, bool) or not isinstance(k, int) or k < 1:
         raise ValueError(f"certificate order k must be an int >= 1, got {k!r}")
+
+
+def _below(k: int) -> tuple[CertificateBundle | None, list, list, list, list]:
+    """Order k - 1's memoized bundle, pi(k - 1), c(k - 1), pi(k) and c(k).
+
+    Order k's level of the doubling is taken once, for every builder, and kept
+    with order k - 1's bundle in ``build_bundle``'s memo.  Order 1 is the base:
+    no bundle below, the empty order 0, pi(1) = [sqrt2] and c(1) = [2 sqrt2].
+    """
+    _require_order(k)  # before any recursion
     if k == 1:
-        return None, [], []
+        return None, [], [], [SQRT2], [SQRT2 * 2]
     prev = build_bundle(k - 1)
-    return prev, prev.pi, prev.c
+    return (prev, prev.pi, prev.c, *prev._next_level)
 
 
 def build_lambda(k: int) -> Multipliers:
     """Smooth-part multipliers of order k: order k - 1 glued once, rows n and 2n+1 corrected."""
-    prev, pi, _ = _below(k)
-    star = pi_double(k - 1, pi) + [rho_pow(k)]
+    prev, pi, _, pi_k, _ = _below(k)
+    star = pi_k + [rho_pow(k)]
     if prev is None:
         return Multipliers(bar=[SparseRow({1: RHO}), SparseRow({0: ONE})], star_row=star)
     j, n = k - 1, prev.n
@@ -331,8 +411,7 @@ def build_lambda(k: int) -> Multipliers:
 
 def build_mu(k: int) -> Multipliers:
     """Nonsmooth-part multipliers of order k: order k - 1 glued once, rows n-1, n, 2n corrected."""
-    prev, pi, c = _below(k)
-    c_k = c_double(k - 1, pi, c)
+    prev, pi, c, _, c_k = _below(k)
     star = [c_k[0] + ONE] + c_k[1:]
     if prev is None:
         return Multipliers(bar=[SparseRow()], star_row=star)
@@ -359,14 +438,13 @@ def _border(n: int) -> SparseRow:
 
 def build_slack(k: int) -> SlackMatrix:
     """Slack matrices of order k as their gluing tree: order k - 1's levels and level k - 1."""
-    prev, pi, c = _below(k)  # level k - 1's gap and pi are order k - 1's gap and pi
+    prev, pi, _, pi_k, c = _below(k)  # level k - 1's gap and pi are order k - 1's gap and pi
     levels = () if prev is None else prev.slack.levels + (GluingLevel(
         gap=prev.slack.gap, diag=(rho_pow(k - 2) + ONE) * (rho_pow(k) + ONE), pi=pi),)
-    pi, c = pi_double(k - 1, pi), c_double(k - 1, pi, c)
     return SlackMatrix(
         base=SQRT2 * 2 + 2,  # core'_1 = 2(rho - 1) + gap_1**2, gap_1 = c(1) - pi(1) = [sqrt2]
         levels=levels,
-        gap=[ct - pt for ct, pt in zip(c, pi)],
+        gap=[ct - pt for ct, pt in zip(c, pi_k)],
         c=c,
         corner=(rho_pow(k) - ONE) * 2,
         border=_border(2**k - 1),
@@ -374,8 +452,7 @@ def build_slack(k: int) -> SlackMatrix:
 
 
 def build_u_coeffs(k: int) -> UCoefficients:
-    _, pi, c = _below(k)
-    pi, c = pi_double(k - 1, pi), c_double(k - 1, pi, c)
+    *_, pi, c = _below(k)
     # pi(k) repeats k values and c(k) starts with pi(k - 1): negate each object once
     minus = _times(-ONE, pi + c)
     return UCoefficients(init=ONE, g=tuple(minus[:len(pi)]) + (-rho_pow(k),),
@@ -386,8 +463,9 @@ def build_u_coeffs(k: int) -> UCoefficients:
 def build_bundle(k: int) -> CertificateBundle:
     """Full certificate of order k (memoized, every order; orders share rows, so read-only)."""
     lam, mu, slack = build_lambda(k), build_mu(k), build_slack(k)
-    return CertificateBundle(k=k, n=2**k - 1, pi=lam.star_row[:-1], c=slack.c,  # pi(k), c(k)
-                             lam=lam, mu=mu, slack=slack, u_coeffs=build_u_coeffs(k))
+    *_, pi, c = _below(k)
+    return CertificateBundle(k=k, n=2**k - 1, pi=pi, c=c, lam=lam, mu=mu, slack=slack,
+                             u_coeffs=build_u_coeffs(k))
 
 
 # ---------------------------------------------------------------------------
@@ -484,57 +562,18 @@ def _tree_violation(slack: SlackMatrix, schur: bool) -> str:
     """Detail of the first failure of the tree's Laplacian induction, or "".
 
     Proves that L (or its Schur complement L - sqrt2 v v^T, v = e_0 - e_n)
-    has nonpositive off-diagonals and zero row sums.  Gluing scales by
-    rho**2 > 0, so the off-diagonals of every core'_j are <= 0 once each
-    level's gap and pi are >= 0; L's are then <= 0 once gap_k >= 0 and
-    c >= 0, and the Schur step raises only the off-diagonal [0][n] to
-    sqrt2 - c[0].  Row sums of core'_j follow
-    ``rs'_{j+1} = [rs'_j + B_lo, sum(B_j), rho**2 rs'_j + B_hi]``, and the
-    Schur step moves no row sum.
-
-    Signs are read from each value's integer form, and the sums run on one
-    ``int_form`` of the tree's values, over one denominator d: a value is
-    kept as the ints p and q of (p + q sqrt2) / d, and ``int_times`` keeps
-    it over d when multiplied by a power of rho, which is in Z[sqrt2].
+    has nonpositive off-diagonals and zero row sums.  Both read the one
+    induction of ``SlackMatrix._induction``; the Schur step raises only the
+    off-diagonal [0][n] to sqrt2 - c[0], so it adds the test c[0] >= sqrt2,
+    and it moves no row sum.
     """
     prefix = "Schur complement " if schur else ""
-    n, k = len(slack.c), len(slack.levels) + 1
-    sized = [(f"level {j} {part}", getattr(level, part), 2**j - 1)
-             for j, level in enumerate(slack.levels, start=1) for part in ("gap", "pi")]
-    sized += [(f"level {k} gap", slack.gap, n), ("c", slack.c, n)]
-    for label, values, size in sized:
-        if len(values) != size:
-            return f"{prefix}{label} has {len(values)} entries, not {size}"
-        value_signs = signs(values)
-        if -1 in value_signs:
-            r = value_signs.index(-1)
-            return f"{prefix}{label}[{r}] = {values[r]} < 0"
+    shape, rows = slack._induction
+    if shape:
+        return prefix + shape
     if schur and slack.c[0] < SQRT2:
         return f"{prefix}c[0] = {slack.c[0]} < sqrt2"
-    head = [slack.base, slack.corner] + [level.diag for level in slack.levels]
-    ps, qs, d = int_form(head + [v for _, values, _ in sized for v in values])
-    sp, sq, at = [ps[0]], [qs[0]], len(head)
-    for j in range(1, k):  # B_j = (-rho**j gap_j, diag, -rho pi(j))
-        m = 2**j - 1
-        lo_p, lo_q = int_times(rho_pow(j), ps[at:at + m], qs[at:at + m])
-        hi_p, hi_q = int_times(RHO, ps[at + m:at + 2 * m], qs[at + m:at + 2 * m])
-        up_p, up_q = int_times(rho_pow(2), sp, sq)
-        at += 2 * m
-        sp = (list(map(sub, sp, lo_p)) + [ps[1 + j] - sum(lo_p) - sum(hi_p)]
-              + list(map(sub, up_p, hi_p)))
-        sq = (list(map(sub, sq, lo_q)) + [qs[1 + j] - sum(lo_q) - sum(hi_q)]
-              + list(map(sub, up_q, hi_q)))
-    gp, gq, cp, cq = ps[at:at + n], qs[at:at + n], ps[at + n:], qs[at + n:]
-    # row r of gap gap^T sums to gap_r times gap_k's total, d times which is in Z[sqrt2]
-    op, oq = int_times(RadicalScalar(sum(gp), sum(gq)), gp, gq)  # over d**2
-    rows = [(d * (s - c) - o, d * (u - e) - f, d * d)
-            for s, u, c, e, o, f in zip(sp, sq, cp, cq, op, oq)]
-    rows.append((ps[1] - sum(cp), qs[1] - sum(cq), d))  # the corner row
-    for r, (p, q, e) in enumerate(rows):
-        if p or q:
-            total = RadicalScalar(Fraction(p, e), Fraction(q, e))
-            return f"{prefix or 'L '}row {r} sums to {total}, not 0"
-    return ""
+    return (prefix or "L ") + rows if rows else ""
 
 
 def check_laplacian(bundle: CertificateBundle) -> CheckReport:
@@ -647,6 +686,66 @@ def sample_free_trace(pi: list[RadicalScalar], dim: int, rng: random.Random):
     )
 
 
+class _SlackForm:
+    """Tr(V S V^T) for V = [w, s_1, ..., s_n, s_*] with int columns of length ``dim``.
+
+    The tree's integer forms are taken once, at construction; ``pairs(cols)``
+    then sums one V's ints, and the term is ``sum(units[i] * (xs[i] + ys[i] sqrt2))``
+    for ``(xs, ys) = pairs(cols)``.  See ``_slack_term`` for the terms.
+    """
+
+    def __init__(self, slack: SlackMatrix, dim: int):
+        k = len(slack.levels) + 1
+        self.slack, self.dim = slack, dim
+        # Level j's gap_j and pi(j) as ints over the level's denominator d_j,
+        # each repeated per coordinate, and three units per (j, c): the node's
+        # first copy, its diagonal and its second copy.
+        self.weights, self.groups, units = [], [], []
+        leaf = GluingLevel(gap=[], diag=slack.base, pi=[])  # core'_1 = [base], no border column
+        for j, level in enumerate((leaf,) + slack.levels):
+            m = len(level.gap)
+            ps, qs, d = int_form(level.gap + level.pi)
+            self.weights.append([[v for v in part for _ in range(dim)]
+                                 for part in (ps[:m], qs[:m], ps[m:], qs[m:])])
+            self.groups.append(len(units))  # (j, c)'s units start at units[groups[j] + 3c]
+            for scale in map(rho_pow, range(0, 2 * (k - j), 2)):
+                units += [scale * rho_pow(j) * -2 / d, scale * level.diag, scale * RHO * -2 / d]
+        self.tree_units = len(units)
+        # then ||sum_r gap_k[r] s_r||**2, the border -c of L, its corner and S's border
+        self.gap_form, self.c_form = int_form(slack.gap), int_form(slack.c)
+        self.border = list(slack.border.items())
+        self.units = units + [-ONE / self.gap_form[2] ** 2, ONE * -2 / self.c_form[2],
+                              slack.corner, *(v for _, v in self.border)]
+
+    def pairs(self, cols: list) -> tuple[list[int], list[int]]:
+        """The ints (xs, ys) of one V = ``cols``, one pair per unit."""
+        w, ss, s_star = cols[0], cols[1:-1], cols[-1]
+        dim, weights, groups = self.dim, self.weights, self.groups
+        flat = [v for s in ss for v in s]
+        xs, ys = [0] * self.tree_units, [0] * self.tree_units
+        for r, j, c, _ in self.slack._nodes():
+            s, g = ss[r], groups[j] + 3 * c
+            xs[g + 1] += sum(map(mul, s, s))
+            if j:  # <s_r, gap_j . first copy> and <s_r, pi(j) . second copy>
+                tile, at, span = s * (2**j - 1), r * dim, (2**j - 1) * dim
+                first = list(map(mul, flat[at - span:at], tile))
+                second = list(map(mul, flat[at + dim:at + dim + span], tile))
+                gp, gq, pp, pq = weights[j]
+                xs[g] += sum(map(mul, gp, first))
+                ys[g] += sum(map(mul, gq, first))
+                xs[g + 2] += sum(map(mul, pp, second))
+                ys[g + 2] += sum(map(mul, pq, second))
+        outer = norm2_ints(self.gap_form, ss)
+        t = [sum(map(mul, s, s_star)) for s in ss]
+        xs += [outer[0], sum(map(mul, self.c_form[0], t)), sum(map(mul, s_star, s_star))]
+        ys += [outer[1], sum(map(mul, self.c_form[1], t)), 0]
+        for j, _ in self.border:  # an off-diagonal entry stands for two
+            g = sum(map(mul, w, cols[j]))
+            xs.append(g if j == 0 else g + g)
+            ys.append(0)
+        return xs, ys
+
+
 def _slack_term(slack: SlackMatrix, cols: list) -> RadicalScalar:
     """Tr(V S V^T) for V = cols = [w, s_1, ..., s_n, s_*], with integer columns.
 
@@ -655,33 +754,19 @@ def _slack_term(slack: SlackMatrix, cols: list) -> RadicalScalar:
     Q'_{j+1}(v) = Q'_j(first copy) + rho**2 Q'_j(second copy)
     + 2 <v_mid, sum_r B_r v_r> + B_mid ||v_mid||**2,
     less ||sum_r gap_k[r] s_r||**2, plus the border -c and the corner.
-    Unrolled over the tree's nodes, node r of level j with scale ``scale``
-    adds scale (B_mid ||s_r||**2 - 2 rho**j <s_r, gap_j . first copy>
-    - 2 rho <s_r, pi(j) . second copy>).  The inner products of s_r with its
-    neighbours are ints, so a trial is O(n k dim) integer work and O(n)
-    field operations.
+    Unrolled over the tree's nodes, node r of level j inside c second copies
+    adds rho**(2c) (B_mid ||s_r||**2 - 2 rho**j <s_r, gap_j . first copy>
+    - 2 rho <s_r, pi(j) . second copy>).  ``_SlackForm`` takes gap_j and
+    pi(j) as ints over the level's denominator d_j once, so the two inner
+    products are int dots of that form with the products of s_r and its
+    copies.  The ints of the nodes with the same (j, c) add up, and the
+    group's three units, rho**(2c) (-2 rho**j) / d_j, rho**(2c) B_mid and
+    rho**(2c) (-2 rho) / d_j, are applied once, in the term's one reduction.
+    So a trial is O(n k dim) integer work, O(n) int dots, and no field
+    operation.
     """
-    w, ss, s_star = cols[0], cols[1:-1], cols[-1]
-    term = ZERO
-    for j, v in slack.border.items():  # an off-diagonal entry stands for two
-        g = sum(map(mul, w, cols[j]))
-        term = term + v * (g if j == 0 else g + g)
-    core = ZERO
-    for r, j, scale, level in slack._nodes():
-        v = ss[r]
-        node = level.diag * sum(map(mul, v, v))
-        if j:  # a leaf has no border column
-            m = 2**j - 1
-            first = [sum(map(mul, v, u)) for u in ss[r - m:r]]
-            second = [sum(map(mul, v, u)) for u in ss[r + 1:r + 1 + m]]
-            cross = rho_pow(j) * int_dot(level.gap, first) + RHO * int_dot(level.pi, second)
-            node = node - cross - cross
-        core = core + scale * node
-    outer = int_norm2(slack.gap, ss)  # ||sum_r gap_k[r] s_r||**2
-    bordered = int_dot(slack.c, [sum(map(mul, s, s_star)) for s in ss])
-    lap = (core - outer - bordered - bordered
-           + slack.corner * sum(map(mul, s_star, s_star)))
-    return term + lap
+    form = _SlackForm(slack, len(cols[0]))
+    return form_dot(int_form(form.units), *form.pairs(cols))
 
 
 def _require_free_trace(trace, n: int) -> None:
@@ -756,6 +841,54 @@ def _rho2_dot(groups: dict[int, tuple[list, list, list]]) -> RadicalScalar:
     return scaled_int_dot([(rho_pow(p + p), w, x, y) for p, (w, x, y) in groups.items()])
 
 
+class _PreparedIdentity:
+    """Both sides of one bundle's descent identity, for traces of dimension ``dim``.
+
+    What depends only on the bundle is taken once, at construction: the
+    optimum rows with each part's co-coercivity, 2 rho**k - 1, u's integer
+    form, the slack tree's (``_SlackForm``), and one integer form of every
+    unit of the right side.  ``sides`` then sums one trace's ints; it checks
+    no field of the trace.
+    """
+
+    def __init__(self, bundle: CertificateBundle, dim: int):
+        from .solver import cocoercivity_f, cocoercivity_h
+
+        self.bundle = bundle
+        # subgradients start at iterate 1, so mu's indices are offset by one
+        self.star = ((bundle.lam.star_row, cocoercivity_f, 0),
+                     (bundle.mu.star_row, cocoercivity_h, 1))
+        self.gap_unit = rho_pow(bundle.k) * 2 - ONE
+        uc = bundle.u_coeffs
+        self.u_form = int_form((uc.init, *uc.g, *uc.s, uc.s_star))
+        self.slack = _SlackForm(bundle.slack, dim)
+        # rho/(2 sqrt2) ||w||**2 - ||u||**2 / 2 - Tr(V S V^T) / 2
+        self.form = int_form([RHO_OVER_2SQRT2, -ONE / (2 * self.u_form[2] ** 2)]
+                             + [v / -2 for v in self.slack.units])
+
+    def sides(self, trace) -> tuple[RadicalScalar, RadicalScalar]:
+        """(lhs, rhs) on ``trace``, which must fit the bundle as ``evaluate_identity`` says."""
+        n, dim = self.bundle.n, len(trace.xs[0])
+        # x_0's int coordinates enter as ONE * v, without RadicalScalar's Fraction-based constructor
+        coords = [v if isinstance(v, RadicalScalar) else ONE * v for x in trace.xs for v in x]
+        ps, qs, d = int_form(coords)
+        xs = [ps[t * dim:(t + 1) * dim] for t in range(n + 1)]
+        ys = [qs[t * dim:(t + 1) * dim] for t in range(n + 1)]
+        lam, mu = self.bundle.lam, self.bundle.mu
+        lhs = _bar_term(d, xs, ys, [(lam.bar, 0, trace.gs, trace.fs, True),
+                                    (mu.bar, 1, trace.ss, trace.hs[1:], False)]) / (2 * d)
+        for row, cocoercivity, offset in self.star:
+            for j, v in enumerate(row, start=offset):
+                if v:
+                    lhs = lhs + v * cocoercivity(trace, "*", j)
+
+        w = trace.xs[0]  # x_0 - x_* since the optimum is at the origin
+        u = norm2_ints(self.u_form, [w, *trace.gs, *trace.ss, trace.s_star])
+        slack_xs, slack_ys = self.slack.pairs([w] + trace.ss + [trace.s_star])
+        rest = form_dot(self.form, [sum(map(mul, w, w)), u[0]] + slack_xs, [0, u[1]] + slack_ys)
+        return lhs, self.gap_unit * (trace.F_star - trace.Fs[n]) + rest
+
+
 def evaluate_identity(bundle: CertificateBundle, trace) -> tuple[RadicalScalar, RadicalScalar]:
     """Evaluate both sides of the descent identity on one trace, exactly.
 
@@ -771,38 +904,11 @@ def evaluate_identity(bundle: CertificateBundle, trace) -> tuple[RadicalScalar, 
     with no field operation per entry.  The O(n) optimum rows go through
     ``solver.cocoercivity_f`` and ``cocoercivity_h``, the solver's own
     definition: they cost little, and perfbench's traced run looks for those
-    functions under ``cert verify``.
+    functions under ``cert verify``.  The right side is one integer sum over
+    the bundle's units (``_PreparedIdentity``), reduced once, plus the gap term.
     """
-    from .solver import cocoercivity_f, cocoercivity_h
-
     _require_free_trace(trace, bundle.n)
-    n, dim = bundle.n, len(trace.xs[0])
-    # x_0's int coordinates enter as ONE * v, without RadicalScalar's Fraction-based constructor
-    coords = [v if isinstance(v, RadicalScalar) else ONE * v for x in trace.xs for v in x]
-    ps, qs, d = int_form(coords)
-    xs = [ps[t * dim:(t + 1) * dim] for t in range(n + 1)]
-    ys = [qs[t * dim:(t + 1) * dim] for t in range(n + 1)]
-    # subgradients start at iterate 1, so mu's indices are offset by one
-    lhs = _bar_term(d, xs, ys, [(bundle.lam.bar, 0, trace.gs, trace.fs, True),
-                                (bundle.mu.bar, 1, trace.ss, trace.hs[1:], False)]) / (2 * d)
-    for mult, cocoercivity, offset in (
-        (bundle.lam, cocoercivity_f, 0),
-        (bundle.mu, cocoercivity_h, 1),
-    ):
-        for j, v in enumerate(mult.star_row):
-            if v:
-                lhs = lhs + v * cocoercivity(trace, "*", j + offset)
-
-    gap_term = (rho_pow(bundle.k) * 2 - ONE) * (trace.F_star - trace.Fs[n])
-    w = trace.xs[0]  # x_0 - x_* since the optimum is at the origin
-    w_norm2 = sum(map(mul, w, w))
-
-    uc = bundle.u_coeffs
-    u_norm2 = int_norm2((uc.init, *uc.g, *uc.s, uc.s_star), [w, *trace.gs, *trace.ss, trace.s_star])
-
-    trace_term = _slack_term(bundle.slack, [w] + trace.ss + [trace.s_star])
-    rhs = gap_term + RHO_OVER_2SQRT2 * w_norm2 - (u_norm2 + trace_term) / 2
-    return lhs, rhs
+    return _PreparedIdentity(bundle, len(trace.xs[0])).sides(trace)
 
 
 def verify_descent_identity(
@@ -820,6 +926,8 @@ def verify_descent_identity(
     which is expected to make trials fail.  A bundle of another order than
     ``k``, non-int ``trials``, ``dim`` or ``seed`` and a negative ``seed``
     (``random.Random`` would draw the trials of ``-seed``) raise ``ValueError``.
+    The bundle's side of the identity is prepared once for all trials, and
+    the traces, drawn here by ``sample_free_trace``, are not checked again.
     """
     if any(type(v) is not int for v in (trials, dim, seed)) or min(trials, dim) < 1 or seed < 0:
         raise ValueError(f"need int trials, dim >= 1 and seed >= 0, got {trials}, {dim}, {seed}")
@@ -828,9 +936,10 @@ def verify_descent_identity(
     elif bundle.k != k:
         raise ValueError(f"bundle has order {bundle.k}, not k={k}")
     rng = random.Random(seed)
+    identity = _PreparedIdentity(bundle, dim)
     residuals = []
     for _ in range(trials):
-        lhs, rhs = evaluate_identity(bundle, sample_free_trace(bundle.pi, dim, rng))
+        lhs, rhs = identity.sides(sample_free_trace(bundle.pi, dim, rng))
         residuals.append(lhs - rhs)
     failures = tuple(t for t, r in enumerate(residuals) if r)
     first = residuals[failures[0]].exact_str() if failures else ""
@@ -848,6 +957,5 @@ def rate_from_certificate(k: int) -> RadicalScalar:
     After n = 2**k - 1 steps, F(x_n) - F_* is at most this constant times
     M ||x_0 - x_*||^2.
     """
-    if k < 1:
-        raise ValueError(f"certificate order k must be >= 1, got {k}")
+    _require_order(k)
     return RHO / (SQRT2 * (rho_pow(k) * 4 - 2))

@@ -14,10 +14,13 @@ certificate quantity lies in Z[sqrt2] (d == 1); arithmetic on such values is
 plain integer arithmetic with no gcd at all, and the exact sign of
 p + q*sqrt2 compares p*p with 2*q*q.  The rational components a = p/d and
 b = q/d are available as ``Fraction`` properties.  ``int_form`` puts a list
-of values over one common denominator, and ``int_dot`` (values times ints, or
-times x + y sqrt2), ``scaled_int_dot`` (a sum of such dots, each times a unit)
-and ``int_norm2`` sum on that form and reduce once; ``signs`` reads the signs
-of many values at once.  So other modules never read the three ints of a value.
+of values over one common denominator, once for a caller that sums against
+the same values many times.  ``form_dot`` (values times x + y sqrt2 with int
+x and y) and ``scaled_int_dot`` (a sum of such dots, each times a unit) sum on
+that form and reduce once; ``norm2_ints`` and ``int_times`` return the ints of
+a squared norm and of a product by an element of Z[sqrt2], for the caller to
+sum; ``signs`` reads the signs of many values at once.  So other modules never
+read the three ints of a value, nor multiply them by the rule of the field.
 """
 
 from __future__ import annotations
@@ -319,22 +322,22 @@ def int_form(values: Sequence[RadicalScalar]) -> tuple[list[int], list[int], int
     return ps, qs, d
 
 
-def _dot_ints(values: Sequence[RadicalScalar], xs: Sequence[int],
-              ys: Sequence[int]) -> tuple[int, int, int]:
-    """Ints (a, b, d) with sum(values[i] * (xs[i] + ys[i] sqrt2)) == (a + b sqrt2) / d."""
-    ps, qs, d = int_form(values)
+def _pair_dot(ps: Sequence[int], qs: Sequence[int], xs: Sequence[int],
+              ys: Sequence[int]) -> tuple[int, int]:
+    """Ints (a, b) with sum((ps[i] + qs[i] sqrt2)(xs[i] + ys[i] sqrt2)) == a + b sqrt2."""
     return (sum(map(mul, ps, xs)) + 2 * sum(map(mul, qs, ys)),
-            sum(map(mul, qs, xs)) + sum(map(mul, ps, ys)), d)
+            sum(map(mul, qs, xs)) + sum(map(mul, ps, ys)))
 
 
-def int_dot(values: Sequence[RadicalScalar], xs: Sequence[int]) -> RadicalScalar:
-    """Exact sum(values[i] * xs[i]) for ``RadicalScalar`` values and ints.
+def form_dot(form: tuple[Sequence[int], Sequence[int], int], xs: Sequence[int],
+             ys: Sequence[int]) -> RadicalScalar:
+    """Exact sum(values[i] * (xs[i] + ys[i] sqrt2)) for ``form = int_form(values)`` and ints.
 
-    The two components of the values' ``int_form`` are summed against xs as
-    integers, and the total is reduced once.
+    A caller that sums against the same values many times takes their
+    ``int_form`` once; the total is reduced once.
     """
-    ps, qs, d = int_form(values)
-    return _reduced(sum(map(mul, ps, xs)), sum(map(mul, qs, xs)), d)
+    ps, qs, d = form
+    return _reduced(*_pair_dot(ps, qs, xs, ys), d)
 
 
 def int_times(w: RadicalScalar, ps: Sequence[int], qs: Sequence[int]) -> tuple[list[int], list[int]]:
@@ -354,14 +357,15 @@ def scaled_int_dot(parts: Iterable[tuple[RadicalScalar, Sequence[RadicalScalar],
     """Exact sum of ``unit * sum(values[i] * (xs[i] + ys[i] sqrt2))`` over ``parts`` of
     (unit, values, xs, ys), with ``RadicalScalar`` values and ints xs and ys.
 
-    Each part's two components are summed as ``int_dot`` sums them, over its
+    Each part's two components are summed as ``form_dot`` sums them, over its
     own denominator; its unit and the lcm of the denominators are then applied to those ints, so
     the total is reduced once and no field operation runs per part.
     """
     x = y = 0
     d = 1
     for unit, values, xs, ys in parts:
-        a, b, e = _dot_ints(values, xs, ys)
+        ps, qs, e = int_form(values)
+        a, b = _pair_dot(ps, qs, xs, ys)
         up, uq, e = unit.p, unit.q, e * unit.d
         if e != d:  # bring the total and this part over lcm(d, e)
             m = lcm(d, e)
@@ -377,11 +381,16 @@ def signs(values: Sequence[RadicalScalar]) -> list[int]:
     return list(map(_sign, map(_get_p, values), map(_get_q, values)))  # d > 0
 
 
-def int_norm2(values: Sequence[RadicalScalar], vectors: Sequence[Sequence[int]]) -> RadicalScalar:
-    """Exact ||sum(values[i] * vectors[i])||**2 for int vectors of one length, reduced once."""
-    ps, qs, d = int_form(values)
+def norm2_ints(form: tuple[Sequence[int], Sequence[int], int],
+               vectors: Sequence[Sequence[int]]) -> tuple[int, int]:
+    """Ints (a, b) with ||sum(values[i] * vectors[i])||**2 == (a + b sqrt2) / d**2.
+
+    ``form = (ps, qs, d)`` is the ``int_form`` of the values, and the vectors
+    are int vectors of one length.
+    """
+    ps, qs, _ = form
     sums = [(sum(map(mul, ps, col)), sum(map(mul, qs, col))) for col in zip(*vectors)]
-    return _reduced(sum(p * p + 2 * q * q for p, q in sums), 2 * sum(p * q for p, q in sums), d * d)
+    return sum(p * p + 2 * q * q for p, q in sums), 2 * sum(p * q for p, q in sums)
 
 
 ZERO = RadicalScalar(0, 0)
@@ -394,13 +403,22 @@ _rho_cache: dict[int, RadicalScalar] = {0: ONE, 1: RHO, -1: RHO_INV}
 
 
 def rho_pow(j: int) -> RadicalScalar:
-    """Exact rho**j for any integer j, memoized.
+    """Exact rho**j for any int j (not a bool), memoized.
 
-    Powers are built incrementally from rho and 1/rho = sqrt2 - 1; since
-    rho is a unit, every power has integer components (Pell numbers).
+    Powers are built incrementally from rho and 1/rho = sqrt2 - 1, in a loop
+    from the nearest power already known; since rho is a unit, every power
+    has integer components (Pell numbers).
     """
+    if type(j) is not int:
+        raise ValueError(f"rho_pow needs an int exponent, got {j!r}")
     value = _rho_cache.get(j)
     if value is None:
-        value = rho_pow(j - 1) * RHO if j > 0 else rho_pow(j + 1) * RHO_INV
-        _rho_cache[j] = value
+        step, unit = (1, RHO) if j > 0 else (-1, RHO_INV)
+        i = j - step
+        while i not in _rho_cache:
+            i -= step
+        value = _rho_cache[i]
+        while i != j:
+            i += step
+            value = _rho_cache[i] = value * unit
     return value

@@ -20,8 +20,8 @@ which keeps sum(pi(k)) = rho**k - 1, sum(c(k)) = 2(rho**k - 1), and
 c(k) >= pi(k) entrywise -- all exactly, and all checked in the tests.  Since
 pi(j) is the prefix of pi(k), one doubling yields every order: ``silver_levels``
 gives (pi(j), c(j)) for j = 1..k, and ``c_sequence`` is its last item.  One
-level of each doubling is ``pi_double`` and ``c_double``; the certificate's
-builders apply them to the order below.  Both also hold from the empty order 0:
+level of each doubling is ``pi_double`` and ``c_double``; the certificate
+applies them once per order, to the order below.  Both also hold from the empty order 0:
 pi(1) = [rho**-1 + 1] = [sqrt2] and c(1) = [2 (rho**-1 + 1)] = [2 sqrt2].
 """
 

@@ -28,7 +28,7 @@ from dataclasses import InitVar, dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Callable
 
-from .certificate import rate_from_certificate
+from .certificate import _require_order, rate_from_certificate
 from .exactnum import ONE, ZERO, rho_pow
 from .schedule import silver_schedule
 
@@ -364,8 +364,7 @@ def lower_bound_instance(k: int, exact: bool = True):
 
     Returns (instance, expected_gap) with the gap always exact.
     """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    _require_order(k)
     gap = ONE / ((rho_pow(k) - ONE) * 4)
     slope = ONE / ((rho_pow(k) - ONE) * 2)
     if exact:

@@ -10,12 +10,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from silverprox import certificate, schedule
+from silverprox import certificate, exactnum, schedule
 from silverprox.certificate import (
     BAR_CHUNK,
     TAMPER_TARGETS,
     ScaledRow,
     SparseRow,
+    _PreparedIdentity,
     _ref,
     _slack_term,
     _tree_violation,
@@ -35,7 +36,7 @@ from silverprox.certificate import (
 )
 from silverprox.exactnum import ONE, RHO, SQRT2, ZERO, RadicalScalar, rho_pow
 from silverprox.schedule import c_sequence, silver_schedule
-from silverprox.solver import cocoercivity_f, cocoercivity_h
+from silverprox.solver import cocoercivity_f, cocoercivity_h, lower_bound_instance, rate_bound
 from sparse_rows import (
     bordered,
     dense,
@@ -567,6 +568,65 @@ def test_schur_needs_c0_at_least_sqrt2():
     assert report.detail == "Schur complement c[0] = 1/1 + 0/1*sqrt2 < sqrt2"
 
 
+def _negative_gap_at_level_3():
+    gap = build_bundle(5).slack.levels[2].gap
+    return _with_level(build_bundle(5), 3, gap=_edited(gap, 5, -gap[5]))
+
+
+def _diagonal_edit_at_level_2():
+    return _with_level(build_bundle(5), 2, diag=build_bundle(5).slack.levels[1].diag + ONE)
+
+
+SHARED_INDUCTION_CASES = {
+    "negative level gap": (_negative_gap_at_level_3,
+                           "level 3 gap[5] = -8/1 + 4/1*sqrt2 < 0", None),
+    "negative pi": (lambda: _with_level(build_bundle(2), 1, pi=[-SQRT2]),
+                    "level 1 pi[0] = 0/1 + -1/1*sqrt2 < 0", None),
+    "c[0] below sqrt2": (lambda: _with_slack(build_bundle(1), base=RadicalScalar(3), c=[ONE],
+                                             corner=ONE),
+                         "", "Schur complement c[0] = 1/1 + 0/1*sqrt2 < sqrt2"),
+    "row sum off": (_diagonal_edit_at_level_2, "L row 3 sums to 1/1 + 0/1*sqrt2, not 0",
+                    "Schur complement row 3 sums to 1/1 + 0/1*sqrt2, not 0"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SHARED_INDUCTION_CASES))
+@pytest.mark.parametrize("order", ["alone", "laplacian first", "schur first"])
+def test_shared_induction_keeps_each_checks_detail(case, order):
+    # Both slack checks read one induction per tree; each check's detail is
+    # the one it gave when it ran the induction itself, in either order or alone,
+    # and the second check runs no integer work of the induction again.
+    build, laplacian, schur = SHARED_INDUCTION_CASES[case]
+    schur = "Schur complement " + laplacian if schur is None else schur
+    checks = [(check_laplacian, laplacian), (check_schur_psd, schur)]
+    if order == "schur first":
+        checks.reverse()
+    for index, (check, detail) in enumerate(checks):
+        bad = build() if order == "alone" or index == 0 else bad
+        with mock.patch.object(certificate, "int_times", wraps=certificate.int_times) as spy:
+            report = check(bad)
+        assert report.passed == (detail == "")
+        if detail:
+            assert report.detail == detail
+        if index and order != "alone":
+            assert spy.call_count == 0
+
+
+@pytest.mark.parametrize("target", TAMPER_TARGETS)
+def test_slack_checks_on_tamper_copies(target):
+    # A tamper copy shares the tree it does not edit, and a slack tamper edits
+    # only S's border: the induction passes on every copy, and the border
+    # check names the tampered entry.
+    for k in (1, 2, 3):
+        bad = tamper_bundle(build_bundle(k), target)
+        assert check_laplacian(bad).passed
+        report = check_schur_psd(bad)
+        if target == "slack":
+            assert report.detail == "S[0][0] = 1/1 + 1/2*sqrt2, not 0/1 + 1/2*sqrt2"
+        else:
+            assert report.passed
+
+
 # Negative controls at positions the k=2 certificate does not store: a scan
 # over stored entries only must still see a value placed there.  The nonneg
 # detail and the residual were recorded with dense list-of-lists storage.
@@ -696,6 +756,81 @@ def test_recursive_slack_term_equals_dense_sum(k, seed):
     assert _slack_term(bundle.slack, cols) == _dense_slack_trace(bundle.slack, trace)
 
 
+@settings(max_examples=30, deadline=None)
+@given(k=st.integers(1, 6), dim=st.integers(1, 4), edits=st.lists(st.tuples(
+    st.integers(0, 2**20), st.integers(0, len(TREE_FACTORS) - 1), st.booleans()), max_size=3),
+    seed=st.integers(0, 2**32 - 1))
+@example(k=3, dim=2, edits=[(3, 0, False)], seed=0)  # level 1's gap over d = 3
+@example(k=4, dim=3, edits=[(11, 4, True), (2, 1, False)], seed=1)  # level 2's pi, level 1's diag
+@example(k=2, dim=1, edits=[(0, 1, False), (1, 0, True)], seed=2)  # the leaves' base, the corner
+def test_slack_term_matches_dense_sum_on_scaled_trees(k, dim, edits, seed):
+    # Tree values times 1/3, 2/3, 3, rho or 1 + sqrt2/3, or their negatives,
+    # put a level's integer form over its own denominator d_j: the term's units
+    # must carry 1/d_j, and every edit must reach the term as S has it.
+    bundle = build_bundle(k)
+    slack = bundle.slack
+    places = _tree_values(slack)
+    for pick, f, flip in edits:
+        slack = _scaled_tree_value(slack, places[pick % len(places)],
+                                   -TREE_FACTORS[f] if flip else TREE_FACTORS[f])
+    trace = sample_free_trace(bundle.pi, dim, random.Random(seed))
+    cols = [trace.xs[0]] + trace.ss + [trace.s_star]
+    assert _slack_term(slack, cols) == _dense_slack_trace(slack, trace)
+
+
+@pytest.mark.parametrize("dim", range(1, 5))
+def test_slack_term_of_a_single_leaf(dim):
+    # At k=1 the tree is one leaf, core'_1 = [base], with no level above it.
+    bundle = build_bundle(1)
+    assert bundle.slack.levels == ()
+    for seed in range(4):
+        trace = sample_free_trace(bundle.pi, dim, random.Random(seed))
+        cols = [trace.xs[0]] + trace.ss + [trace.s_star]
+        assert _slack_term(bundle.slack, cols) == _dense_slack_trace(bundle.slack, trace)
+
+
+def _rhs_by_definition(bundle, trace):
+    """The identity's right side, summed in the field from the dense S."""
+    w = trace.xs[0]
+    uc = bundle.u_coeffs
+    coefficients = (uc.init, *uc.g, *uc.s, uc.s_star)
+    vectors = [w, *trace.gs, *trace.ss, trace.s_star]
+    u = [sum((c * v[i] for c, v in zip(coefficients, vectors)), ZERO) for i in range(len(w))]
+    gap = (rho_pow(bundle.k) * 2 - ONE) * (trace.F_star - trace.Fs[bundle.n])
+    w_norm2 = sum(x * x for x in w)
+    return (gap + RHO / (SQRT2 * 2) * w_norm2
+            - (sum((x * x for x in u), ZERO) + _dense_slack_trace(bundle.slack, trace)) / 2)
+
+
+@pytest.mark.parametrize("target", (None,) + TAMPER_TARGETS)
+@pytest.mark.parametrize("k", range(1, 8))
+def test_prepared_identity_matches_each_trace_alone(k, target):
+    # One prepared identity over several traces gives exactly the sides that
+    # evaluate_identity gives on each trace alone, and the sides by definition;
+    # verify_descent_identity reports the residuals of that loop.
+    bundle = build_bundle(k)
+    if target is not None:
+        bundle = tamper_bundle(bundle, target)
+    for dim in {1 + k % 4, 1 + (k + 2) % 4}:
+        identity = _PreparedIdentity(bundle, dim)
+        for seed in (k, 100 + k):
+            rng = random.Random(seed)
+            traces = [sample_free_trace(bundle.pi, dim, rng) for _ in range(2)]
+            residuals = []
+            for trace in traces:
+                sides = identity.sides(trace)
+                assert sides == evaluate_identity(bundle, trace)
+                if k <= 5:
+                    assert sides == (_lhs_by_definition(bundle, trace),
+                                     _rhs_by_definition(bundle, trace))
+                residuals.append(sides[0] - sides[1])
+            report = verify_descent_identity(k, trials=2, dim=dim, seed=seed, bundle=bundle)
+            assert report.failures == tuple(t for t, r in enumerate(residuals) if r)
+            assert bool(report.failures) == (target is not None)
+            if report.failures:
+                assert report.first_residual == residuals[report.failures[0]].exact_str()
+
+
 def test_free_trace_draws_as_randint():
     # sample_free_trace inlines randint(-5, 5)'s draw: the same values and the
     # same generator state afterwards, so pinned residuals keep their meaning.
@@ -809,11 +944,11 @@ def test_identity_rejects_non_int_arguments(argument):
         verify_descent_identity(1, **argument)
 
 
-def test_build_bundle_walks_the_silver_doubling_once_per_builder(monkeypatch):
-    # Each order is glued from the memoized order below: every builder that
-    # holds pi(k) (lambda's star row, the slack and u) or c(k) (mu's star row,
-    # the slack and u) takes one level of its doubling, and none walks pi's or
-    # c's recursion from level 1.  Order 1 is one level up from the empty order 0.
+def test_build_bundle_walks_the_silver_doubling_once_per_order(monkeypatch):
+    # Each order is glued from the memoized order below, and its level of pi's
+    # and c's doubling is taken once for all the builders that hold pi(k)
+    # (lambda's star row, the slack and u) or c(k) (mu's star row, the slack
+    # and u); none walks pi's or c's recursion from level 1.  Order 1 is the base.
     calls = {}
 
     def counted(name, fn):
@@ -835,8 +970,8 @@ def test_build_bundle_walks_the_silver_doubling_once_per_builder(monkeypatch):
         one_more = dict(calls)
     finally:
         build_bundle.cache_clear()
-    assert fresh == {"pi_double": 8 * 3, "c_double": 8 * 3}, fresh
-    assert one_more == {"pi_double": 3, "c_double": 3}, one_more
+    assert fresh == {"pi_double": 7, "c_double": 7}, fresh
+    assert one_more == {"pi_double": 1, "c_double": 1}, one_more
     calls.clear()
     schedule.c_sequence(8)
     assert calls == {"c_sequence": 1, "silver_levels": 1, "silver_schedule": 1,
@@ -944,3 +1079,18 @@ def test_rate_below_display_constant():
 def test_rate_rejects_bad_order():
     with pytest.raises(ValueError):
         rate_from_certificate(0)
+
+
+@pytest.mark.parametrize("call", [rate_from_certificate, lambda k: lower_bound_instance(k)])
+@pytest.mark.parametrize("k", [0, -1, 2.5, 2.0, True, "3"])
+def test_rate_and_lower_bound_reject_bad_orders(call, k):
+    with pytest.raises(ValueError, match="order k must be an int >= 1"):
+        call(k)
+
+
+def test_high_orders_from_a_fresh_power_memo(monkeypatch):
+    # rho_pow fills its memo in a loop, so a first call far from the known
+    # powers recurses no deeper than any other call.
+    monkeypatch.setattr(exactnum, "_rho_cache", {0: ONE, 1: RHO, -1: exactnum.RHO_INV})
+    assert rate_from_certificate(1200) == RHO / (SQRT2 * (rho_pow(1200) * 4 - 2))
+    assert rate_bound(1200, 1.0, 1.0) == 0.0  # about 1e-460, below the least float

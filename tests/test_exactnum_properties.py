@@ -8,8 +8,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from silverprox.exactnum import (SQRT2, ZERO, RadicalScalar, int_dot, int_form, int_norm2,
-                                 int_times, rho_pow, scaled_int_dot, signs)
+from silverprox import exactnum
+from silverprox.exactnum import (ONE, RHO, RHO_INV, SQRT2, ZERO, RadicalScalar, form_dot, int_form,
+                                 int_times, norm2_ints, rho_pow, scaled_int_dot, signs)
 
 
 class Ref:
@@ -113,14 +114,15 @@ def test_arithmetic_matches_reference(ab, operand):
 
 
 @settings(deadline=None)
-@given(st.lists(st.tuples(pairs, numerators), max_size=8))
+@given(st.lists(st.tuples(pairs, numerators, numerators), max_size=8))
 @example([])
-@example([((Fraction(1, 6), Fraction(-5, 4)), -3), ((Fraction(2, 3), Fraction(0)), 7)])
-def test_int_dot_matches_sum_of_products(terms):
-    # Values with d > 1 over ints of either sign, on one common denominator.
-    values, xs = [RadicalScalar(*ab) for ab, _ in terms], [x for _, x in terms]
-    got = int_dot(values, xs)
-    assert got == sum((v * x for v, x in zip(values, xs)), ZERO)
+@example([((Fraction(1, 6), Fraction(-5, 4)), -3, 2), ((Fraction(2, 3), Fraction(0)), 7, 0)])
+def test_form_dot_matches_sum_of_products(terms):
+    # Values with d > 1 over ints x + y sqrt2 of either sign, on one common denominator.
+    values = [RadicalScalar(*ab) for ab, _, _ in terms]
+    xs, ys = [x for _, x, _ in terms], [y for _, _, y in terms]
+    got = form_dot(int_form(values), xs, ys)
+    assert got == sum((v * (SQRT2 * y + x) for v, x, y in zip(values, xs, ys)), ZERO)
     assert got.d >= 1 and gcd(got.p, got.q, got.d) == 1
 
 
@@ -149,8 +151,8 @@ def test_scaled_int_dot_matches_the_sum_of_scaled_dots(parts):
     built = [(RadicalScalar(*unit), [RadicalScalar(*ab) for ab, _, _ in terms],
               [x for _, x, _ in terms], [y for _, _, y in terms]) for unit, terms in parts]
     got = scaled_int_dot(built)
-    assert got == sum((unit * (int_dot(v, x) + SQRT2 * int_dot(v, y)) for unit, v, x, y in built),
-                      ZERO)
+    assert got == sum((unit * value * (SQRT2 * b + a) for unit, values, xs, ys in built
+                       for value, a, b in zip(values, xs, ys)), ZERO)
     assert got.d >= 1 and gcd(got.p, got.q, got.d) == 1
 
 
@@ -167,15 +169,17 @@ def test_signs_match_each_sign(components):
     st.tuples(pairs, st.lists(numerators, min_size=dim, max_size=dim)), max_size=6)))
 @example([])
 @example([((Fraction(1, 6), Fraction(-5, 4)), [-3, 1]), ((Fraction(2, 3), Fraction(0)), [7, 0])])
-def test_int_norm2_matches_the_squared_norm(terms):
+def test_norm2_ints_matches_the_squared_norm(terms):
     values, vectors = [RadicalScalar(*ab) for ab, _ in terms], [v for _, v in terms]
-    got = int_norm2(values, vectors)
+    form = int_form(values)
+    d = form[2]
+    a, b = norm2_ints(form, vectors)
+    got = RadicalScalar(Fraction(a, d * d), Fraction(b, d * d))
     total = ZERO
     for col in zip(*vectors):
         coord = sum((v * x for v, x in zip(values, col)), ZERO)
         total = total + coord * coord
     assert got == total
-    assert got.d >= 1 and gcd(got.p, got.q, got.d) == 1
 
 
 @settings(deadline=None)
@@ -292,3 +296,19 @@ def test_nearest_float_just_beside_a_midpoint(j):
     assert below < m < above
     assert below.nearest_float() == 2.0**60
     assert above.nearest_float() == 2.0**60 + 256
+
+
+def test_rho_pow_far_from_the_memo(monkeypatch):
+    # A fresh memo holds rho**-1, 1 and rho; powers thousands of steps away
+    # are filled in a loop, not by recursion.
+    monkeypatch.setattr(exactnum, "_rho_cache", {0: ONE, 1: RHO, -1: RHO_INV})
+    high, low = rho_pow(5000), rho_pow(-5000)
+    assert high * low == ONE
+    assert rho_pow(4999) * RHO == high and rho_pow(-4999) * RHO_INV == low
+    assert high.d == 1 and high.q.bit_length() > 6000
+
+
+@pytest.mark.parametrize("j", [2.5, 2.0, True, False, "3", None])
+def test_rho_pow_rejects_non_int_exponents(j):
+    with pytest.raises(ValueError, match="int exponent"):
+        rho_pow(j)
