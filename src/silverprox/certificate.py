@@ -67,10 +67,12 @@ co-coercivity is A + sqrt2 B with A, B a few int inner products.  The
 O(n k) entries the ``bar`` rows read as are summed so, weighted by their
 stored values: one ``exactnum.scaled_int_dot`` per chunk of ``BAR_CHUNK``
 entries applies each power's rho**(2 power) once, and no field operation
-runs per entry.  The O(n) optimum rows stay on the solver's own
-definition, ``solver.cocoercivity_f`` and ``cocoercivity_h``: they cost
-little there, and perfbench's traced run looks for those functions under
-``cert verify``.
+runs per entry.  The O(n) optimum rows keep the solver's own definition,
+``solver.cocoercivity_f`` and ``cocoercivity_h``, fed the same split: a
+co-coercivity is affine in the iterates, so on a trace whose iterates are
+the rational parts X_i / d (x_* = 0) it gives A / 2d, and B is one int
+dot per entry.  Both rows are summed in one ``exactnum.form_dot`` against
+their prepared integer form, again with no field operation per entry.
 
 A trial's cost is the trace's own integer work.  ``verify_descent_identity``
 prepares the bundle's side once per call (``_PreparedIdentity``): the
@@ -779,8 +781,11 @@ def _require_free_trace(trace, n: int) -> None:
     for name, values, size in fields:
         if len(values) != size:
             raise ValueError(f"trace {name} has {len(values)} entries, not {size}")
+    if trace.x_star is None or len(trace.x_star) != dim or any(trace.x_star):
+        raise ValueError(f"trace x_star must be {dim} zeros: the identity takes x_0 as x_0 - x_*")
     free = (("gs", [v for g in trace.gs for v in g]), ("ss", [v for s in trace.ss for v in s]),
-            ("s_star", trace.s_star), ("fs", trace.fs), ("hs", trace.hs), ("xs[0]", trace.xs[0]))
+            ("s_star", trace.s_star), ("fs", trace.fs), ("hs", trace.hs), ("xs[0]", trace.xs[0]),
+            ("f_star", [trace.f_star]), ("h_star", [trace.h_star]))
     for name, values in free:
         if not set(map(type, values)) <= {int}:
             raise ValueError(f"trace {name} must hold ints, as sample_free_trace draws them")
@@ -845,19 +850,15 @@ class _PreparedIdentity:
     """Both sides of one bundle's descent identity, for traces of dimension ``dim``.
 
     What depends only on the bundle is taken once, at construction: the
-    optimum rows with each part's co-coercivity, 2 rho**k - 1, u's integer
-    form, the slack tree's (``_SlackForm``), and one integer form of every
-    unit of the right side.  ``sides`` then sums one trace's ints; it checks
-    no field of the trace.
+    optimum rows' integer form, 2 rho**k - 1, u's integer form, the slack
+    tree's (``_SlackForm``), and one integer form of every unit of the right
+    side.  ``sides`` then sums one trace's ints; it checks no field of the
+    trace.
     """
 
     def __init__(self, bundle: CertificateBundle, dim: int):
-        from .solver import cocoercivity_f, cocoercivity_h
-
         self.bundle = bundle
-        # subgradients start at iterate 1, so mu's indices are offset by one
-        self.star = ((bundle.lam.star_row, cocoercivity_f, 0),
-                     (bundle.mu.star_row, cocoercivity_h, 1))
+        self.star_form = int_form(bundle.lam.star_row + bundle.mu.star_row)
         self.gap_unit = rho_pow(bundle.k) * 2 - ONE
         uc = bundle.u_coeffs
         self.u_form = int_form((uc.init, *uc.g, *uc.s, uc.s_star))
@@ -868,6 +869,8 @@ class _PreparedIdentity:
 
     def sides(self, trace) -> tuple[RadicalScalar, RadicalScalar]:
         """(lhs, rhs) on ``trace``, which must fit the bundle as ``evaluate_identity`` says."""
+        from .solver import Trace, cocoercivity_f, cocoercivity_h
+
         n, dim = self.bundle.n, len(trace.xs[0])
         # x_0's int coordinates enter as ONE * v, without RadicalScalar's Fraction-based constructor
         coords = [v if isinstance(v, RadicalScalar) else ONE * v for x in trace.xs for v in x]
@@ -875,12 +878,22 @@ class _PreparedIdentity:
         xs = [ps[t * dim:(t + 1) * dim] for t in range(n + 1)]
         ys = [qs[t * dim:(t + 1) * dim] for t in range(n + 1)]
         lam, mu = self.bundle.lam, self.bundle.mu
-        lhs = _bar_term(d, xs, ys, [(lam.bar, 0, trace.gs, trace.fs, True),
-                                    (mu.bar, 1, trace.ss, trace.hs[1:], False)]) / (2 * d)
-        for row, cocoercivity, offset in self.star:
-            for j, v in enumerate(row, start=offset):
-                if v:
-                    lhs = lhs + v * cocoercivity(trace, "*", j)
+        bar = _bar_term(d, xs, ys, [(lam.bar, 0, trace.gs, trace.fs, True),
+                                    (mu.bar, 1, trace.ss, trace.hs[1:], False)])
+        # The optimum rows on the solver's own co-coercivities, in the split
+        # ``_bar_term`` makes (x_* = 0): 2d co(*, j) = A + sqrt2 B, where A is 2d
+        # times the co-coercivity on the view whose iterates are the rational
+        # parts X_i / d, an int, and B = 2 <g_j, Y_j> (2 <s_j, Y_j> for mu,
+        # whose subgradients start at iterate 1).
+        parts = xs if d == 1 else [[Fraction(x, d) for x in xi] for xi in xs]
+        view = Trace(steps=trace.steps, xs=parts, gs=trace.gs, fs=trace.fs, hs=trace.hs,
+                     Fs=trace.Fs, ss=trace.ss, x_star=[0] * dim, s_star=trace.s_star,
+                     f_star=trace.f_star, h_star=trace.h_star)
+        star_a = ([int(2 * d * cocoercivity_f(view, "*", j)) for j in range(n + 1)]
+                  + [int(2 * d * cocoercivity_h(view, "*", j)) for j in range(1, n + 1)])
+        star_b = ([2 * sum(map(mul, g, y)) for g, y in zip(trace.gs, ys)]
+                  + [2 * sum(map(mul, s, y)) for s, y in zip(trace.ss, ys[1:])])
+        lhs = (bar + form_dot(self.star_form, star_a, star_b)) / (2 * d)
 
         w = trace.xs[0]  # x_0 - x_* since the optimum is at the origin
         u = norm2_ints(self.u_form, [w, *trace.gs, *trace.ss, trace.s_star])
@@ -896,15 +909,16 @@ def evaluate_identity(bundle: CertificateBundle, trace) -> tuple[RadicalScalar, 
     multipliers; the right side combines the objective gap, the initial
     distance, and the sum of squares built from u and the slack matrix S.
     The trace must fit the bundle (n ``steps`` and ``ss``, n + 1 ``xs``, ``gs``, ``fs``, ``hs``,
-    each vector as long as x_0) and hold ints in ``gs``, ``ss``, ``s_star``, ``fs``, ``hs``
-    and x_0, as ``sample_free_trace`` draws them; a field that does not raises ``ValueError``.
+    each vector as long as x_0), put the optimum ``x_star`` at the origin and hold ints in
+    ``gs``, ``ss``, ``s_star``, ``fs``, ``hs``, ``f_star``, ``h_star`` and x_0, as
+    ``sample_free_trace`` draws them; a field that does not raises ``ValueError``.
 
     The O(n k) stored ``bar`` entries are summed on the iterates' integer
     form (``exactnum.int_form``, one common denominator d) by ``_bar_term``,
-    with no field operation per entry.  The O(n) optimum rows go through
-    ``solver.cocoercivity_f`` and ``cocoercivity_h``, the solver's own
-    definition: they cost little, and perfbench's traced run looks for those
-    functions under ``cert verify``.  The right side is one integer sum over
+    with no field operation per entry.  The O(n) optimum rows read the same
+    form through ``solver.cocoercivity_f`` and ``cocoercivity_h``, the
+    solver's own definition, evaluated on the iterates' rational parts, and
+    are summed in one ``form_dot``.  The right side is one integer sum over
     the bundle's units (``_PreparedIdentity``), reduced once, plus the gap term.
     """
     _require_free_trace(trace, bundle.n)

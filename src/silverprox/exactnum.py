@@ -405,20 +405,25 @@ _rho_cache: dict[int, RadicalScalar] = {0: ONE, 1: RHO, -1: RHO_INV}
 def rho_pow(j: int) -> RadicalScalar:
     """Exact rho**j for any int j (not a bool), memoized.
 
-    Powers are built incrementally from rho and 1/rho = sqrt2 - 1, in a loop
-    from the nearest power already known; since rho is a unit, every power
-    has integer components (Pell numbers).
+    Since rho is a unit, every power has integer components (Pell numbers).
+    A new positive power is built by halving, rho**m = (rho**(m // 2))**2 rho**(m % 2),
+    so a call adds O(log |j|) entries to the memo; a negative one is the
+    conjugate of its inverse: with rho**m = p + q sqrt2,
+    rho**-m = (-1)**m (p - q sqrt2), because rho (1 - sqrt2) = -1.
     """
     if type(j) is not int:
         raise ValueError(f"rho_pow needs an int exponent, got {j!r}")
     value = _rho_cache.get(j)
     if value is None:
-        step, unit = (1, RHO) if j > 0 else (-1, RHO_INV)
-        i = j - step
-        while i not in _rho_cache:
-            i -= step
-        value = _rho_cache[i]
-        while i != j:
-            i += step
-            value = _rho_cache[i] = value * unit
+        chain, m = [], abs(j)
+        while m not in _rho_cache:
+            chain.append(m)
+            m //= 2
+        value = _rho_cache[m]
+        for m in reversed(chain):
+            value = value * value * RHO if m % 2 else value * value
+            _rho_cache[m] = value
+        if j < 0:
+            p, q = (-value.p, value.q) if j % 2 else (value.p, -value.q)
+            value = _rho_cache[j] = _new(p, q, 1)
     return value

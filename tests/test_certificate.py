@@ -894,12 +894,14 @@ def test_identity_lhs_matches_cocoercivity_sum(k, dim, target, thirds, chunk, se
     assert lhs == _lhs_by_definition(bundle, trace)
 
 
-@pytest.mark.parametrize("field", ["gs", "ss", "s_star", "fs", "hs", "xs[0]"])
+@pytest.mark.parametrize("field", ["gs", "ss", "s_star", "fs", "hs", "xs[0]", "f_star", "h_star"])
 def test_identity_rejects_a_trace_with_non_int_field(field):
     bundle = build_bundle(2)
     trace = sample_free_trace(bundle.pi, 2, random.Random(7))
     half = Fraction(1, 2)
-    if field == "gs":
+    if field in ("f_star", "h_star"):
+        setattr(trace, field, half)
+    elif field == "gs":
         trace.gs[1][0] = half
     elif field == "ss":
         trace.ss[2][1] = half
@@ -927,6 +929,46 @@ def test_identity_rejects_a_trace_of_the_wrong_shape(field):
     (values[int(index[:-1])] if index else values).pop()
     with pytest.raises(ValueError, match=rf"trace {re.escape(field)} has \d+ entries, not"):
         evaluate_identity(bundle, trace)
+
+
+@pytest.mark.parametrize("x_star", [[3, -1], [ZERO, ONE], [0, 0, 0], [0], None])
+def test_identity_rejects_an_optimum_away_from_the_origin(x_star):
+    # The right side reads x_0 as x_0 - x_*, so only x_* = 0 is consistent:
+    # with x_* = (3, -1) this trace read residual 6 + 106 sqrt2 on a correct bundle.
+    bundle = build_bundle(3)
+    trace = sample_free_trace(bundle.pi, 2, random.Random(5))
+    trace.x_star = x_star
+    with pytest.raises(ValueError, match=r"trace x_star must be 2 zeros"):
+        evaluate_identity(bundle, trace)
+
+
+def test_identity_trial_makes_no_field_operation_per_optimum_entry(monkeypatch):
+    # A trial sums the trace's ints and reduces each side once, so its count of
+    # RadicalScalar operations does not grow with the order: the optimum rows
+    # too are summed on the integer form (the counts at k=5 and k=7 were
+    # 605 and 2,429 when each of their entries cost a field product and sum).
+    calls = []
+
+    def counted(method):
+        def wrapper(*args):
+            calls.append(method)
+            return method(*args)
+        return wrapper
+
+    counts = {}
+    for order in (5, 7):
+        bundle = build_bundle(order)
+        identity = _PreparedIdentity(bundle, 2)
+        trace = sample_free_trace(bundle.pi, 2, random.Random(order))
+        calls.clear()
+        with monkeypatch.context() as patch:
+            for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__neg__", "__mul__",
+                         "__rmul__", "__truediv__", "__rtruediv__", "sign"):
+                patch.setattr(RadicalScalar, name, counted(getattr(RadicalScalar, name)))
+            lhs, rhs = identity.sides(trace)
+        assert lhs == rhs
+        counts[order] = len(calls)
+    assert counts[5] == counts[7] <= 10
 
 
 def test_identity_rejects_a_trace_of_another_order():
@@ -1089,8 +1131,8 @@ def test_rate_and_lower_bound_reject_bad_orders(call, k):
 
 
 def test_high_orders_from_a_fresh_power_memo(monkeypatch):
-    # rho_pow fills its memo in a loop, so a first call far from the known
-    # powers recurses no deeper than any other call.
+    # rho_pow builds a power by halving in a loop, so a first call far from
+    # the known powers recurses no deeper than any other call.
     monkeypatch.setattr(exactnum, "_rho_cache", {0: ONE, 1: RHO, -1: exactnum.RHO_INV})
     assert rate_from_certificate(1200) == RHO / (SQRT2 * (rho_pow(1200) * 4 - 2))
     assert rate_bound(1200, 1.0, 1.0) == 0.0  # about 1e-460, below the least float

@@ -299,13 +299,25 @@ def test_nearest_float_just_beside_a_midpoint(j):
 
 
 def test_rho_pow_far_from_the_memo(monkeypatch):
-    # A fresh memo holds rho**-1, 1 and rho; powers thousands of steps away
-    # are filled in a loop, not by recursion.
+    # A fresh memo holds rho**-1, 1 and rho; a power thousands of steps away
+    # is built by halving, in a loop, and its inverse by conjugation, so the
+    # two calls leave a few dozen entries, not every power in between.
     monkeypatch.setattr(exactnum, "_rho_cache", {0: ONE, 1: RHO, -1: RHO_INV})
     high, low = rho_pow(5000), rho_pow(-5000)
+    assert len(exactnum._rho_cache) - 3 <= 2 * (5000).bit_length()
     assert high * low == ONE
     assert rho_pow(4999) * RHO == high and rho_pow(-4999) * RHO_INV == low
     assert high.d == 1 and high.q.bit_length() > 6000
+
+
+def test_rho_pow_near_the_origin_from_a_fresh_memo(monkeypatch):
+    # The farthest powers first, so the nearer ones come from halving and
+    # conjugation rather than from their neighbours.
+    monkeypatch.setattr(exactnum, "_rho_cache", {0: ONE, 1: RHO, -1: RHO_INV})
+    for j in sorted(range(-70, 71), key=lambda j: (-abs(j), j)):
+        assert rho_pow(j) * rho_pow(-j) == ONE, j
+        assert rho_pow(j + 1) == rho_pow(j) * RHO, j
+        assert rho_pow(j).d == 1
 
 
 @pytest.mark.parametrize("j", [2.5, 2.0, True, False, "3", None])
