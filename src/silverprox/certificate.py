@@ -42,7 +42,7 @@ O(n k dim) integer work, and ``SlackMatrix.lap``, which generates L's rows
 for readers that want them, both read the tree in one walk over its nodes
 (``SlackMatrix._nodes``).  Sums of field values times integer coordinates
 go through ``exactnum``'s ``form_dot``, ``scaled_int_dot`` and
-``norm2_ints``, on values put over one common denominator by
+``norm2_ints``, on values put over a common denominator by
 ``exactnum.int_form``: nothing here reads a ``RadicalScalar``'s integer
 form or multiplies two of them by the field's rule, and each side of the
 identity reduces once.
@@ -65,24 +65,32 @@ one common denominator the iterates are x_i = (X_i + sqrt2 Y_i) / d with
 int vectors X_i, Y_i (d = 1 for the silver steps), so twice d times each
 co-coercivity is A + sqrt2 B with A, B a few int inner products.  The
 O(n k) entries the ``bar`` rows read as are summed so, weighted by their
-stored values: one ``exactnum.scaled_int_dot`` per chunk of ``BAR_CHUNK``
-entries applies each power's rho**(2 power) once, and no field operation
-runs per entry.  The O(n) optimum rows keep the solver's own definition,
-``solver.cocoercivity_f`` and ``cocoercivity_h``, fed the same split: a
-co-coercivity is affine in the iterates, so on a trace whose iterates are
-the rational parts X_i / d (x_* = 0) it gives A / 2d, and B is one int
-dot per entry.  Both rows are summed in one ``exactnum.form_dot`` against
-their prepared integer form, again with no field operation per entry.
+stored row's integer form, over that row's own denominator: one
+``exactnum.scaled_int_dot`` per chunk of ``BAR_CHUNK`` entries applies each
+power's rho**(2 power) once per (power, denominator) group, and no field
+operation runs per entry.  The O(n) optimum rows keep the solver's own
+definition, ``solver.cocoercivity_f`` and ``cocoercivity_h``, fed the same
+split: a co-coercivity is affine in the iterates, so on a trace whose
+iterates are the rational parts X_i / d (x_* = 0) it gives A / 2d, read off
+its numerator since its denominator divides 2d, and B is one int dot per
+entry.  Both rows are summed in one ``exactnum.form_dot`` against their
+prepared integer form, again with no field operation per entry.
 
 A trial's cost is the trace's own integer work.  ``verify_descent_identity``
 prepares the bundle's side once per call (``_PreparedIdentity``): the
-integer forms of u's coefficients and of the slack tree's levels, and one
-integer form of every unit of the right side, which holds O(k**2) units
-(three per level and copy count of the tree's nodes).  Each trial then
-sums only ints against that form: the slack term adds each node's int dots
-into its group, and the right side is one ``form_dot``, reduced once, plus
-the gap term.  The loop does not check the traces it draws itself;
-``evaluate_identity`` checks its trace and prepares for that one trace.
+integer form of each distinct stored ``bar`` row and of pi, the integer
+forms of u's coefficients and of the slack tree's levels, and one integer
+form of every unit of the right side, which holds O(k**2) units (three per
+level and copy count of the tree's nodes).  Each trial then draws the free
+ints as ``sample_free_trace`` draws them, and steps the iterates on pi's
+integer form pi_t = (P_t + sqrt2 Q_t) / d: X_0 = d x_0, Y_0 = 0,
+X_{t+1} = X_t - P_t u_t and Y_{t+1} = Y_t - Q_t u_t for u_t = g_t + s_{t+1}.
+So a trial builds no field value per iterate, and it sums only ints against
+the prepared forms: the slack term adds each node's int dots into its
+group, and the right side is one ``form_dot``, reduced once, plus the gap
+term on the free values, f_* + h_* - f_n - h_n.  The loop does not check the
+traces it draws itself; ``evaluate_identity`` checks its trace, puts its
+iterates in the same integer form and prepares for that one trace.
 
 Note on the slack matrix: S is symmetric, with first row and column
 (1/sqrt2, -1, 0, ..., 0, +1).  An equivalent presentation elsewhere lists
@@ -98,7 +106,7 @@ from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from operator import mul, sub
+from operator import add, mul, sub
 
 from .exactnum import (ONE, RHO, SQRT2, ZERO, RadicalScalar, form_dot, int_form, int_times,
                        norm2_ints, rho_pow, scaled_int_dot, signs)
@@ -529,6 +537,17 @@ def check_multipliers_nonneg(bundle: CertificateBundle) -> CheckReport:
     (stored row, diagonal column) once with signs from the values' integer
     form: a pair seen before was clean, and the first negative off-diagonal
     entry is the one a row-major scan of every row would name.
+
+    The diagonal entries of ``mu_bar`` are inert: a point's co-coercivity
+    with itself, h_i - h_i - <s_i, x_i - x_i>, is identically zero, so no
+    identity trial can see them, and the sign check skips them.  From order
+    2 on, ``mu_bar`` reads 2**(k-1) of them, half of them negative, from k
+    stored entries that ``build_mu`` puts in when it corrects rows n-1 and
+    2n.  They are kept, and skipped here, because dropping them would move
+    no report byte, rate or tamper residual but would move the golden
+    digests of the dense ``mu_bar`` (tests/test_golden_bundle.py) for
+    k >= 2.  So they are the one stated exception to "every stored entry is
+    load-bearing".
     """
     for label, mult in (("lambda", bundle.lam), ("mu", bundle.mu)):
         seen = set()
@@ -637,24 +656,18 @@ class IdentityReport:
         return not self.failures
 
 
-def sample_free_trace(pi: list[RadicalScalar], dim: int, rng: random.Random):
-    """Random assignment of the identity's free variables, as a solver trace.
+def _draw(n: int, dim: int, rng: random.Random):
+    """The identity's free ints in -5..5, as ``rng.randint(-5, 5)`` draws each, in draw order.
 
-    The coordinates of x_0 and of the gradients and subgradients, and all
-    function values, are small random Python ints in -5..5, so the
-    identity's arithmetic runs on ints and Z[sqrt2] values rather than on
-    ``Fraction``s; the later iterates are then forced by the update
-    x_{t+1} = x_t - alpha_t (g_t + s_{t+1}), in Z[sqrt2] since the steps
-    are, the optimum sits at the origin, and g_* = -s_*.  Both sides of the
-    descent identity are polynomials in these free variables, so exact
-    evaluation on random integer points is a sound identity test.
+    (gs, ss, s_star, fs, hs, f_star, h_star, w): n + 1 gradients, n
+    subgradients, s_*, n + 1 values of f and of h, f_*, h_* and
+    w = x_0 - x_*, each vector of length ``dim``.  Each coordinate is drawn
+    as ``randint`` draws it (``getrandbits(4)``, redrawn while >= 11), without
+    its call overhead, so the stream is the same.
     """
-    from .solver import Trace
-
-    n = len(pi)
     getrandbits = rng.getrandbits
 
-    def coord():  # rng.randint(-5, 5)'s own draw, without its call overhead
+    def coord():
         r = getrandbits(4)
         while r >= 11:
             r = getrandbits(4)
@@ -669,7 +682,25 @@ def sample_free_trace(pi: list[RadicalScalar], dim: int, rng: random.Random):
     fs = [coord() for _ in range(n + 1)]
     hs = [coord() for _ in range(n + 1)]  # h_0 never enters the identity
     f_star, h_star = coord(), coord()
-    xs = [vec()]  # x_0 - x_* has free integer coordinates too
+    return gs, ss, s_star, fs, hs, f_star, h_star, vec()
+
+
+def sample_free_trace(pi: list[RadicalScalar], dim: int, rng: random.Random):
+    """Random assignment of the identity's free variables, as a solver trace.
+
+    The coordinates of x_0 and of the gradients and subgradients, and all
+    function values, are small random Python ints in -5..5 (``_draw``, the
+    draw ``verify_descent_identity`` makes too); the later iterates are then
+    forced by the update x_{t+1} = x_t - alpha_t (g_t + s_{t+1}), in
+    Z[sqrt2] since the steps are, the optimum sits at the origin, and
+    g_* = -s_*.  Both sides of the descent identity are polynomials in these
+    free variables, so exact evaluation on random integer points is a sound
+    identity test.
+    """
+    from .solver import Trace
+
+    gs, ss, s_star, fs, hs, f_star, h_star, w = _draw(len(pi), dim, rng)
+    xs = [w]  # x_0 - x_* has free integer coordinates too
     for a, g, s in zip(pi, gs, ss):
         xs.append([x - a * (gv + sv) for x, gv, sv in zip(xs[-1], g, s)])
     return Trace(
@@ -775,23 +806,29 @@ def _require_free_trace(trace, n: int) -> None:
     """Raise ``ValueError`` naming the first field of ``trace`` that evaluate_identity rejects."""
     sizes = {"steps": n, "ss": n, "xs": n + 1, "gs": n + 1, "fs": n + 1, "hs": n + 1}
     fields = [(name, getattr(trace, name), size) for name, size in sizes.items()]
-    dim = len(trace.xs[0]) if trace.xs else 0  # an empty xs fails its own size first
+    x0 = trace.xs[0] if trace.xs else None
+    dim = 0 if x0 is None else len(x0)  # a None or missing x_0 fails its own check first
     fields += [(f"{name}[{i}]", v, dim) for name in ("xs", "gs", "ss")
-               for i, v in enumerate(getattr(trace, name))] + [("s_star", trace.s_star, dim)]
+               for i, v in enumerate(getattr(trace, name) or ())] + [("s_star", trace.s_star, dim)]
     for name, values, size in fields:
+        if values is None:
+            raise ValueError(f"trace {name} is None")
         if len(values) != size:
             raise ValueError(f"trace {name} has {len(values)} entries, not {size}")
     if trace.x_star is None or len(trace.x_star) != dim or any(trace.x_star):
         raise ValueError(f"trace x_star must be {dim} zeros: the identity takes x_0 as x_0 - x_*")
     free = (("gs", [v for g in trace.gs for v in g]), ("ss", [v for s in trace.ss for v in s]),
-            ("s_star", trace.s_star), ("fs", trace.fs), ("hs", trace.hs), ("xs[0]", trace.xs[0]),
+            ("s_star", trace.s_star), ("fs", trace.fs), ("hs", trace.hs), ("xs[0]", x0),
             ("f_star", [trace.f_star]), ("h_star", [trace.h_star]))
     for name, values in free:
         if not set(map(type, values)) <= {int}:
             raise ValueError(f"trace {name} must hold ints, as sample_free_trace draws them")
+    for i, x in enumerate(trace.xs[1:], start=1):
+        if not set(map(type, x)) <= {int, Fraction, RadicalScalar}:
+            raise ValueError(f"trace xs[{i}] must hold ints, Fractions or RadicalScalars")
 
 
-def _bar_term(d: int, xs: list, ys: list, parts) -> RadicalScalar:
+def _bar_term(d: int, xs: list, ys: list, parts, forms: dict) -> RadicalScalar:
     """2d times the sum of ``bar[i][j]`` times the co-coercivity of points i and j.
 
     Summed over ``parts`` of (bar, start, grads, values, smooth), one per
@@ -807,10 +844,12 @@ def _bar_term(d: int, xs: list, ys: list, parts) -> RadicalScalar:
     so an entry costs two int dots of length dim.
 
     Row i, as (stored row, power, offset), weighs its entries with the
-    stored row's own values, and the entries of both parts are grouped by
-    power: one ``scaled_int_dot`` per ``BAR_CHUNK`` entries (one in all up
-    to k=8) applies each power's unit rho**(2 power) to its group's integer
-    sums, so a trial reduces once and the integer lists stay bounded.
+    stored row's own integer form, ``forms[id(stored row)]``, prepared once
+    per verify call, and the entries of both parts are grouped by (power,
+    the row's denominator): one ``scaled_int_dot`` per ``BAR_CHUNK`` entries
+    (one in all up to k=8) applies each power's unit rho**(2 power) to its
+    group's integer sums, so a trial reduces once and the integer lists stay
+    bounded.
     """
     ys2 = [[y + y for y in yi] for yi in ys]  # 2 Y_i, for both parts
     total, groups, size = ZERO, {}, 0
@@ -826,39 +865,50 @@ def _bar_term(d: int, xs: list, ys: list, parts) -> RadicalScalar:
         gy = [sum(map(mul, g, yi)) for g, yi in zip(grads, ys2_p)]
         for i, row in enumerate(bar):
             stored, power, offset = _ref(row)
+            ps, qs, denominator = forms[id(stored)]
             zi, yi, ai = shifted[i], ys2_p[i], a[i]
             cols = [offset + j for j in stored.keys()] if offset else stored.keys()
-            if power in groups:
-                weights, big_a, big_b = groups[power]
+            key = power, denominator
+            if key in groups:
+                wp, wq, big_a, big_b = groups[key]
             else:
-                weights, big_a, big_b = groups[power] = [], [], []
-            weights += stored.values()
+                wp, wq, big_a, big_b = groups[key] = [], [], [], []
+            wp += ps
+            wq += qs
             big_a += [ai - b[j] - sum(map(mul, grads[j], zi)) for j in cols]
             big_b += [gy[j] - sum(map(mul, grads[j], yi)) for j in cols]
-            size += len(stored)
+            size += len(ps)
             if size >= BAR_CHUNK:
                 total, groups, size = total + _rho2_dot(groups), {}, 0
     return total + _rho2_dot(groups)
 
 
-def _rho2_dot(groups: dict[int, tuple[list, list, list]]) -> RadicalScalar:
-    """Sum of rho**(2 p) * int_dot(weights, A, B) over ``groups`` of p: (weights, A, B)."""
-    return scaled_int_dot([(rho_pow(p + p), w, x, y) for p, (w, x, y) in groups.items()])
+def _rho2_dot(groups: dict[tuple[int, int], tuple[list, list, list, list]]) -> RadicalScalar:
+    """Sum of rho**(2 p) * form_dot((ps, qs, e), A, B) over ``groups`` of (p, e): (ps, qs, A, B)."""
+    return scaled_int_dot([(rho_pow(p + p), (ps, qs, e), x, y)
+                           for (p, e), (ps, qs, x, y) in groups.items()])
 
 
 class _PreparedIdentity:
     """Both sides of one bundle's descent identity, for traces of dimension ``dim``.
 
-    What depends only on the bundle is taken once, at construction: the
-    optimum rows' integer form, 2 rho**k - 1, u's integer form, the slack
-    tree's (``_SlackForm``), and one integer form of every unit of the right
-    side.  ``sides`` then sums one trace's ints; it checks no field of the
-    trace.
+    What depends only on the bundle is taken once, at construction: each
+    distinct stored ``bar`` row's integer form, over the row's own
+    denominator, the optimum rows' integer form, pi's (the steps'),
+    2 rho**k - 1, u's integer form, the slack tree's (``_SlackForm``), and
+    one integer form of every unit of the right side.  ``trial`` draws one
+    trace's free ints and steps its iterates on pi's integer form;
+    ``sides`` puts a given trace in the same form, without checking it.
+    Both then sum only ints, in ``_sides``.
     """
 
     def __init__(self, bundle: CertificateBundle, dim: int):
-        self.bundle = bundle
+        self.bundle, self.dim = bundle, dim
+        stored = {id(row): row for bar in (bundle.lam.bar, bundle.mu.bar)
+                  for row, _, _ in map(_ref, bar)}
+        self.row_forms = {key: int_form(row.values()) for key, row in stored.items()}
         self.star_form = int_form(bundle.lam.star_row + bundle.mu.star_row)
+        self.step_form = int_form(bundle.pi)
         self.gap_unit = rho_pow(bundle.k) * 2 - ONE
         uc = bundle.u_coeffs
         self.u_form = int_form((uc.init, *uc.g, *uc.s, uc.s_star))
@@ -867,39 +917,65 @@ class _PreparedIdentity:
         self.form = int_form([RHO_OVER_2SQRT2, -ONE / (2 * self.u_form[2] ** 2)]
                              + [v / -2 for v in self.slack.units])
 
+    def trial(self, rng: random.Random) -> tuple[RadicalScalar, RadicalScalar]:
+        """(lhs, rhs) on the free ints drawn from ``rng`` as ``sample_free_trace`` draws them.
+
+        With pi_t = (P_t + sqrt2 Q_t) / d, the iterates are x_t = (X_t + sqrt2 Y_t) / d
+        for X_0 = d x_0, Y_0 = 0, X_{t+1} = X_t - P_t u_t and Y_{t+1} = Y_t - Q_t u_t,
+        u_t = g_t + s_{t+1}: the trace ``sample_free_trace`` builds, on ints.
+        """
+        free = _draw(self.bundle.n, self.dim, rng)
+        gs, ss, *_, w = free
+        big_p, big_q, d = self.step_form
+        xs, ys = [[d * v for v in w]], [[0] * self.dim]
+        for p, q, g, s in zip(big_p, big_q, gs, ss):
+            u = list(map(add, g, s))
+            xs.append([x - p * v for x, v in zip(xs[-1], u)])
+            ys.append([y - q * v for y, v in zip(ys[-1], u)])
+        return self._sides(d, xs, ys, free)
+
     def sides(self, trace) -> tuple[RadicalScalar, RadicalScalar]:
         """(lhs, rhs) on ``trace``, which must fit the bundle as ``evaluate_identity`` says."""
-        from .solver import Trace, cocoercivity_f, cocoercivity_h
-
         n, dim = self.bundle.n, len(trace.xs[0])
         # x_0's int coordinates enter as ONE * v, without RadicalScalar's Fraction-based constructor
         coords = [v if isinstance(v, RadicalScalar) else ONE * v for x in trace.xs for v in x]
         ps, qs, d = int_form(coords)
         xs = [ps[t * dim:(t + 1) * dim] for t in range(n + 1)]
         ys = [qs[t * dim:(t + 1) * dim] for t in range(n + 1)]
+        return self._sides(d, xs, ys, (trace.gs, trace.ss, trace.s_star, trace.fs, trace.hs,
+                                       trace.f_star, trace.h_star, trace.xs[0]))
+
+    def _sides(self, d: int, xs: list, ys: list, free) -> tuple[RadicalScalar, RadicalScalar]:
+        """(lhs, rhs) on the iterates (X_i + sqrt2 Y_i) / d and ``free``, in ``_draw``'s order."""
+        from .solver import Trace, cocoercivity_f, cocoercivity_h
+
+        gs, ss, s_star, fs, hs, f_star, h_star, w = free
+        n, dim = self.bundle.n, len(w)
         lam, mu = self.bundle.lam, self.bundle.mu
-        bar = _bar_term(d, xs, ys, [(lam.bar, 0, trace.gs, trace.fs, True),
-                                    (mu.bar, 1, trace.ss, trace.hs[1:], False)])
+        bar = _bar_term(d, xs, ys, [(lam.bar, 0, gs, fs, True), (mu.bar, 1, ss, hs[1:], False)],
+                        self.row_forms)
         # The optimum rows on the solver's own co-coercivities, in the split
         # ``_bar_term`` makes (x_* = 0): 2d co(*, j) = A + sqrt2 B, where A is 2d
         # times the co-coercivity on the view whose iterates are the rational
-        # parts X_i / d, an int, and B = 2 <g_j, Y_j> (2 <s_j, Y_j> for mu,
-        # whose subgradients start at iterate 1).
+        # parts X_i / d, and B = 2 <g_j, Y_j> (2 <s_j, Y_j> for mu, whose
+        # subgradients start at iterate 1).  That co-coercivity's denominator
+        # divides 2d, so A is read off its numerator; the view's steps only set its n.
         parts = xs if d == 1 else [[Fraction(x, d) for x in xi] for xi in xs]
-        view = Trace(steps=trace.steps, xs=parts, gs=trace.gs, fs=trace.fs, hs=trace.hs,
-                     Fs=trace.Fs, ss=trace.ss, x_star=[0] * dim, s_star=trace.s_star,
-                     f_star=trace.f_star, h_star=trace.h_star)
-        star_a = ([int(2 * d * cocoercivity_f(view, "*", j)) for j in range(n + 1)]
-                  + [int(2 * d * cocoercivity_h(view, "*", j)) for j in range(1, n + 1)])
-        star_b = ([2 * sum(map(mul, g, y)) for g, y in zip(trace.gs, ys)]
-                  + [2 * sum(map(mul, s, y)) for s, y in zip(trace.ss, ys[1:])])
+        view = Trace(steps=self.bundle.pi, xs=parts, gs=gs, fs=fs, hs=hs, Fs=[], ss=ss,
+                     x_star=[0] * dim, s_star=s_star, f_star=f_star, h_star=h_star)
+        star = ([cocoercivity_f(view, "*", j) for j in range(n + 1)]
+                + [cocoercivity_h(view, "*", j) for j in range(1, n + 1)])
+        star_a = [(2 * d // co.denominator) * co.numerator for co in star]
+        star_b = ([2 * sum(map(mul, g, y)) for g, y in zip(gs, ys)]
+                  + [2 * sum(map(mul, s, y)) for s, y in zip(ss, ys[1:])])
         lhs = (bar + form_dot(self.star_form, star_a, star_b)) / (2 * d)
 
-        w = trace.xs[0]  # x_0 - x_* since the optimum is at the origin
-        u = norm2_ints(self.u_form, [w, *trace.gs, *trace.ss, trace.s_star])
-        slack_xs, slack_ys = self.slack.pairs([w] + trace.ss + [trace.s_star])
+        # w = x_0 - x_*, since the optimum is at the origin
+        u = norm2_ints(self.u_form, [w, *gs, *ss, s_star])
+        slack_xs, slack_ys = self.slack.pairs([w] + ss + [s_star])
         rest = form_dot(self.form, [sum(map(mul, w, w)), u[0]] + slack_xs, [0, u[1]] + slack_ys)
-        return lhs, self.gap_unit * (trace.F_star - trace.Fs[n]) + rest
+        # F_* - F_n on the free values, as the left side reads them
+        return lhs, self.gap_unit * (f_star + h_star - fs[n] - hs[n]) + rest
 
 
 def evaluate_identity(bundle: CertificateBundle, trace) -> tuple[RadicalScalar, RadicalScalar]:
@@ -911,7 +987,9 @@ def evaluate_identity(bundle: CertificateBundle, trace) -> tuple[RadicalScalar, 
     The trace must fit the bundle (n ``steps`` and ``ss``, n + 1 ``xs``, ``gs``, ``fs``, ``hs``,
     each vector as long as x_0), put the optimum ``x_star`` at the origin and hold ints in
     ``gs``, ``ss``, ``s_star``, ``fs``, ``hs``, ``f_star``, ``h_star`` and x_0, as
-    ``sample_free_trace`` draws them; a field that does not raises ``ValueError``.
+    ``sample_free_trace`` draws them, and ints, ``Fraction``s or ``RadicalScalar``s in
+    the later iterates; a field that does not, or is None, raises ``ValueError``.
+    ``Fs`` and ``F_star`` are not read: the gap term is f_* + h_* - f_n - h_n.
 
     The O(n k) stored ``bar`` entries are summed on the iterates' integer
     form (``exactnum.int_form``, one common denominator d) by ``_bar_term``,
@@ -953,7 +1031,7 @@ def verify_descent_identity(
     identity = _PreparedIdentity(bundle, dim)
     residuals = []
     for _ in range(trials):
-        lhs, rhs = identity.sides(sample_free_trace(bundle.pi, dim, rng))
+        lhs, rhs = identity.trial(rng)
         residuals.append(lhs - rhs)
     failures = tuple(t for t, r in enumerate(residuals) if r)
     first = residuals[failures[0]].exact_str() if failures else ""

@@ -16,10 +16,11 @@ p + q*sqrt2 compares p*p with 2*q*q.  The rational components a = p/d and
 b = q/d are available as ``Fraction`` properties.  ``int_form`` puts a list
 of values over one common denominator, once for a caller that sums against
 the same values many times.  ``form_dot`` (values times x + y sqrt2 with int
-x and y) and ``scaled_int_dot`` (a sum of such dots, each times a unit) sum on
-that form and reduce once; ``norm2_ints`` and ``int_times`` return the ints of
-a squared norm and of a product by an element of Z[sqrt2], for the caller to
-sum; ``signs`` reads the signs of many values at once.  So other modules never
+x and y) and ``scaled_int_dot`` (a sum of such dots, each on its own form and
+times a unit) sum on such forms and reduce once; ``norm2_ints`` and
+``int_times`` return the ints of a squared norm and of a product by an element
+of Z[sqrt2], for the caller to sum; ``signs`` reads the signs of many values
+at once.  So other modules never
 read the three ints of a value, nor multiply them by the rule of the field.
 """
 
@@ -352,19 +353,20 @@ def int_times(w: RadicalScalar, ps: Sequence[int], qs: Sequence[int]) -> tuple[l
     return [a * p + 2 * b * q for p, q in zip(ps, qs)], [b * p + a * q for p, q in zip(ps, qs)]
 
 
-def scaled_int_dot(parts: Iterable[tuple[RadicalScalar, Sequence[RadicalScalar], Sequence[int],
-                                          Sequence[int]]]) -> RadicalScalar:
+def scaled_int_dot(parts: Iterable[tuple[RadicalScalar, tuple[Sequence[int], Sequence[int], int],
+                                          Sequence[int], Sequence[int]]]) -> RadicalScalar:
     """Exact sum of ``unit * sum(values[i] * (xs[i] + ys[i] sqrt2))`` over ``parts`` of
-    (unit, values, xs, ys), with ``RadicalScalar`` values and ints xs and ys.
+    (unit, form, xs, ys), with ``form = int_form(values)`` and ints xs and ys.
 
-    Each part's two components are summed as ``form_dot`` sums them, over its
-    own denominator; its unit and the lcm of the denominators are then applied to those ints, so
-    the total is reduced once and no field operation runs per part.
+    A caller that sums against the same values many times prepares their
+    forms once.  Each part's two components are summed as ``form_dot`` sums
+    them, over its own denominator; its unit and the lcm of the denominators
+    are then applied to those ints, so the total is reduced once and no field
+    operation runs per part.
     """
     x = y = 0
     d = 1
-    for unit, values, xs, ys in parts:
-        ps, qs, e = int_form(values)
+    for unit, (ps, qs, e), xs, ys in parts:
         a, b = _pair_dot(ps, qs, xs, ys)
         up, uq, e = unit.p, unit.q, e * unit.d
         if e != d:  # bring the total and this part over lcm(d, e)

@@ -894,12 +894,16 @@ def test_identity_lhs_matches_cocoercivity_sum(k, dim, target, thirds, chunk, se
     assert lhs == _lhs_by_definition(bundle, trace)
 
 
-@pytest.mark.parametrize("field", ["gs", "ss", "s_star", "fs", "hs", "xs[0]", "f_star", "h_star"])
+@pytest.mark.parametrize("field", ["gs", "ss", "s_star", "fs", "hs", "xs[0]", "f_star", "h_star",
+                                   "xs[2]", "xs[3]"])
 def test_identity_rejects_a_trace_with_non_int_field(field):
+    # The later iterates may hold Fractions and RadicalScalars, not a float or None.
     bundle = build_bundle(2)
     trace = sample_free_trace(bundle.pi, 2, random.Random(7))
     half = Fraction(1, 2)
-    if field in ("f_star", "h_star"):
+    if field in ("xs[2]", "xs[3]"):
+        trace.xs[int(field[3])][1] = 0.5 if field == "xs[2]" else None
+    elif field in ("f_star", "h_star"):
         setattr(trace, field, half)
     elif field == "gs":
         trace.gs[1][0] = half
@@ -931,6 +935,41 @@ def test_identity_rejects_a_trace_of_the_wrong_shape(field):
         evaluate_identity(bundle, trace)
 
 
+@pytest.mark.parametrize("field", ["steps", "ss", "xs", "gs", "fs", "hs", "xs[0]", "xs[1]",
+                                   "gs[2]", "ss[0]", "s_star"])
+def test_identity_rejects_a_trace_with_a_None_field(field):
+    # A solver trace of an instance without optimum data has s_star = None.
+    bundle = build_bundle(2)
+    trace = sample_free_trace(bundle.pi, 3, random.Random(7))
+    name, _, index = field.partition("[")
+    if index:
+        getattr(trace, name)[int(index[:-1])] = None
+    else:
+        setattr(trace, name, None)
+    with pytest.raises(ValueError, match=rf"trace {re.escape(field)} is None"):
+        evaluate_identity(bundle, trace)
+
+
+@pytest.mark.parametrize("edit", ["Fs short", "Fs None", "Fs[3] None", "F_star None",
+                                  "F_star float", "F_star off"])
+def test_identity_reads_neither_Fs_nor_F_star(edit):
+    # The gap term is f_* + h_* - f_n - h_n, on the free ints the left side
+    # reads, so a trace's Fs and F_star are not read (a short Fs raised
+    # IndexError, and a None or float entry TypeError, when they were).
+    bundle = build_bundle(2)
+    trace = sample_free_trace(bundle.pi, 2, random.Random(7))
+    sides = evaluate_identity(bundle, trace)
+    if edit == "Fs short":
+        trace.Fs.pop()
+    elif edit == "Fs None":
+        trace.Fs = None
+    elif edit == "Fs[3] None":
+        trace.Fs[3] = None
+    else:
+        trace.F_star = {"F_star None": None, "F_star float": 0.5, "F_star off": 99}[edit]
+    assert evaluate_identity(bundle, trace) == sides
+
+
 @pytest.mark.parametrize("x_star", [[3, -1], [ZERO, ONE], [0, 0, 0], [0], None])
 def test_identity_rejects_an_optimum_away_from_the_origin(x_star):
     # The right side reads x_0 as x_0 - x_*, so only x_* = 0 is consistent:
@@ -947,6 +986,9 @@ def test_identity_trial_makes_no_field_operation_per_optimum_entry(monkeypatch):
     # RadicalScalar operations does not grow with the order: the optimum rows
     # too are summed on the integer form (the counts at k=5 and k=7 were
     # 605 and 2,429 when each of their entries cost a field product and sum).
+    # So does one whole trial of the verify loop, its draw included: the
+    # iterates are stepped on pi's integer form (132 and 516 operations at k=5
+    # and k=7 when the loop drew a solver trace of RadicalScalar iterates).
     calls = []
 
     def counted(method):
@@ -955,20 +997,95 @@ def test_identity_trial_makes_no_field_operation_per_optimum_entry(monkeypatch):
             return method(*args)
         return wrapper
 
-    counts = {}
-    for order in (5, 7):
-        bundle = build_bundle(order)
-        identity = _PreparedIdentity(bundle, 2)
-        trace = sample_free_trace(bundle.pi, 2, random.Random(order))
+    def count(run):
         calls.clear()
         with monkeypatch.context() as patch:
             for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__neg__", "__mul__",
                          "__rmul__", "__truediv__", "__rtruediv__", "sign"):
                 patch.setattr(RadicalScalar, name, counted(getattr(RadicalScalar, name)))
-            lhs, rhs = identity.sides(trace)
+            out = run()
+        return len(calls), out
+
+    counts, loop_counts = {}, {}
+    for order in (5, 7):
+        bundle = build_bundle(order)
+        identity = _PreparedIdentity(bundle, 2)
+        trace = sample_free_trace(bundle.pi, 2, random.Random(order))
+        counts[order], (lhs, rhs) = count(lambda: identity.sides(trace))
         assert lhs == rhs
-        counts[order] = len(calls)
+        verify_descent_identity(order, trials=1, dim=2, seed=order)  # fills rho_pow's memo
+        # the verify call with one trial more, less the one without it: one loop trial
+        one, report = count(lambda: verify_descent_identity(order, trials=1, dim=2, seed=order))
+        two, report2 = count(lambda: verify_descent_identity(order, trials=2, dim=2, seed=order))
+        assert report.passed and report2.passed
+        loop_counts[order] = two - one
     assert counts[5] == counts[7] <= 10
+    assert loop_counts[5] == loop_counts[7] <= 10
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_every_stored_entry_but_mus_diagonal_is_load_bearing(k):
+    # Each stored entry of the certificate, plus one, one at a time, must fail
+    # one of the three checks or 20 identity trials at dim 2.  The one stated
+    # exception is mu's stored diagonal entries: co(i, i) is identically zero,
+    # so they weigh nothing (see check_multipliers_nonneg).
+    bundle = build_bundle(k)
+    survivors, copies = [], list(_plus_one_copies(bundle))
+    assert len(copies) == (17, 43, 95)[k - 1]
+    for label, bad in copies:
+        if all(check(bad).passed for check in (check_multipliers_nonneg, check_laplacian,
+                                              check_schur_psd)):
+            if verify_descent_identity(k, trials=20, dim=2, seed=k, bundle=bad).passed:
+                survivors.append(label)
+    diagonal = [f"mu stored [{i}][{i}]" for i, row in enumerate(bundle.mu.bar)
+                if _ref(row)[0] is row and i in row]
+    assert len(diagonal) == (0, 2, 3)[k - 1]
+    assert survivors == diagonal
+
+
+def _plus_one_copies(bundle):
+    """(label, copy of ``bundle`` with one stored entry plus one), for every stored entry."""
+    for part in ("lam", "mu"):
+        mult = getattr(bundle, part)
+        for i, row in enumerate(mult.bar):
+            stored, _, _ = _ref(row)
+            if stored is not row:
+                continue  # a glued copy: its stored row is edited where it is stored
+            refs = [r for r, (s, _, _) in enumerate(map(_ref, mult.bar)) if s is stored]
+            for j in stored.keys():
+                edited = SparseRow(stored)
+                edited[j] = edited[j] + ONE
+                bar = list(mult.bar)
+                for r in refs:  # the row itself and every glued copy of it
+                    bar[r] = edited if r == i else ScaledRow(edited, bar[r].power, bar[r].offset)
+                yield f"{part} stored [{i}][{j}]", replace(bundle, **{part: replace(mult, bar=bar)})
+        for j, v in enumerate(mult.star_row):
+            star = _edited(mult.star_row, j, v + ONE)
+            yield f"{part} star [{j}]", replace(bundle, **{part: replace(mult, star_row=star)})
+    slack = bundle.slack
+    for field in ("base", "corner"):
+        yield field, _with_slack(bundle, **{field: getattr(slack, field) + ONE})
+    for field in ("gap", "c"):
+        values = getattr(slack, field)
+        for r, v in enumerate(values):
+            yield f"{field}[{r}]", _with_slack(bundle, **{field: _edited(values, r, v + ONE)})
+    for c, v in slack.border.items():
+        yield f"border[{c}]", _with_slack(bundle, border=SparseRow({**slack.border, c: v + ONE}))
+    for j, level in enumerate(slack.levels, start=1):
+        yield f"level {j} diag", _with_level(bundle, j, diag=level.diag + ONE)
+        for field in ("gap", "pi"):
+            values = getattr(level, field)
+            for r, v in enumerate(values):
+                yield (f"level {j} {field}[{r}]",
+                       _with_level(bundle, j, **{field: _edited(values, r, v + ONE)}))
+    uc = bundle.u_coeffs
+    for field in ("init", "s_star"):
+        yield f"u {field}", replace(bundle, u_coeffs=replace(uc, **{field: getattr(uc, field) + ONE}))
+    for field in ("g", "s"):
+        values = getattr(uc, field)
+        for r, v in enumerate(values):
+            yield (f"u {field}[{r}]",
+                   replace(bundle, u_coeffs=replace(uc, **{field: tuple(_edited(values, r, v + ONE))})))
 
 
 def test_identity_rejects_a_trace_of_another_order():

@@ -150,7 +150,7 @@ def test_scaled_int_dot_matches_the_sum_of_scaled_dots(parts):
     # Units and values with d > 1, each part over its own denominator.
     built = [(RadicalScalar(*unit), [RadicalScalar(*ab) for ab, _, _ in terms],
               [x for _, x, _ in terms], [y for _, _, y in terms]) for unit, terms in parts]
-    got = scaled_int_dot(built)
+    got = scaled_int_dot([(unit, int_form(values), xs, ys) for unit, values, xs, ys in built])
     assert got == sum((unit * value * (SQRT2 * b + a) for unit, values, xs, ys in built
                        for value, a, b in zip(values, xs, ys)), ZERO)
     assert got.d >= 1 and gcd(got.p, got.q, got.d) == 1
