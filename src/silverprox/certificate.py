@@ -65,9 +65,14 @@ one common denominator the iterates are x_i = (X_i + sqrt2 Y_i) / d with
 int vectors X_i, Y_i (d = 1 for the silver steps), so twice d times each
 co-coercivity is A + sqrt2 B with A, B a few int inner products.  The
 O(n k) entries the ``bar`` rows read as are summed so, weighted by their
-stored row's integer form, over that row's own denominator: one
-``exactnum.scaled_int_dot`` per chunk of ``BAR_CHUNK`` entries applies each
-power's rho**(2 power) once per (power, denominator) group, and no field
+stored row's integer form, over that row's own denominator (``_bar_term``).
+A short row is summed entry by entry, two int dots of length dim each.  A
+long row (``_bar_rows``) is two int dots over its points, each packed once
+per trial into one int of signed W-bit lanes, with W wide enough for the
+part's largest lane value times its long rows' largest sum of |weights|,
+so every lane is exact.  Both add ints to the row's (power, denominator)
+group; one ``exactnum.scaled_int_dot`` per chunk of ``BAR_CHUNK`` entries
+applies each power's rho**(2 power) once per group, and no field
 operation runs per entry.  The O(n) optimum rows keep the solver's own
 definition, ``solver.cocoercivity_f`` and ``cocoercivity_h``, fed the same
 split: a co-coercivity is affine in the iterates, so on a trace whose
@@ -78,7 +83,8 @@ prepared integer form, again with no field operation per entry.
 
 A trial's cost is the trace's own integer work.  ``verify_descent_identity``
 prepares the bundle's side once per call (``_PreparedIdentity``): the
-integer form of each distinct stored ``bar`` row and of pi, the integer
+integer form of each distinct stored ``bar`` row, with which rows pack, and
+of pi, the integer
 forms of u's coefficients and of the slack tree's levels, and one integer
 form of every unit of the right side, which holds O(k**2) units (three per
 level and copy count of the tree's nodes).  Each trial then draws the free
@@ -106,17 +112,22 @@ from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from operator import add, mul, sub
+from itertools import repeat
+from operator import add, lshift, mul, sub
 
 from .exactnum import (ONE, RHO, SQRT2, ZERO, RadicalScalar, form_dot, int_form, int_times,
                        norm2_ints, rho_pow, scaled_int_dot, signs)
-from .schedule import c_double, pi_double
+from .schedule import _require_int, c_double, pi_double
 
 INV_SQRT2 = RadicalScalar(0, Fraction(1, 2))  # 1/sqrt2 = sqrt2/2
 RHO_OVER_2SQRT2 = RadicalScalar(Fraction(1, 2), Fraction(1, 4))  # rho/(2 sqrt2)
 # Multiplier entries whose integer co-coercivities the identity holds at once:
 # one chunk per part up to k=8, and a bounded list at higher orders.
 BAR_CHUNK = 8192
+# Stored rows of at least PACK_ROW entries are summed by packed int dots, in
+# parts where they hold PACK_EXCESS entries beyond PACK_ROW per row (_bar_rows).
+PACK_ROW = 8
+PACK_EXCESS = 2
 
 
 class SparseRow(dict):
@@ -384,12 +395,6 @@ def _correct(bar: Rows, i: int, entries) -> None:
     bar[i] = SparseRow(sorted(row.items()))
 
 
-def _require_order(k: int) -> None:
-    """Raise ``ValueError`` unless the order k is an int >= 1 (a bool is not)."""
-    if isinstance(k, bool) or not isinstance(k, int) or k < 1:
-        raise ValueError(f"certificate order k must be an int >= 1, got {k!r}")
-
-
 def _below(k: int) -> tuple[CertificateBundle | None, list, list, list, list]:
     """Order k - 1's memoized bundle, pi(k - 1), c(k - 1), pi(k) and c(k).
 
@@ -397,7 +402,7 @@ def _below(k: int) -> tuple[CertificateBundle | None, list, list, list, list]:
     with order k - 1's bundle in ``build_bundle``'s memo.  Order 1 is the base:
     no bundle below, the empty order 0, pi(1) = [sqrt2] and c(1) = [2 sqrt2].
     """
-    _require_order(k)  # before any recursion
+    _require_int(k, "order k")  # before any recursion
     if k == 1:
         return None, [], [], [SQRT2], [SQRT2 * 2]
     prev = build_bundle(k - 1)
@@ -695,10 +700,11 @@ def sample_free_trace(pi: list[RadicalScalar], dim: int, rng: random.Random):
     Z[sqrt2] since the steps are, the optimum sits at the origin, and
     g_* = -s_*.  Both sides of the descent identity are polynomials in these
     free variables, so exact evaluation on random integer points is a sound
-    identity test.
+    identity test.  A ``dim`` that is not an int >= 1 raises ``ValueError``.
     """
     from .solver import Trace
 
+    _require_int(dim, "trace dimension dim")
     gs, ss, s_star, fs, hs, f_star, h_star, w = _draw(len(pi), dim, rng)
     xs = [w]  # x_0 - x_* has free integer coordinates too
     for a, g, s in zip(pi, gs, ss):
@@ -802,6 +808,12 @@ def _slack_term(slack: SlackMatrix, cols: list) -> RadicalScalar:
     return form_dot(int_form(form.units), *form.pairs(cols))
 
 
+def _require_bundle(bundle) -> None:
+    """Raise ``ValueError`` unless ``bundle`` is a ``CertificateBundle``."""
+    if not isinstance(bundle, CertificateBundle):
+        raise ValueError(f"bundle must be a CertificateBundle, got {type(bundle).__name__}")
+
+
 def _require_free_trace(trace, n: int) -> None:
     """Raise ``ValueError`` naming the first field of ``trace`` that evaluate_identity rejects."""
     sizes = {"steps": n, "ss": n, "xs": n + 1, "gs": n + 1, "fs": n + 1, "hs": n + 1}
@@ -828,32 +840,44 @@ def _require_free_trace(trace, n: int) -> None:
             raise ValueError(f"trace xs[{i}] must hold ints, Fractions or RadicalScalars")
 
 
-def _bar_term(d: int, xs: list, ys: list, parts, forms: dict) -> RadicalScalar:
+def _bar_term(d: int, xs: list, ys: list, parts) -> RadicalScalar:
     """2d times the sum of ``bar[i][j]`` times the co-coercivity of points i and j.
 
-    Summed over ``parts`` of (bar, start, grads, values, smooth), one per
-    multiplier part, whose point i is iterate ``start + i``: with int
+    Summed over ``parts`` of (bar, start, grads, values, smooth, rows, bound),
+    one per multiplier part, whose point i is iterate ``start + i``: with int
     vectors X_i = ``xs[start + i]`` and Y_i = ``ys[start + i]`` it is
     x_i = (X_i + sqrt2 Y_i) / d, with gradient (or subgradient)
     g_i = ``grads[i]`` and value v_i = ``values[i]``, all ints.  Then
     2d co(i, j) = A + sqrt2 B with the ints
     A = 2d (v_i - v_j) - 2 <g_j, X_i - X_j> - [smooth] d ||g_i - g_j||**2 and
     B = -2 <g_j, Y_i - Y_j>.  Grouped by index, with e = [smooth] d,
-    A = a_i - b_j - <g_j, 2 (X_i - e g_i)> for a_i = 2d v_i - e ||g_i||**2 and
-    b_j = 2d v_j + e ||g_j||**2 - 2 <g_j, X_j>, and B = 2 <g_j, Y_j> - <g_j, 2 Y_i>,
-    so an entry costs two int dots of length dim.
+    A = a_i - b_j - <g_j, z_i> for a_i = 2d v_i - e ||g_i||**2,
+    b_j = 2d v_j + e ||g_j||**2 - 2 <g_j, X_j> and z_i = 2 (X_i - e g_i), and
+    B = gy_j - <g_j, y_i> for gy_j = 2 <g_j, Y_j> and y_i = 2 Y_i.
 
     Row i, as (stored row, power, offset), weighs its entries with the
-    stored row's own integer form, ``forms[id(stored row)]``, prepared once
-    per verify call, and the entries of both parts are grouped by (power,
-    the row's denominator): one ``scaled_int_dot`` per ``BAR_CHUNK`` entries
-    (one in all up to k=8) applies each power's unit rho**(2 power) to its
-    group's integer sums, so a trial reduces once and the integer lists stay
-    bounded.
+    stored row's own integer form (ps, qs) over its denominator, from
+    ``rows`` (``_bar_rows``), prepared once per verify call.  A short row
+    takes the per-entry path: each entry's A and B, two int dots of length
+    dim, join the row's (power, denominator) group beside the row's weight
+    ints.  A long row takes the packed path: each point j of the part is
+    packed once per trial into one int P_j whose signed W-bit lanes hold
+    (g_j, b_j, gy_j), so U = sum(ps[j] P_{offset+j}) and
+    V = sum(qs[j] P_{offset+j}) are two int dots over the row's points, and
+    their lanes give sum(ps A) = a_i sum(ps) - U_b - <U_g, z_i> and
+    sum(ps B) = U_gy - <U_g, y_i>, and the same in V.  These join the group
+    as one more entry, with weight ints 1 and 0, so the row adds the ints
+    its entries would.  A lane of U or V is at most the part's largest lane
+    value times ``bound``, the largest sum(|ps|) or sum(|qs|) of its long
+    rows, so W, set per part and trial from that product plus a sign and a
+    margin bit, keeps every lane exact for any int trace.  One
+    ``scaled_int_dot`` per ``BAR_CHUNK`` entries (one in all up to k=8)
+    applies each power's unit rho**(2 power) to its group's integer sums, so
+    a trial reduces once and the integer lists stay bounded.
     """
     ys2 = [[y + y for y in yi] for yi in ys]  # 2 Y_i, for both parts
     total, groups, size = ZERO, {}, 0
-    for bar, start, grads, values, smooth in parts:
+    for bar, start, grads, values, smooth, rows, bound in parts:
         xs_p, ys2_p = xs[start:], ys2[start:]
         e = d if smooth else 0
         norms = [e * sum(map(mul, g, g)) for g in grads] if e else [0] * len(grads)
@@ -863,24 +887,89 @@ def _bar_term(d: int, xs: list, ys: list, parts, forms: dict) -> RadicalScalar:
         b = [2 * d * v + m - 2 * sum(map(mul, g, xi))
              for v, m, g, xi in zip(values, norms, grads, xs_p)]
         gy = [sum(map(mul, g, yi)) for g, yi in zip(grads, ys2_p)]
+        if bound is not None:  # the part sums its long rows packed
+            lanes = [*zip(*grads), b, gy]
+            dim, top = len(lanes) - 2, max(max(map(abs, lane)) for lane in lanes)
+            width = (top * bound).bit_length() + 2  # |lane of U or V| < 2**(width - 2)
+            shifts = range(0, len(lanes) * width, width)
+            packed = list(lanes[0])
+            for shift, lane in zip(shifts[1:], lanes[1:]):
+                packed = list(map(add, packed, map(lshift, lane, repeat(shift))))
+            half, mask = 1 << (width - 1), (1 << width) - 1
+            bias = sum(half << shift for shift in shifts)
         for i, row in enumerate(bar):
             stored, power, offset = _ref(row)
-            ps, qs, denominator = forms[id(stored)]
+            ps, qs, denominator, packing = rows[id(stored)]
             zi, yi, ai = shifted[i], ys2_p[i], a[i]
-            cols = [offset + j for j in stored.keys()] if offset else stored.keys()
-            key = power, denominator
-            if key in groups:
-                wp, wq, big_a, big_b = groups[key]
+            group = groups.get((power, denominator))
+            if group is None:
+                group = groups[power, denominator] = [], [], [], []
+            wp, wq, big_a, big_b = group
+            if packing:
+                lo, sum_p, sum_q = packing
+                got = packed[offset + lo:offset + lo + len(ps)]
+                u = sum(map(mul, ps, got)) + bias  # every lane biased by half: none borrows
+                v = sum(map(mul, qs, got)) + bias
+                u = [(u >> shift & mask) - half for shift in shifts]
+                v = [(v >> shift & mask) - half for shift in shifts]
+                pa = ai * sum_p - u[dim] - sum(map(mul, u, zi))
+                qa = ai * sum_q - v[dim] - sum(map(mul, v, zi))
+                pb = u[dim + 1] - sum(map(mul, u, yi))
+                qb = v[dim + 1] - sum(map(mul, v, yi))
+                wp.append(1)
+                wq.append(0)
+                big_a.append(pa + 2 * qb)
+                big_b.append(qa + pb)
+                size += 1
             else:
-                wp, wq, big_a, big_b = groups[key] = [], [], [], []
-            wp += ps
-            wq += qs
-            big_a += [ai - b[j] - sum(map(mul, grads[j], zi)) for j in cols]
-            big_b += [gy[j] - sum(map(mul, grads[j], yi)) for j in cols]
-            size += len(ps)
+                cols = [offset + j for j in stored.keys()] if offset else stored.keys()
+                wp += ps
+                wq += qs
+                big_a += [ai - b[j] - sum(map(mul, grads[j], zi)) for j in cols]
+                big_b += [gy[j] - sum(map(mul, grads[j], yi)) for j in cols]
+                size += len(ps)
             if size >= BAR_CHUNK:
                 total, groups, size = total + _rho2_dot(groups), {}, 0
     return total + _rho2_dot(groups)
+
+
+def _bar_rows(bar: Rows) -> tuple[dict, int | None]:
+    """(rows, bound): each distinct stored row of ``bar`` as ``_bar_term`` sums it.
+
+    ``rows`` maps the ``id`` of each stored row to (ps, qs, d, packing): its
+    integer form over its own denominator d, and packing None for a row
+    summed entry by entry.  A long row, of at least ``PACK_ROW`` entries, is
+    summed packed if the part's long rows hold at least ``PACK_EXCESS``
+    entries beyond ``PACK_ROW`` per row of ``bar`` (mu from k=6, lambda from
+    k=7): its form is made dense over the columns lo, lo + 1, ... (a stored
+    row's columns are contiguous but for at most one), and packing is
+    (lo, sum(ps), sum(qs)).  ``bound`` is the largest sum(|ps|) or
+    sum(|qs|) of the packed rows, None if none packs.  The rule follows the
+    two paths' costs (2-core x86 host, Python 3.11, at dim 1 and 4): an
+    entry costs about 0.5-0.65 us on the per-entry path, a packed row
+    3-4 us plus 0.15 us an entry, so a row pays from about 8 entries, and
+    packing a part's points costs 0.16-0.4 us a point per trial; timed part
+    by part at k=4..7, packing paid above ``PACK_EXCESS`` and was even or
+    slower below it.
+    """
+    stored = [_ref(row)[0] for row in bar]
+    excess = sum(len(row) - PACK_ROW for row in stored if len(row) >= PACK_ROW)
+    packs = excess >= PACK_EXCESS * len(bar)
+    rows, bound = {}, 0 if packs else None
+    for row in stored:
+        if id(row) in rows:
+            continue
+        ps, qs, d = int_form(row.values())
+        if packs and len(row) >= PACK_ROW:
+            lo, span = min(row.keys()), max(row.keys()) + 1
+            dense_p, dense_q = [0] * (span - lo), [0] * (span - lo)
+            for j, p, q in zip(row.keys(), ps, qs):
+                dense_p[j - lo], dense_q[j - lo] = p, q
+            rows[id(row)] = dense_p, dense_q, d, (lo, sum(ps), sum(qs))
+            bound = max(bound, sum(map(abs, ps)), sum(map(abs, qs)))
+        else:
+            rows[id(row)] = ps, qs, d, None
+    return rows, bound
 
 
 def _rho2_dot(groups: dict[tuple[int, int], tuple[list, list, list, list]]) -> RadicalScalar:
@@ -894,7 +983,8 @@ class _PreparedIdentity:
 
     What depends only on the bundle is taken once, at construction: each
     distinct stored ``bar`` row's integer form, over the row's own
-    denominator, the optimum rows' integer form, pi's (the steps'),
+    denominator and dense for a packed row (``_bar_rows``, per part), the
+    optimum rows' integer form, pi's (the steps'),
     2 rho**k - 1, u's integer form, the slack tree's (``_SlackForm``), and
     one integer form of every unit of the right side.  ``trial`` draws one
     trace's free ints and steps its iterates on pi's integer form;
@@ -904,9 +994,7 @@ class _PreparedIdentity:
 
     def __init__(self, bundle: CertificateBundle, dim: int):
         self.bundle, self.dim = bundle, dim
-        stored = {id(row): row for bar in (bundle.lam.bar, bundle.mu.bar)
-                  for row, _, _ in map(_ref, bar)}
-        self.row_forms = {key: int_form(row.values()) for key, row in stored.items()}
+        self.bar_rows = [_bar_rows(bundle.lam.bar), _bar_rows(bundle.mu.bar)]
         self.star_form = int_form(bundle.lam.star_row + bundle.mu.star_row)
         self.step_form = int_form(bundle.pi)
         self.gap_unit = rho_pow(bundle.k) * 2 - ONE
@@ -952,8 +1040,9 @@ class _PreparedIdentity:
         gs, ss, s_star, fs, hs, f_star, h_star, w = free
         n, dim = self.bundle.n, len(w)
         lam, mu = self.bundle.lam, self.bundle.mu
-        bar = _bar_term(d, xs, ys, [(lam.bar, 0, gs, fs, True), (mu.bar, 1, ss, hs[1:], False)],
-                        self.row_forms)
+        (lam_rows, lam_bound), (mu_rows, mu_bound) = self.bar_rows
+        bar = _bar_term(d, xs, ys, [(lam.bar, 0, gs, fs, True, lam_rows, lam_bound),
+                                    (mu.bar, 1, ss, hs[1:], False, mu_rows, mu_bound)])
         # The optimum rows on the solver's own co-coercivities, in the split
         # ``_bar_term`` makes (x_* = 0): 2d co(*, j) = A + sqrt2 B, where A is 2d
         # times the co-coercivity on the view whose iterates are the rational
@@ -988,7 +1077,8 @@ def evaluate_identity(bundle: CertificateBundle, trace) -> tuple[RadicalScalar, 
     each vector as long as x_0), put the optimum ``x_star`` at the origin and hold ints in
     ``gs``, ``ss``, ``s_star``, ``fs``, ``hs``, ``f_star``, ``h_star`` and x_0, as
     ``sample_free_trace`` draws them, and ints, ``Fraction``s or ``RadicalScalar``s in
-    the later iterates; a field that does not, or is None, raises ``ValueError``.
+    the later iterates; a field that does not, or is None, raises ``ValueError``, as
+    does a ``bundle`` that is not a ``CertificateBundle``.
     ``Fs`` and ``F_star`` are not read: the gap term is f_* + h_* - f_n - h_n.
 
     The O(n k) stored ``bar`` entries are summed on the iterates' integer
@@ -999,6 +1089,7 @@ def evaluate_identity(bundle: CertificateBundle, trace) -> tuple[RadicalScalar, 
     are summed in one ``form_dot``.  The right side is one integer sum over
     the bundle's units (``_PreparedIdentity``), reduced once, plus the gap term.
     """
+    _require_bundle(bundle)
     _require_free_trace(trace, bundle.n)
     return _PreparedIdentity(bundle, len(trace.xs[0])).sides(trace)
 
@@ -1015,9 +1106,10 @@ def verify_descent_identity(
     Every trial must give a residual of exactly zero; any nonzero residual
     is reported with the offending trial.  ``bundle`` defaults to
     ``build_bundle(k)``; a negative control passes a ``tamper_bundle`` copy,
-    which is expected to make trials fail.  A bundle of another order than
-    ``k``, non-int ``trials``, ``dim`` or ``seed`` and a negative ``seed``
-    (``random.Random`` would draw the trials of ``-seed``) raise ``ValueError``.
+    which is expected to make trials fail.  A ``bundle`` that is not a
+    ``CertificateBundle`` or is of another order than ``k``, non-int
+    ``trials``, ``dim`` or ``seed`` and a negative ``seed`` (``random.Random``
+    would draw the trials of ``-seed``) raise ``ValueError``.
     The bundle's side of the identity is prepared once for all trials, and
     the traces, drawn here by ``sample_free_trace``, are not checked again.
     """
@@ -1025,7 +1117,8 @@ def verify_descent_identity(
         raise ValueError(f"need int trials, dim >= 1 and seed >= 0, got {trials}, {dim}, {seed}")
     if bundle is None:
         bundle = build_bundle(k)
-    elif bundle.k != k:
+    _require_bundle(bundle)
+    if bundle.k != k:
         raise ValueError(f"bundle has order {bundle.k}, not k={k}")
     rng = random.Random(seed)
     identity = _PreparedIdentity(bundle, dim)
@@ -1049,5 +1142,5 @@ def rate_from_certificate(k: int) -> RadicalScalar:
     After n = 2**k - 1 steps, F(x_n) - F_* is at most this constant times
     M ||x_0 - x_*||^2.
     """
-    _require_order(k)
+    _require_int(k, "order k")
     return RHO / (SQRT2 * (rho_pow(k) * 4 - 2))

@@ -32,24 +32,31 @@ from collections.abc import Iterator
 from .exactnum import ONE, RHO, SQRT2, RadicalScalar, rho_pow
 
 
+def _require_int(value: int, name: str, least: int = 1) -> None:
+    """Raise ``ValueError`` unless ``value`` is an int >= ``least`` (a bool is not).
+
+    The one boundary check of an order k, here and in the certificate and
+    the solver, and of an index.
+    """
+    if isinstance(value, bool) or not isinstance(value, int) or value < least:
+        raise ValueError(f"{name} must be an int >= {least}, got {value!r}")
+
+
 def two_adic_valuation(i: int) -> int:
-    """Largest j such that 2**j divides i, for i >= 1."""
-    if i <= 0:
-        raise ValueError(f"2-adic valuation needs a positive integer, got {i}")
+    """Largest j such that 2**j divides i, for an int i >= 1."""
+    _require_int(i, "2-adic valuation's argument")
     return (i & -i).bit_length() - 1
 
 
 def silver_step(t: int) -> RadicalScalar:
-    """Closed-form stepsize alpha_t for t >= 0."""
-    if t < 0:
-        raise ValueError(f"stepsize index must be nonnegative, got {t}")
+    """Closed-form stepsize alpha_t for an int t >= 0."""
+    _require_int(t, "stepsize index t", 0)
     return rho_pow(two_adic_valuation(t + 1) - 1) + ONE
 
 
 def silver_schedule(k: int) -> list[RadicalScalar]:
     """First 2**k - 1 stepsizes, built by the doubling recursion."""
-    if k < 1:
-        raise ValueError(f"schedule order k must be >= 1, got {k}")
+    _require_int(k, "order k")
     pi = [SQRT2]
     for j in range(1, k):
         pi = pi_double(j, pi)

@@ -28,9 +28,9 @@ from dataclasses import InitVar, dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Callable
 
-from .certificate import _require_order, rate_from_certificate
+from .certificate import rate_from_certificate
 from .exactnum import ONE, ZERO, rho_pow
-from .schedule import silver_schedule
+from .schedule import _require_int, silver_schedule
 
 if TYPE_CHECKING:
     import numpy as np
@@ -364,7 +364,7 @@ def lower_bound_instance(k: int, exact: bool = True):
 
     Returns (instance, expected_gap) with the gap always exact.
     """
-    _require_order(k)
+    _require_int(k, "order k")
     gap = ONE / ((rho_pow(k) - ONE) * 4)
     slope = ONE / ((rho_pow(k) - ONE) * 2)
     if exact:

@@ -871,27 +871,97 @@ def _lhs_by_definition(bundle, trace):
     return total
 
 
+def _scaled_trace(trace, factor):
+    """``trace`` with every free int and iterate times ``factor``: a trace of the same steps."""
+    return replace(trace, xs=[[factor * v for v in x] for x in trace.xs],
+                   gs=[[factor * v for v in g] for g in trace.gs],
+                   ss=[[factor * v for v in s] for s in trace.ss],
+                   s_star=[factor * v for v in trace.s_star],
+                   fs=[factor * v for v in trace.fs], hs=[factor * v for v in trace.hs],
+                   f_star=factor * trace.f_star, h_star=factor * trace.h_star)
+
+
+def _with_long_row_edited(bundle, part):
+    """``bundle`` with the first entry of ``part``'s longest stored row plus one, where stored."""
+    mult = getattr(bundle, part)
+    i = max((i for i, row in enumerate(mult.bar) if _ref(row)[0] is row),
+            key=lambda i: len(mult.bar[i]))
+    edited = SparseRow(mult.bar[i])
+    for j in list(edited.keys())[:1]:  # none at k=1, whose mu row is empty
+        edited[j] = edited[j] + ONE
+    return replace(bundle, **{part: replace(mult, bar=_edited(mult.bar, i, edited))})
+
+
 @settings(max_examples=16, deadline=None)
 @given(k=st.integers(1, 8), dim=st.integers(1, 4),
-       target=st.sampled_from((None,) + TAMPER_TARGETS), thirds=st.booleans(),
-       chunk=st.sampled_from((BAR_CHUNK, 1, 7)), seed=st.integers(0, 2**32 - 1))
-@example(k=8, dim=4, target=None, thirds=True, chunk=BAR_CHUNK, seed=0)
-@example(k=6, dim=3, target="lambda", thirds=True, chunk=7, seed=1)
-@example(k=3, dim=3, target="mu", thirds=False, chunk=1, seed=2)
-@example(k=2, dim=1, target="slack", thirds=True, chunk=BAR_CHUNK, seed=3)
-@example(k=4, dim=4, target="u", thirds=False, chunk=7, seed=4)
-def test_identity_lhs_matches_cocoercivity_sum(k, dim, target, thirds, chunk, seed):
+       target=st.sampled_from((None, "long lam", "long mu") + TAMPER_TARGETS),
+       thirds=st.booleans(), chunk=st.sampled_from((BAR_CHUNK, 1, 7)),
+       scale=st.sampled_from((1, 2**70)), seed=st.integers(0, 2**32 - 1))
+@example(k=8, dim=4, target=None, thirds=True, chunk=BAR_CHUNK, scale=1, seed=0)
+@example(k=6, dim=3, target="lambda", thirds=True, chunk=7, scale=1, seed=1)
+@example(k=3, dim=3, target="mu", thirds=False, chunk=1, scale=1, seed=2)
+@example(k=2, dim=1, target="slack", thirds=True, chunk=BAR_CHUNK, scale=1, seed=3)
+@example(k=4, dim=4, target="u", thirds=False, chunk=7, scale=1, seed=4)
+# long rows take the packed path: mu's from k=6, lambda's from k=7
+@example(k=6, dim=1, target=None, thirds=True, chunk=BAR_CHUNK, scale=1, seed=5)
+@example(k=6, dim=4, target=None, thirds=True, chunk=BAR_CHUNK, scale=1, seed=6)
+@example(k=7, dim=1, target=None, thirds=True, chunk=BAR_CHUNK, scale=1, seed=7)
+@example(k=7, dim=4, target=None, thirds=True, chunk=7, scale=1, seed=8)
+@example(k=8, dim=1, target=None, thirds=True, chunk=BAR_CHUNK, scale=1, seed=9)
+@example(k=8, dim=4, target=None, thirds=True, chunk=BAR_CHUNK, scale=2**70, seed=10)
+@example(k=7, dim=2, target="long lam", thirds=True, chunk=BAR_CHUNK, scale=1, seed=11)
+@example(k=6, dim=2, target="long mu", thirds=False, chunk=BAR_CHUNK, scale=1, seed=12)
+def test_identity_lhs_matches_cocoercivity_sum(k, dim, target, thirds, chunk, scale, seed):
     # Steps pi / 3 put the iterates over d = 3**m, so the integer form takes
     # the common-denominator path; silver steps keep d = 1.  Small chunks
-    # split each multiplier part over several sums, as high orders do.
+    # split each multiplier part over several sums, as high orders do.  Free
+    # ints scaled by 2**70 widen the packed lanes of the long rows, and a
+    # "long" target edits one entry of the longest stored row of a part.
     bundle = build_bundle(k)
     steps = [p / 3 for p in bundle.pi] if thirds else bundle.pi
-    trace = sample_free_trace(steps, dim, random.Random(seed))
-    if target is not None:
+    trace = _scaled_trace(sample_free_trace(steps, dim, random.Random(seed)), scale)
+    if target in ("long lam", "long mu"):
+        bundle = _with_long_row_edited(bundle, target[5:])
+    elif target is not None:
         bundle = tamper_bundle(bundle, target)
     with mock.patch.object(certificate, "BAR_CHUNK", chunk):
         lhs, _ = evaluate_identity(bundle, trace)
     assert lhs == _lhs_by_definition(bundle, trace)
+
+
+def test_long_rows_pack_in_mu_from_k6_and_in_lambda_from_k7():
+    # A part packs its rows of at least PACK_ROW entries where they hold
+    # PACK_EXCESS entries beyond that per row: so no bundle up to k=5, and
+    # no tamper control at k=2, sums a row packed.
+    packs = {}
+    for k in range(1, 9):
+        bundle = build_bundle(k)
+        bar_rows = _PreparedIdentity(bundle, 2).bar_rows
+        packs[k] = tuple(sum(packing is not None for *_, packing in rows.values())
+                         for rows, _ in bar_rows)
+        for (rows, bound), mult in zip(bar_rows, (bundle.lam, bundle.mu)):
+            stored = {id(s): s for s, _, _ in map(_ref, mult.bar)}
+            assert rows.keys() == stored.keys()
+            packed = [(ps, qs) for key, (ps, qs, _, packing) in rows.items() if packing]
+            assert all(len(stored[key]) >= certificate.PACK_ROW
+                       for key, (*_, packing) in rows.items() if packing)
+            assert bound == (max(sum(map(abs, w)) for pair in packed for w in pair)
+                             if packed else None)
+    assert packs == {1: (0, 0), 2: (0, 0), 3: (0, 0), 4: (0, 0), 5: (0, 0), 6: (0, 7),
+                     7: (5, 9), 8: (6, 11)}
+    for target in TAMPER_TARGETS:
+        bad = _PreparedIdentity(tamper_bundle(build_bundle(2), target), 2)
+        assert [bound for _, bound in bad.bar_rows] == [None, None]
+
+
+@pytest.mark.parametrize("part", ["lam", "mu"])
+def test_identity_fails_on_one_edited_entry_of_a_packed_row(part):
+    # The four --tamper targets edit short rows; one entry of a packed long
+    # row, plus one, must fail the trials too.
+    bad = _with_long_row_edited(build_bundle(7), part)
+    assert all(bound for _, bound in _PreparedIdentity(bad, 2).bar_rows)
+    report = verify_descent_identity(7, trials=4, dim=2, seed=3, bundle=bad)
+    assert report.failures == (0, 1, 2, 3)
 
 
 @pytest.mark.parametrize("field", ["gs", "ss", "s_star", "fs", "hs", "xs[0]", "f_star", "h_star",
@@ -1191,6 +1261,25 @@ def test_builders_reject_bad_orders_at_the_boundary(builder, k):
     build_bundle(2)  # a memoized order 2 must not answer for 2.0
     with pytest.raises(ValueError, match="order k must be an int >= 1"):
         builder(k)
+
+
+@pytest.mark.parametrize("bundle", ["k=2", 2, build_bundle(2).lam])
+@pytest.mark.parametrize("call", ["verify", "evaluate"])
+def test_identity_rejects_a_bundle_that_is_not_a_certificate_bundle(call, bundle):
+    # Each raised AttributeError on bundle.k before the check.
+    trace = sample_free_trace(build_bundle(2).pi, 2, random.Random(7))
+    with pytest.raises(ValueError, match="bundle must be a CertificateBundle"):
+        if call == "verify":
+            verify_descent_identity(2, trials=1, dim=2, bundle=bundle)
+        else:
+            evaluate_identity(bundle, trace)
+
+
+@pytest.mark.parametrize("dim", [0, -1, 2.0, True, "2", None])
+def test_free_trace_rejects_a_dim_that_is_not_an_int_of_at_least_one(dim):
+    # dim=-1 returned a trace of empty vectors, as dim=0 did.
+    with pytest.raises(ValueError, match="trace dimension dim must be an int >= 1"):
+        sample_free_trace(build_bundle(2).pi, dim, random.Random(7))
 
 
 def test_identity_rejects_mismatched_order():

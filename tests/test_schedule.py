@@ -88,8 +88,8 @@ def test_c_dominates_pi():
 
 
 def test_schedule_takes_an_int_subclass_as_order():
-    # silver_schedule is the solver's and the CLI's API too: only the
-    # certificate's builders refuse a bool or a non-int order.
+    # silver_schedule is the solver's and the CLI's API too: an int subclass
+    # other than bool is an order, as it is for the certificate's builders.
     class Order(enum.IntEnum):
         THREE = 3
 
@@ -102,3 +102,14 @@ def test_invalid_order():
             fn(0)
     with pytest.raises(ValueError):
         next(silver_levels(0))
+
+
+@pytest.mark.parametrize("bad", [True, False, 2.0, 2.5, "3", None])
+@pytest.mark.parametrize("fn", [silver_schedule, c_sequence, lambda k: next(silver_levels(k)),
+                                silver_step, two_adic_valuation])
+def test_schedule_rejects_a_bool_or_non_int(fn, bad):
+    # One boundary check, shared with the certificate and the solver: a bool
+    # is not an order (True read as order 1), and a float or str raised
+    # TypeError, or from silver_step's bit operations.
+    with pytest.raises(ValueError, match=r"must be an int >= [01], got"):
+        fn(bad)
