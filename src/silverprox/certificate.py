@@ -118,6 +118,8 @@ from operator import add, lshift, mul, sub
 from .exactnum import (ONE, RHO, SQRT2, ZERO, RadicalScalar, form_dot, int_form, int_times,
                        norm2_ints, rho_pow, scaled_int_dot, signs)
 from .schedule import _require_int, c_double, pi_double
+from .schedule import rate_from_certificate  # noqa: F401  (re-exported, the rate it proves)
+from .solver import Trace, cocoercivity_f, cocoercivity_h
 
 INV_SQRT2 = RadicalScalar(0, Fraction(1, 2))  # 1/sqrt2 = sqrt2/2
 RHO_OVER_2SQRT2 = RadicalScalar(Fraction(1, 2), Fraction(1, 4))  # rho/(2 sqrt2)
@@ -702,8 +704,6 @@ def sample_free_trace(pi: list[RadicalScalar], dim: int, rng: random.Random):
     free variables, so exact evaluation on random integer points is a sound
     identity test.  A ``dim`` that is not an int >= 1 raises ``ValueError``.
     """
-    from .solver import Trace
-
     _require_int(dim, "trace dimension dim")
     gs, ss, s_star, fs, hs, f_star, h_star, w = _draw(len(pi), dim, rng)
     xs = [w]  # x_0 - x_* has free integer coordinates too
@@ -1035,8 +1035,6 @@ class _PreparedIdentity:
 
     def _sides(self, d: int, xs: list, ys: list, free) -> tuple[RadicalScalar, RadicalScalar]:
         """(lhs, rhs) on the iterates (X_i + sqrt2 Y_i) / d and ``free``, in ``_draw``'s order."""
-        from .solver import Trace, cocoercivity_f, cocoercivity_h
-
         gs, ss, s_star, fs, hs, f_star, h_star, w = free
         n, dim = self.bundle.n, len(w)
         lam, mu = self.bundle.lam, self.bundle.mu
@@ -1107,13 +1105,15 @@ def verify_descent_identity(
     is reported with the offending trial.  ``bundle`` defaults to
     ``build_bundle(k)``; a negative control passes a ``tamper_bundle`` copy,
     which is expected to make trials fail.  A ``bundle`` that is not a
-    ``CertificateBundle`` or is of another order than ``k``, non-int
-    ``trials``, ``dim`` or ``seed`` and a negative ``seed`` (``random.Random``
-    would draw the trials of ``-seed``) raise ``ValueError``.
+    ``CertificateBundle`` or is of another order than ``k``, a ``trials``,
+    ``dim`` or ``seed`` that is a bool or not an int (an int subclass such as
+    an ``IntEnum`` is one, as for ``_require_int``) and a negative ``seed``
+    (``random.Random`` would draw the trials of ``-seed``) raise ``ValueError``.
     The bundle's side of the identity is prepared once for all trials, and
     the traces, drawn here by ``sample_free_trace``, are not checked again.
     """
-    if any(type(v) is not int for v in (trials, dim, seed)) or min(trials, dim) < 1 or seed < 0:
+    if (any(isinstance(v, bool) or not isinstance(v, int) for v in (trials, dim, seed))
+            or min(trials, dim) < 1 or seed < 0):
         raise ValueError(f"need int trials, dim >= 1 and seed >= 0, got {trials}, {dim}, {seed}")
     if bundle is None:
         bundle = build_bundle(k)
@@ -1129,18 +1129,3 @@ def verify_descent_identity(
     failures = tuple(t for t, r in enumerate(residuals) if r)
     first = residuals[failures[0]].exact_str() if failures else ""
     return IdentityReport(k=k, trials=trials, dim=dim, failures=failures, first_residual=first)
-
-
-# ---------------------------------------------------------------------------
-# Rate constants
-# ---------------------------------------------------------------------------
-
-
-def rate_from_certificate(k: int) -> RadicalScalar:
-    """Sharp per-unit rate constant rho / (sqrt2 (4 rho**k - 2)), exact.
-
-    After n = 2**k - 1 steps, F(x_n) - F_* is at most this constant times
-    M ||x_0 - x_*||^2.
-    """
-    _require_int(k, "order k")
-    return RHO / (SQRT2 * (rho_pow(k) * 4 - 2))

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -365,7 +366,14 @@ def _write_text(path: str, text: str) -> None:
         raise IOError(f"cannot write {path}: {exc}") from exc
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``silverprox`` parser, built once per process.
+
+    Parsing and printing usage leave it as it is, so every ``main`` call
+    shares it.  Each subcommand names its handler, which ``main`` looks up
+    in this module when it runs, so the shared parser holds no function.
+    """
     parser = argparse.ArgumentParser(
         prog="silverprox",
         description="Silver-stepsize proximal gradient descent and its exact rate certificate.",
@@ -377,7 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sched.add_argument("--float", action="store_true", help="print floats instead of exact strings")
     p_sched.add_argument("--seq", choices=("pi", "c", "both"), default="both")
     p_sched.add_argument("--csv", help="CSV output path")
-    p_sched.set_defaults(func=cmd_schedule)
+    p_sched.set_defaults(func="cmd_schedule")
 
     p_cert = sub.add_parser("cert", help="certificate operations")
     cert_sub = p_cert.add_subparsers(dest="cert_command", required=True)
@@ -389,7 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--json", help="JSON report path")
     p_verify.add_argument("--tamper", choices=TAMPER_TARGETS,
                           help="negative-control hook: perturb one certificate entry")
-    p_verify.set_defaults(func=cmd_cert_verify)
+    p_verify.set_defaults(func="cmd_cert_verify")
 
     p_solve = sub.add_parser("solve", help="run proximal gradient descent on a test problem")
     p_solve.add_argument("--problem", required=True, choices=tuple(PROBLEMS))
@@ -401,7 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--seed", type=int, default=0)
     p_solve.add_argument("--dim", type=int, default=8)
     p_solve.add_argument("--csv", help="CSV trace path")
-    p_solve.set_defaults(func=cmd_solve)
+    p_solve.set_defaults(func="cmd_solve")
 
     p_bench = sub.add_parser("bench", help="sweep instances x schedules x k")
     p_bench.add_argument("--k", default="1..8", help="order range, default 1..8")
@@ -412,7 +420,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--timings", action="store_true",
                          help="record wall times (makes output nondeterministic)")
     p_bench.add_argument("--csv", help="CSV report path")
-    p_bench.set_defaults(func=cmd_bench)
+    p_bench.set_defaults(func="cmd_bench")
 
     return parser
 
@@ -424,7 +432,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        return args.func(args)
+        return globals()[args.func](args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         parser.print_usage(sys.stderr)

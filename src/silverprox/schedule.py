@@ -23,6 +23,10 @@ gives (pi(j), c(j)) for j = 1..k, and ``c_sequence`` is its last item.  One
 level of each doubling is ``pi_double`` and ``c_double``; the certificate
 applies them once per order, to the order below.  Both also hold from the empty order 0:
 pi(1) = [rho**-1 + 1] = [sqrt2] and c(1) = [2 (rho**-1 + 1)] = [2 sqrt2].
+
+The rate constant the certificate proves, rho / (sqrt2 (4 rho**k - 2)), is
+``rate_from_certificate``; it reads only powers of rho, so it lives here,
+where the solver finds it without loading the certificate checker.
 """
 
 from __future__ import annotations
@@ -76,8 +80,14 @@ def c_double(j: int, pi: list[RadicalScalar], c: list[RadicalScalar]) -> list[Ra
 
 
 def silver_levels(k: int) -> Iterator[tuple[list[RadicalScalar], list[RadicalScalar]]]:
-    """(pi(j), c(j)) for j = 1..k, from one pi(k): pi(j) is its prefix of length 2**j - 1."""
-    pi = silver_schedule(k)
+    """(pi(j), c(j)) for j = 1..k, from one pi(k): pi(j) is its prefix of length 2**j - 1.
+
+    ``k`` is checked on the call, before the first level is asked for.
+    """
+    return _levels(k, silver_schedule(k))
+
+
+def _levels(k: int, pi: list[RadicalScalar]) -> Iterator[tuple[list, list]]:
     c = [SQRT2 * 2]
     for j in range(1, k):
         head = pi[:len(c)]
@@ -90,3 +100,13 @@ def c_sequence(k: int) -> list[RadicalScalar]:
     """Companion sequence c(k) of length 2**k - 1."""
     *_, (_, c) = silver_levels(k)
     return c
+
+
+def rate_from_certificate(k: int) -> RadicalScalar:
+    """Sharp per-unit rate constant rho / (sqrt2 (4 rho**k - 2)), exact.
+
+    After n = 2**k - 1 steps, F(x_n) - F_* is at most this constant times
+    M ||x_0 - x_*||^2; ``certificate`` verifies the certificate behind it.
+    """
+    _require_int(k, "order k")
+    return RHO / (SQRT2 * (rho_pow(k) * 4 - 2))

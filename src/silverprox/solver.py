@@ -28,9 +28,8 @@ from dataclasses import InitVar, dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Callable
 
-from .certificate import rate_from_certificate
 from .exactnum import ONE, ZERO, rho_pow
-from .schedule import _require_int, silver_schedule
+from .schedule import _require_int, rate_from_certificate, silver_schedule
 
 if TYPE_CHECKING:
     import numpy as np

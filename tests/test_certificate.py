@@ -1,3 +1,4 @@
+import enum
 import math
 import operator
 import random
@@ -1171,6 +1172,16 @@ def test_identity_rejects_a_trace_of_another_order():
 def test_identity_rejects_non_int_arguments(argument):
     with pytest.raises(ValueError, match="need int trials"):
         verify_descent_identity(1, **argument)
+
+
+def test_identity_takes_an_int_subclass_as_the_builders_do():
+    class D(enum.IntEnum):
+        TWO = 2
+
+    report = verify_descent_identity(2, trials=3, dim=D.TWO)
+    assert report == verify_descent_identity(2, trials=3, dim=2) and report.passed
+    with pytest.raises(ValueError, match=r"need int trials, dim >= 1 and seed >= 0"):
+        verify_descent_identity(2, dim="2")
 
 
 def test_build_bundle_walks_the_silver_doubling_once_per_order(monkeypatch):

@@ -17,7 +17,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from silverprox.cli import MAX_DIM, MAX_TRIALS, MAX_WORK, _require_dim_and_seed, main
+from silverprox.cli import (MAX_DIM, MAX_TRIALS, MAX_WORK, _require_dim_and_seed, build_parser,
+                            main)
 from silverprox.exactnum import rho_pow
 from silverprox.solver import random_quadratic_instance
 
@@ -572,3 +573,58 @@ def test_import_and_cert_verify_leave_numpy_unloaded():
     done = _python(code, "cert", "verify", "--k", "1..2", "--trials", "1", "--dim", "1")
     assert done.returncode == 0, done.stderr
     assert done.stdout == "False False\n"
+
+
+def test_solver_half_leaves_the_certificate_checker_unloaded():
+    # The checker then loads on first use, and every package name is its home
+    # module's object: the first of the layers, lowest first, that holds it.
+    code = "\n".join([
+        "import sys",
+        "import silverprox",
+        "from silverprox import (ONE, ProblemInstance, SmoothOracle, lower_bound_instance,",
+        "                        prox_library, proximal_gd_run, rate_bound, restart_solve,",
+        "                        silver_schedule)",
+        "problem, gap = lower_bound_instance(8)",
+        "trace = proximal_gd_run(problem, silver_schedule(8), [ONE])",
+        "assert trace.Fs[-1] - problem.optimal_value == gap",
+        "assert 0 < rate_bound(8, 1.0, 1.0) < 1",
+        "quadratic = ProblemInstance(SmoothOracle(lambda x: sum(v * v for v in x) / 2, list, 1, 1),",
+        "                            prox_library('zero'), 2, [0.0, 0.0], 0.0)",
+        "x, total = restart_solve(quadratic, 1e-3, [1.0, -1.0])",
+        "assert total > 0 and max(map(abs, x)) <= 1e-3",
+        "loaded = 'silverprox.certificate' in sys.modules",
+        "from silverprox import certificate, exactnum, schedule, solver",
+        "for name in silverprox.__all__:",
+        "    home = next(m for m in (exactnum, schedule, solver, certificate) if hasattr(m, name))",
+        "    assert getattr(silverprox, name) is getattr(home, name), name",
+        "assert silverprox.certificate is certificate",
+        "assert silverprox.rate_from_certificate is certificate.rate_from_certificate",
+        "try:",
+        "    silverprox.no_such_name",
+        "except AttributeError as exc:",
+        "    print(loaded, exc)",
+    ])
+    done = _python(code)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "False module 'silverprox' has no attribute 'no_such_name'\n"
+
+
+def test_one_parser_serves_every_call_in_a_process(capsys, monkeypatch):
+    # Each call of a sequence in one process (so on one parser) prints and
+    # exits as the same call does in a fresh interpreter.
+    monkeypatch.setenv("COLUMNS", "80")  # the width of --help, here and in the child
+    calls = [
+        (("--help",), 0),
+        (("schedule", "--k", "0"), 2),
+        (("cert", "verify", "--k", "2", "--tamper", "mu"), 1),
+        (("cert", "verify", "--k", "1..3"), 0),
+        (("schedule", "--k", "3"), 0),
+    ]
+    for argv, code in calls:
+        assert main(list(argv)) == code, argv
+        out = capsys.readouterr().out
+        fresh = _python(CLI, *argv)
+        assert fresh.returncode == code, argv
+        assert out == fresh.stdout, argv
+        assert out or code
+    assert build_parser() is build_parser()

@@ -97,11 +97,16 @@ def test_schedule_takes_an_int_subclass_as_order():
 
 
 def test_invalid_order():
-    for fn in (silver_schedule, c_sequence):
+    for fn in (silver_schedule, c_sequence, silver_levels):
         with pytest.raises(ValueError):
             fn(0)
-    with pytest.raises(ValueError):
-        next(silver_levels(0))
+
+
+@pytest.mark.parametrize("bad", [True, 2.5])
+def test_silver_levels_checks_its_order_on_the_call(bad):
+    # Not at the first next(): no generator is made for a bad order.
+    with pytest.raises(ValueError, match=r"must be an int >= 1, got"):
+        silver_levels(bad)
 
 
 @pytest.mark.parametrize("bad", [True, False, 2.0, 2.5, "3", None])
