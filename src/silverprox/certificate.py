@@ -24,17 +24,15 @@ computation: no floating point is involved.
 the rows a level corrects (lambda's n and 2n+1, mu's n-1, n and 2n) and
 order 1's rows are stored, each as a ``SparseRow``: a dict from column to
 value, keys ascending, no stored zeros (an unstored entry is an exact zero).
-Every row of a glued copy is a ``ScaledRow``, a read-only reference
-(stored row, power, offset) that reads as ``rho**(2 power)`` times the
-stored row shifted by ``offset`` columns; a copy of a copy refers to the
-stored row itself.  So the multipliers hold O(n) entries, and a reader that
-wants plain rows still gets a mapping per row.  The checks and the identity
-take every row as (stored row, power, offset), a plain row as (row, 0, 0):
-the sign check scans each stored row once, and the identity groups entries
-by power.  The slack matrix is stored as its gluing tree: with
-gap_j = c(j) - pi(j) and core'_j = core_j + gap_j gap_j^T, each level adds
-one border column B_j to two glued copies of core'_j, and L is core'_k less
-gap_k gap_k^T, bordered by -c; S is L plus one border row.  The tree holds
+Every row of ``bar`` is a triple (stored row, power, offset) that reads as
+``rho**(2 power)`` times the stored row shifted by ``offset`` columns, a
+plain row (row, 0, 0); a copy of a copy refers to the stored row itself.
+So the multipliers hold O(n) entries: the sign check scans each stored row
+once, and the identity groups entries by power.  The slack matrix is stored
+as its gluing tree: with gap_j = c(j) - pi(j) and
+core'_j = core_j + gap_j gap_j^T, each level adds one border column B_j to
+two glued copies of core'_j, and L is core'_k less gap_k gap_k^T, bordered
+by -c; S is L plus one border row.  The tree holds
 O(n) entries, so L is symmetric by construction and both Laplacian checks
 read one induction over the levels in O(n), run once per tree on one
 integer form of the tree's values.  The slack term of an identity trial,
@@ -108,7 +106,7 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_left
-from collections.abc import Iterator, Mapping
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -145,65 +143,25 @@ class SparseRow(dict):
         return iter(self.values())
 
 
-class ScaledRow(Mapping):
-    """A row of a glued copy: column ``offset + j`` holds ``rho**(2 power) row[j]``.
-
-    A read-only reference to the stored ``SparseRow`` ``row``, with
-    ``power >= 1``; its values are computed when read.  Like a ``SparseRow``,
-    it iterates its values in column order.
-    """
-
-    __slots__ = ("row", "power", "offset")
-
-    def __init__(self, row: SparseRow, power: int, offset: int):
-        self.row, self.power, self.offset = row, power, offset
-
-    def __getitem__(self, j: int) -> RadicalScalar:
-        return rho_pow(2 * self.power) * self.row[j - self.offset]
-
-    def __len__(self) -> int:
-        return len(self.row)
-
-    def __iter__(self):
-        return iter(self.values())
-
-    def keys(self) -> list[int]:
-        return [self.offset + j for j in self.row.keys()]
-
-    def values(self) -> list[RadicalScalar]:
-        scale = rho_pow(2 * self.power)
-        return [scale * v for v in self.row.values()]
-
-    def items(self) -> list[tuple[int, RadicalScalar]]:
-        return list(zip(self.keys(), self.values()))
-
-    def __repr__(self):
-        return f"ScaledRow({self.row!r}, power={self.power}, offset={self.offset})"
-
-
-Rows = list[Mapping[int, RadicalScalar]]  # SparseRows and ScaledRows
-
-
-def _ref(row: Mapping[int, RadicalScalar]) -> tuple[Mapping[int, RadicalScalar], int, int]:
-    """(stored row, rho**2 power, column offset) of any row: a plain row is (row, 0, 0)."""
-    if type(row) is ScaledRow:
-        return row.row, row.power, row.offset
-    return row, 0, 0
-
-
 @dataclass(frozen=True)
 class Multipliers:
     """Multipliers for the co-coercivities of one part of the objective.
 
-    For the smooth part (``lam``), ``bar[i][j]`` weights the pair (iterate i,
-    iterate j) for 0 <= i, j <= n and ``star_row[j]`` weights (optimum,
-    iterate j).  For the nonsmooth part (``mu``) every iterate index is
-    offset by +1, since subgradients exist only from iterate 1 on:
-    ``bar[i][j]`` weights (iterate i+1, iterate j+1) for 0 <= i, j <= n-1
-    and ``star_row[j]`` weights (optimum, iterate j+1).  An unstored j weighs 0.
+    For the smooth part (``lam``), entry (i, j) of ``bar`` weights the pair
+    (iterate i, iterate j) for 0 <= i, j <= n and ``star_row[j]`` weights
+    (optimum, iterate j).  For the nonsmooth part (``mu``) every iterate
+    index is offset by +1, since subgradients exist only from iterate 1 on:
+    entry (i, j) weights (iterate i+1, iterate j+1) for 0 <= i, j <= n-1
+    and ``star_row[j]`` weights (optimum, iterate j+1).
+
+    Row i of ``bar`` is a triple (stored row, power, offset): its entry
+    ``offset + j`` is ``rho**(2 power)`` times the stored ``SparseRow``'s
+    entry j, and an unstored entry weighs 0.  A plain row is (row, 0, 0);
+    the rows of a glued copy share the stored rows behind them, with
+    power >= 1 and offset >= 1 (``_glue``).
     """
 
-    bar: Rows
+    bar: list[tuple[SparseRow, int, int]]
     star_row: list[RadicalScalar]
 
 
@@ -252,16 +210,20 @@ class SlackMatrix:
         inside c = popcount(t) = popcount(r + 1) - 1 second copies, so its
         column B_j carries the scale rho**(2c).
         """
-        leaf = GluingLevel(gap=[], diag=self.base, pi=[])
-        for j, level in enumerate((leaf,) + self.levels):
+        for j, level in enumerate(self._tree_levels):
             for t in range((len(self.c) + 1) >> (j + 1)):
                 yield ((2 * t + 1) << j) - 1, j, t.bit_count(), level
+
+    @property
+    def _tree_levels(self) -> tuple[GluingLevel, ...]:
+        """Levels 0..k-1: the leaf core'_1 = [base], with no border column, then ``levels``."""
+        return (GluingLevel(gap=[], diag=self.base, pi=[]),) + self.levels
 
     @property
     def lap(self) -> Iterator[SparseRow]:
         """L's upper triangle, one row at a time: row r holds its nonzero columns >= r."""
         n, gap = len(self.c), self.gap
-        rows: Rows = [{} for _ in range(n)]
+        rows = [{} for _ in range(n)]
         for r, j, c, level in self._nodes():  # B_j = (-rho**j gap, diag, -rho pi)
             scale = rho_pow(2 * c)
             rows[r][r] = scale * level.diag
@@ -368,16 +330,25 @@ def _accumulate(row: dict[int, RadicalScalar], j: int, v: RadicalScalar) -> None
         row[j] = total
 
 
-def _glue(bar: Rows, offset: int) -> Rows:
+def _glue(bar: list, offset: int) -> list:
     """Gluing step of the doubling recursion: two copies of an order-j block.
 
     Returns ``offset + len(bar)`` rows: ``bar``'s own rows at (0, 0), shared
     and not copied, empty rows up to ``offset``, and ``rho**2 * bar`` at
-    (offset, offset) as ``ScaledRow``s.  A copy of a copy refers to the
-    stored row itself, one power of rho**2 up and its offsets added.
+    (offset, offset).  Each row of the second copy is its row's triple one
+    power of rho**2 up and ``offset`` columns on, so a copy of a copy refers
+    to the stored row itself.
     """
-    return (list(bar) + [SparseRow() for _ in range(offset - len(bar))]
-            + [ScaledRow(row, power + 1, shift + offset) for row, power, shift in map(_ref, bar)])
+    return (list(bar) + [(SparseRow(), 0, 0) for _ in range(offset - len(bar))]
+            + [(row, power + 1, shift + offset) for row, power, shift in bar])
+
+
+def _entries(row: SparseRow, power: int, offset: int) -> dict[int, RadicalScalar]:
+    """The {column: value} a (stored row, power, offset) reads as; a plain row is itself."""
+    if not (power or offset):
+        return row
+    scale = rho_pow(2 * power)
+    return {offset + j: scale * v for j, v in row.items()}
 
 
 def _times(w: RadicalScalar, values: list[RadicalScalar]) -> list[RadicalScalar]:
@@ -389,12 +360,12 @@ def _times(w: RadicalScalar, values: list[RadicalScalar]) -> list[RadicalScalar]
     return [products[id(v)] for v in values]
 
 
-def _correct(bar: Rows, i: int, entries) -> None:
+def _correct(bar: list, i: int, entries) -> None:
     """Replace ``bar[i]`` by a sorted stored copy with each (column, value) of ``entries`` added."""
-    row = dict(bar[i].items())
+    row = dict(_entries(*bar[i]))
     for j, v in entries:
         _accumulate(row, j, v)
-    bar[i] = SparseRow(sorted(row.items()))
+    bar[i] = (SparseRow(sorted(row.items())), 0, 0)
 
 
 def _below(k: int) -> tuple[CertificateBundle | None, list, list, list, list]:
@@ -416,7 +387,8 @@ def build_lambda(k: int) -> Multipliers:
     prev, pi, _, pi_k, _ = _below(k)
     star = pi_k + [rho_pow(k)]
     if prev is None:
-        return Multipliers(bar=[SparseRow({1: RHO}), SparseRow({0: ONE})], star_row=star)
+        return Multipliers(bar=[(SparseRow({1: RHO}), 0, 0), (SparseRow({0: ONE}), 0, 0)],
+                           star_row=star)
     j, n = k - 1, prev.n
     bar = _glue(prev.lam.bar, n + 1)
     # a sparse coupling of the copies, and two rows proportional to the stepsizes pi(j)
@@ -431,7 +403,7 @@ def build_mu(k: int) -> Multipliers:
     prev, pi, c, _, c_k = _below(k)
     star = [c_k[0] + ONE] + c_k[1:]
     if prev is None:
-        return Multipliers(bar=[SparseRow()], star_row=star)
+        return Multipliers(bar=[(SparseRow(), 0, 0)], star_row=star)
     j, n = k - 1, prev.n  # rows and columns here are 0-based: iterate i+1
     bar = _glue(prev.mu.bar, n + 1)
     mid = rho_pow(j - 1) + ONE
@@ -500,8 +472,9 @@ def tamper_bundle(bundle: CertificateBundle, target: str) -> CertificateBundle:
     """
     if target == "lambda":
         bar = list(bundle.lam.bar)
-        bar[0] = SparseRow(bar[0])
-        bar[0][1] = bar[0][1] + ONE
+        row = SparseRow(bar[0][0])  # a plain row; the glued copies keep the original
+        row[1] = row[1] + ONE
+        bar[0] = (row, 0, 0)
         return replace(bundle, lam=replace(bundle.lam, bar=bar))
     if target == "mu":
         star = bundle.mu.star_row[:]
@@ -558,21 +531,21 @@ def check_multipliers_nonneg(bundle: CertificateBundle) -> CheckReport:
     """
     for label, mult in (("lambda", bundle.lam), ("mu", bundle.mu)):
         seen = set()
-        for i, row in enumerate(mult.bar):
-            stored, _, offset = _ref(row)
+        for i, (stored, power, offset) in enumerate(mult.bar):
             if (id(stored), i - offset) in seen:
                 continue
             seen.add((id(stored), i - offset))
             for j, sign in zip(stored.keys(), signs(stored.values())):
                 if sign < 0 and j != i - offset:
-                    value = row[offset + j]
+                    value = _entries(stored, power, offset)[offset + j]
                     return CheckReport("nonneg", False, f"{label}_bar[{i}][{offset + j}] = {value} < 0")
         star = mult.star_row
         for j, sign in enumerate(signs(star)):
             if sign < 0:
                 return CheckReport("nonneg", False, f"{label}_star[{j}] = {star[j]} < 0")
     m = bundle.n - 1
-    last = [bundle.mu.bar[m].get(j, ZERO) for j in range(m)]
+    row = _entries(*bundle.mu.bar[m])
+    last = [row.get(j, ZERO) for j in range(m)]
     scale = rho_pow(bundle.k) - ONE
     # last[j] == scale (c_j - pi_j) on one integer form, which scale in Z[sqrt2] keeps
     ps, qs, _ = int_form(last + bundle.c[:m] + bundle.pi[:m])
@@ -740,8 +713,7 @@ class _SlackForm:
         # each repeated per coordinate, and three units per (j, c): the node's
         # first copy, its diagonal and its second copy.
         self.weights, self.groups, units = [], [], []
-        leaf = GluingLevel(gap=[], diag=slack.base, pi=[])  # core'_1 = [base], no border column
-        for j, level in enumerate((leaf,) + slack.levels):
+        for j, level in enumerate(slack._tree_levels):
             m = len(level.gap)
             ps, qs, d = int_form(level.gap + level.pi)
             self.weights.append([[v for v in part for _ in range(dim)]
@@ -897,8 +869,7 @@ def _bar_term(d: int, xs: list, ys: list, parts) -> RadicalScalar:
                 packed = list(map(add, packed, map(lshift, lane, repeat(shift))))
             half, mask = 1 << (width - 1), (1 << width) - 1
             bias = sum(half << shift for shift in shifts)
-        for i, row in enumerate(bar):
-            stored, power, offset = _ref(row)
+        for i, (stored, power, offset) in enumerate(bar):
             ps, qs, denominator, packing = rows[id(stored)]
             zi, yi, ai = shifted[i], ys2_p[i], a[i]
             group = groups.get((power, denominator))
@@ -933,7 +904,7 @@ def _bar_term(d: int, xs: list, ys: list, parts) -> RadicalScalar:
     return total + _rho2_dot(groups)
 
 
-def _bar_rows(bar: Rows) -> tuple[dict, int | None]:
+def _bar_rows(bar: list) -> tuple[dict, int | None]:
     """(rows, bound): each distinct stored row of ``bar`` as ``_bar_term`` sums it.
 
     ``rows`` maps the ``id`` of each stored row to (ps, qs, d, packing): its
@@ -952,7 +923,7 @@ def _bar_rows(bar: Rows) -> tuple[dict, int | None]:
     by part at k=4..7, packing paid above ``PACK_EXCESS`` and was even or
     slower below it.
     """
-    stored = [_ref(row)[0] for row in bar]
+    stored = [row for row, _, _ in bar]
     excess = sum(len(row) - PACK_ROW for row in stored if len(row) >= PACK_ROW)
     packs = excess >= PACK_EXCESS * len(bar)
     rows, bound = {}, 0 if packs else None

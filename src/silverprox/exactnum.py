@@ -263,10 +263,14 @@ class RadicalScalar:
 
     @classmethod
     def from_exact_str(cls, text: str) -> "RadicalScalar":
+        """Parse ``exact_str``'s "a/b + c/d*sqrt2"; other text raises ``ValueError``."""
         head, _, tail = text.partition(" + ")
-        if not tail.endswith("*sqrt2"):
-            raise ValueError(f"not a serialized RadicalScalar: {text!r}")
-        return cls(Fraction(head), Fraction(tail[: -len("*sqrt2")]))
+        try:
+            if tail.endswith("*sqrt2"):
+                return cls(Fraction(head), Fraction(tail[: -len("*sqrt2")]))
+        except (ValueError, ZeroDivisionError):
+            pass
+        raise ValueError(f"not a serialized RadicalScalar: {text!r}")
 
     def __repr__(self):
         return f"RadicalScalar({self.a}, {self.b})"

@@ -348,8 +348,7 @@ def rate_bound(k: int, big_m: float, dist2: float) -> float:
 
 def constant_baseline(n: int, big_m: float, dist2: float) -> float:
     """Tight worst-case gap of n constant unit steps: M dist2 / (4n)."""
-    if n < 1:
-        raise ValueError(f"horizon must be >= 1, got {n}")
+    _require_int(n, "horizon n")
     _require_m_and_dist2(big_m, dist2)
     return big_m * dist2 / (4 * n)
 
@@ -504,14 +503,14 @@ def random_quadratic_instance(
     drawn first together with a subgradient s_* of h at x_*, and the linear
     term is back-solved so that grad f(x_*) = -s_*, which makes x_* the
     global minimizer of the composite objective.  ``h_kind`` is "zero",
-    "l1" (weighted by ``weight``) or "box" (the box [-1, 1]).
+    "l1" (weighted by ``weight``) or "box" (the box [-1, 1]).  A ``dim``
+    that is not an int >= 1 raises ``ValueError``.
 
     Returns (instance, x0).
     """
     import numpy as np
 
-    if not dim > 0:
-        raise ValueError(f"dimension must be positive, got {dim}")
+    _require_int(dim, "dimension dim")
     if not (0 <= m_strong <= m_smooth and m_smooth > 0):
         raise ValueError("need 0 <= m_strong <= m_smooth and m_smooth > 0")
     eigs = rng.uniform(m_strong, m_smooth, size=dim)

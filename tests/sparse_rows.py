@@ -1,17 +1,30 @@
 """Test helpers for the certificate's sparse-row matrices.
 
-The certificate stores the multipliers as one dict per row, from column to
-nonzero value, with ascending keys, and the slack matrix as its gluing tree,
-whose ``lap`` generates L's upper-triangle rows.  ``symmetric`` and
-``bordered`` rebuild the full L and S from those rows, and
-``laplacian_violation`` scans them entry by entry: an oracle independent of
-the checks, which prove the same structure by induction over the tree.
-``dense`` turns rows into a square list of lists for whole-matrix reads;
-``with_entries`` builds an edited copy that keeps the storage invariants,
-for negative controls.
+The certificate stores each multiplier row as a triple (stored row, power,
+offset) over a dict from column to nonzero value with ascending keys, and
+the slack matrix as its gluing tree, whose ``lap`` generates L's
+upper-triangle rows.  ``rows`` reads the triples back as plain rows and
+``as_bar`` turns plain rows into triples.  ``symmetric`` and ``bordered``
+rebuild the full L and S from L's rows, and ``laplacian_violation`` scans
+them entry by entry: an oracle independent of the checks, which prove the
+same structure by induction over the tree.  ``dense`` turns plain rows into
+a square list of lists for whole-matrix reads; ``with_entries`` builds an
+edited copy of plain rows that keeps the storage invariants, for negative
+controls.
 """
 
-from silverprox.exactnum import SQRT2, ZERO
+from silverprox.exactnum import SQRT2, ZERO, rho_pow
+
+
+def rows(bar):
+    """Each (stored row, power, offset) of ``bar`` as the {column: value} dict it reads as."""
+    return [{offset + j: rho_pow(2 * power) * v for j, v in row.items()}
+            for row, power, offset in bar]
+
+
+def as_bar(plain):
+    """Plain rows as ``bar`` triples, each (row, 0, 0)."""
+    return [(row, 0, 0) for row in plain]
 
 
 def dense(rows):

@@ -28,7 +28,7 @@ from silverprox.solver import (
     random_quadratic_instance,
     restart_solve,
 )
-from sparse_rows import bordered, symmetric
+from sparse_rows import bordered, rows, symmetric
 
 TWO_RHO_MINUS_2 = SQRT2 * 2
 
@@ -70,9 +70,9 @@ def test_criterion_2_descent_identity_and_negative_controls():
 
 def test_criterion_3_base_case_golden_data():
     bundle = build_bundle(1)
-    assert bundle.lam.bar == [{1: RHO}, {0: ONE}]
+    assert rows(bundle.lam.bar) == [{1: RHO}, {0: ONE}]
     assert bundle.lam.star_row == [SQRT2, RHO]  # [rho-1, rho]
-    assert bundle.mu.bar == [{}]
+    assert rows(bundle.mu.bar) == [{}]
     assert bundle.mu.star_row == [RHO * 2 - 1]
     assert list(bundle.slack.lap) == [
         {0: TWO_RHO_MINUS_2, 1: -TWO_RHO_MINUS_2}, {1: TWO_RHO_MINUS_2}]

@@ -15,10 +15,8 @@ from silverprox import certificate, exactnum, schedule
 from silverprox.certificate import (
     BAR_CHUNK,
     TAMPER_TARGETS,
-    ScaledRow,
     SparseRow,
     _PreparedIdentity,
-    _ref,
     _slack_term,
     _tree_violation,
     build_bundle,
@@ -39,9 +37,11 @@ from silverprox.exactnum import ONE, RHO, SQRT2, ZERO, RadicalScalar, rho_pow
 from silverprox.schedule import c_sequence, silver_schedule
 from silverprox.solver import cocoercivity_f, cocoercivity_h, lower_bound_instance, rate_bound
 from sparse_rows import (
+    as_bar,
     bordered,
     dense,
     laplacian_violation,
+    rows,
     schur_rows,
     symmetric,
     with_entries,
@@ -57,13 +57,13 @@ TWO_RHO_MINUS_2 = SQRT2 * 2  # 2(rho - 1)
 
 def test_lambda_base_case():
     lam = build_lambda(1)
-    assert lam.bar == [{1: RHO}, {0: ONE}]
+    assert rows(lam.bar) == [{1: RHO}, {0: ONE}]
     assert lam.star_row == [SQRT2, RHO]  # [rho - 1, rho]
 
 
 def test_lambda_first_doubling():
     lam = build_lambda(2)
-    bar = dense(lam.bar)
+    bar = dense(rows(lam.bar))
     assert bar[1][3] == RHO  # sparse coupling, first copy -> second
     assert bar[3][1] == RHO  # sparse coupling back, value rho^1
     assert bar[1][2] == RadicalScalar(2, 1)  # low-rank row: rho * sqrt2
@@ -71,7 +71,7 @@ def test_lambda_first_doubling():
     assert bar[3][2] == rho_pow(2) * ONE + RadicalScalar(2, 1)
     # glued copies: top-left block is the order-1 grid, bottom-right rho^2
     # times it plus the documented corrections
-    assert [row[:2] for row in bar[:2]] == dense(build_lambda(1).bar)
+    assert [row[:2] for row in bar[:2]] == dense(rows(build_lambda(1).bar))
     assert bar[2][3] == rho_pow(2) * RHO
     assert bar[2][2] == ZERO and bar[3][3] == ZERO
     assert lam.star_row == silver_schedule(2) + [rho_pow(2)]
@@ -79,13 +79,13 @@ def test_lambda_first_doubling():
 
 def test_mu_base_case():
     mu = build_mu(1)
-    assert mu.bar == [{}]
+    assert rows(mu.bar) == [{}]
     assert mu.star_row == [RHO * 2 - 1]
 
 
 def test_mu_first_doubling():
     mu = build_mu(2)
-    bar = dense(mu.bar)
+    bar = dense(rows(mu.bar))
     # rows/cols are 0-based for iterates 1..3
     assert bar[2][1] == (RHO - rho_pow(-1)) * 2  # sparse entry at (3, 2)
     assert bar[2][0] == ZERO  # entry (3, 1)
@@ -105,9 +105,9 @@ def test_mu_last_row_closed_form():
         mu = build_mu(k)
         c, pi = c_sequence(k), silver_schedule(k)
         n = 2**k - 1
-        scale = rho_pow(k) - ONE
+        scale, last = rho_pow(k) - ONE, rows(mu.bar)[n - 1]
         for j in range(n - 1):
-            assert mu.bar[n - 1].get(j, ZERO) == scale * (c[j] - pi[j])
+            assert last.get(j, ZERO) == scale * (c[j] - pi[j])
 
 
 def test_mu_glued_row_closed_form():
@@ -116,27 +116,27 @@ def test_mu_glued_row_closed_form():
         big = build_mu(k + 1)
         c, pi = c_sequence(k), silver_schedule(k)
         n = 2**k - 1
-        factor = rho_pow(2 * k - 1) / (rho_pow(k - 1) + ONE)
+        factor, row = rho_pow(2 * k - 1) / (rho_pow(k - 1) + ONE), rows(big.bar)[n - 1]
         for j in range(n - 1):
-            assert big.bar[n - 1].get(j, ZERO) == factor * (c[j] - pi[j])
+            assert row.get(j, ZERO) == factor * (c[j] - pi[j])
 
 
 def test_recursive_blocks_preserved():
     for k in range(1, 6):
-        small_lam, big_lam = build_lambda(k), build_lambda(k + 1)
+        small_lam, big_lam = rows(build_lambda(k).bar), rows(build_lambda(k + 1).bar)
         n = 2**k - 1
         for i in range(n + 1):
-            assert {j: v for j, v in big_lam.bar[i].items() if j <= n} == small_lam.bar[i]
-        small_mu, big_mu = build_mu(k), build_mu(k + 1)
+            assert {j: v for j, v in big_lam[i].items() if j <= n} == small_lam[i]
+        small_mu, big_mu = rows(build_mu(k).bar), rows(build_mu(k + 1).bar)
         c, pi = c_sequence(k), silver_schedule(k)
         mid = rho_pow(k - 1) + ONE
         w_lo = ONE - rho_pow(k) / mid
         for i in range(n):
             for j in range(n):
-                expected = small_mu.bar[i].get(j, ZERO)
+                expected = small_mu[i].get(j, ZERO)
                 if i == n - 1:
                     expected = expected + w_lo * (c[j] - pi[j])
-                assert big_mu.bar[i].get(j, ZERO) == expected
+                assert big_mu[i].get(j, ZERO) == expected
 
 
 def test_slack_base_case():
@@ -185,28 +185,24 @@ def test_sparse_row_storage_invariants(k):
     bundle = build_bundle(k)
     n = bundle.n
     lap, border = list(bundle.slack.lap), bundle.slack.border
-    for rows in (bundle.lam.bar, bundle.mu.bar):
-        # a row is a stored SparseRow, or a reference to one with power >= 1
-        for row in rows:
-            if type(row) is ScaledRow:
-                assert type(row.row) is SparseRow and row.power >= 1 and row.offset >= 1
-                scale = rho_pow(2 * row.power)
-                assert row == {row.offset + j: scale * v for j, v in row.row.items()}
-            else:
-                assert type(row) is SparseRow
-        for stored in {id(_ref(row)[0]): _ref(row)[0] for row in rows}.values():
+    for bar in (bundle.lam.bar, bundle.mu.bar):
+        # every row is a triple over a stored SparseRow: a plain row (row, 0, 0),
+        # or a glued copy with power >= 1 and offset >= 1
+        for stored, power, offset in bar:
+            assert type(stored) is SparseRow
+            assert (power, offset) == (0, 0) or (power >= 1 and offset >= 1)
             keys = list(stored.keys())
             assert keys == sorted(keys) and all(stored.values()) and all(j >= 0 for j in keys)
-    for rows, count in ((bundle.lam.bar, n + 1), (bundle.mu.bar, n), (lap, n + 1)):
-        assert len(rows) == count
-        for row in rows:
+    for plain, count in ((rows(bundle.lam.bar), n + 1), (rows(bundle.mu.bar), n), (lap, n + 1)):
+        assert len(plain) == count
+        for row in plain:
             keys = list(row.keys())
             assert keys == sorted(keys)
             assert all(0 <= j < count for j in keys)
             assert all(row.values())  # no stored zero
             assert list(row.items()) == list(zip(keys, row.values()))
-        # iterating the rows reads like a dense scan that skips the zeros
-        assert [v for row in rows for v in row] == [v for row in dense(rows) for v in row if v]
+    # iterating L's rows reads like a dense scan that skips the zeros
+    assert [v for row in lap for v in row] == [v for row in dense(lap) for v in row if v]
     assert all(min(row.keys()) >= r for r, row in enumerate(lap))  # L's upper triangle
     keys = list(border.keys())
     assert keys == sorted(keys) and all(0 <= j <= n + 1 for j in keys)
@@ -297,7 +293,8 @@ def test_nonneg_negative_control(part, row, col, change, detail):
         star[col] = change(star[col])
         mult = replace(mult, star_row=star)
     else:
-        bar = with_entries(mult.bar, {(row, col): change(mult.bar[row].get(col, ZERO))})
+        plain = rows(mult.bar)
+        bar = as_bar(with_entries(plain, {(row, col): change(plain[row].get(col, ZERO))}))
         mult = replace(mult, bar=bar)
     report = check_multipliers_nonneg(replace(bundle, **{part: mult}))
     assert not report.passed
@@ -307,16 +304,16 @@ def test_nonneg_negative_control(part, row, col, change, detail):
 def _nonneg_by_scan(bundle):
     """check_multipliers_nonneg's (passed, detail), by a scan of every entry the rows read as."""
     for label, mult in (("lambda", bundle.lam), ("mu", bundle.mu)):
-        for i, row in enumerate(mult.bar):
+        for i, row in enumerate(rows(mult.bar)):
             for j, v in row.items():
                 if i != j and v.sign() < 0:
                     return False, f"{label}_bar[{i}][{j}] = {v} < 0"
         for j, v in enumerate(mult.star_row):
             if v.sign() < 0:
                 return False, f"{label}_star[{j}] = {v} < 0"
-    n, scale = bundle.n, rho_pow(bundle.k) - ONE
+    n, scale, last = bundle.n, rho_pow(bundle.k) - ONE, rows(bundle.mu.bar)[bundle.n - 1]
     for j in range(n - 1):
-        v, expected = bundle.mu.bar[n - 1].get(j, ZERO), scale * (bundle.c[j] - bundle.pi[j])
+        v, expected = last.get(j, ZERO), scale * (bundle.c[j] - bundle.pi[j])
         if v != expected:
             return False, f"mu_bar[{n - 1}][{j}] = {v} deviates from closed form {expected}"
     return True, ""
@@ -344,20 +341,19 @@ def test_nonneg_check_matches_a_scan_of_the_materialized_rows(k, part, pick, edi
     # entry does, and name the same entry.
     bundle = build_bundle(k)
     mult = getattr(bundle, part)
-    stored = list({id(_ref(row)[0]): _ref(row)[0] for row in mult.bar}.values())
+    stored = list({id(row): row for row, _, _ in mult.bar}.values())
     row = stored[pick % len(stored)]
     col = list(row.keys())[pick // len(stored) % len(row)] if row else pick % bundle.n
     value = NONNEG_EDITS[edit](row.get(col, ZERO))
-    first = next(i for i, r in enumerate(mult.bar) if r is row)
+    first = next(i for i, (r, power, _) in enumerate(mult.bar) if r is row and not power)
     if materialized:
-        bar = with_entries(mult.bar, {(first, col): value})
+        bar = as_bar(with_entries(rows(mult.bar), {(first, col): value}))
     else:
         entries = {**dict(row.items()), col: value}
         edited = SparseRow(sorted((j, v) for j, v in entries.items() if v))
-        bar = [ScaledRow(edited, r.power, r.offset) if type(r) is ScaledRow and r.row is row
-               else edited if r is row else r for r in mult.bar]
+        bar = [(edited if r is row else r, power, offset) for r, power, offset in mult.bar]
         if keep_first:
-            bar[first] = SparseRow(row.items())
+            bar[first] = (SparseRow(row.items()), 0, 0)
     bad = replace(bundle, **{part: replace(mult, bar=bar)})
     report = check_multipliers_nonneg(bad)
     assert (report.passed, report.detail) == _nonneg_by_scan(bad)
@@ -369,10 +365,10 @@ def test_nonneg_reads_a_stored_row_again_at_another_diagonal():
     # or as a copy one power of rho**2 up with offset 2 (at column 3).
     bundle = build_bundle(2)
     shared = SparseRow({1: -ONE})
-    for second, detail in ((shared, "lambda_bar[2][1] = -1/1 + 0/1*sqrt2 < 0"),
-                           (ScaledRow(shared, 1, 2), "lambda_bar[2][3] = -3/1 + -2/1*sqrt2 < 0")):
+    for second, detail in (((shared, 0, 0), "lambda_bar[2][1] = -1/1 + 0/1*sqrt2 < 0"),
+                           ((shared, 1, 2), "lambda_bar[2][3] = -3/1 + -2/1*sqrt2 < 0")):
         bar = list(bundle.lam.bar)
-        bar[1], bar[2] = shared, second
+        bar[1], bar[2] = (shared, 0, 0), second
         bad = replace(bundle, lam=replace(bundle.lam, bar=bar))
         report = check_multipliers_nonneg(bad)
         assert (report.passed, report.detail) == _nonneg_by_scan(bad) == (False, detail)
@@ -383,14 +379,23 @@ def test_nonneg_closed_form_reads_values_over_a_common_denominator():
     bundle = build_bundle(3)
     n = bundle.n
     bar = list(bundle.mu.bar)
-    bar[n - 1] = SparseRow((j, v / 3) for j, v in bar[n - 1].items())
+    bar[n - 1] = (SparseRow((j, v / 3) for j, v in rows(bar)[n - 1].items()), 0, 0)
     thirds = replace(bundle, c=[v / 3 for v in bundle.c], pi=[v / 3 for v in bundle.pi],
                      mu=replace(bundle.mu, bar=bar))
     assert check_multipliers_nonneg(thirds).passed
-    bar[n - 1] = SparseRow(sorted({**dict(bar[n - 1].items()), 0: ONE / 3}.items()))  # was 0
+    bar[n - 1] = (SparseRow(sorted({**bar[n - 1][0], 0: ONE / 3}.items())), 0, 0)  # was 0
     report = check_multipliers_nonneg(replace(thirds, mu=replace(bundle.mu, bar=bar)))
     assert (report.passed, report.detail) == (False, (
         "mu_bar[6][0] = 1/3 + 0/1*sqrt2 deviates from closed form 0/1 + 0/1*sqrt2"))
+
+
+def test_nonneg_closed_form_reads_the_last_row_as_its_triple_reads():
+    # mu's last row as rho**2 times a stored row of its values over rho**2 holds the same entries.
+    bundle = build_bundle(3)
+    bar = list(bundle.mu.bar)
+    stored, _, _ = bar[-1]
+    bar[-1] = (SparseRow((j, v / rho_pow(2)) for j, v in stored.items()), 1, 0)
+    assert check_multipliers_nonneg(replace(bundle, mu=replace(bundle.mu, bar=bar))).passed
 
 
 TREE_FACTORS = (Fraction(1, 3), Fraction(2, 3), 3, RHO, RadicalScalar(1, Fraction(1, 3)))
@@ -635,8 +640,8 @@ def test_slack_checks_on_tamper_copies(target):
 
 def test_nonneg_control_at_unstored_position():
     bundle = build_bundle(2)
-    assert 3 not in bundle.lam.bar[0]
-    bar = with_entries(bundle.lam.bar, {(0, 3): -ONE})
+    assert 3 not in rows(bundle.lam.bar)[0]
+    bar = as_bar(with_entries(rows(bundle.lam.bar), {(0, 3): -ONE}))
     report = check_multipliers_nonneg(replace(bundle, lam=replace(bundle.lam, bar=bar)))
     assert not report.passed
     assert report.detail == "lambda_bar[0][3] = -1/1 + 0/1*sqrt2 < 0"
@@ -655,8 +660,8 @@ def test_laplacian_control_at_unstored_position():
 
 def test_identity_control_at_unstored_position():
     bundle = build_bundle(2)
-    assert 3 not in bundle.lam.bar[0]
-    bar = with_entries(bundle.lam.bar, {(0, 3): ONE})
+    assert 3 not in rows(bundle.lam.bar)[0]
+    bar = as_bar(with_entries(rows(bundle.lam.bar), {(0, 3): ONE}))
     bad = replace(bundle, lam=replace(bundle.lam, bar=bar))
     report = verify_descent_identity(2, trials=20, dim=4, seed=2, bundle=bad)
     assert report.failures == tuple(range(20))
@@ -685,7 +690,8 @@ def test_identity_single_sample_both_sides():
 
 def test_identity_detects_perturbed_lambda():
     bundle = build_bundle(2)
-    bar = with_entries(bundle.lam.bar, {(1, 3): bundle.lam.bar[1][3] + ONE})
+    plain = rows(bundle.lam.bar)
+    bar = as_bar(with_entries(plain, {(1, 3): plain[1][3] + ONE}))
     bad = replace(bundle, lam=replace(bundle.lam, bar=bar))
     report = verify_descent_identity(2, trials=20, dim=4, seed=3, bundle=bad)
     assert report.failures
@@ -864,7 +870,7 @@ def _lhs_by_definition(bundle, trace):
     total = ZERO
     for mult, cocoercivity, offset in ((bundle.lam, cocoercivity_f, 0),
                                        (bundle.mu, cocoercivity_h, 1)):
-        for i, row in enumerate(mult.bar):
+        for i, row in enumerate(rows(mult.bar)):
             for j, v in row.items():
                 total = total + v * cocoercivity(trace, i + offset, j + offset)
         for j, v in enumerate(mult.star_row):
@@ -885,12 +891,12 @@ def _scaled_trace(trace, factor):
 def _with_long_row_edited(bundle, part):
     """``bundle`` with the first entry of ``part``'s longest stored row plus one, where stored."""
     mult = getattr(bundle, part)
-    i = max((i for i, row in enumerate(mult.bar) if _ref(row)[0] is row),
-            key=lambda i: len(mult.bar[i]))
-    edited = SparseRow(mult.bar[i])
+    i = max((i for i, (_, power, _) in enumerate(mult.bar) if not power),
+            key=lambda i: len(mult.bar[i][0]))
+    edited = SparseRow(mult.bar[i][0])
     for j in list(edited.keys())[:1]:  # none at k=1, whose mu row is empty
         edited[j] = edited[j] + ONE
-    return replace(bundle, **{part: replace(mult, bar=_edited(mult.bar, i, edited))})
+    return replace(bundle, **{part: replace(mult, bar=_edited(mult.bar, i, (edited, 0, 0)))})
 
 
 @settings(max_examples=16, deadline=None)
@@ -941,7 +947,7 @@ def test_long_rows_pack_in_mu_from_k6_and_in_lambda_from_k7():
         packs[k] = tuple(sum(packing is not None for *_, packing in rows.values())
                          for rows, _ in bar_rows)
         for (rows, bound), mult in zip(bar_rows, (bundle.lam, bundle.mu)):
-            stored = {id(s): s for s, _, _ in map(_ref, mult.bar)}
+            stored = {id(s): s for s, _, _ in mult.bar}
             assert rows.keys() == stored.keys()
             packed = [(ps, qs) for key, (ps, qs, _, packing) in rows.items() if packing]
             assert all(len(stored[key]) >= certificate.PACK_ROW
@@ -1108,8 +1114,8 @@ def test_every_stored_entry_but_mus_diagonal_is_load_bearing(k):
                                               check_schur_psd)):
             if verify_descent_identity(k, trials=20, dim=2, seed=k, bundle=bad).passed:
                 survivors.append(label)
-    diagonal = [f"mu stored [{i}][{i}]" for i, row in enumerate(bundle.mu.bar)
-                if _ref(row)[0] is row and i in row]
+    diagonal = [f"mu stored [{i}][{i}]" for i, (row, power, _) in enumerate(bundle.mu.bar)
+                if not power and i in row]
     assert len(diagonal) == (0, 2, 3)[k - 1]
     assert survivors == diagonal
 
@@ -1118,17 +1124,14 @@ def _plus_one_copies(bundle):
     """(label, copy of ``bundle`` with one stored entry plus one), for every stored entry."""
     for part in ("lam", "mu"):
         mult = getattr(bundle, part)
-        for i, row in enumerate(mult.bar):
-            stored, _, _ = _ref(row)
-            if stored is not row:
+        for i, (stored, power, _) in enumerate(mult.bar):
+            if power:
                 continue  # a glued copy: its stored row is edited where it is stored
-            refs = [r for r, (s, _, _) in enumerate(map(_ref, mult.bar)) if s is stored]
             for j in stored.keys():
                 edited = SparseRow(stored)
                 edited[j] = edited[j] + ONE
-                bar = list(mult.bar)
-                for r in refs:  # the row itself and every glued copy of it
-                    bar[r] = edited if r == i else ScaledRow(edited, bar[r].power, bar[r].offset)
+                # the row itself and every glued copy of it
+                bar = [(edited if r is stored else r, p, o) for r, p, o in mult.bar]
                 yield f"{part} stored [{i}][{j}]", replace(bundle, **{part: replace(mult, bar=bar)})
         for j, v in enumerate(mult.star_row):
             star = _edited(mult.star_row, j, v + ONE)
@@ -1227,19 +1230,18 @@ def test_orders_share_the_rows_a_level_leaves_unchanged():
         n = low.n
         for part, corrected in (("lam", {n, 2 * n + 1}), ("mu", {n - 1, n, 2 * n})):
             low_bar, high_bar = getattr(low, part).bar, getattr(high, part).bar
-            for i, row in enumerate(high_bar):
+            for i, (stored, power, offset) in enumerate(high_bar):
                 if i in corrected:
-                    assert type(row) is SparseRow
-                    assert all(row is not _ref(r)[0] for r in low_bar)
+                    assert type(stored) is SparseRow and (power, offset) == (0, 0)
+                    assert all(stored is not r for r, _, _ in low_bar)
                 elif i < len(low_bar):
-                    assert row is low_bar[i]
+                    assert high_bar[i] is low_bar[i]
                 else:
-                    stored, power, offset = _ref(low_bar[i - n - 1])
-                    assert type(row) is ScaledRow and row.row is stored
-                    assert (row.power, row.offset) == (power + 1, offset + n + 1)
-            new = ({id(_ref(r)[0]) for r in high_bar}
-                   - {id(_ref(r)[0]) for r in low_bar})
-            assert new == {id(high_bar[i]) for i in corrected}
+                    low_stored, low_power, low_offset = low_bar[i - n - 1]
+                    assert stored is low_stored
+                    assert (power, offset) == (low_power + 1, low_offset + n + 1)
+            new = {id(r) for r, _, _ in high_bar} - {id(r) for r, _, _ in low_bar}
+            assert new == {id(high_bar[i][0]) for i in corrected}
         assert high.slack.levels[:-1] == low.slack.levels
         assert all(a is b for a, b in zip(high.slack.levels, low.slack.levels))
         assert high.slack.levels[-1].gap is low.slack.gap and high.slack.levels[-1].pi is low.pi
@@ -1259,7 +1261,8 @@ def test_tamper_lambda_edits_one_entry_of_the_rows_read(k):
     # Row 0 is stored once and referred to by 2**(k-1) - 1 scaled copies; the
     # tampered bundle replaces row 0 alone, so the copies keep their values.
     bundle = build_bundle(k)
-    before, after = dense(bundle.lam.bar), dense(tamper_bundle(bundle, "lambda").lam.bar)
+    before = dense(rows(bundle.lam.bar))
+    after = dense(rows(tamper_bundle(bundle, "lambda").lam.bar))
     changed = [(i, j) for i, row in enumerate(before) for j, v in enumerate(row)
                if v != after[i][j]]
     assert changed == [(0, 1)] and after[0][1] == before[0][1] + ONE

@@ -99,6 +99,13 @@ def test_serialization_round_trip():
     assert RadicalScalar(Fraction(-3, 4), Fraction(1, 2)).exact_str() == "-3/4 + 1/2*sqrt2"
 
 
+@pytest.mark.parametrize("text", ["1/0 + 1/1*sqrt2", "1/1 + 1/0*sqrt2", "1/1 + 1/1",
+                                  "x + 1/1*sqrt2"])
+def test_from_exact_str_rejects_text_it_cannot_parse(text):
+    with pytest.raises(ValueError, match="not a serialized RadicalScalar"):
+        RadicalScalar.from_exact_str(text)
+
+
 def test_equality_and_hash_with_rationals():
     assert RadicalScalar(2, 0) == 2
     assert hash(RadicalScalar(2, 0)) == hash(2)

@@ -17,7 +17,7 @@ import hashlib
 import pytest
 
 from silverprox.certificate import build_bundle, build_slack
-from sparse_rows import bordered, dense, symmetric
+from sparse_rows import bordered, dense, rows, symmetric
 
 GOLDEN = {
     1: "2a067c042978d8f09e96ee1462809d532f4db51e794a5d403f5a6836edb86737",
@@ -35,7 +35,7 @@ def bundle_entries(bundle):
     yield from bundle.pi
     yield from bundle.c
     for mult in (bundle.lam, bundle.mu):
-        for row in dense(mult.bar):
+        for row in dense(rows(mult.bar)):
             yield from row
         yield from mult.star_row
     lap = dense(symmetric(bundle.slack.lap))

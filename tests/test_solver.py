@@ -501,8 +501,16 @@ def test_restart_epoch_order_past_float_cancellation():
     lambda: rate_bound(3, 1.0, math.nan),
     lambda: constant_baseline(3, -1.0, 1.0),
     lambda: constant_baseline(3, 1.0, math.nan),
+    lambda: constant_baseline(2.5, 1.0, 1.0),
+    lambda: constant_baseline(True, 1.0, 1.0),
+    lambda: constant_baseline("3", 1.0, 1.0),
+    lambda: random_quadratic_instance(2.5, 0.0, 1.0, "zero", np.random.default_rng(0)),
+    lambda: random_quadratic_instance(True, 0.0, 1.0, "zero", np.random.default_rng(0)),
+    lambda: random_quadratic_instance("3", 0.0, 1.0, "zero", np.random.default_rng(0)),
 ], ids=["instance-dim-0", "restart-epsilon-nan", "epoch-kappa-nan", "epoch-kappa-inf",
-        "rate-m-nan", "rate-dist2-nan", "baseline-m-negative", "baseline-dist2-nan"])
+        "rate-m-nan", "rate-dist2-nan", "baseline-m-negative", "baseline-dist2-nan",
+        "baseline-n-float", "baseline-n-bool", "baseline-n-str", "instance-dim-float",
+        "instance-dim-bool", "instance-dim-str"])
 def test_boundary_rejects_nan_and_bad_signs(call):
     with pytest.raises(ValueError):
         call()
