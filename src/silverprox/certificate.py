@@ -37,8 +37,8 @@ O(n) entries, so L is symmetric by construction and both Laplacian checks
 read one induction over the levels in O(n), run once per tree on one
 integer form of the tree's values.  The slack term of an identity trial,
 O(n k dim) integer work, and ``SlackMatrix.lap``, which generates L's rows
-for readers that want them, both read the tree in one walk over its nodes
-(``SlackMatrix._nodes``).  Sums of field values times integer coordinates
+for readers that want them, both read the tree's nodes from
+``SlackMatrix._nodes``.  Sums of field values times integer coordinates
 go through ``exactnum``'s ``form_dot``, ``scaled_int_dot`` and
 ``norm2_ints``, on values put over a common denominator by
 ``exactnum.int_form``: nothing here reads a ``RadicalScalar``'s integer
@@ -58,43 +58,11 @@ exactly is a sound identity test.  The residual has degree at most 2, so by
 Schwartz-Zippel a wrong coefficient survives one trial with the 11 values
 -5..5 per variable with probability at most 2/11, independently per trial.
 
-The left side is read as in the Gram view of performance estimation.  Over
-one common denominator the iterates are x_i = (X_i + sqrt2 Y_i) / d with
-int vectors X_i, Y_i (d = 1 for the silver steps), so twice d times each
-co-coercivity is A + sqrt2 B with A, B a few int inner products.  The
-O(n k) entries the ``bar`` rows read as are summed so, weighted by their
-stored row's integer form, over that row's own denominator (``_bar_term``).
-A short row is summed entry by entry, two int dots of length dim each.  A
-long row (``_bar_rows``) is two int dots over its points, each packed once
-per trial into one int of signed W-bit lanes, with W wide enough for the
-part's largest lane value times its long rows' largest sum of |weights|,
-so every lane is exact.  Both add ints to the row's (power, denominator)
-group; one ``exactnum.scaled_int_dot`` per chunk of ``BAR_CHUNK`` entries
-applies each power's rho**(2 power) once per group, and no field
-operation runs per entry.  The O(n) optimum rows keep the solver's own
-definition, ``solver.cocoercivity_f`` and ``cocoercivity_h``, fed the same
-split: a co-coercivity is affine in the iterates, so on a trace whose
-iterates are the rational parts X_i / d (x_* = 0) it gives A / 2d, read off
-its numerator since its denominator divides 2d, and B is one int dot per
-entry.  Both rows are summed in one ``exactnum.form_dot`` against their
-prepared integer form, again with no field operation per entry.
-
-A trial's cost is the trace's own integer work.  ``verify_descent_identity``
-prepares the bundle's side once per call (``_PreparedIdentity``): the
-integer form of each distinct stored ``bar`` row, with which rows pack, and
-of pi, the integer
-forms of u's coefficients and of the slack tree's levels, and one integer
-form of every unit of the right side, which holds O(k**2) units (three per
-level and copy count of the tree's nodes).  Each trial then draws the free
-ints as ``sample_free_trace`` draws them, and steps the iterates on pi's
-integer form pi_t = (P_t + sqrt2 Q_t) / d: X_0 = d x_0, Y_0 = 0,
-X_{t+1} = X_t - P_t u_t and Y_{t+1} = Y_t - Q_t u_t for u_t = g_t + s_{t+1}.
-So a trial builds no field value per iterate, and it sums only ints against
-the prepared forms: the slack term adds each node's int dots into its
-group, and the right side is one ``form_dot``, reduced once, plus the gap
-term on the free values, f_* + h_* - f_n - h_n.  The loop does not check the
-traces it draws itself; ``evaluate_identity`` checks its trace, puts its
-iterates in the same integer form and prepares for that one trace.
+Each ``verify_descent_identity`` call prepares the bundle's side of the
+identity once, in integer form, and each trial then does only its trace's
+own integer work, each side reduced once: ``_PreparedIdentity`` describes
+what is prepared and what a trial does, and ``_bar_term`` how the left
+side reads the multiplier rows in the Gram view of performance estimation.
 
 Note on the slack matrix: S is symmetric, with first row and column
 (1/sqrt2, -1, 0, ..., 0, +1).  An equivalent presentation elsewhere lists
@@ -110,7 +78,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import repeat
+from itertools import chain, repeat
 from operator import add, lshift, mul, sub
 
 from .exactnum import (ONE, RHO, SQRT2, ZERO, RadicalScalar, form_dot, int_form, int_times,
@@ -121,8 +89,8 @@ from .solver import Trace, cocoercivity_f, cocoercivity_h
 
 INV_SQRT2 = RadicalScalar(0, Fraction(1, 2))  # 1/sqrt2 = sqrt2/2
 RHO_OVER_2SQRT2 = RadicalScalar(Fraction(1, 2), Fraction(1, 4))  # rho/(2 sqrt2)
-# Multiplier entries whose integer co-coercivities the identity holds at once:
-# one chunk per part up to k=8, and a bounded list at higher orders.
+# Multiplier entries whose integer co-coercivities a trial holds at once: up to
+# k=8 each rho**2 power and denominator of a part is one chunk (_bar_rows).
 BAR_CHUNK = 8192
 # Stored rows of at least PACK_ROW entries are summed by packed int dots, in
 # parts where they hold PACK_EXCESS entries beyond PACK_ROW per row (_bar_rows).
@@ -201,36 +169,33 @@ class SlackMatrix:
     corner: RadicalScalar
     border: dict[int, RadicalScalar]
 
-    def _nodes(self) -> Iterator[tuple[int, int, int, GluingLevel]]:
-        """Each index r of core'_k as a tree node, level by level: (r, j, c, level).
+    def _nodes(self) -> Iterator[tuple[int, GluingLevel, range]]:
+        """The indices of core'_k as tree nodes, level by level: (j, level, nodes).
 
-        The nodes of level j (j = 0 is a leaf, core'_1 = [base]) are the
-        indices r = 2**j (2t + 1) - 1, one per t; each is the middle column
-        of a node that spans columns r - (2**j - 1) .. r + 2**j - 1.  It lies
-        inside c = popcount(t) = popcount(r + 1) - 1 second copies, so its
-        column B_j carries the scale rho**(2c).
+        Level 0 is the leaf core'_1 = [base], with no border column, and level
+        j >= 1 is ``levels[j - 1]``.  Its nodes are the indices r in ``nodes``,
+        r = 2**j (2t + 1) - 1 for t = 0, 1, ...; each is the middle column of
+        a node that spans columns r - (2**j - 1) .. r + 2**j - 1.  The t-th
+        lies inside c = popcount(t) second copies, so its column B_j carries
+        the scale rho**(2c).
         """
-        for j, level in enumerate(self._tree_levels):
-            for t in range((len(self.c) + 1) >> (j + 1)):
-                yield ((2 * t + 1) << j) - 1, j, t.bit_count(), level
-
-    @property
-    def _tree_levels(self) -> tuple[GluingLevel, ...]:
-        """Levels 0..k-1: the leaf core'_1 = [base], with no border column, then ``levels``."""
-        return (GluingLevel(gap=[], diag=self.base, pi=[]),) + self.levels
+        leaf = GluingLevel(gap=[], diag=self.base, pi=[])
+        for j, level in enumerate((leaf,) + self.levels):
+            yield j, level, range(2**j - 1, len(self.c), 2 << j)
 
     @property
     def lap(self) -> Iterator[SparseRow]:
         """L's upper triangle, one row at a time: row r holds its nonzero columns >= r."""
         n, gap = len(self.c), self.gap
         rows = [{} for _ in range(n)]
-        for r, j, c, level in self._nodes():  # B_j = (-rho**j gap, diag, -rho pi)
-            scale = rho_pow(2 * c)
-            rows[r][r] = scale * level.diag
-            first, second = -(scale * rho_pow(j)), -(scale * RHO)
-            for t, g in enumerate(level.gap, start=r + 1 - 2**j):
-                rows[t][r] = first * g
-            rows[r].update((t, second * p) for t, p in enumerate(level.pi, start=r + 1))
+        for j, level, nodes in self._nodes():  # B_j = (-rho**j gap, diag, -rho pi)
+            for node, r in enumerate(nodes):
+                scale = rho_pow(2 * node.bit_count())
+                rows[r][r] = scale * level.diag
+                first, second = -(scale * rho_pow(j)), -(scale * RHO)
+                for t, g in enumerate(level.gap, start=r + 1 - 2**j):
+                    rows[t][r] = first * g
+                rows[r].update((t, second * p) for t, p in enumerate(level.pi, start=r + 1))
         support = [t for t, g in enumerate(gap) if g]
         for r, row in enumerate(rows):
             if gap[r]:
@@ -643,26 +608,19 @@ def _draw(n: int, dim: int, rng: random.Random):
     subgradients, s_*, n + 1 values of f and of h, f_*, h_* and
     w = x_0 - x_*, each vector of length ``dim``.  Each coordinate is drawn
     as ``randint`` draws it (``getrandbits(4)``, redrawn while >= 11), without
-    its call overhead, so the stream is the same.
+    its call overhead, in one flat loop that the slices below cut up, so the
+    stream is the same.
     """
-    getrandbits = rng.getrandbits
-
-    def coord():
+    getrandbits, drawn = rng.getrandbits, []
+    for _ in range((2 * n + 3) * dim + 2 * n + 4):
         r = getrandbits(4)
         while r >= 11:
             r = getrandbits(4)
-        return r - 5
-
-    def vec():
-        return [coord() for _ in range(dim)]
-
-    gs = [vec() for _ in range(n + 1)]
-    ss = [vec() for _ in range(n)]
-    s_star = vec()
-    fs = [coord() for _ in range(n + 1)]
-    hs = [coord() for _ in range(n + 1)]  # h_0 never enters the identity
-    f_star, h_star = coord(), coord()
-    return gs, ss, s_star, fs, hs, f_star, h_star, vec()
+        drawn.append(r - 5)
+    vecs = [drawn[at:at + dim] for at in range(0, (2 * n + 2) * dim, dim)]  # gs, ss and s_*
+    at = (2 * n + 2) * dim  # then the values of f and of h (h_0 never enters), f_*, h_* and w
+    return (vecs[:n + 1], vecs[n + 1:-1], vecs[-1], drawn[at:at + n + 1],
+            drawn[at + n + 1:at + 2 * n + 2], drawn[-dim - 2], drawn[-dim - 1], drawn[-dim:])
 
 
 def sample_free_trace(pi: list[RadicalScalar], dim: int, rng: random.Random):
@@ -701,24 +659,34 @@ def sample_free_trace(pi: list[RadicalScalar], dim: int, rng: random.Random):
 class _SlackForm:
     """Tr(V S V^T) for V = [w, s_1, ..., s_n, s_*] with int columns of length ``dim``.
 
-    The tree's integer forms are taken once, at construction; ``pairs(cols)``
-    then sums one V's ints, and the term is ``sum(units[i] * (xs[i] + ys[i] sqrt2))``
-    for ``(xs, ys) = pairs(cols)``.  See ``_slack_term`` for the terms.
+    The tree's integer forms and its node walk are planned once, at
+    construction; ``pairs(cols)`` then sums one V's ints, and the term is
+    ``sum(units[i] * (xs[i] + ys[i] sqrt2))`` for ``(xs, ys) = pairs(cols)``.
+    See ``_slack_term`` for the terms.
     """
 
     def __init__(self, slack: SlackMatrix, dim: int):
         k = len(slack.levels) + 1
-        self.slack, self.dim = slack, dim
-        # Level j's gap_j and pi(j) as ints over the level's denominator d_j,
-        # each repeated per coordinate, and three units per (j, c): the node's
-        # first copy, its diagonal and its second copy.
-        self.weights, self.groups, units = [], [], []
-        for j, level in enumerate(slack._tree_levels):
-            m = len(level.gap)
+        self.dim, units = dim, []
+        # The node walk, per level: each node's first unit of the three per
+        # (j, c), for its first copy, its diagonal and its second copy.  The
+        # leaves have no copies; an inner level adds where each node's copies,
+        # columns r - m .. r - 1 and r + 1 .. r + m for m = 2**j - 1, start and
+        # end in the flat V, and gap_j and pi(j) as ints over the level's
+        # denominator, each repeated per coordinate.
+        self.walk = []
+        for j, level, nodes in slack._nodes():
+            m, first = len(level.gap), len(units)
             ps, qs, d = int_form(level.gap + level.pi)
-            self.weights.append([[v for v in part for _ in range(dim)]
-                                 for part in (ps[:m], qs[:m], ps[m:], qs[m:])])
-            self.groups.append(len(units))  # (j, c)'s units start at units[groups[j] + 3c]
+            groups = [first + 3 * t.bit_count() for t in range(len(nodes))]
+            if j:
+                bounds = [range((nodes.start + at) * dim, (nodes.stop + at) * dim, nodes.step * dim)
+                          for at in (-m, 0, 1, m + 1)]
+                weights = [[v for v in part for _ in range(dim)]
+                           for part in (ps[:m], qs[:m], ps[m:], qs[m:])]
+                self.walk.append((groups, nodes, *bounds, m, weights))
+            else:
+                self.leaves = nodes, [g + 1 for g in groups]
             for scale in map(rho_pow, range(0, 2 * (k - j), 2)):
                 units += [scale * rho_pow(j) * -2 / d, scale * level.diag, scale * RHO * -2 / d]
         self.tree_units = len(units)
@@ -731,19 +699,20 @@ class _SlackForm:
     def pairs(self, cols: list) -> tuple[list[int], list[int]]:
         """The ints (xs, ys) of one V = ``cols``, one pair per unit."""
         w, ss, s_star = cols[0], cols[1:-1], cols[-1]
-        dim, weights, groups = self.dim, self.weights, self.groups
+        dim = self.dim
         flat = [v for s in ss for v in s]
         xs, ys = [0] * self.tree_units, [0] * self.tree_units
-        for r, j, c, _ in self.slack._nodes():
-            s, g = ss[r], groups[j] + 3 * c
-            xs[g + 1] += sum(map(mul, s, s))
-            if j:  # <s_r, gap_j . first copy> and <s_r, pi(j) . second copy>
-                tile, at, span = s * (2**j - 1), r * dim, (2**j - 1) * dim
-                first = list(map(mul, flat[at - span:at], tile))
-                second = list(map(mul, flat[at + dim:at + dim + span], tile))
-                gp, gq, pp, pq = weights[j]
+        for r, g in zip(*self.leaves):
+            xs[g] += sum(map(mul, ss[r], ss[r]))
+        for groups, nodes, los, his, los2, his2, m, (gp, gq, pp, pq) in self.walk:
+            for g, r, lo, hi, lo2, hi2 in zip(groups, nodes, los, his, los2, his2):
+                s = ss[r]  # <s_r, gap_j . first copy> and <s_r, pi(j) . second copy>
+                tile = s * m
+                first = list(map(mul, flat[lo:hi], tile))
+                second = list(map(mul, flat[lo2:hi2], tile))
                 xs[g] += sum(map(mul, gp, first))
                 ys[g] += sum(map(mul, gq, first))
+                xs[g + 1] += sum(map(mul, s, s))
                 xs[g + 2] += sum(map(mul, pp, second))
                 ys[g + 2] += sum(map(mul, pq, second))
         outer = norm2_ints(self.gap_form, ss)
@@ -812,155 +781,185 @@ def _require_free_trace(trace, n: int) -> None:
             raise ValueError(f"trace xs[{i}] must hold ints, Fractions or RadicalScalars")
 
 
-def _bar_term(d: int, xs: list, ys: list, parts) -> RadicalScalar:
-    """2d times the sum of ``bar[i][j]`` times the co-coercivity of points i and j.
+def _bar_term(d: int, xs: list, ys: list, parts, star_b: list) -> Iterator[tuple]:
+    """2d times the ``bar`` rows' part of the left side, as ``exactnum.scaled_int_dot`` parts.
 
-    Summed over ``parts`` of (bar, start, grads, values, smooth, rows, bound),
-    one per multiplier part, whose point i is iterate ``start + i``: with int
+    Summed over ``parts`` of (plan, bound, start, grads, values, smooth), one
+    per multiplier part, whose point i is iterate ``start + i``: with int
     vectors X_i = ``xs[start + i]`` and Y_i = ``ys[start + i]`` it is
     x_i = (X_i + sqrt2 Y_i) / d, with gradient (or subgradient)
     g_i = ``grads[i]`` and value v_i = ``values[i]``, all ints.  Then
     2d co(i, j) = A + sqrt2 B with the ints
     A = 2d (v_i - v_j) - 2 <g_j, X_i - X_j> - [smooth] d ||g_i - g_j||**2 and
     B = -2 <g_j, Y_i - Y_j>.  Grouped by index, with e = [smooth] d,
-    A = a_i - b_j - <g_j, z_i> for a_i = 2d v_i - e ||g_i||**2,
-    b_j = 2d v_j + e ||g_j||**2 - 2 <g_j, X_j> and z_i = 2 (X_i - e g_i), and
-    B = gy_j - <g_j, y_i> for gy_j = 2 <g_j, Y_j> and y_i = 2 Y_i.
+    A = a_i - b_j - 2 <g_j, z_i> for a_i = 2d v_i - e ||g_i||**2,
+    b_j = 2d v_j + e ||g_j||**2 - 2 <g_j, X_j> and z_i = X_i - e g_i (X_i
+    itself for e = 0), and B = gy_j - 2 <g_j, Y_i> for gy_j = 2 <g_j, Y_j>.
 
-    Row i, as (stored row, power, offset), weighs its entries with the
-    stored row's own integer form (ps, qs) over its denominator, from
-    ``rows`` (``_bar_rows``), prepared once per verify call.  A short row
-    takes the per-entry path: each entry's A and B, two int dots of length
-    dim, join the row's (power, denominator) group beside the row's weight
-    ints.  A long row takes the packed path: each point j of the part is
-    packed once per trial into one int P_j whose signed W-bit lanes hold
-    (g_j, b_j, gy_j), so U = sum(ps[j] P_{offset+j}) and
-    V = sum(qs[j] P_{offset+j}) are two int dots over the row's points, and
-    their lanes give sum(ps A) = a_i sum(ps) - U_b - <U_g, z_i> and
-    sum(ps B) = U_gy - <U_g, y_i>, and the same in V.  These join the group
-    as one more entry, with weight ints 1 and 0, so the row adds the ints
-    its entries would.  A lane of U or V is at most the part's largest lane
-    value times ``bound``, the largest sum(|ps|) or sum(|qs|) of its long
-    rows, so W, set per part and trial from that product plus a sign and a
-    margin bit, keeps every lane exact for any int trace.  One
-    ``scaled_int_dot`` per ``BAR_CHUNK`` entries (one in all up to k=8)
-    applies each power's unit rho**(2 power) to its group's integer sums, so
-    a trial reduces once and the integer lists stay bounded.
+    Each chunk of a part's plan (``_bar_rows``) becomes one part of the sum:
+    its unit rho**(2 power), its weight ints over its denominator, and the
+    A and B of its entries, in the weights' order.  A short row's copy at
+    offset o reads entry (o + diag, o + c) for each stored column c.  A
+    packed row's copy reads its points from o + lo on, each packed once per
+    trial into one int P_j whose signed W-bit lanes hold (g_j, b_j, gy_j), so
+    U = sum(ps[j] P_{o+lo+j}) and V = sum(qs[j] P_{o+lo+j}) are two int dots
+    over the row's points, and their lanes give
+    sum(ps A) = a_i sum(ps) - U_b - 2 <U_g, z_i> and
+    sum(ps B) = U_gy - 2 <U_g, Y_i>, and the same in V: the ints the row's
+    entries would add, which the chunk's packed copies add up in its one
+    entry of weight (1, 0).  A lane of U or V is at most the part's largest
+    lane value times ``bound``, the largest sum(|ps|) or sum(|qs|) of its
+    packed rows, so W, set per part and trial from that product plus a sign
+    and a margin bit, keeps every lane exact for any int trace.  The parts are
+    made one chunk at a time, as the sum reads them, so the trial's integer
+    lists stay bounded.  Each part's gy joins ``star_b``, the optimum rows'
+    B, as the part begins.
     """
-    ys2 = [[y + y for y in yi] for yi in ys]  # 2 Y_i, for both parts
-    total, groups, size = ZERO, {}, 0
-    for bar, start, grads, values, smooth, rows, bound in parts:
-        xs_p, ys2_p = xs[start:], ys2[start:]
+    for plan, bound, start, grads, values, smooth in parts:
+        xs_p, y = xs[start:], ys[start:]
         e = d if smooth else 0
         norms = [e * sum(map(mul, g, g)) for g in grads] if e else [0] * len(grads)
-        shifted = ([[2 * (x - e * t) for x, t in zip(xi, g)] for xi, g in zip(xs_p, grads)] if e
-                   else [[x + x for x in xi] for xi in xs_p])
+        z = [[x - e * t for x, t in zip(xi, g)] for xi, g in zip(xs_p, grads)] if e else xs_p
         a = [2 * d * v - m for v, m in zip(values, norms)]
         b = [2 * d * v + m - 2 * sum(map(mul, g, xi))
              for v, m, g, xi in zip(values, norms, grads, xs_p)]
-        gy = [sum(map(mul, g, yi)) for g, yi in zip(grads, ys2_p)]
+        gy = [2 * sum(map(mul, g, yi)) for g, yi in zip(grads, y)]
+        star_b += gy
         if bound is not None:  # the part sums its long rows packed
             lanes = [*zip(*grads), b, gy]
             dim, top = len(lanes) - 2, max(max(map(abs, lane)) for lane in lanes)
             width = (top * bound).bit_length() + 2  # |lane of U or V| < 2**(width - 2)
             shifts = range(0, len(lanes) * width, width)
-            packed = list(lanes[0])
+            points = list(lanes[0])
             for shift, lane in zip(shifts[1:], lanes[1:]):
-                packed = list(map(add, packed, map(lshift, lane, repeat(shift))))
+                points = list(map(add, points, map(lshift, lane, repeat(shift))))
             half, mask = 1 << (width - 1), (1 << width) - 1
             bias = sum(half << shift for shift in shifts)
-        for i, (stored, power, offset) in enumerate(bar):
-            ps, qs, denominator, packing = rows[id(stored)]
-            zi, yi, ai = shifted[i], ys2_p[i], a[i]
-            group = groups.get((power, denominator))
-            if group is None:
-                group = groups[power, denominator] = [], [], [], []
-            wp, wq, big_a, big_b = group
-            if packing:
-                lo, sum_p, sum_q = packing
-                got = packed[offset + lo:offset + lo + len(ps)]
-                u = sum(map(mul, ps, got)) + bias  # every lane biased by half: none borrows
-                v = sum(map(mul, qs, got)) + bias
-                u = [(u >> shift & mask) - half for shift in shifts]
-                v = [(v >> shift & mask) - half for shift in shifts]
-                pa = ai * sum_p - u[dim] - sum(map(mul, u, zi))
-                qa = ai * sum_q - v[dim] - sum(map(mul, v, zi))
-                pb = u[dim + 1] - sum(map(mul, u, yi))
-                qb = v[dim + 1] - sum(map(mul, v, yi))
-                wp.append(1)
-                wq.append(0)
-                big_a.append(pa + 2 * qb)
-                big_b.append(qa + pb)
-                size += 1
-            else:
-                cols = [offset + j for j in stored.keys()] if offset else stored.keys()
-                wp += ps
-                wq += qs
-                big_a += [ai - b[j] - sum(map(mul, grads[j], zi)) for j in cols]
-                big_b += [gy[j] - sum(map(mul, grads[j], yi)) for j in cols]
-                size += len(ps)
-            if size >= BAR_CHUNK:
-                total, groups, size = total + _rho2_dot(groups), {}, 0
-    return total + _rho2_dot(groups)
+        for unit, form, short, packed in plan:
+            big_a = [a[o + diag] - b[o + c] - 2 * sum(map(mul, grads[o + c], z[o + diag]))
+                     for offsets, diag, cols in short for o in offsets for c in cols]
+            big_b = [gy[o + c] - 2 * sum(map(mul, grads[o + c], y[o + diag]))
+                     for offsets, diag, cols in short for o in offsets for c in cols]
+            if packed:
+                pa = pb = 0
+                for offsets, diag, lo, ps, qs, sum_p, sum_q in packed:
+                    for o in offsets:
+                        i, got = o + diag, points[o + lo:o + lo + len(ps)]
+                        u = sum(map(mul, ps, got)) + bias  # every lane biased by half: none borrows
+                        v = sum(map(mul, qs, got)) + bias
+                        u = [(u >> shift & mask) - half for shift in shifts]
+                        v = [(v >> shift & mask) - half for shift in shifts]
+                        pa += (a[i] * sum_p - u[dim] - 2 * sum(map(mul, u, z[i]))
+                               + 2 * (v[dim + 1] - 2 * sum(map(mul, v, y[i]))))
+                        pb += (a[i] * sum_q - v[dim] - 2 * sum(map(mul, v, z[i]))
+                               + u[dim + 1] - 2 * sum(map(mul, u, y[i])))
+                big_a.append(pa)
+                big_b.append(pb)
+            yield unit, form, big_a, big_b
 
 
-def _bar_rows(bar: list) -> tuple[dict, int | None]:
-    """(rows, bound): each distinct stored row of ``bar`` as ``_bar_term`` sums it.
+def _bar_rows(bar: list) -> tuple[list, int | None]:
+    """(plan, bound): the chunks in which ``_bar_term`` sums the rows of ``bar``.
 
-    ``rows`` maps the ``id`` of each stored row to (ps, qs, d, packing): its
-    integer form over its own denominator d, and packing None for a row
-    summed entry by entry.  A long row, of at least ``PACK_ROW`` entries, is
-    summed packed if the part's long rows hold at least ``PACK_EXCESS``
-    entries beyond ``PACK_ROW`` per row of ``bar`` (mu from k=6, lambda from
-    k=7): its form is made dense over the columns lo, lo + 1, ... (a stored
-    row's columns are contiguous but for at most one), and packing is
-    (lo, sum(ps), sum(qs)).  ``bound`` is the largest sum(|ps|) or
-    sum(|qs|) of the packed rows, None if none packs.  The rule follows the
-    two paths' costs (2-core x86 host, Python 3.11, at dim 1 and 4): an
-    entry costs about 0.5-0.65 us on the per-entry path, a packed row
-    3-4 us plus 0.15 us an entry, so a row pays from about 8 entries, and
-    packing a part's points costs 0.16-0.4 us a point per trial; timed part
-    by part at k=4..7, packing paid above ``PACK_EXCESS`` and was even or
-    slower below it.
+    The rows are grouped by (power, d), d the denominator of the stored
+    row's integer form, and each group is cut into chunks, each closed once
+    it holds ``BAR_CHUNK`` entries.  A chunk is (rho**(2 power), weights,
+    short, packed), weights the int form (ps, qs, d) of its entries in order.
+    A short block (offsets, diag, cols) is one stored row's copies in the
+    chunk, row o + diag at offset o for each o of offsets, and adds its ps
+    and qs to the weights once per copy.  A long row, of at least
+    ``PACK_ROW`` entries, is summed packed if the part's long rows hold at
+    least ``PACK_EXCESS`` entries beyond ``PACK_ROW`` per row of ``bar`` (mu
+    from k=6, lambda from k=7): its block (offsets, diag, lo, ps, qs,
+    sum(ps), sum(qs)) holds its form made dense over the columns lo, lo + 1,
+    ... (a stored row's columns are contiguous but for at most one), and a
+    chunk's packed copies share its last entry, of weight ints (1, 0).
+    ``bound`` is the largest sum(|ps|) or sum(|qs|) of the packed rows,
+    None if none packs.  So the plan holds O(triples + stored entries)
+    ints.  The rule follows the two paths' costs (2-core x86 host,
+    Python 3.11, at dim 1 and 4): an entry costs about 0.5-0.65 us on the
+    per-entry path, a packed row 3-4 us plus 0.15 us an entry, so a row
+    pays from about 8 entries, and packing a part's points costs
+    0.16-0.4 us a point per trial; timed part by part at k=4..7, packing paid
+    above ``PACK_EXCESS`` and was even or slower below it.
     """
-    stored = [row for row, _, _ in bar]
-    excess = sum(len(row) - PACK_ROW for row in stored if len(row) >= PACK_ROW)
+    excess = sum(len(row) - PACK_ROW for row, _, _ in bar if len(row) >= PACK_ROW)
     packs = excess >= PACK_EXCESS * len(bar)
-    rows, bound = {}, 0 if packs else None
-    for row in stored:
-        if id(row) in rows:
+    forms, groups, bound = {}, {}, 0 if packs else None
+    for i, (row, power, offset) in enumerate(bar):
+        if not row:
             continue
-        ps, qs, d = int_form(row.values())
-        if packs and len(row) >= PACK_ROW:
-            lo, span = min(row.keys()), max(row.keys()) + 1
-            dense_p, dense_q = [0] * (span - lo), [0] * (span - lo)
-            for j, p, q in zip(row.keys(), ps, qs):
-                dense_p[j - lo], dense_q[j - lo] = p, q
-            rows[id(row)] = dense_p, dense_q, d, (lo, sum(ps), sum(qs))
-            bound = max(bound, sum(map(abs, ps)), sum(map(abs, qs)))
-        else:
-            rows[id(row)] = ps, qs, d, None
-    return rows, bound
-
-
-def _rho2_dot(groups: dict[tuple[int, int], tuple[list, list, list, list]]) -> RadicalScalar:
-    """Sum of rho**(2 p) * form_dot((ps, qs, e), A, B) over ``groups`` of (p, e): (ps, qs, A, B)."""
-    return scaled_int_dot([(rho_pow(p + p), (ps, qs, e), x, y)
-                           for (p, e), (ps, qs, x, y) in groups.items()])
+        if id(row) not in forms:  # (d, weights per copy, the block's fields after diag)
+            ps, qs, d = int_form(row.values())
+            if packs and len(row) >= PACK_ROW:
+                lo, span = min(row.keys()), max(row.keys()) + 1
+                dense_p, dense_q = [0] * (span - lo), [0] * (span - lo)
+                for j, p, q in zip(row.keys(), ps, qs):
+                    dense_p[j - lo], dense_q[j - lo] = p, q
+                forms[id(row)] = d, None, (lo, dense_p, dense_q, sum(ps), sum(qs))
+                bound = max(bound, sum(map(abs, ps)), sum(map(abs, qs)))
+            else:
+                forms[id(row)] = d, (ps, qs), (list(row.keys()),)
+        d = forms[id(row)][0]
+        groups.setdefault((power, d), {}).setdefault((id(row), i - offset), []).append(offset)
+    plan = []
+    for (power, d), blocks in groups.items():
+        size = BAR_CHUNK
+        for (key, diag), offsets in blocks.items():
+            _, weights, fields = forms[key]
+            block = None
+            for offset in offsets:
+                if size >= BAR_CHUNK:  # a new chunk
+                    wp, wq, short, packed = [], [], [], []
+                    plan.append((rho_pow(2 * power), (wp, wq, d), short, packed))
+                    size, block = 0, None
+                if block is None:
+                    block = []
+                    (short if weights else packed).append((block, diag, *fields))
+                block.append(offset)
+                if weights:
+                    wp += weights[0]
+                    wq += weights[1]
+                    size += len(weights[0])
+                else:
+                    size += 1
+    for _, (wp, wq, _), _, packed in plan:  # the packed copies' one entry, last
+        if packed:
+            wp.append(1)
+            wq.append(0)
+    return plan, bound
 
 
 class _PreparedIdentity:
     """Both sides of one bundle's descent identity, for traces of dimension ``dim``.
 
-    What depends only on the bundle is taken once, at construction: each
-    distinct stored ``bar`` row's integer form, over the row's own
-    denominator and dense for a packed row (``_bar_rows``, per part), the
-    optimum rows' integer form, pi's (the steps'),
-    2 rho**k - 1, u's integer form, the slack tree's (``_SlackForm``), and
-    one integer form of every unit of the right side.  ``trial`` draws one
-    trace's free ints and steps its iterates on pi's integer form;
-    ``sides`` puts a given trace in the same form, without checking it.
-    Both then sum only ints, in ``_sides``.
+    What depends only on the bundle is prepared once, at construction, in
+    integer form (``exactnum.int_form``): each part's plan of its ``bar``
+    rows (``_bar_rows``: each distinct stored row over its own denominator,
+    dense for a packed row, the rows cut into chunks of one rho**2 power
+    whose weight ints are concatenated once), the optimum rows, pi (the
+    steps), u's coefficients, the slack tree's levels with its node walk
+    (``_SlackForm``), and one form of every unit of the right side, which
+    holds O(k**2) units: 2 rho**k - 1, rho/(2 sqrt2), u's, and three per
+    level and copy count of the tree's nodes.  So is the solver ``Trace``
+    through which the optimum rows are read.
+
+    ``trial`` draws the free ints as ``sample_free_trace`` draws them
+    (``_draw``) and steps the iterates on pi's integer form
+    pi_t = (P_t + sqrt2 Q_t) / d: X_0 = d x_0, Y_0 = 0,
+    X_{t+1} = X_t - P_t u_t and Y_{t+1} = Y_t - Q_t u_t for
+    u_t = g_t + s_{t+1}, so it builds no field value per iterate and does not
+    check the trace it draws itself.  ``sides`` puts a given trace's
+    iterates in the same form instead, without checking it
+    (``evaluate_identity`` checks).  ``_sides`` then does only the trace's
+    own integer work, each side one sum of ints against the prepared forms,
+    reduced once: the left side is one ``scaled_int_dot`` over the ``bar``
+    chunks (``_bar_term``) and the optimum rows (``_optimum_rows``), divided
+    by 2d, and the right side one ``form_dot`` over the gap term
+    f_* + h_* - f_n - h_n, ||w||**2, ||u||**2 and the slack term's ints
+    (``_SlackForm.pairs``, O(n k dim) integer work).  A trial makes no other
+    field operation, and its integer lists beyond the trace's own stay
+    within a chunk of ``BAR_CHUNK`` entries.
     """
 
     def __init__(self, bundle: CertificateBundle, dim: int):
@@ -968,13 +967,16 @@ class _PreparedIdentity:
         self.bar_rows = [_bar_rows(bundle.lam.bar), _bar_rows(bundle.mu.bar)]
         self.star_form = int_form(bundle.lam.star_row + bundle.mu.star_row)
         self.step_form = int_form(bundle.pi)
-        self.gap_unit = rho_pow(bundle.k) * 2 - ONE
         uc = bundle.u_coeffs
         self.u_form = int_form((uc.init, *uc.g, *uc.s, uc.s_star))
         self.slack = _SlackForm(bundle.slack, dim)
-        # rho/(2 sqrt2) ||w||**2 - ||u||**2 / 2 - Tr(V S V^T) / 2
-        self.form = int_form([RHO_OVER_2SQRT2, -ONE / (2 * self.u_form[2] ** 2)]
-                             + [v / -2 for v in self.slack.units])
+        # (2 rho**k - 1)(F_* - F_n) + rho/(2 sqrt2) ||w||**2 - ||u||**2 / 2 - Tr(V S V^T) / 2
+        self.form = int_form([rho_pow(bundle.k) * 2 - ONE, RHO_OVER_2SQRT2,
+                              -ONE / (2 * self.u_form[2] ** 2),
+                              *(v / -2 for v in self.slack.units)])
+        # the optimum rows' view of a trace; its steps only set its n
+        self.view = Trace(steps=bundle.pi, xs=[], gs=[], fs=[], hs=[], Fs=[], ss=[],
+                          x_star=[0] * dim)
 
     def trial(self, rng: random.Random) -> tuple[RadicalScalar, RadicalScalar]:
         """(lhs, rhs) on the free ints drawn from ``rng`` as ``sample_free_trace`` draws them.
@@ -1007,33 +1009,39 @@ class _PreparedIdentity:
     def _sides(self, d: int, xs: list, ys: list, free) -> tuple[RadicalScalar, RadicalScalar]:
         """(lhs, rhs) on the iterates (X_i + sqrt2 Y_i) / d and ``free``, in ``_draw``'s order."""
         gs, ss, s_star, fs, hs, f_star, h_star, w = free
-        n, dim = self.bundle.n, len(w)
-        lam, mu = self.bundle.lam, self.bundle.mu
-        (lam_rows, lam_bound), (mu_rows, mu_bound) = self.bar_rows
-        bar = _bar_term(d, xs, ys, [(lam.bar, 0, gs, fs, True, lam_rows, lam_bound),
-                                    (mu.bar, 1, ss, hs[1:], False, mu_rows, mu_bound)])
-        # The optimum rows on the solver's own co-coercivities, in the split
-        # ``_bar_term`` makes (x_* = 0): 2d co(*, j) = A + sqrt2 B, where A is 2d
-        # times the co-coercivity on the view whose iterates are the rational
-        # parts X_i / d, and B = 2 <g_j, Y_j> (2 <s_j, Y_j> for mu, whose
-        # subgradients start at iterate 1).  That co-coercivity's denominator
-        # divides 2d, so A is read off its numerator; the view's steps only set its n.
-        parts = xs if d == 1 else [[Fraction(x, d) for x in xi] for xi in xs]
-        view = Trace(steps=self.bundle.pi, xs=parts, gs=gs, fs=fs, hs=hs, Fs=[], ss=ss,
-                     x_star=[0] * dim, s_star=s_star, f_star=f_star, h_star=h_star)
-        star = ([cocoercivity_f(view, "*", j) for j in range(n + 1)]
-                + [cocoercivity_h(view, "*", j) for j in range(1, n + 1)])
-        star_a = [(2 * d // co.denominator) * co.numerator for co in star]
-        star_b = ([2 * sum(map(mul, g, y)) for g, y in zip(gs, ys)]
-                  + [2 * sum(map(mul, s, y)) for s, y in zip(ss, ys[1:])])
-        lhs = (bar + form_dot(self.star_form, star_a, star_b)) / (2 * d)
+        n = self.bundle.n
+        (lam_plan, lam_bound), (mu_plan, mu_bound) = self.bar_rows
+        star_b = []
+        bar = _bar_term(d, xs, ys, [(lam_plan, lam_bound, 0, gs, fs, True),
+                                    (mu_plan, mu_bound, 1, ss, hs[1:], False)], star_b)
+        lhs = scaled_int_dot(chain(bar, self._optimum_rows(d, xs, free, star_b))) / (2 * d)
 
-        # w = x_0 - x_*, since the optimum is at the origin
+        # w = x_0 - x_*, since the optimum is at the origin; F_* - F_n on the
+        # free values, as the left side reads them
         u = norm2_ints(self.u_form, [w, *gs, *ss, s_star])
         slack_xs, slack_ys = self.slack.pairs([w] + ss + [s_star])
-        rest = form_dot(self.form, [sum(map(mul, w, w)), u[0]] + slack_xs, [0, u[1]] + slack_ys)
-        # F_* - F_n on the free values, as the left side reads them
-        return lhs, self.gap_unit * (f_star + h_star - fs[n] - hs[n]) + rest
+        gap = f_star + h_star - fs[n] - hs[n]
+        return lhs, form_dot(self.form, [gap, sum(map(mul, w, w)), u[0]] + slack_xs,
+                             [0, 0, u[1]] + slack_ys)
+
+    def _optimum_rows(self, d: int, xs: list, free, star_b: list) -> Iterator[tuple]:
+        """The optimum rows' ``scaled_int_dot`` part, made once the ``bar`` rows are summed.
+
+        They are the solver's own co-coercivities, in the split ``_bar_term``
+        makes (x_* = 0): 2d co(*, j) = A + sqrt2 B, where A is 2d times the
+        co-coercivity on the view whose iterates are the rational parts X_i / d,
+        and B, the point's gy, is in ``star_b``.  That co-coercivity's
+        denominator divides 2d, so A is read off its numerator.  The view
+        holds the trace only while they are read.
+        """
+        n, view = self.bundle.n, self.view
+        view.xs = xs if d == 1 else [[Fraction(x, d) for x in xi] for xi in xs]
+        view.gs, view.ss, view.s_star, view.fs, view.hs, view.f_star, view.h_star = free[:7]
+        star = chain((cocoercivity_f(view, "*", j) for j in range(n + 1)),
+                     (cocoercivity_h(view, "*", j) for j in range(1, n + 1)))
+        star_a = [(2 * d // co.denominator) * co.numerator for co in star]
+        view.xs = view.gs = view.ss = None
+        yield ONE, self.star_form, star_a, star_b
 
 
 def evaluate_identity(bundle: CertificateBundle, trace) -> tuple[RadicalScalar, RadicalScalar]:
@@ -1050,13 +1058,8 @@ def evaluate_identity(bundle: CertificateBundle, trace) -> tuple[RadicalScalar, 
     does a ``bundle`` that is not a ``CertificateBundle``.
     ``Fs`` and ``F_star`` are not read: the gap term is f_* + h_* - f_n - h_n.
 
-    The O(n k) stored ``bar`` entries are summed on the iterates' integer
-    form (``exactnum.int_form``, one common denominator d) by ``_bar_term``,
-    with no field operation per entry.  The O(n) optimum rows read the same
-    form through ``solver.cocoercivity_f`` and ``cocoercivity_h``, the
-    solver's own definition, evaluated on the iterates' rational parts, and
-    are summed in one ``form_dot``.  The right side is one integer sum over
-    the bundle's units (``_PreparedIdentity``), reduced once, plus the gap term.
+    Both sides are summed as ``_PreparedIdentity`` describes, prepared for
+    this one trace.
     """
     _require_bundle(bundle)
     _require_free_trace(trace, bundle.n)
@@ -1080,8 +1083,9 @@ def verify_descent_identity(
     ``dim`` or ``seed`` that is a bool or not an int (an int subclass such as
     an ``IntEnum`` is one, as for ``_require_int``) and a negative ``seed``
     (``random.Random`` would draw the trials of ``-seed``) raise ``ValueError``.
-    The bundle's side of the identity is prepared once for all trials, and
-    the traces, drawn here by ``sample_free_trace``, are not checked again.
+    The bundle's side of the identity is prepared once for all trials
+    (``_PreparedIdentity``), and the traces it draws, as ``sample_free_trace``
+    draws them, are not checked again.
     """
     if (any(isinstance(v, bool) or not isinstance(v, int) for v in (trials, dim, seed))
             or min(trials, dim) < 1 or seed < 0):

@@ -315,11 +315,18 @@ def _nonsmooth_at(trace: Trace, i):
 
 
 def cocoercivity_f(trace: Trace, i, j):
-    """Smooth interpolation slack between trace indices i and j (or "*")."""
+    """Smooth interpolation slack between trace indices i and j (or "*").
+
+    Halved once, (2 (f_i - f_j - <g_j, x_i - x_j>) - ||g_i - g_j||**2) * HALF
+    is one ``Fraction`` operation on an int trace and exact on ints, Fractions
+    and RadicalScalars.  On floats it gives the bits of subtracting
+    ``||g_i - g_j||**2 / 2`` wherever doubling neither overflows nor leaves a
+    subnormal result.
+    """
     if i == j:
         return 0
     (xi, gi, fi), (xj, gj, fj) = _smooth_at(trace, i), _smooth_at(trace, j)
-    return fi - fj - _dot(gj, _sub(xi, xj)) - _norm2(_sub(gi, gj)) * HALF
+    return (2 * (fi - fj - _dot(gj, _sub(xi, xj))) - _norm2(_sub(gi, gj))) * HALF
 
 
 def cocoercivity_h(trace: Trace, i, j):

@@ -841,14 +841,18 @@ def test_prepared_identity_matches_each_trace_alone(k, target):
 def test_free_trace_draws_as_randint():
     # sample_free_trace inlines randint(-5, 5)'s draw: the same values and the
     # same generator state afterwards, so pinned residuals keep their meaning.
-    pi = build_bundle(4).pi
-    for seed in range(200):
-        rng, ref = random.Random(seed), random.Random(seed)
-        trace = sample_free_trace(pi, 3, rng)
-        drawn = ([v for g in trace.gs for v in g] + [v for s in trace.ss for v in s]
-                 + trace.s_star + trace.fs + trace.hs + [trace.f_star, trace.h_star] + trace.xs[0])
-        assert drawn == [ref.randint(-5, 5) for _ in drawn]
-        assert rng.getstate() == ref.getstate()
+    # The draw counts its free ints from n and dim, so several shapes are read.
+    shapes = [(4, 3)] + [(k, dim) for k in (1, 2, 5) for dim in (1, 2, 4)]
+    for k, dim in shapes:
+        pi = build_bundle(k).pi
+        for seed in range(200 if (k, dim) == (4, 3) else 40):
+            rng, ref = random.Random(seed), random.Random(seed)
+            trace = sample_free_trace(pi, dim, rng)
+            drawn = ([v for g in trace.gs for v in g] + [v for s in trace.ss for v in s]
+                     + trace.s_star + trace.fs + trace.hs + [trace.f_star, trace.h_star]
+                     + trace.xs[0])
+            assert drawn == [ref.randint(-5, 5) for _ in drawn], (k, dim, seed)
+            assert rng.getstate() == ref.getstate(), (k, dim, seed)
 
 
 def test_free_trace_is_plain_ints():
@@ -943,17 +947,26 @@ def test_long_rows_pack_in_mu_from_k6_and_in_lambda_from_k7():
     packs = {}
     for k in range(1, 9):
         bundle = build_bundle(k)
-        bar_rows = _PreparedIdentity(bundle, 2).bar_rows
-        packs[k] = tuple(sum(packing is not None for *_, packing in rows.values())
-                         for rows, _ in bar_rows)
-        for (rows, bound), mult in zip(bar_rows, (bundle.lam, bundle.mu)):
-            stored = {id(s): s for s, _, _ in mult.bar}
-            assert rows.keys() == stored.keys()
-            packed = [(ps, qs) for key, (ps, qs, _, packing) in rows.items() if packing]
-            assert all(len(stored[key]) >= certificate.PACK_ROW
-                       for key, (*_, packing) in rows.items() if packing)
-            assert bound == (max(sum(map(abs, w)) for pair in packed for w in pair)
+        packs[k] = ()
+        for (plan, bound), mult in zip(_PreparedIdentity(bundle, 2).bar_rows,
+                                       (bundle.lam, bundle.mu)):
+            # each packed stored row's dense form, by identity, and its entries
+            packed = {id(ps): (ps, qs) for *_, blocks in plan for _, _, _, ps, qs, _, _ in blocks}
+            entries = {key: sum(1 for p, q in zip(*pair) if p or q) for key, pair in packed.items()}
+            packs[k] += (len(packed),)
+            assert all(m >= certificate.PACK_ROW for m in entries.values())
+            assert bound == (max(sum(map(abs, w)) for pair in packed.values() for w in pair)
                              if packed else None)
+            # every entry the rows read is in the plan once; a chunk weighs each
+            # short entry, then its packed copies' one sum
+            read = 0
+            for _, (wp, wq, _), short, blocks in plan:
+                short_entries = sum(len(offsets) * len(cols) for offsets, _, cols in short)
+                assert len(wp) == len(wq) == short_entries + bool(blocks)
+                assert not blocks or (wp[-1], wq[-1]) == (1, 0)
+                read += short_entries + sum(len(offsets) * entries[id(ps)]
+                                            for offsets, _, _, ps, *_ in blocks)
+            assert read == sum(len(row) for row, _, _ in mult.bar)
     assert packs == {1: (0, 0), 2: (0, 0), 3: (0, 0), 4: (0, 0), 5: (0, 0), 6: (0, 7),
                      7: (5, 9), 8: (6, 11)}
     for target in TAMPER_TARGETS:
@@ -1096,8 +1109,13 @@ def test_identity_trial_makes_no_field_operation_per_optimum_entry(monkeypatch):
         two, report2 = count(lambda: verify_descent_identity(order, trials=2, dim=2, seed=order))
         assert report.passed and report2.passed
         loop_counts[order] = two - one
-    assert counts[5] == counts[7] <= 10
-    assert loop_counts[5] == loop_counts[7] <= 10
+    # Each side is one integer sum, reduced once: the left side then takes
+    # one division by 2d and the right side none.  ``sides`` adds one ONE * v
+    # per coordinate of x_0 (2 at dim 2), and a loop trial one subtraction,
+    # lhs - rhs (7 and 6 operations when the bar groups, the optimum rows and
+    # the gap term each took a field operation of their own).
+    assert counts[5] == counts[7] == 3
+    assert loop_counts[5] == loop_counts[7] == 2
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
