@@ -39,11 +39,10 @@ integer form of the tree's values.  The slack term of an identity trial,
 O(n k dim) integer work, and ``SlackMatrix.lap``, which generates L's rows
 for readers that want them, both read the tree's nodes from
 ``SlackMatrix._nodes``.  Sums of field values times integer coordinates
-go through ``exactnum``'s ``form_dot``, ``scaled_int_dot`` and
-``norm2_ints``, on values put over a common denominator by
-``exactnum.int_form``: nothing here reads a ``RadicalScalar``'s integer
-form or multiplies two of them by the field's rule, and each side of the
-identity reduces once.
+go through ``exactnum``'s ``scaled_int_dot`` and ``norm2_ints``, on values
+put over a common denominator by ``exactnum.int_form``: nothing here reads
+a ``RadicalScalar``'s integer form or multiplies two of them by the
+field's rule, and each side of the identity reduces once.
 
 The descent identity states that the multiplier-weighted sum of
 co-coercivities equals
@@ -81,8 +80,8 @@ from functools import cached_property, lru_cache
 from itertools import chain, repeat
 from operator import add, lshift, mul, sub
 
-from .exactnum import (ONE, RHO, SQRT2, ZERO, RadicalScalar, form_dot, int_form, int_times,
-                       norm2_ints, rho_pow, scaled_int_dot, signs)
+from .exactnum import (ONE, RHO, SQRT2, ZERO, RadicalScalar, int_form, int_times, norm2_ints,
+                       rho_pow, scaled_int_dot, signs)
 from .schedule import _require_int, c_double, pi_double
 from .schedule import rate_from_certificate  # noqa: F401  (re-exported, the rate it proves)
 from .solver import Trace, cocoercivity_f, cocoercivity_h
@@ -287,6 +286,31 @@ class CertificateBundle:
         """pi(k + 1) and c(k + 1): one level of the doubling, taken when order k + 1 is built."""
         return pi_double(self.k, self.pi), c_double(self.k, self.pi, self.c)
 
+    @cached_property
+    def _shape(self) -> str:
+        """Detail of the first multiplier part not shaped for order k, or "".
+
+        Taken once per bundle, for the nonneg check and the identity, which
+        read the parts so: lambda's ``bar`` and ``star_row`` hold n + 1 rows
+        and entries, one per iterate, and mu's n, and every column a ``bar``
+        row reads, its offset plus a stored column, is one of the part's points.
+        """
+        for label, mult, size in (("lambda", self.lam, self.n + 1), ("mu", self.mu, self.n)):
+            if len(mult.bar) != size:
+                return f"{label}_bar has {len(mult.bar)} rows, not {size}"
+            if len(mult.star_row) != size:
+                return f"{label}_star has {len(mult.star_row)} entries, not {size}"
+            spans = {}
+            for i, (row, _, offset) in enumerate(mult.bar):
+                if row:
+                    if id(row) not in spans:
+                        spans[id(row)] = min(row.keys()), max(row.keys())
+                    lo, hi = spans[id(row)]
+                    if offset + lo < 0 or offset + hi >= size:
+                        col = offset + (lo if offset + lo < 0 else hi)
+                        return f"{label}_bar[{i}] reads column {col}, outside 0..{size - 1}"
+        return ""
+
 
 def _accumulate(row: dict[int, RadicalScalar], j: int, v: RadicalScalar) -> None:
     """Add ``v`` to ``row[j]``, dropping the entry if it cancels to zero."""
@@ -471,7 +495,8 @@ class CheckReport:
 def check_multipliers_nonneg(bundle: CertificateBundle) -> CheckReport:
     """Exact sign check of every off-diagonal multiplier entry.
 
-    Also cross-checks the last row of mu_bar against its closed form
+    A part of the wrong shape (``CertificateBundle._shape``) fails first.  Also
+    cross-checks the last row of mu_bar against its closed form
     (rho**k - 1) * (c_j - pi_j), which is how the one non-obviously
     nonnegative block is controlled.
 
@@ -494,6 +519,8 @@ def check_multipliers_nonneg(bundle: CertificateBundle) -> CheckReport:
     k >= 2.  So they are the one stated exception to "every stored entry is
     load-bearing".
     """
+    if bundle._shape:
+        return CheckReport("nonneg", False, bundle._shape)
     for label, mult in (("lambda", bundle.lam), ("mu", bundle.mu)):
         seen = set()
         for i, (stored, power, offset) in enumerate(mult.bar):
@@ -662,7 +689,21 @@ class _SlackForm:
     The tree's integer forms and its node walk are planned once, at
     construction; ``pairs(cols)`` then sums one V's ints, and the term is
     ``sum(units[i] * (xs[i] + ys[i] sqrt2))`` for ``(xs, ys) = pairs(cols)``.
-    See ``_slack_term`` for the terms.
+
+    S's border is read entry by entry.  L's form over [s_1, ..., s_n, s_*] is
+    core'_k's form, by the gluing recursion
+    Q'_{j+1}(v) = Q'_j(first copy) + rho**2 Q'_j(second copy)
+    + 2 <v_mid, sum_r B_r v_r> + B_mid ||v_mid||**2,
+    less ||sum_r gap_k[r] s_r||**2, plus the border -c and the corner.
+    Unrolled over the tree's nodes, node r of level j inside c second copies
+    adds rho**(2c) (B_mid ||s_r||**2 - 2 rho**j <s_r, gap_j . first copy>
+    - 2 rho <s_r, pi(j) . second copy>).  gap_j and pi(j) are taken once as
+    ints over the level's denominator d_j, so the two inner products are int
+    dots of that form with the products of s_r and its copies.  The ints of
+    the nodes with the same (j, c) add up, and the group's three units,
+    rho**(2c) (-2 rho**j) / d_j, rho**(2c) B_mid and rho**(2c) (-2 rho) / d_j,
+    are applied once, in the term's one reduction.  So a trial is
+    O(n k dim) integer work, O(n) int dots, and no field operation.
     """
 
     def __init__(self, slack: SlackMatrix, dim: int):
@@ -726,29 +767,6 @@ class _SlackForm:
         return xs, ys
 
 
-def _slack_term(slack: SlackMatrix, cols: list) -> RadicalScalar:
-    """Tr(V S V^T) for V = cols = [w, s_1, ..., s_n, s_*], with integer columns.
-
-    S's border is read entry by entry.  L's form over [s_1, ..., s_n, s_*] is
-    core'_k's form, by the gluing recursion
-    Q'_{j+1}(v) = Q'_j(first copy) + rho**2 Q'_j(second copy)
-    + 2 <v_mid, sum_r B_r v_r> + B_mid ||v_mid||**2,
-    less ||sum_r gap_k[r] s_r||**2, plus the border -c and the corner.
-    Unrolled over the tree's nodes, node r of level j inside c second copies
-    adds rho**(2c) (B_mid ||s_r||**2 - 2 rho**j <s_r, gap_j . first copy>
-    - 2 rho <s_r, pi(j) . second copy>).  ``_SlackForm`` takes gap_j and
-    pi(j) as ints over the level's denominator d_j once, so the two inner
-    products are int dots of that form with the products of s_r and its
-    copies.  The ints of the nodes with the same (j, c) add up, and the
-    group's three units, rho**(2c) (-2 rho**j) / d_j, rho**(2c) B_mid and
-    rho**(2c) (-2 rho) / d_j, are applied once, in the term's one reduction.
-    So a trial is O(n k dim) integer work, O(n) int dots, and no field
-    operation.
-    """
-    form = _SlackForm(slack, len(cols[0]))
-    return form_dot(int_form(form.units), *form.pairs(cols))
-
-
 def _require_bundle(bundle) -> None:
     """Raise ``ValueError`` unless ``bundle`` is a ``CertificateBundle``."""
     if not isinstance(bundle, CertificateBundle):
@@ -768,6 +786,8 @@ def _require_free_trace(trace, n: int) -> None:
             raise ValueError(f"trace {name} is None")
         if len(values) != size:
             raise ValueError(f"trace {name} has {len(values)} entries, not {size}")
+    if not dim:
+        raise ValueError("trace xs[0] has 0 entries, not at least 1")
     if trace.x_star is None or len(trace.x_star) != dim or any(trace.x_star):
         raise ValueError(f"trace x_star must be {dim} zeros: the identity takes x_0 as x_0 - x_*")
     free = (("gs", [v for g in trace.gs for v in g]), ("ss", [v for s in trace.ss for v in s]),
@@ -955,7 +975,7 @@ class _PreparedIdentity:
     own integer work, each side one sum of ints against the prepared forms,
     reduced once: the left side is one ``scaled_int_dot`` over the ``bar``
     chunks (``_bar_term``) and the optimum rows (``_optimum_rows``), divided
-    by 2d, and the right side one ``form_dot`` over the gap term
+    by 2d, and the right side one ``scaled_int_dot`` part over the gap term
     f_* + h_* - f_n - h_n, ||w||**2, ||u||**2 and the slack term's ints
     (``_SlackForm.pairs``, O(n k dim) integer work).  A trial makes no other
     field operation, and its integer lists beyond the trace's own stay
@@ -963,6 +983,8 @@ class _PreparedIdentity:
     """
 
     def __init__(self, bundle: CertificateBundle, dim: int):
+        if bundle._shape:
+            raise ValueError(bundle._shape)
         self.bundle, self.dim = bundle, dim
         self.bar_rows = [_bar_rows(bundle.lam.bar), _bar_rows(bundle.mu.bar)]
         self.star_form = int_form(bundle.lam.star_row + bundle.mu.star_row)
@@ -1021,8 +1043,8 @@ class _PreparedIdentity:
         u = norm2_ints(self.u_form, [w, *gs, *ss, s_star])
         slack_xs, slack_ys = self.slack.pairs([w] + ss + [s_star])
         gap = f_star + h_star - fs[n] - hs[n]
-        return lhs, form_dot(self.form, [gap, sum(map(mul, w, w)), u[0]] + slack_xs,
-                             [0, 0, u[1]] + slack_ys)
+        return lhs, scaled_int_dot([(ONE, self.form, [gap, sum(map(mul, w, w)), u[0]] + slack_xs,
+                                     [0, 0, u[1]] + slack_ys)])
 
     def _optimum_rows(self, d: int, xs: list, free, star_b: list) -> Iterator[tuple]:
         """The optimum rows' ``scaled_int_dot`` part, made once the ``bar`` rows are summed.

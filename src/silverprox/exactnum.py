@@ -15,13 +15,12 @@ plain integer arithmetic with no gcd at all, and the exact sign of
 p + q*sqrt2 compares p*p with 2*q*q.  The rational components a = p/d and
 b = q/d are available as ``Fraction`` properties.  ``int_form`` puts a list
 of values over one common denominator, once for a caller that sums against
-the same values many times.  ``form_dot`` (values times x + y sqrt2 with int
-x and y) and ``scaled_int_dot`` (a sum of such dots, each on its own form and
-times a unit) sum on such forms and reduce once; ``norm2_ints`` and
+the same values many times.  ``scaled_int_dot`` sums dots of such forms with
+ints x + y sqrt2, each dot times a unit, and reduces once; ``norm2_ints`` and
 ``int_times`` return the ints of a squared norm and of a product by an element
 of Z[sqrt2], for the caller to sum; ``signs`` reads the signs of many values
-at once.  So other modules never
-read the three ints of a value, nor multiply them by the rule of the field.
+at once.  So other modules never read the three ints of a value, nor multiply
+them by the rule of the field.
 """
 
 from __future__ import annotations
@@ -327,24 +326,6 @@ def int_form(values: Sequence[RadicalScalar]) -> tuple[list[int], list[int], int
     return ps, qs, d
 
 
-def _pair_dot(ps: Sequence[int], qs: Sequence[int], xs: Sequence[int],
-              ys: Sequence[int]) -> tuple[int, int]:
-    """Ints (a, b) with sum((ps[i] + qs[i] sqrt2)(xs[i] + ys[i] sqrt2)) == a + b sqrt2."""
-    return (sum(map(mul, ps, xs)) + 2 * sum(map(mul, qs, ys)),
-            sum(map(mul, qs, xs)) + sum(map(mul, ps, ys)))
-
-
-def form_dot(form: tuple[Sequence[int], Sequence[int], int], xs: Sequence[int],
-             ys: Sequence[int]) -> RadicalScalar:
-    """Exact sum(values[i] * (xs[i] + ys[i] sqrt2)) for ``form = int_form(values)`` and ints.
-
-    A caller that sums against the same values many times takes their
-    ``int_form`` once; the total is reduced once.
-    """
-    ps, qs, d = form
-    return _reduced(*_pair_dot(ps, qs, xs, ys), d)
-
-
 def int_times(w: RadicalScalar, ps: Sequence[int], qs: Sequence[int]) -> tuple[list[int], list[int]]:
     """Ints of ``w * (ps[i] + qs[i] sqrt2)`` for ``w`` in Z[sqrt2], such as rho's powers.
 
@@ -363,15 +344,15 @@ def scaled_int_dot(parts: Iterable[tuple[RadicalScalar, tuple[Sequence[int], Seq
     (unit, form, xs, ys), with ``form = int_form(values)`` and ints xs and ys.
 
     A caller that sums against the same values many times prepares their
-    forms once.  Each part's two components are summed as ``form_dot`` sums
-    them, over its own denominator; its unit and the lcm of the denominators
-    are then applied to those ints, so the total is reduced once and no field
-    operation runs per part.
+    forms once.  Each part's dot is summed on ints over its own denominator;
+    its unit and the lcm of the denominators are then applied to those ints,
+    so the total is reduced once and no field operation runs per part.
     """
     x = y = 0
     d = 1
     for unit, (ps, qs, e), xs, ys in parts:
-        a, b = _pair_dot(ps, qs, xs, ys)
+        a = sum(map(mul, ps, xs)) + 2 * sum(map(mul, qs, ys))
+        b = sum(map(mul, qs, xs)) + sum(map(mul, ps, ys))
         up, uq, e = unit.p, unit.q, e * unit.d
         if e != d:  # bring the total and this part over lcm(d, e)
             m = lcm(d, e)

@@ -505,8 +505,10 @@ def random_quadratic_instance(
 ):
     """Random composite instance f + h with a known minimizer.
 
-    f is a quadratic with spectrum in [m_strong, m_smooth] (both endpoints
-    attained, so the declared constants are exact).  The minimizer x_* is
+    f is a quadratic with spectrum in [m_strong, m_smooth].  For dim >= 2
+    both endpoints are attained, so the declared constants are exact; at
+    dim = 1 the one eigenvalue is m_smooth, so the declared strong
+    convexity m_strong is only a lower bound.  The minimizer x_* is
     drawn first together with a subgradient s_* of h at x_*, and the linear
     term is back-solved so that grad f(x_*) = -s_*, which makes x_* the
     global minimizer of the composite objective.  ``h_kind`` is "zero",

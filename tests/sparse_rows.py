@@ -10,10 +10,12 @@ them entry by entry: an oracle independent of the checks, which prove the
 same structure by induction over the tree.  ``dense`` turns plain rows into
 a square list of lists for whole-matrix reads; ``with_entries`` builds an
 edited copy of plain rows that keeps the storage invariants, for negative
-controls.
+controls.  ``slack_term`` reads the identity's slack term off the tree, as a
+trial sums it.
 """
 
-from silverprox.exactnum import SQRT2, ZERO, rho_pow
+from silverprox.certificate import _SlackForm
+from silverprox.exactnum import ONE, SQRT2, ZERO, int_form, rho_pow, scaled_int_dot
 
 
 def rows(bar):
@@ -94,3 +96,9 @@ def laplacian_violation(rows):
         if total:
             return f"row {r} sums to {total}, not 0"
     return ""
+
+
+def slack_term(slack, cols):
+    """Tr(V S V^T) for V = cols = [w, s_1, ..., s_n, s_*], int columns, summed by ``_SlackForm``."""
+    form = _SlackForm(slack, len(cols[0]))
+    return scaled_int_dot([(ONE, int_form(form.units), *form.pairs(cols))])

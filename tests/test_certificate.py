@@ -17,7 +17,6 @@ from silverprox.certificate import (
     TAMPER_TARGETS,
     SparseRow,
     _PreparedIdentity,
-    _slack_term,
     _tree_violation,
     build_bundle,
     build_lambda,
@@ -43,6 +42,7 @@ from sparse_rows import (
     laplacian_violation,
     rows,
     schur_rows,
+    slack_term,
     symmetric,
     with_entries,
 )
@@ -387,6 +387,33 @@ def test_nonneg_closed_form_reads_values_over_a_common_denominator():
     report = check_multipliers_nonneg(replace(thirds, mu=replace(bundle.mu, bar=bar)))
     assert (report.passed, report.detail) == (False, (
         "mu_bar[6][0] = 1/3 + 0/1*sqrt2 deviates from closed form 0/1 + 0/1*sqrt2"))
+
+
+@pytest.mark.parametrize("edit, detail", [
+    # each of the first two raised IndexError, in the nonneg check and in _bar_term
+    ("mu_bar short", "mu_bar has 6 rows, not 7"),
+    ("column past the last point", "lambda_bar[0] reads column 8, outside 0..7"),
+    # these passed the nonneg check; the identity passed the first and read
+    # column -1 of the second as the last point
+    ("mu_star long", "mu_star has 8 entries, not 7"),
+    ("negative column", "lambda_bar[1] reads column -1, outside 0..7"),
+], ids=["mu_bar short", "column past the last point", "mu_star long", "negative column"])
+def test_malformed_multiplier_parts_fail_nonneg_and_the_identity(edit, detail):
+    bundle = build_bundle(3)
+    lam, mu = bundle.lam, bundle.mu
+    if edit == "mu_bar short":
+        bad = replace(bundle, mu=replace(mu, bar=mu.bar[:-1]))
+    elif edit == "mu_star long":
+        bad = replace(bundle, mu=replace(mu, star_row=mu.star_row + [ONE]))
+    else:
+        entry = (0, 8) if edit == "column past the last point" else (1, -1)
+        bad = replace(bundle, lam=replace(lam, bar=as_bar(with_entries(rows(lam.bar), {entry: ONE}))))
+    report = check_multipliers_nonneg(bad)
+    assert (report.passed, report.detail) == (False, detail)
+    with pytest.raises(ValueError, match=re.escape(detail)):
+        verify_descent_identity(3, trials=1, dim=2, bundle=bad)
+    with pytest.raises(ValueError, match=re.escape(detail)):
+        evaluate_identity(bad, sample_free_trace(bundle.pi, 2, random.Random(7)))
 
 
 def test_nonneg_closed_form_reads_the_last_row_as_its_triple_reads():
@@ -760,7 +787,7 @@ def test_recursive_slack_term_equals_dense_sum(k, seed):
     bundle = build_bundle(k)
     trace = sample_free_trace(bundle.pi, 3, random.Random(seed))
     cols = [trace.xs[0]] + trace.ss + [trace.s_star]
-    assert _slack_term(bundle.slack, cols) == _dense_slack_trace(bundle.slack, trace)
+    assert slack_term(bundle.slack, cols) == _dense_slack_trace(bundle.slack, trace)
 
 
 @settings(max_examples=30, deadline=None)
@@ -782,7 +809,7 @@ def test_slack_term_matches_dense_sum_on_scaled_trees(k, dim, edits, seed):
                                    -TREE_FACTORS[f] if flip else TREE_FACTORS[f])
     trace = sample_free_trace(bundle.pi, dim, random.Random(seed))
     cols = [trace.xs[0]] + trace.ss + [trace.s_star]
-    assert _slack_term(slack, cols) == _dense_slack_trace(slack, trace)
+    assert slack_term(slack, cols) == _dense_slack_trace(slack, trace)
 
 
 @pytest.mark.parametrize("dim", range(1, 5))
@@ -793,7 +820,7 @@ def test_slack_term_of_a_single_leaf(dim):
     for seed in range(4):
         trace = sample_free_trace(bundle.pi, dim, random.Random(seed))
         cols = [trace.xs[0]] + trace.ss + [trace.s_star]
-        assert _slack_term(bundle.slack, cols) == _dense_slack_trace(bundle.slack, trace)
+        assert slack_term(bundle.slack, cols) == _dense_slack_trace(bundle.slack, trace)
 
 
 def _rhs_by_definition(bundle, trace):
@@ -1012,15 +1039,21 @@ def test_identity_rejects_a_trace_with_non_int_field(field):
 
 
 @pytest.mark.parametrize("field", ["steps", "ss", "xs", "gs", "fs", "hs",
-                                   "xs[1]", "gs[2]", "ss[0]", "s_star"])
+                                   "xs[0]", "xs[1]", "gs[2]", "ss[0]", "s_star"])
 def test_identity_rejects_a_trace_of_the_wrong_shape(field):
     # a list field loses its last entry, a vector its last coordinate (x_0
-    # sets the dimension)
+    # sets the dimension); for xs[0] every vector is emptied, a well-shaped
+    # trace of dimension 0 (which raised "range() arg 3 must not be zero"
+    # inside the slack term's plan)
     bundle = build_bundle(2)
     trace = sample_free_trace(bundle.pi, 3, random.Random(7))
-    name, _, index = field.partition("[")
-    values = getattr(trace, name)
-    (values[int(index[:-1])] if index else values).pop()
+    if field == "xs[0]":
+        for vector in [*trace.xs, *trace.gs, *trace.ss, trace.s_star, trace.x_star]:
+            vector.clear()
+    else:
+        name, _, index = field.partition("[")
+        values = getattr(trace, name)
+        (values[int(index[:-1])] if index else values).pop()
     with pytest.raises(ValueError, match=rf"trace {re.escape(field)} has \d+ entries, not"):
         evaluate_identity(bundle, trace)
 

@@ -9,8 +9,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from silverprox import exactnum
-from silverprox.exactnum import (ONE, RHO, RHO_INV, SQRT2, ZERO, RadicalScalar, form_dot, int_form,
-                                 int_times, norm2_ints, rho_pow, scaled_int_dot, signs)
+from silverprox.exactnum import (ONE, RHO, RHO_INV, SQRT2, ZERO, RadicalScalar, int_form, int_times,
+                                 norm2_ints, rho_pow, scaled_int_dot, signs)
 
 
 class Ref:
@@ -114,19 +114,6 @@ def test_arithmetic_matches_reference(ab, operand):
 
 
 @settings(deadline=None)
-@given(st.lists(st.tuples(pairs, numerators, numerators), max_size=8))
-@example([])
-@example([((Fraction(1, 6), Fraction(-5, 4)), -3, 2), ((Fraction(2, 3), Fraction(0)), 7, 0)])
-def test_form_dot_matches_sum_of_products(terms):
-    # Values with d > 1 over ints x + y sqrt2 of either sign, on one common denominator.
-    values = [RadicalScalar(*ab) for ab, _, _ in terms]
-    xs, ys = [x for _, x, _ in terms], [y for _, _, y in terms]
-    got = form_dot(int_form(values), xs, ys)
-    assert got == sum((v * (SQRT2 * y + x) for v, x, y in zip(values, xs, ys)), ZERO)
-    assert got.d >= 1 and gcd(got.p, got.q, got.d) == 1
-
-
-@settings(deadline=None)
 @given(st.tuples(numerators, numerators), st.lists(pairs, max_size=8))
 @example((3, 2), [(Fraction(1, 6), Fraction(-5, 4)), (Fraction(2, 3), Fraction(0))])
 def test_int_times_keeps_the_common_denominator(w, components):
@@ -146,8 +133,11 @@ def test_int_times_keeps_the_common_denominator(w, components):
 @example([])
 @example([((Fraction(3), Fraction(2)), [((Fraction(1, 6), Fraction(-5, 4)), -3, 2)]),
           ((Fraction(1), Fraction(0)), [((Fraction(2, 3), Fraction(0)), 7, -1)])])
+@example([((Fraction(1), Fraction(0)), [((Fraction(1, 6), Fraction(-5, 4)), -3, 2),
+                                        ((Fraction(2, 3), Fraction(0)), 7, 0)])])
 def test_scaled_int_dot_matches_the_sum_of_scaled_dots(parts):
-    # Units and values with d > 1, each part over its own denominator.
+    # Units and values with d > 1 over ints x + y sqrt2 of either sign, each
+    # part over its own denominator; a single part of unit 1 is one dot.
     built = [(RadicalScalar(*unit), [RadicalScalar(*ab) for ab, _, _ in terms],
               [x for _, x, _ in terms], [y for _, _, y in terms]) for unit, terms in parts]
     got = scaled_int_dot([(unit, int_form(values), xs, ys) for unit, values, xs, ys in built])
