@@ -288,13 +288,17 @@ class CertificateBundle:
 
     @cached_property
     def _shape(self) -> str:
-        """Detail of the first multiplier part not shaped for order k, or "".
+        """Detail of the first of pi, c and the multiplier parts not shaped for order k, or "".
 
         Taken once per bundle, for the nonneg check and the identity, which
-        read the parts so: lambda's ``bar`` and ``star_row`` hold n + 1 rows
-        and entries, one per iterate, and mu's n, and every column a ``bar``
-        row reads, its offset plus a stored column, is one of the part's points.
+        read them so: pi and c hold n entries, lambda's ``bar`` and
+        ``star_row`` hold n + 1 rows and entries, one per iterate, and mu's n,
+        and every column a ``bar`` row reads, its offset plus a stored column,
+        is one of the part's points.
         """
+        for label, values in (("pi", self.pi), ("c", self.c)):
+            if len(values) != self.n:
+                return f"{label} has {len(values)} entries, not {self.n}"
         for label, mult, size in (("lambda", self.lam, self.n + 1), ("mu", self.mu, self.n)):
             if len(mult.bar) != size:
                 return f"{label}_bar has {len(mult.bar)} rows, not {size}"
@@ -734,6 +738,9 @@ class _SlackForm:
         # then ||sum_r gap_k[r] s_r||**2, the border -c of L, its corner and S's border
         self.gap_form, self.c_form = int_form(slack.gap), int_form(slack.c)
         self.border = list(slack.border.items())
+        for j, _ in self.border:  # V's columns are w, s_1, ..., s_n and s_*
+            if not 0 <= j <= 2**k:
+                raise ValueError(f"S's border reads column {j}, outside 0..{2**k}")
         self.units = units + [-ONE / self.gap_form[2] ** 2, ONE * -2 / self.c_form[2],
                               slack.corner, *(v for _, v in self.border)]
 
@@ -1059,8 +1066,8 @@ class _PreparedIdentity:
         n, view = self.bundle.n, self.view
         view.xs = xs if d == 1 else [[Fraction(x, d) for x in xi] for xi in xs]
         view.gs, view.ss, view.s_star, view.fs, view.hs, view.f_star, view.h_star = free[:7]
-        star = chain((cocoercivity_f(view, "*", j) for j in range(n + 1)),
-                     (cocoercivity_h(view, "*", j) for j in range(1, n + 1)))
+        star = ([cocoercivity_f(view, "*", j) for j in range(n + 1)]
+                + [cocoercivity_h(view, "*", j) for j in range(1, n + 1)])
         star_a = [(2 * d // co.denominator) * co.numerator for co in star]
         view.xs = view.gs = view.ss = None
         yield ONE, self.star_form, star_a, star_b

@@ -26,6 +26,7 @@ import sys
 from contextlib import nullcontext
 from dataclasses import InitVar, dataclass
 from fractions import Fraction
+from operator import neg
 from typing import TYPE_CHECKING, Callable
 
 from .exactnum import ONE, ZERO, rho_pow
@@ -295,12 +296,12 @@ def _reject_extra(params: dict) -> None:
 
 
 def _smooth_at(trace: Trace, i):
-    """(x, grad f, f) at trace index i, or at the optimum for i == "*"."""
+    """(x, grad f, f) at trace index i, or at the optimum for i == "*" (grad f = -s_*, lazily)."""
     if i != "*":
         return trace.xs[i], trace.gs[i], trace.fs[i]
     if trace.x_star is None or trace.s_star is None:
         raise ValueError("trace has no optimum data")
-    return trace.x_star, [-v for v in trace.s_star], trace.f_star
+    return trace.x_star, map(neg, trace.s_star), trace.f_star
 
 
 def _nonsmooth_at(trace: Trace, i):
@@ -317,16 +318,23 @@ def _nonsmooth_at(trace: Trace, i):
 def cocoercivity_f(trace: Trace, i, j):
     """Smooth interpolation slack between trace indices i and j (or "*").
 
-    Halved once, (2 (f_i - f_j - <g_j, x_i - x_j>) - ||g_i - g_j||**2) * HALF
-    is one ``Fraction`` operation on an int trace and exact on ints, Fractions
-    and RadicalScalars.  On floats it gives the bits of subtracting
+    One loop over the coordinates carries the left folds of <g_j, x_i - x_j>
+    and ||g_i - g_j||**2 together, each product and sum in ``_dot``'s order,
+    and HALF (2 (f_i - f_j - <g_j, x_i - x_j>) - ||g_i - g_j||**2) halves
+    once: one ``Fraction`` operation on an int trace, and exact on ints,
+    Fractions and RadicalScalars.  On floats it gives the bits of subtracting
     ``||g_i - g_j||**2 / 2`` wherever doubling neither overflows nor leaves a
     subnormal result.
     """
     if i == j:
         return 0
     (xi, gi, fi), (xj, gj, fj) = _smooth_at(trace, i), _smooth_at(trace, j)
-    return (2 * (fi - fj - _dot(gj, _sub(xi, xj))) - _norm2(_sub(gi, gj))) * HALF
+    inner = norm2 = 0
+    for a, b, c, e in zip(xi, xj, gi, gj):
+        inner = inner + e * (a - b)
+        u = c - e
+        norm2 = norm2 + u * u
+    return HALF * (2 * (fi - fj - inner) - norm2)
 
 
 def cocoercivity_h(trace: Trace, i, j):
@@ -334,7 +342,10 @@ def cocoercivity_h(trace: Trace, i, j):
     if i == j:
         return 0
     (xi, _, hi), (xj, sj, hj) = _nonsmooth_at(trace, i), _nonsmooth_at(trace, j)
-    return hi - hj - _dot(sj, _sub(xi, xj))
+    inner = 0
+    for a, b, e in zip(xi, xj, sj):
+        inner = inner + e * (a - b)
+    return hi - hj - inner
 
 
 # ---------------------------------------------------------------------------

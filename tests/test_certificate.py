@@ -269,6 +269,22 @@ def test_schur_negative_control_reads_s(col, value, detail):
     assert report.detail == detail
 
 
+@pytest.mark.parametrize("col", [12, -1, 9])
+def test_identity_rejects_a_border_column_outside_v(col):
+    # column 12 ended the identity in IndexError and -1 was read as s_*; V has columns 0..8
+    bundle = build_bundle(3)
+    slack = bundle.slack
+    bad = replace(bundle, slack=replace(slack, border=SparseRow({**slack.border, col: ONE})))
+    report = check_schur_psd(bad)
+    assert (report.passed, report.detail) == (
+        False, f"S[0][{col}] = 1/1 + 0/1*sqrt2, not 0/1 + 0/1*sqrt2")
+    detail = f"S's border reads column {col}, outside 0..8"
+    with pytest.raises(ValueError, match=re.escape(detail)):
+        verify_descent_identity(3, trials=1, dim=2, bundle=bad)
+    with pytest.raises(ValueError, match=re.escape(detail)):
+        evaluate_identity(bad, sample_free_trace(bundle.pi, 2, random.Random(7)))
+
+
 def test_schur_fails_on_tampered_slack():
     report = check_schur_psd(tamper_bundle(build_bundle(3), "slack"))
     assert report.detail == "S[0][0] = 1/1 + 1/2*sqrt2, not 0/1 + 1/2*sqrt2"
@@ -397,11 +413,18 @@ def test_nonneg_closed_form_reads_values_over_a_common_denominator():
     # column -1 of the second as the last point
     ("mu_star long", "mu_star has 8 entries, not 7"),
     ("negative column", "lambda_bar[1] reads column -1, outside 0..7"),
-], ids=["mu_bar short", "column past the last point", "mu_star long", "negative column"])
+    # a short pi stepped one iterate too few (IndexError in _bar_term); a short c passed all
+    ("pi short", "pi has 6 entries, not 7"),
+    ("c short", "c has 6 entries, not 7"),
+], ids=["mu_bar short", "column past the last point", "mu_star long", "negative column",
+        "pi short", "c short"])
 def test_malformed_multiplier_parts_fail_nonneg_and_the_identity(edit, detail):
     bundle = build_bundle(3)
     lam, mu = bundle.lam, bundle.mu
-    if edit == "mu_bar short":
+    if edit in ("pi short", "c short"):
+        field = edit.split()[0]
+        bad = replace(bundle, **{field: getattr(bundle, field)[:-1]})
+    elif edit == "mu_bar short":
         bad = replace(bundle, mu=replace(mu, bar=mu.bar[:-1]))
     elif edit == "mu_star long":
         bad = replace(bundle, mu=replace(mu, star_row=mu.star_row + [ONE]))

@@ -355,6 +355,45 @@ def test_cocoercivity_f_float_bits_unchanged():
             sq = sq + (p - q) * (p - q)
         return fi - fj - dot - sq / 2
 
+    # the kernels as list folds: (x, g, f) and (x, s, h) at index t or at the optimum "*"
+    def smooth_at(trace, t):
+        if t == "*":
+            return trace.x_star, [-v for v in trace.s_star], trace.f_star
+        return trace.xs[t], trace.gs[t], trace.fs[t]
+
+    def nonsmooth_at(trace, t):
+        if t == "*":
+            return trace.x_star, trace.s_star, trace.h_star
+        return trace.xs[t], trace.ss[t - 1], trace.hs[t]
+
+    def listed_f(trace, i, j):
+        (xi, gi, fi), (xj, gj, fj) = smooth_at(trace, i), smooth_at(trace, j)
+        return (2 * (fi - fj - solver._dot(gj, solver._sub(xi, xj)))
+                - solver._norm2(solver._sub(gi, gj))) * solver.HALF
+
+    def listed_h(trace, i, j):
+        (xi, _, hi), (xj, sj, hj) = nonsmooth_at(trace, i), nonsmooth_at(trace, j)
+        return hi - hj - solver._dot(sj, solver._sub(xi, xj))
+
+    def one_step_trace(dim, value):
+        vectors = [[value() for _ in range(dim)] for _ in range(6)]
+        fs, hs = [value(), value()], [value(), value()]
+        return Trace(steps=[1], xs=vectors[:2], gs=vectors[2:4], ss=[vectors[4]], fs=fs,
+                     hs=hs, Fs=fs, x_star=[value() for _ in range(dim)], s_star=vectors[5],
+                     f_star=value(), h_star=value())
+
+    def pairs_agree(trace, same):
+        for i, j in (("*", 0), ("*", 1), (0, "*"), (1, 0)):
+            assert same(cocoercivity_f(trace, i, j), listed_f(trace, i, j)), (i, j)
+        for i, j in (("*", 1), (1, "*")):
+            assert same(cocoercivity_h(trace, i, j), listed_h(trace, i, j)), (i, j)
+
+    exact_values = {
+        "int": lambda: rng.randint(-9, 9),
+        "Fraction": lambda: Fraction(rng.randint(-9, 9), rng.randint(1, 9)),
+        "RadicalScalar": lambda: RadicalScalar(Fraction(rng.randint(-9, 9), rng.randint(1, 9)),
+                                               Fraction(rng.randint(-9, 9), rng.randint(1, 9))),
+    }
     for _ in range(500):
         dim = rng.randint(1, 6)
         xs = [[rng.uniform(-1e3, 1e3) for _ in range(dim)] for _ in range(2)]
@@ -364,6 +403,11 @@ def test_cocoercivity_f_float_bits_unchanged():
         want = old_cocoercivity_f(xs[0], gs[0], fs[0], xs[1], gs[1], fs[1])
         assert type(got) is float
         assert got.hex() == want.hex()
+        pairs_agree(one_step_trace(dim, lambda: rng.uniform(-1e3, 1e3)),
+                    lambda a, b: type(a) is type(b) is float and a.hex() == b.hex())
+        for value in exact_values.values():
+            pairs_agree(one_step_trace(dim, value),
+                        lambda a, b: type(a) is type(b) and a == b)
 
 
 def test_cocoercivity_star_requires_optimum():
