@@ -88,9 +88,6 @@ from .solver import Trace, cocoercivity_f, cocoercivity_h
 
 INV_SQRT2 = RadicalScalar(0, Fraction(1, 2))  # 1/sqrt2 = sqrt2/2
 RHO_OVER_2SQRT2 = RadicalScalar(Fraction(1, 2), Fraction(1, 4))  # rho/(2 sqrt2)
-# Multiplier entries whose integer co-coercivities a trial holds at once: up to
-# k=8 each rho**2 power and denominator of a part is one chunk (_bar_rows).
-BAR_CHUNK = 8192
 # Stored rows of at least PACK_ROW entries are summed by packed int dots, in
 # parts where they hold PACK_EXCESS entries beyond PACK_ROW per row (_bar_rows).
 PACK_ROW = 8
@@ -823,9 +820,8 @@ def _bar_term(d: int, xs: list, ys: list, parts, star_b: list) -> Iterator[tuple
     b_j = 2d v_j + e ||g_j||**2 - 2 <g_j, X_j> and z_i = X_i - e g_i (X_i
     itself for e = 0), and B = gy_j - 2 <g_j, Y_i> for gy_j = 2 <g_j, Y_j>.
 
-    Each chunk of a part's plan (``_bar_rows``) becomes one part of the sum:
-    its unit rho**(2 power), its weight ints over its denominator, and the
-    A and B of its entries, in the weights' order.  A short row's copy at
+    Each group of a part's plan (``_bar_rows``) becomes one part of the sum,
+    the A and B of its entries in its weights' order.  A short row's copy at
     offset o reads entry (o + diag, o + c) for each stored column c.  A
     packed row's copy reads its points from o + lo on, each packed once per
     trial into one int P_j whose signed W-bit lanes hold (g_j, b_j, gy_j), so
@@ -833,14 +829,14 @@ def _bar_term(d: int, xs: list, ys: list, parts, star_b: list) -> Iterator[tuple
     over the row's points, and their lanes give
     sum(ps A) = a_i sum(ps) - U_b - 2 <U_g, z_i> and
     sum(ps B) = U_gy - 2 <U_g, Y_i>, and the same in V: the ints the row's
-    entries would add, which the chunk's packed copies add up in its one
-    entry of weight (1, 0).  A lane of U or V is at most the part's largest
-    lane value times ``bound``, the largest sum(|ps|) or sum(|qs|) of its
-    packed rows, so W, set per part and trial from that product plus a sign
-    and a margin bit, keeps every lane exact for any int trace.  The parts are
-    made one chunk at a time, as the sum reads them, so the trial's integer
-    lists stay bounded.  Each part's gy joins ``star_b``, the optimum rows'
-    B, as the part begins.
+    entries would add, which the group's packed copies add up in its last
+    entry.  A lane of U or V is at most the part's largest lane value times
+    ``bound``, the largest sum(|ps|) or sum(|qs|) of its packed rows, so W,
+    set per part and trial from that product plus a sign and a margin bit,
+    keeps every lane exact for any int trace.  The parts are made one group
+    at a time, as the sum reads them, and each group's A and B lists are
+    freed before the next group's are made.  Each part's gy joins
+    ``star_b``, the optimum rows' B, as the part begins.
     """
     for plan, bound, start, grads, values, smooth in parts:
         xs_p, y = xs[start:], ys[start:]
@@ -883,24 +879,25 @@ def _bar_term(d: int, xs: list, ys: list, parts, star_b: list) -> Iterator[tuple
                 big_a.append(pa)
                 big_b.append(pb)
             yield unit, form, big_a, big_b
+            del big_a, big_b  # freed before the next group's lists are made
 
 
 def _bar_rows(bar: list) -> tuple[list, int | None]:
-    """(plan, bound): the chunks in which ``_bar_term`` sums the rows of ``bar``.
+    """(plan, bound): the groups in which ``_bar_term`` sums the rows of ``bar``.
 
     The rows are grouped by (power, d), d the denominator of the stored
-    row's integer form, and each group is cut into chunks, each closed once
-    it holds ``BAR_CHUNK`` entries.  A chunk is (rho**(2 power), weights,
-    short, packed), weights the int form (ps, qs, d) of its entries in order.
-    A short block (offsets, diag, cols) is one stored row's copies in the
-    chunk, row o + diag at offset o for each o of offsets, and adds its ps
-    and qs to the weights once per copy.  A long row, of at least
-    ``PACK_ROW`` entries, is summed packed if the part's long rows hold at
-    least ``PACK_EXCESS`` entries beyond ``PACK_ROW`` per row of ``bar`` (mu
-    from k=6, lambda from k=7): its block (offsets, diag, lo, ps, qs,
-    sum(ps), sum(qs)) holds its form made dense over the columns lo, lo + 1,
-    ... (a stored row's columns are contiguous but for at most one), and a
-    chunk's packed copies share its last entry, of weight ints (1, 0).
+    row's integer form, and each group is one plan entry (rho**(2 power),
+    weights, short, packed), weights the int form (ps, qs, d) of its entries
+    in order.  Each distinct stored row's form is taken once.  A short block
+    (offsets, diag, cols) is one stored row's copies in the group, row
+    o + diag at offset o for each o of offsets, and adds its ps and qs to the
+    weights once per copy.  A long row, of at least ``PACK_ROW`` entries, is
+    summed packed if the part's long rows hold at least ``PACK_EXCESS``
+    entries beyond ``PACK_ROW`` per row of ``bar`` (mu from k=6, lambda from
+    k=7): its block (offsets, diag, lo, ps, qs, sum(ps), sum(qs)) holds its
+    form made dense over the columns lo, lo + 1, ... (a stored row's columns
+    are contiguous but for at most one), and a group's packed copies share
+    its last entry, of weight ints (1, 0).
     ``bound`` is the largest sum(|ps|) or sum(|qs|) of the packed rows,
     None if none packs.  So the plan holds O(triples + stored entries)
     ints.  The rule follows the two paths' costs (2-core x86 host,
@@ -931,29 +928,19 @@ def _bar_rows(bar: list) -> tuple[list, int | None]:
         groups.setdefault((power, d), {}).setdefault((id(row), i - offset), []).append(offset)
     plan = []
     for (power, d), blocks in groups.items():
-        size = BAR_CHUNK
+        wp, wq, short, packed = [], [], [], []
         for (key, diag), offsets in blocks.items():
             _, weights, fields = forms[key]
-            block = None
-            for offset in offsets:
-                if size >= BAR_CHUNK:  # a new chunk
-                    wp, wq, short, packed = [], [], [], []
-                    plan.append((rho_pow(2 * power), (wp, wq, d), short, packed))
-                    size, block = 0, None
-                if block is None:
-                    block = []
-                    (short if weights else packed).append((block, diag, *fields))
-                block.append(offset)
-                if weights:
-                    wp += weights[0]
-                    wq += weights[1]
-                    size += len(weights[0])
-                else:
-                    size += 1
-    for _, (wp, wq, _), _, packed in plan:  # the packed copies' one entry, last
-        if packed:
+            if weights:
+                short.append((offsets, diag, *fields))
+                wp += weights[0] * len(offsets)
+                wq += weights[1] * len(offsets)
+            else:
+                packed.append((offsets, diag, *fields))
+        if packed:  # the packed copies' one entry, last
             wp.append(1)
             wq.append(0)
+        plan.append((rho_pow(2 * power), (wp, wq, d), short, packed))
     return plan, bound
 
 
@@ -962,10 +949,8 @@ class _PreparedIdentity:
 
     What depends only on the bundle is prepared once, at construction, in
     integer form (``exactnum.int_form``): each part's plan of its ``bar``
-    rows (``_bar_rows``: each distinct stored row over its own denominator,
-    dense for a packed row, the rows cut into chunks of one rho**2 power
-    whose weight ints are concatenated once), the optimum rows, pi (the
-    steps), u's coefficients, the slack tree's levels with its node walk
+    rows (``_bar_rows``), the optimum rows, pi (the steps), u's
+    coefficients, the slack tree's levels with its node walk
     (``_SlackForm``), and one form of every unit of the right side, which
     holds O(k**2) units: 2 rho**k - 1, rho/(2 sqrt2), u's, and three per
     level and copy count of the tree's nodes.  So is the solver ``Trace``
@@ -981,12 +966,12 @@ class _PreparedIdentity:
     (``evaluate_identity`` checks).  ``_sides`` then does only the trace's
     own integer work, each side one sum of ints against the prepared forms,
     reduced once: the left side is one ``scaled_int_dot`` over the ``bar``
-    chunks (``_bar_term``) and the optimum rows (``_optimum_rows``), divided
-    by 2d, and the right side one ``scaled_int_dot`` part over the gap term
-    f_* + h_* - f_n - h_n, ||w||**2, ||u||**2 and the slack term's ints
-    (``_SlackForm.pairs``, O(n k dim) integer work).  A trial makes no other
-    field operation, and its integer lists beyond the trace's own stay
-    within a chunk of ``BAR_CHUNK`` entries.
+    rows' groups (``_bar_term``) and the optimum rows (``_optimum_rows``),
+    divided by 2d, and the right side one ``scaled_int_dot`` part over the
+    gap term f_* + h_* - f_n - h_n, ||w||**2, ||u||**2 and the slack term's
+    ints (``_SlackForm.pairs``, O(n k dim) integer work).  A trial makes no
+    other field operation, and beyond the trace's own lists it holds one
+    group's A and B at a time.
     """
 
     def __init__(self, bundle: CertificateBundle, dim: int):
@@ -1108,17 +1093,17 @@ def verify_descent_identity(
     is reported with the offending trial.  ``bundle`` defaults to
     ``build_bundle(k)``; a negative control passes a ``tamper_bundle`` copy,
     which is expected to make trials fail.  A ``bundle`` that is not a
-    ``CertificateBundle`` or is of another order than ``k``, a ``trials``,
-    ``dim`` or ``seed`` that is a bool or not an int (an int subclass such as
-    an ``IntEnum`` is one, as for ``_require_int``) and a negative ``seed``
-    (``random.Random`` would draw the trials of ``-seed``) raise ``ValueError``.
+    ``CertificateBundle`` or is of another order than ``k``, and a ``trials``
+    or ``dim`` that is not an int >= 1 or a ``seed`` that is not an int >= 0
+    (``_require_int``; ``random.Random`` would draw the trials of ``-seed``)
+    raise ``ValueError``.
     The bundle's side of the identity is prepared once for all trials
     (``_PreparedIdentity``), and the traces it draws, as ``sample_free_trace``
     draws them, are not checked again.
     """
-    if (any(isinstance(v, bool) or not isinstance(v, int) for v in (trials, dim, seed))
-            or min(trials, dim) < 1 or seed < 0):
-        raise ValueError(f"need int trials, dim >= 1 and seed >= 0, got {trials}, {dim}, {seed}")
+    _require_int(trials, "trials")
+    _require_int(dim, "dim")
+    _require_int(seed, "seed", 0)
     if bundle is None:
         bundle = build_bundle(k)
     _require_bundle(bundle)

@@ -207,10 +207,7 @@ class RadicalScalar:
     def _diff_sign(self, other) -> int:
         if type(other) is int:  # (p - other d) + q sqrt2, with no value allocated
             return _sign(self.p - other * self.d, self.q)
-        diff = self - other
-        if diff is NotImplemented:
-            raise TypeError(f"cannot compare RadicalScalar with {type(other).__name__}")
-        return diff.sign()
+        return (self - other).sign()  # an operand it cannot subtract raises TypeError
 
     def __lt__(self, other):
         return self._diff_sign(other) < 0
@@ -360,6 +357,7 @@ def scaled_int_dot(parts: Iterable[tuple[RadicalScalar, tuple[Sequence[int], Seq
         f = d // e
         x += f * (up * a + 2 * uq * b)
         y += f * (uq * a + up * b)
+        del xs, ys  # freed before a lazy ``parts`` makes the next part's lists
     return _reduced(x, y, d)
 
 

@@ -448,11 +448,11 @@ def restart_solve(
         raise ValueError("restart_solve needs strong convexity m > 0")
     if not epsilon > 0:
         raise ValueError("epsilon must be positive")
+    if problem.optimum is None:
+        raise ValueError("restart_solve needs an instance with known optimum")
     kappa = problem.smooth.smoothness / m
     k = restart_epoch_order(kappa)
     sched = [v.to_float() for v in silver_schedule(k)]
-    if problem.optimum is None:
-        raise ValueError("restart_solve needs an instance with known optimum")
 
     x = list(x0)
     guaranteed = math.sqrt(_norm2(_sub(x0, problem.optimum)))

@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 
 from silverprox import certificate, exactnum, schedule
 from silverprox.certificate import (
-    BAR_CHUNK,
     TAMPER_TARGETS,
     SparseRow,
     _PreparedIdentity,
@@ -956,28 +955,26 @@ def _with_long_row_edited(bundle, part):
 @settings(max_examples=16, deadline=None)
 @given(k=st.integers(1, 8), dim=st.integers(1, 4),
        target=st.sampled_from((None, "long lam", "long mu") + TAMPER_TARGETS),
-       thirds=st.booleans(), chunk=st.sampled_from((BAR_CHUNK, 1, 7)),
-       scale=st.sampled_from((1, 2**70)), seed=st.integers(0, 2**32 - 1))
-@example(k=8, dim=4, target=None, thirds=True, chunk=BAR_CHUNK, scale=1, seed=0)
-@example(k=6, dim=3, target="lambda", thirds=True, chunk=7, scale=1, seed=1)
-@example(k=3, dim=3, target="mu", thirds=False, chunk=1, scale=1, seed=2)
-@example(k=2, dim=1, target="slack", thirds=True, chunk=BAR_CHUNK, scale=1, seed=3)
-@example(k=4, dim=4, target="u", thirds=False, chunk=7, scale=1, seed=4)
+       thirds=st.booleans(), scale=st.sampled_from((1, 2**70)), seed=st.integers(0, 2**32 - 1))
+@example(k=8, dim=4, target=None, thirds=True, scale=1, seed=0)
+@example(k=6, dim=3, target="lambda", thirds=True, scale=1, seed=1)
+@example(k=3, dim=3, target="mu", thirds=False, scale=1, seed=2)
+@example(k=2, dim=1, target="slack", thirds=True, scale=1, seed=3)
+@example(k=4, dim=4, target="u", thirds=False, scale=1, seed=4)
 # long rows take the packed path: mu's from k=6, lambda's from k=7
-@example(k=6, dim=1, target=None, thirds=True, chunk=BAR_CHUNK, scale=1, seed=5)
-@example(k=6, dim=4, target=None, thirds=True, chunk=BAR_CHUNK, scale=1, seed=6)
-@example(k=7, dim=1, target=None, thirds=True, chunk=BAR_CHUNK, scale=1, seed=7)
-@example(k=7, dim=4, target=None, thirds=True, chunk=7, scale=1, seed=8)
-@example(k=8, dim=1, target=None, thirds=True, chunk=BAR_CHUNK, scale=1, seed=9)
-@example(k=8, dim=4, target=None, thirds=True, chunk=BAR_CHUNK, scale=2**70, seed=10)
-@example(k=7, dim=2, target="long lam", thirds=True, chunk=BAR_CHUNK, scale=1, seed=11)
-@example(k=6, dim=2, target="long mu", thirds=False, chunk=BAR_CHUNK, scale=1, seed=12)
-def test_identity_lhs_matches_cocoercivity_sum(k, dim, target, thirds, chunk, scale, seed):
+@example(k=6, dim=1, target=None, thirds=True, scale=1, seed=5)
+@example(k=6, dim=4, target=None, thirds=True, scale=1, seed=6)
+@example(k=7, dim=1, target=None, thirds=True, scale=1, seed=7)
+@example(k=7, dim=4, target=None, thirds=True, scale=1, seed=8)
+@example(k=8, dim=1, target=None, thirds=True, scale=1, seed=9)
+@example(k=8, dim=4, target=None, thirds=True, scale=2**70, seed=10)
+@example(k=7, dim=2, target="long lam", thirds=True, scale=1, seed=11)
+@example(k=6, dim=2, target="long mu", thirds=False, scale=1, seed=12)
+def test_identity_lhs_matches_cocoercivity_sum(k, dim, target, thirds, scale, seed):
     # Steps pi / 3 put the iterates over d = 3**m, so the integer form takes
-    # the common-denominator path; silver steps keep d = 1.  Small chunks
-    # split each multiplier part over several sums, as high orders do.  Free
-    # ints scaled by 2**70 widen the packed lanes of the long rows, and a
-    # "long" target edits one entry of the longest stored row of a part.
+    # the common-denominator path; silver steps keep d = 1.  Free ints scaled
+    # by 2**70 widen the packed lanes of the long rows, and a "long" target
+    # edits one entry of the longest stored row of a part.
     bundle = build_bundle(k)
     steps = [p / 3 for p in bundle.pi] if thirds else bundle.pi
     trace = _scaled_trace(sample_free_trace(steps, dim, random.Random(seed)), scale)
@@ -985,8 +982,7 @@ def test_identity_lhs_matches_cocoercivity_sum(k, dim, target, thirds, chunk, sc
         bundle = _with_long_row_edited(bundle, target[5:])
     elif target is not None:
         bundle = tamper_bundle(bundle, target)
-    with mock.patch.object(certificate, "BAR_CHUNK", chunk):
-        lhs, _ = evaluate_identity(bundle, trace)
+    lhs, _ = evaluate_identity(bundle, trace)
     assert lhs == _lhs_by_definition(bundle, trace)
 
 
@@ -1007,7 +1003,12 @@ def test_long_rows_pack_in_mu_from_k6_and_in_lambda_from_k7():
             assert all(m >= certificate.PACK_ROW for m in entries.values())
             assert bound == (max(sum(map(abs, w)) for pair in packed.values() for w in pair)
                              if packed else None)
-            # every entry the rows read is in the plan once; a chunk weighs each
+            # one group per (rho**2 power, stored row's denominator) of the part
+            groups = {(rho_pow(2 * power), exactnum.int_form(row.values())[2])
+                      for row, power, _ in mult.bar if row}
+            keys = [(unit, d) for unit, (_, _, d), _, _ in plan]
+            assert len(set(keys)) == len(keys) and set(keys) == groups
+            # every entry the rows read is in the plan once; a group weighs each
             # short entry, then its packed copies' one sum
             read = 0
             for _, (wp, wq, _), short, blocks in plan:
@@ -1247,7 +1248,9 @@ def test_identity_rejects_a_trace_of_another_order():
 
 @pytest.mark.parametrize("argument", [{"trials": 2.5}, {"dim": 2.0}, {"seed": 1.5}, {"seed": True}])
 def test_identity_rejects_non_int_arguments(argument):
-    with pytest.raises(ValueError, match="need int trials"):
+    [(name, value)] = argument.items()
+    least = 0 if name == "seed" else 1
+    with pytest.raises(ValueError, match=rf"^{name} must be an int >= {least}, got {value}$"):
         verify_descent_identity(1, **argument)
 
 
@@ -1257,7 +1260,7 @@ def test_identity_takes_an_int_subclass_as_the_builders_do():
 
     report = verify_descent_identity(2, trials=3, dim=D.TWO)
     assert report == verify_descent_identity(2, trials=3, dim=2) and report.passed
-    with pytest.raises(ValueError, match=r"need int trials, dim >= 1 and seed >= 0"):
+    with pytest.raises(ValueError, match=r"dim must be an int >= 1, got '2'"):
         verify_descent_identity(2, dim="2")
 
 
@@ -1385,7 +1388,7 @@ def test_identity_rejects_bad_arguments():
         verify_descent_identity(1, trials=0)
     with pytest.raises(ValueError):
         verify_descent_identity(1, dim=0)
-    with pytest.raises(ValueError, match="got 20, 4, -1"):
+    with pytest.raises(ValueError, match="seed must be an int >= 0, got -1"):
         verify_descent_identity(1, seed=-1)
     with pytest.raises(ValueError):
         build_bundle(0)

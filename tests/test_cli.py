@@ -148,6 +148,10 @@ def test_max_k_cap(capsys, monkeypatch):
     monkeypatch.setenv("SILVERPROX_MAX_K", "10")
     code, _, _ = run(capsys, "cert", "verify", "--k", "4", "--trials", "2")
     assert code == 0
+    monkeypatch.setenv("SILVERPROX_MAX_K", "abc")
+    code, _, err = run(capsys, "cert", "verify", "--k", "4", "--trials", "2")
+    assert code == 2
+    assert "SILVERPROX_MAX_K must be an integer" in err
 
 
 def test_solve_lower_bound_exact(tmp_path, capsys):
@@ -230,6 +234,12 @@ def test_solve_constant_schedule(capsys):
         "--schedule", "constant:-1",
     )
     assert code == 2
+    code, _, err = run(
+        capsys, "solve", "--problem", "lower-bound", "--k", "3", "--exact",
+        "--schedule", "constant:2",
+    )
+    assert code == 2
+    assert "exact mode supports only constant:1" in err
 
 
 @pytest.mark.parametrize("argv", [
@@ -416,6 +426,12 @@ def test_bench_sound_and_deterministic(tmp_path, capsys):
         for row in constant:
             expected = dist2 / (4 * int(row["n"]))
             assert float(row["bound"]) == pytest.approx(expected, rel=1e-12)
+    # a gap above its bound fails the run, after every row is printed
+    with mock.patch("silverprox.cli.rate_bound", return_value=0.0):
+        code, out, err = run(capsys, "bench", "--k", "1..3", "--seed", "2", "--dim", "5")
+    assert code == 1
+    assert len(out.splitlines()) == len(rows)
+    assert err == "bench: soundness violation, some F_gap exceeds its bound\n"
 
 
 def test_bench_exact_mode_and_timings(tmp_path, capsys):

@@ -70,6 +70,8 @@ def test_comparisons():
     assert RHO > 2
     assert SQRT2 >= SQRT2
     assert RadicalScalar(1, 0) <= Fraction(3, 2)
+    with pytest.raises(TypeError, match="'RadicalScalar' and 'str'"):
+        RadicalScalar(1) < "a"
 
 
 def test_rho_pow_values():
@@ -121,3 +123,7 @@ def test_mixed_scalar_arithmetic():
     assert 1 / RHO == RadicalScalar(-1, 1)
     assert 2 - SQRT2 == RadicalScalar(2, -1)
     assert abs(RadicalScalar(1, -1)) == RadicalScalar(-1, 1)
+    assert +RHO is RHO
+    for reflected in (lambda: "a" - RHO, lambda: "a" / RHO):
+        with pytest.raises(TypeError, match="'str' and 'RadicalScalar'"):
+            reflected()

@@ -170,6 +170,9 @@ def test_lower_bound_run_exact():
     assert trace.Fs[-1] - trace.F_star == gap
     # recovered subgradients: no clipping happens, so s = 0 throughout
     assert all(s == [ZERO] for s in trace.ss)
+    # without a known optimal value, F_* is f_* + h_* at the optimum
+    unvalued = proximal_gd_run(replace(problem, optimal_value=None), silver_schedule(2), [ONE])
+    assert unvalued.F_star == unvalued.f_star + unvalued.h_star == trace.F_star
 
 
 def test_lower_bound_values():
@@ -417,8 +420,10 @@ def test_cocoercivity_star_requires_optimum():
         dimension=1,
     )
     trace = proximal_gd_run(problem, [1.0], [1.0])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="trace has no optimum data"):
         cocoercivity_f(trace, "*", 0)
+    with pytest.raises(ValueError, match="trace has no optimum data"):
+        cocoercivity_h(trace, "*", 1)
     with pytest.raises(ValueError):
         cocoercivity_h(trace, 1, 0)  # no subgradient exists at index 0
 
@@ -571,6 +576,17 @@ def test_restart_rejects_subnormal_strong_convexity(monkeypatch):
                       smooth=replace(simple_quadratic().smooth, strong_convexity=5e-324))
     with pytest.raises(ValueError, match="finite"):
         restart_solve(problem, 1e-3, [1.0])
+
+
+def test_restart_rejects_an_unknown_optimum_before_building_a_schedule(monkeypatch):
+    # the epoch order of a large kappa asks for millions of steps (k=25 at 1e9),
+    # so the missing optimum must be found first
+    def no_schedule(k):
+        raise AssertionError(f"silver_schedule({k}) built for an instance without optimum")
+
+    monkeypatch.setattr(solver, "silver_schedule", no_schedule)
+    with pytest.raises(ValueError, match="restart_solve needs an instance with known optimum"):
+        restart_solve(replace(simple_quadratic(), optimum=None), 1e-3, [1.0])
 
 
 def test_restart_requires_strong_convexity():
