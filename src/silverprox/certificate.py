@@ -210,15 +210,17 @@ class SlackMatrix:
         rho**2 > 0, so the off-diagonals of every core'_j are <= 0 once each
         level's gap and pi are >= 0; L's are then <= 0 once gap_k >= 0 and
         c >= 0.  Row sums of core'_j follow
-        ``rs'_{j+1} = [rs'_j + B_lo, sum(B_j), rho**2 rs'_j + B_hi]``.  The row
-        sums are not run on a tree of the wrong shape or signs.
+        ``rs'_{j+1} = [rs'_j + B_lo, sum(B_j), rho**2 rs'_j + B_hi]``.  Every
+        size, c's too, follows from the order k, one more than the levels, and
+        the row sums are not run on a tree of the wrong shape or signs.
 
         Signs are read from each value's integer form, and the sums run on one
         ``int_form`` of the tree's values, over one denominator d: a value is
         kept as the ints p and q of (p + q sqrt2) / d, and ``int_times`` keeps
         it over d when multiplied by a power of rho, which is in Z[sqrt2].
         """
-        n, k = len(self.c), len(self.levels) + 1
+        k = len(self.levels) + 1
+        n = 2**k - 1
         sized = [(f"level {j} {part}", getattr(level, part), 2**j - 1)
                  for j, level in enumerate(self.levels, start=1) for part in ("gap", "pi")]
         sized += [(f"level {k} gap", self.gap, n), ("c", self.c, n)]
@@ -552,24 +554,6 @@ def check_multipliers_nonneg(bundle: CertificateBundle) -> CheckReport:
     return CheckReport("nonneg", True)
 
 
-def _tree_violation(slack: SlackMatrix, schur: bool) -> str:
-    """Detail of the first failure of the tree's Laplacian induction, or "".
-
-    Proves that L (or its Schur complement L - sqrt2 v v^T, v = e_0 - e_n)
-    has nonpositive off-diagonals and zero row sums.  Both read the one
-    induction of ``SlackMatrix._induction``; the Schur step raises only the
-    off-diagonal [0][n] to sqrt2 - c[0], so it adds the test c[0] >= sqrt2,
-    and it moves no row sum.
-    """
-    prefix = "Schur complement " if schur else ""
-    shape, rows = slack._induction
-    if shape:
-        return prefix + shape
-    if schur and slack.c[0] < SQRT2:
-        return f"{prefix}c[0] = {slack.c[0]} < sqrt2"
-    return (prefix or "L ") + rows if rows else ""
-
-
 def check_laplacian(bundle: CertificateBundle) -> CheckReport:
     """Exact Laplacian structure of the bordered slack matrix L, by induction over its tree.
 
@@ -577,7 +561,8 @@ def check_laplacian(bundle: CertificateBundle) -> CheckReport:
     off-diagonal entry of L, and of each core'_j (so of the core of L plus
     the companion-gap outer product), is nonpositive.
     """
-    detail = _tree_violation(bundle.slack, schur=False)
+    shape, rows = bundle.slack._induction
+    detail = shape or ("L " + rows if rows else "")
     return CheckReport("laplacian", not detail, detail)
 
 
@@ -596,17 +581,21 @@ def check_schur_psd(bundle: CertificateBundle) -> CheckReport:
 
     The corner of S is 1/sqrt2 > 0, so S is positive semidefinite iff
     L - sqrt2 * v v^T with v = -e_1 + e_{n+1} is.  That matrix is shown to
-    be Laplacian by the tree induction of ``check_laplacian``: it changes
+    be Laplacian by the tree induction that ``check_laplacian`` reads: it changes
     no row sum and one off-diagonal, sqrt2 - c_1, which needs c_1 >= sqrt2.
     Then the stored border is checked to be exactly that one, so the proof
     is about the stored S.
     """
-    n = bundle.n
-    violation = (_tree_violation(bundle.slack, schur=True)
-                 or _border_violation(bundle.slack.border, n))
+    n, slack = bundle.n, bundle.slack
+    shape, rows = slack._induction
+    if shape:  # so c holds n >= 1 entries when c[0] is read
+        return CheckReport("schur", False, "Schur complement " + shape)
+    if slack.c[0] < SQRT2:
+        return CheckReport("schur", False, f"Schur complement c[0] = {slack.c[0]} < sqrt2")
+    violation = "Schur complement " + rows if rows else _border_violation(slack.border, n)
     if violation:
         return CheckReport("schur", False, violation)
-    corner = SQRT2 - bundle.slack.c[0]
+    corner = SQRT2 - slack.c[0]
     detail = f"corner entry (1,{n + 1}) = {corner} <= 0 since c_1 >= sqrt2"
     return CheckReport("schur", True, detail)
 

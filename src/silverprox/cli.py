@@ -34,7 +34,7 @@ from .certificate import (
     verify_descent_identity,
 )
 from .exactnum import ONE
-from .schedule import silver_levels, silver_schedule
+from .schedule import c_sequence, silver_schedule
 from .solver import (
     _norm2,
     _sub,
@@ -116,7 +116,7 @@ def _require_dim_and_seed(args) -> None:
 
 def cmd_schedule(args) -> int:
     k = _single_k(args)
-    *_, (pi, c) = silver_levels(k)
+    pi, c = silver_schedule(k), c_sequence(k)
     sections = [(name, seq) for name, seq in (("pi", pi), ("c", c)) if args.seq in (name, "both")]
     for label, seq in sections:
         print(f"# {label} k={k} entries={len(seq)}")

@@ -397,7 +397,9 @@ def rho_pow(j: int) -> RadicalScalar:
     rho**-m = (-1)**m (p - q sqrt2), because rho (1 - sqrt2) = -1.
     """
     if type(j) is not int:
-        raise ValueError(f"rho_pow needs an int exponent, got {j!r}")
+        if isinstance(j, bool) or not isinstance(j, int):
+            raise ValueError(f"rho_pow needs an int exponent, got {j!r}")
+        j = int(j)
     value = _rho_cache.get(j)
     if value is None:
         chain, m = [], abs(j)

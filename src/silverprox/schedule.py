@@ -17,11 +17,10 @@ rate certificate.  It starts from c(1) = [2(rho-1)] and doubles as
               rho*c(k) - (rho - 1 - rho**-k)*pi(k)],
 
 which keeps sum(pi(k)) = rho**k - 1, sum(c(k)) = 2(rho**k - 1), and
-c(k) >= pi(k) entrywise -- all exactly, and all checked in the tests.  Since
-pi(j) is the prefix of pi(k), one doubling yields every order: ``silver_levels``
-gives (pi(j), c(j)) for j = 1..k, and ``c_sequence`` is its last item.  One
-level of each doubling is ``pi_double`` and ``c_double``; the certificate
-applies them once per order, to the order below.  Both also hold from the empty order 0:
+c(k) >= pi(k) entrywise -- all exactly, and all checked in the tests.  One
+level of each doubling is ``pi_double`` and ``c_double``; ``c_sequence``
+applies both k - 1 times from order 1, and the certificate applies them once
+per order, to the order below.  Both also hold from the empty order 0:
 pi(1) = [rho**-1 + 1] = [sqrt2] and c(1) = [2 (rho**-1 + 1)] = [2 sqrt2].
 
 The rate constant the certificate proves, rho / (sqrt2 (4 rho**k - 2)), is
@@ -30,8 +29,6 @@ where the solver finds it without loading the certificate checker.
 """
 
 from __future__ import annotations
-
-from collections.abc import Iterator
 
 from .exactnum import ONE, RHO, SQRT2, RadicalScalar, rho_pow
 
@@ -79,26 +76,12 @@ def c_double(j: int, pi: list[RadicalScalar], c: list[RadicalScalar]) -> list[Ra
     return pi + [mid] + [RHO * cj - drag * pj for cj, pj in zip(c, pi)]
 
 
-def silver_levels(k: int) -> Iterator[tuple[list[RadicalScalar], list[RadicalScalar]]]:
-    """(pi(j), c(j)) for j = 1..k, from one pi(k): pi(j) is its prefix of length 2**j - 1.
-
-    ``k`` is checked on the call, before the first level is asked for.
-    """
-    return _levels(k, silver_schedule(k))
-
-
-def _levels(k: int, pi: list[RadicalScalar]) -> Iterator[tuple[list, list]]:
-    c = [SQRT2 * 2]
-    for j in range(1, k):
-        head = pi[:len(c)]
-        yield head, c
-        c = c_double(j, head, c)
-    yield pi, c
-
-
 def c_sequence(k: int) -> list[RadicalScalar]:
     """Companion sequence c(k) of length 2**k - 1."""
-    *_, (_, c) = silver_levels(k)
+    _require_int(k, "order k")
+    pi, c = [SQRT2], [SQRT2 * 2]
+    for j in range(1, k):
+        pi, c = pi_double(j, pi), c_double(j, pi, c)
     return c
 
 

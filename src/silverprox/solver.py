@@ -296,8 +296,10 @@ def _reject_extra(params: dict) -> None:
 
 
 def _smooth_at(trace: Trace, i):
-    """(x, grad f, f) at trace index i, or at the optimum for i == "*" (grad f = -s_*, lazily)."""
+    """(x, grad f, f) at trace index 0..n, or at the optimum for i == "*" (grad f = -s_*, lazily)."""
     if i != "*":
+        if type(i) is not int or not 0 <= i <= len(trace.steps):  # a bool is not an index
+            raise ValueError(f'trace index must be "*" or an int in 0..{trace.n}, got {i!r}')
         return trace.xs[i], trace.gs[i], trace.fs[i]
     if trace.x_star is None or trace.s_star is None:
         raise ValueError("trace has no optimum data")
@@ -307,8 +309,8 @@ def _smooth_at(trace: Trace, i):
 def _nonsmooth_at(trace: Trace, i):
     """(x, subgradient, h) at trace index 1..n, or at the optimum for i == "*"."""
     if i != "*":
-        if not 1 <= i <= trace.n:
-            raise ValueError(f"no subgradient recorded at index {i}")
+        if type(i) is not int or not 1 <= i <= len(trace.steps):
+            raise ValueError(f'trace index must be "*" or an int in 1..{trace.n}, got {i!r}')
         return trace.xs[i], trace.ss[i - 1], trace.hs[i]
     if trace.x_star is None or trace.s_star is None:
         raise ValueError("trace has no optimum data")
@@ -326,9 +328,9 @@ def cocoercivity_f(trace: Trace, i, j):
     ``||g_i - g_j||**2 / 2`` wherever doubling neither overflows nor leaves a
     subnormal result.
     """
+    (xi, gi, fi), (xj, gj, fj) = _smooth_at(trace, i), _smooth_at(trace, j)
     if i == j:
         return 0
-    (xi, gi, fi), (xj, gj, fj) = _smooth_at(trace, i), _smooth_at(trace, j)
     inner = norm2 = 0
     for a, b, c, e in zip(xi, xj, gi, gj):
         inner = inner + e * (a - b)
@@ -339,9 +341,9 @@ def cocoercivity_f(trace: Trace, i, j):
 
 def cocoercivity_h(trace: Trace, i, j):
     """Convex interpolation slack of the nonsmooth part (indices 1..n, "*")."""
+    (xi, _, hi), (xj, sj, hj) = _nonsmooth_at(trace, i), _nonsmooth_at(trace, j)
     if i == j:
         return 0
-    (xi, _, hi), (xj, sj, hj) = _nonsmooth_at(trace, i), _nonsmooth_at(trace, j)
     inner = 0
     for a, b, e in zip(xi, xj, sj):
         inner = inner + e * (a - b)

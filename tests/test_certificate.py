@@ -16,7 +16,6 @@ from silverprox.certificate import (
     TAMPER_TARGETS,
     SparseRow,
     _PreparedIdentity,
-    _tree_violation,
     build_bundle,
     build_lambda,
     build_mu,
@@ -491,9 +490,11 @@ def test_integer_induction_agrees_with_the_row_oracle(k, edits):
     for pick, f, flip in edits:
         slack = _scaled_tree_value(slack, places[pick % len(places)],
                                    -TREE_FACTORS[f] if flip else TREE_FACTORS[f])
-    for schur, rows, prefix in ((False, slack.lap, "L "),
-                                (True, schur_rows(slack), "Schur complement ")):
-        tree, scan = _tree_violation(slack, schur), laplacian_violation(rows)
+    bundle = replace(build_bundle(k), slack=slack)
+    for check, rows, prefix in ((check_laplacian, slack.lap, "L "),
+                                (check_schur_psd, schur_rows(slack), "Schur complement ")):
+        report, scan = check(bundle), laplacian_violation(rows)
+        tree = "" if report.passed else report.detail
         assert bool(scan) <= bool(tree)
         if not any(flip for _, _, flip in edits):
             assert bool(tree) == bool(scan)
@@ -642,6 +643,11 @@ SHARED_INDUCTION_CASES = {
                          "", "Schur complement c[0] = 1/1 + 0/1*sqrt2 < sqrt2"),
     "row sum off": (_diagonal_edit_at_level_2, "L row 3 sums to 1/1 + 0/1*sqrt2, not 0",
                     "Schur complement row 3 sums to 1/1 + 0/1*sqrt2, not 0"),
+    # sized before the Schur check reads c[0]; the sizes were read from c, so
+    # an empty c and gap passed as order 0 and the Schur check raised IndexError
+    "empty c": (lambda: _with_slack(build_bundle(3), c=[]), "c has 0 entries, not 7", None),
+    "empty c and gap": (lambda: _with_slack(build_bundle(3), c=[], gap=[]),
+                        "level 3 gap has 0 entries, not 7", None),
 }
 
 
@@ -1264,6 +1270,22 @@ def test_identity_takes_an_int_subclass_as_the_builders_do():
         verify_descent_identity(2, dim="2")
 
 
+@pytest.mark.parametrize("entry", [
+    build_bundle,
+    rate_from_certificate,
+    lambda k: lower_bound_instance(k)[1],
+    lambda k: rate_bound(k, 1.0, 1.0),
+    lambda k: verify_descent_identity(k, trials=1, dim=1),
+], ids=["build_bundle", "rate_from_certificate", "lower_bound_instance", "rate_bound",
+        "verify_descent_identity"])
+def test_order_entry_points_take_an_int_subclass(entry):
+    # Each passed the order check and then raised from rho_pow's exponent check.
+    class D(enum.IntEnum):
+        THREE = 3
+
+    assert entry(D.THREE) == entry(3)
+
+
 def test_build_bundle_walks_the_silver_doubling_once_per_order(monkeypatch):
     # Each order is glued from the memoized order below, and its level of pi's
     # and c's doubling is taken once for all the builders that hold pi(k)
@@ -1277,7 +1299,7 @@ def test_build_bundle_walks_the_silver_doubling_once_per_order(monkeypatch):
             return fn(*args)
         return wrapper
 
-    for name in ("silver_schedule", "pi_double", "c_double", "silver_levels", "c_sequence"):
+    for name in ("silver_schedule", "pi_double", "c_double", "c_sequence"):
         wrapper = counted(name, getattr(schedule, name))
         monkeypatch.setattr(schedule, name, wrapper)
         monkeypatch.setattr(certificate, name, wrapper, raising=False)
@@ -1294,8 +1316,7 @@ def test_build_bundle_walks_the_silver_doubling_once_per_order(monkeypatch):
     assert one_more == {"pi_double": 1, "c_double": 1}, one_more
     calls.clear()
     schedule.c_sequence(8)
-    assert calls == {"c_sequence": 1, "silver_levels": 1, "silver_schedule": 1,
-                     "pi_double": 7, "c_double": 7}
+    assert calls == {"c_sequence": 1, "pi_double": 7, "c_double": 7}
 
 
 def test_orders_share_the_rows_a_level_leaves_unchanged():

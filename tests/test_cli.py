@@ -40,6 +40,21 @@ def test_schedule_exact_output(capsys):
     ]
 
 
+def test_schedule_exact_c_output(capsys):
+    code, out, _ = run(capsys, "schedule", "--k", "3", "--seq", "c")
+    assert code == 0
+    assert out.splitlines() == [
+        "# c k=3 entries=7",
+        "0/1 + 1/1*sqrt2",
+        "2/1 + 0/1*sqrt2",
+        "0/1 + 1/1*sqrt2",
+        "4/1 + 0/1*sqrt2",
+        "-4/1 + 4/1*sqrt2",
+        "10/1 + -4/1*sqrt2",
+        "0/1 + 8/1*sqrt2",
+    ]
+
+
 def test_schedule_float_shape(capsys):
     code, out, _ = run(capsys, "schedule", "--k", "5", "--float", "--seq", "pi")
     assert code == 0

@@ -1,5 +1,6 @@
 """Property tests: RadicalScalar against a Fraction-pair reference model."""
 
+import enum
 import math
 from fractions import Fraction
 from math import gcd
@@ -314,3 +315,14 @@ def test_rho_pow_near_the_origin_from_a_fresh_memo(monkeypatch):
 def test_rho_pow_rejects_non_int_exponents(j):
     with pytest.raises(ValueError, match="int exponent"):
         rho_pow(j)
+
+
+def test_rho_pow_takes_an_int_subclass_with_int_memo_keys(monkeypatch):
+    class Power(enum.IntEnum):
+        UP = 7
+        DOWN = -7
+
+    monkeypatch.setattr(exactnum, "_rho_cache", {0: ONE, 1: RHO, -1: RHO_INV})
+    assert rho_pow(Power.UP) * rho_pow(Power.DOWN) == ONE
+    assert {type(j) for j in exactnum._rho_cache} == {int}
+    assert rho_pow(Power.UP) == rho_pow(6) * RHO

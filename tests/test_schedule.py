@@ -4,8 +4,8 @@ import pytest
 
 from silverprox.exactnum import ONE, SQRT2, RadicalScalar, rho_pow
 from silverprox.schedule import (
+    c_double,
     c_sequence,
-    silver_levels,
     silver_schedule,
     silver_step,
     two_adic_valuation,
@@ -69,10 +69,9 @@ def test_schedule_palindromic_recursion():
 
 
 @pytest.mark.parametrize("k", range(1, 11))
-def test_silver_levels_yield_every_order(k):
-    # pi(j) is read as the prefix of pi(k), and c(j + 1) is built from c(j)
-    expected = [(silver_schedule(j), c_sequence(j)) for j in range(1, k + 1)]
-    assert list(silver_levels(k)) == expected
+def test_c_sequence_doubles_from_the_order_below(k):
+    # c(k + 1) is one doubling of c(k), with pi(k) the prefix of pi(k + 1)
+    assert c_sequence(k + 1) == c_double(k, silver_schedule(k), c_sequence(k))
 
 
 def test_c_sequence_small_orders():
@@ -97,21 +96,13 @@ def test_schedule_takes_an_int_subclass_as_order():
 
 
 def test_invalid_order():
-    for fn in (silver_schedule, c_sequence, silver_levels):
+    for fn in (silver_schedule, c_sequence):
         with pytest.raises(ValueError):
             fn(0)
 
 
-@pytest.mark.parametrize("bad", [True, 2.5])
-def test_silver_levels_checks_its_order_on_the_call(bad):
-    # Not at the first next(): no generator is made for a bad order.
-    with pytest.raises(ValueError, match=r"must be an int >= 1, got"):
-        silver_levels(bad)
-
-
 @pytest.mark.parametrize("bad", [True, False, 2.0, 2.5, "3", None])
-@pytest.mark.parametrize("fn", [silver_schedule, c_sequence, lambda k: next(silver_levels(k)),
-                                silver_step, two_adic_valuation])
+@pytest.mark.parametrize("fn", [silver_schedule, c_sequence, silver_step, two_adic_valuation])
 def test_schedule_rejects_a_bool_or_non_int(fn, bad):
     # One boundary check, shared with the certificate and the solver: a bool
     # is not an order (True read as order 1), and a float or str raised

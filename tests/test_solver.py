@@ -428,6 +428,24 @@ def test_cocoercivity_star_requires_optimum():
         cocoercivity_h(trace, 1, 0)  # no subgradient exists at index 0
 
 
+@pytest.mark.parametrize("kernel, i, j", [
+    (cocoercivity_f, -1, 0),  # read as the last point, 3
+    (cocoercivity_f, 4, 0),  # IndexError
+    (cocoercivity_f, 99, 99),  # 0 by the i == j shortcut
+    (cocoercivity_f, True, 0),  # read as index 1
+    (cocoercivity_f, 1.0, "*"),  # TypeError
+    (cocoercivity_f, 0, "x"),  # TypeError
+    (cocoercivity_h, 0, 0),  # 0 by the i == j shortcut
+    (cocoercivity_h, 2, True),  # read as index 1
+    (cocoercivity_h, 1, 4),  # rejected, with no message naming the range
+])
+def test_cocoercivity_rejects_an_index_outside_the_trace(kernel, i, j):
+    trace = proximal_gd_run(simple_quadratic(), [v.to_float() for v in silver_schedule(2)], [2.0])
+    assert trace.n == 3
+    with pytest.raises(ValueError, match=r'trace index must be "\*" or an int in [01]\.\.3, got'):
+        kernel(trace, i, j)
+
+
 def test_cocoercivity_nonneg_on_random_instances():
     rng = np.random.default_rng(21)
     for kind in ("zero", "l1", "box"):
