@@ -443,6 +443,9 @@ def build_u_coeffs(k: int) -> UCoefficients:
 @lru_cache(maxsize=None, typed=True)
 def build_bundle(k: int) -> CertificateBundle:
     """Full certificate of order k (memoized, every order; orders share rows, so read-only)."""
+    _require_int(k, "order k")
+    if type(k) is not int:  # an int subclass's key holds the int order's one bundle
+        return build_bundle(int(k))
     lam, mu, slack = build_lambda(k), build_mu(k), build_slack(k)
     *_, pi, c = _below(k)
     return CertificateBundle(k=k, n=2**k - 1, pi=pi, c=c, lam=lam, mu=mu, slack=slack,
@@ -640,39 +643,6 @@ def _draw(n: int, dim: int, rng: random.Random):
             drawn[at + n + 1:at + 2 * n + 2], drawn[-dim - 2], drawn[-dim - 1], drawn[-dim:])
 
 
-def sample_free_trace(pi: list[RadicalScalar], dim: int, rng: random.Random):
-    """Random assignment of the identity's free variables, as a solver trace.
-
-    The coordinates of x_0 and of the gradients and subgradients, and all
-    function values, are small random Python ints in -5..5 (``_draw``, the
-    draw ``verify_descent_identity`` makes too); the later iterates are then
-    forced by the update x_{t+1} = x_t - alpha_t (g_t + s_{t+1}), in
-    Z[sqrt2] since the steps are, the optimum sits at the origin, and
-    g_* = -s_*.  Both sides of the descent identity are polynomials in these
-    free variables, so exact evaluation on random integer points is a sound
-    identity test.  A ``dim`` that is not an int >= 1 raises ``ValueError``.
-    """
-    _require_int(dim, "trace dimension dim")
-    gs, ss, s_star, fs, hs, f_star, h_star, w = _draw(len(pi), dim, rng)
-    xs = [w]  # x_0 - x_* has free integer coordinates too
-    for a, g, s in zip(pi, gs, ss):
-        xs.append([x - a * (gv + sv) for x, gv, sv in zip(xs[-1], g, s)])
-    return Trace(
-        steps=list(pi),
-        xs=xs,
-        gs=gs,
-        ss=ss,
-        fs=fs,
-        hs=hs,
-        Fs=[fv + hv for fv, hv in zip(fs, hs)],
-        x_star=[ZERO] * dim,
-        s_star=s_star,
-        f_star=f_star,
-        h_star=h_star,
-        F_star=f_star + h_star,
-    )
-
-
 class _SlackForm:
     """Tr(V S V^T) for V = [w, s_1, ..., s_n, s_*] with int columns of length ``dim``.
 
@@ -758,40 +728,6 @@ class _SlackForm:
             xs.append(g if j == 0 else g + g)
             ys.append(0)
         return xs, ys
-
-
-def _require_bundle(bundle) -> None:
-    """Raise ``ValueError`` unless ``bundle`` is a ``CertificateBundle``."""
-    if not isinstance(bundle, CertificateBundle):
-        raise ValueError(f"bundle must be a CertificateBundle, got {type(bundle).__name__}")
-
-
-def _require_free_trace(trace, n: int) -> None:
-    """Raise ``ValueError`` naming the first field of ``trace`` that evaluate_identity rejects."""
-    sizes = {"steps": n, "ss": n, "xs": n + 1, "gs": n + 1, "fs": n + 1, "hs": n + 1}
-    fields = [(name, getattr(trace, name), size) for name, size in sizes.items()]
-    x0 = trace.xs[0] if trace.xs else None
-    dim = 0 if x0 is None else len(x0)  # a None or missing x_0 fails its own check first
-    fields += [(f"{name}[{i}]", v, dim) for name in ("xs", "gs", "ss")
-               for i, v in enumerate(getattr(trace, name) or ())] + [("s_star", trace.s_star, dim)]
-    for name, values, size in fields:
-        if values is None:
-            raise ValueError(f"trace {name} is None")
-        if len(values) != size:
-            raise ValueError(f"trace {name} has {len(values)} entries, not {size}")
-    if not dim:
-        raise ValueError("trace xs[0] has 0 entries, not at least 1")
-    if trace.x_star is None or len(trace.x_star) != dim or any(trace.x_star):
-        raise ValueError(f"trace x_star must be {dim} zeros: the identity takes x_0 as x_0 - x_*")
-    free = (("gs", [v for g in trace.gs for v in g]), ("ss", [v for s in trace.ss for v in s]),
-            ("s_star", trace.s_star), ("fs", trace.fs), ("hs", trace.hs), ("xs[0]", x0),
-            ("f_star", [trace.f_star]), ("h_star", [trace.h_star]))
-    for name, values in free:
-        if not set(map(type, values)) <= {int}:
-            raise ValueError(f"trace {name} must hold ints, as sample_free_trace draws them")
-    for i, x in enumerate(trace.xs[1:], start=1):
-        if not set(map(type, x)) <= {int, Fraction, RadicalScalar}:
-            raise ValueError(f"trace xs[{i}] must hold ints, Fractions or RadicalScalars")
 
 
 def _bar_term(d: int, xs: list, ys: list, parts, star_b: list) -> Iterator[tuple]:
@@ -945,14 +881,11 @@ class _PreparedIdentity:
     level and copy count of the tree's nodes.  So is the solver ``Trace``
     through which the optimum rows are read.
 
-    ``trial`` draws the free ints as ``sample_free_trace`` draws them
-    (``_draw``) and steps the iterates on pi's integer form
-    pi_t = (P_t + sqrt2 Q_t) / d: X_0 = d x_0, Y_0 = 0,
+    ``trial`` draws the free ints (``_draw``) and steps the iterates on pi's
+    integer form pi_t = (P_t + sqrt2 Q_t) / d: X_0 = d x_0, Y_0 = 0,
     X_{t+1} = X_t - P_t u_t and Y_{t+1} = Y_t - Q_t u_t for
     u_t = g_t + s_{t+1}, so it builds no field value per iterate and does not
-    check the trace it draws itself.  ``sides`` puts a given trace's
-    iterates in the same form instead, without checking it
-    (``evaluate_identity`` checks).  ``_sides`` then does only the trace's
+    check the trace it draws itself.  ``_sides`` then does only the trace's
     own integer work, each side one sum of ints against the prepared forms,
     reduced once: the left side is one ``scaled_int_dot`` over the ``bar``
     rows' groups (``_bar_term``) and the optimum rows (``_optimum_rows``),
@@ -982,11 +915,11 @@ class _PreparedIdentity:
                           x_star=[0] * dim)
 
     def trial(self, rng: random.Random) -> tuple[RadicalScalar, RadicalScalar]:
-        """(lhs, rhs) on the free ints drawn from ``rng`` as ``sample_free_trace`` draws them.
+        """(lhs, rhs) on the free ints ``_draw`` draws from ``rng``, x_0 = w and x_* = 0.
 
         With pi_t = (P_t + sqrt2 Q_t) / d, the iterates are x_t = (X_t + sqrt2 Y_t) / d
         for X_0 = d x_0, Y_0 = 0, X_{t+1} = X_t - P_t u_t and Y_{t+1} = Y_t - Q_t u_t,
-        u_t = g_t + s_{t+1}: the trace ``sample_free_trace`` builds, on ints.
+        u_t = g_t + s_{t+1}: the update x_{t+1} = x_t - pi_t u_t, on ints.
         """
         free = _draw(self.bundle.n, self.dim, rng)
         gs, ss, *_, w = free
@@ -997,17 +930,6 @@ class _PreparedIdentity:
             xs.append([x - p * v for x, v in zip(xs[-1], u)])
             ys.append([y - q * v for y, v in zip(ys[-1], u)])
         return self._sides(d, xs, ys, free)
-
-    def sides(self, trace) -> tuple[RadicalScalar, RadicalScalar]:
-        """(lhs, rhs) on ``trace``, which must fit the bundle as ``evaluate_identity`` says."""
-        n, dim = self.bundle.n, len(trace.xs[0])
-        # x_0's int coordinates enter as ONE * v, without RadicalScalar's Fraction-based constructor
-        coords = [v if isinstance(v, RadicalScalar) else ONE * v for x in trace.xs for v in x]
-        ps, qs, d = int_form(coords)
-        xs = [ps[t * dim:(t + 1) * dim] for t in range(n + 1)]
-        ys = [qs[t * dim:(t + 1) * dim] for t in range(n + 1)]
-        return self._sides(d, xs, ys, (trace.gs, trace.ss, trace.s_star, trace.fs, trace.hs,
-                                       trace.f_star, trace.h_star, trace.xs[0]))
 
     def _sides(self, d: int, xs: list, ys: list, free) -> tuple[RadicalScalar, RadicalScalar]:
         """(lhs, rhs) on the iterates (X_i + sqrt2 Y_i) / d and ``free``, in ``_draw``'s order."""
@@ -1047,28 +969,6 @@ class _PreparedIdentity:
         yield ONE, self.star_form, star_a, star_b
 
 
-def evaluate_identity(bundle: CertificateBundle, trace) -> tuple[RadicalScalar, RadicalScalar]:
-    """Evaluate both sides of the descent identity on one trace, exactly.
-
-    The left side weights the trace's co-coercivities with the bundle's
-    multipliers; the right side combines the objective gap, the initial
-    distance, and the sum of squares built from u and the slack matrix S.
-    The trace must fit the bundle (n ``steps`` and ``ss``, n + 1 ``xs``, ``gs``, ``fs``, ``hs``,
-    each vector as long as x_0), put the optimum ``x_star`` at the origin and hold ints in
-    ``gs``, ``ss``, ``s_star``, ``fs``, ``hs``, ``f_star``, ``h_star`` and x_0, as
-    ``sample_free_trace`` draws them, and ints, ``Fraction``s or ``RadicalScalar``s in
-    the later iterates; a field that does not, or is None, raises ``ValueError``, as
-    does a ``bundle`` that is not a ``CertificateBundle``.
-    ``Fs`` and ``F_star`` are not read: the gap term is f_* + h_* - f_n - h_n.
-
-    Both sides are summed as ``_PreparedIdentity`` describes, prepared for
-    this one trace.
-    """
-    _require_bundle(bundle)
-    _require_free_trace(trace, bundle.n)
-    return _PreparedIdentity(bundle, len(trace.xs[0])).sides(trace)
-
-
 def verify_descent_identity(
     k: int,
     trials: int = 20,
@@ -1087,15 +987,16 @@ def verify_descent_identity(
     (``_require_int``; ``random.Random`` would draw the trials of ``-seed``)
     raise ``ValueError``.
     The bundle's side of the identity is prepared once for all trials
-    (``_PreparedIdentity``), and the traces it draws, as ``sample_free_trace``
-    draws them, are not checked again.
+    (``_PreparedIdentity``), and the free ints each trial draws (``_draw``)
+    are not checked again.
     """
     _require_int(trials, "trials")
     _require_int(dim, "dim")
     _require_int(seed, "seed", 0)
     if bundle is None:
         bundle = build_bundle(k)
-    _require_bundle(bundle)
+    if not isinstance(bundle, CertificateBundle):
+        raise ValueError(f"bundle must be a CertificateBundle, got {type(bundle).__name__}")
     if bundle.k != k:
         raise ValueError(f"bundle has order {bundle.k}, not k={k}")
     rng = random.Random(seed)

@@ -301,7 +301,7 @@ def _smooth_at(trace: Trace, i):
         if type(i) is not int or not 0 <= i <= len(trace.steps):  # a bool is not an index
             raise ValueError(f'trace index must be "*" or an int in 0..{trace.n}, got {i!r}')
         return trace.xs[i], trace.gs[i], trace.fs[i]
-    if trace.x_star is None or trace.s_star is None:
+    if trace.x_star is None or trace.s_star is None or trace.f_star is None:
         raise ValueError("trace has no optimum data")
     return trace.x_star, map(neg, trace.s_star), trace.f_star
 
@@ -312,7 +312,7 @@ def _nonsmooth_at(trace: Trace, i):
         if type(i) is not int or not 1 <= i <= len(trace.steps):
             raise ValueError(f'trace index must be "*" or an int in 1..{trace.n}, got {i!r}')
         return trace.xs[i], trace.ss[i - 1], trace.hs[i]
-    if trace.x_star is None or trace.s_star is None:
+    if trace.x_star is None or trace.s_star is None or trace.h_star is None:
         raise ValueError("trace has no optimum data")
     return trace.x_star, trace.s_star, trace.h_star
 

@@ -11,11 +11,15 @@ same structure by induction over the tree.  ``dense`` turns plain rows into
 a square list of lists for whole-matrix reads; ``with_entries`` builds an
 edited copy of plain rows that keeps the storage invariants, for negative
 controls.  ``slack_term`` reads the identity's slack term off the tree, as a
-trial sums it.
+trial sums it.  ``free_trace`` draws a trial's free ints as a solver
+``Trace``, and ``identity_sides`` sums both sides of the identity on any
+such trace, as a trial sums them.
 """
 
-from silverprox.certificate import _SlackForm
-from silverprox.exactnum import ONE, SQRT2, ZERO, int_form, rho_pow, scaled_int_dot
+from silverprox.certificate import _draw, _SlackForm
+from silverprox.exactnum import (ONE, SQRT2, ZERO, RadicalScalar, int_form, rho_pow,
+                                 scaled_int_dot)
+from silverprox.solver import Trace
 
 
 def rows(bar):
@@ -102,3 +106,31 @@ def slack_term(slack, cols):
     """Tr(V S V^T) for V = cols = [w, s_1, ..., s_n, s_*], int columns, summed by ``_SlackForm``."""
     form = _SlackForm(slack, len(cols[0]))
     return scaled_int_dot([(ONE, int_form(form.units), *form.pairs(cols))])
+
+
+def free_trace(pi, dim, rng):
+    """The free ints ``_draw`` draws from ``rng`` as a trace of steps ``pi``, x_* at the origin.
+
+    x_0 = w, and the later iterates follow x_{t+1} = x_t - pi_t (g_t + s_{t+1}).
+    """
+    gs, ss, s_star, fs, hs, f_star, h_star, w = _draw(len(pi), dim, rng)
+    xs = [w]
+    for a, g, s in zip(pi, gs, ss):
+        xs.append([x - a * (gv + sv) for x, gv, sv in zip(xs[-1], g, s)])
+    return Trace(steps=list(pi), xs=xs, gs=gs, ss=ss, fs=fs, hs=hs,
+                 Fs=[fv + hv for fv, hv in zip(fs, hs)], x_star=[ZERO] * dim, s_star=s_star,
+                 f_star=f_star, h_star=h_star, F_star=f_star + h_star)
+
+
+def identity_sides(identity, trace):
+    """(lhs, rhs) of the prepared ``identity`` on ``trace``, unchecked: a ``free_trace``'s shape.
+
+    The iterates go into ``_sides``' integer form; the other fields must hold ints.
+    """
+    n, dim = identity.bundle.n, len(trace.xs[0])
+    coords = [v if isinstance(v, RadicalScalar) else ONE * v for x in trace.xs for v in x]
+    ps, qs, d = int_form(coords)
+    xs = [ps[t * dim:(t + 1) * dim] for t in range(n + 1)]
+    ys = [qs[t * dim:(t + 1) * dim] for t in range(n + 1)]
+    return identity._sides(d, xs, ys, (trace.gs, trace.ss, trace.s_star, trace.fs, trace.hs,
+                                       trace.f_star, trace.h_star, trace.xs[0]))

@@ -24,9 +24,7 @@ from silverprox.certificate import (
     check_laplacian,
     check_multipliers_nonneg,
     check_schur_psd,
-    evaluate_identity,
     rate_from_certificate,
-    sample_free_trace,
     tamper_bundle,
     verify_descent_identity,
 )
@@ -37,6 +35,8 @@ from sparse_rows import (
     as_bar,
     bordered,
     dense,
+    free_trace,
+    identity_sides,
     laplacian_violation,
     rows,
     schur_rows,
@@ -279,8 +279,6 @@ def test_identity_rejects_a_border_column_outside_v(col):
     detail = f"S's border reads column {col}, outside 0..8"
     with pytest.raises(ValueError, match=re.escape(detail)):
         verify_descent_identity(3, trials=1, dim=2, bundle=bad)
-    with pytest.raises(ValueError, match=re.escape(detail)):
-        evaluate_identity(bad, sample_free_trace(bundle.pi, 2, random.Random(7)))
 
 
 def test_schur_fails_on_tampered_slack():
@@ -433,8 +431,6 @@ def test_malformed_multiplier_parts_fail_nonneg_and_the_identity(edit, detail):
     assert (report.passed, report.detail) == (False, detail)
     with pytest.raises(ValueError, match=re.escape(detail)):
         verify_descent_identity(3, trials=1, dim=2, bundle=bad)
-    with pytest.raises(ValueError, match=re.escape(detail)):
-        evaluate_identity(bad, sample_free_trace(bundle.pi, 2, random.Random(7)))
 
 
 def test_nonneg_closed_form_reads_the_last_row_as_its_triple_reads():
@@ -737,8 +733,8 @@ def test_identity_exact(k):
 
 def test_identity_single_sample_both_sides():
     bundle = build_bundle(2)
-    trace = sample_free_trace(bundle.pi, 4, random.Random(5))
-    lhs, rhs = evaluate_identity(bundle, trace)
+    trace = free_trace(bundle.pi, 4, random.Random(5))
+    lhs, rhs = identity_sides(_PreparedIdentity(bundle, 4), trace)
     assert lhs == rhs
     assert lhs.a.denominator >= 1  # exact rationals all the way through
 
@@ -798,9 +794,9 @@ def test_identity_slack_term_matches_dense_sum(k):
     r = len(gap) // 2
     border = with_entries([slack.border], {(0, 1): slack.border[1] + 3})[0]
     bad = _with_level(_with_slack(bundle, border=border), j, gap=_edited(gap, r, gap[r] + ONE))
-    trace = sample_free_trace(bundle.pi, 3, random.Random(11))
-    lhs, rhs = evaluate_identity(bundle, trace)
-    bad_lhs, bad_rhs = evaluate_identity(bad, trace)
+    trace = free_trace(bundle.pi, 3, random.Random(11))
+    lhs, rhs = identity_sides(_PreparedIdentity(bundle, 3), trace)
+    bad_lhs, bad_rhs = identity_sides(_PreparedIdentity(bad, 3), trace)
     assert lhs == rhs and bad_lhs == lhs
     change = _dense_slack_trace(bad.slack, trace) - _dense_slack_trace(slack, trace)
     assert change  # the edits move the term on this trace
@@ -813,7 +809,7 @@ def test_recursive_slack_term_equals_dense_sum(k, seed):
     # The recursion over the tree against the dense sum over the generated S,
     # on random integer columns of dim 3.
     bundle = build_bundle(k)
-    trace = sample_free_trace(bundle.pi, 3, random.Random(seed))
+    trace = free_trace(bundle.pi, 3, random.Random(seed))
     cols = [trace.xs[0]] + trace.ss + [trace.s_star]
     assert slack_term(bundle.slack, cols) == _dense_slack_trace(bundle.slack, trace)
 
@@ -835,7 +831,7 @@ def test_slack_term_matches_dense_sum_on_scaled_trees(k, dim, edits, seed):
     for pick, f, flip in edits:
         slack = _scaled_tree_value(slack, places[pick % len(places)],
                                    -TREE_FACTORS[f] if flip else TREE_FACTORS[f])
-    trace = sample_free_trace(bundle.pi, dim, random.Random(seed))
+    trace = free_trace(bundle.pi, dim, random.Random(seed))
     cols = [trace.xs[0]] + trace.ss + [trace.s_star]
     assert slack_term(slack, cols) == _dense_slack_trace(slack, trace)
 
@@ -846,7 +842,7 @@ def test_slack_term_of_a_single_leaf(dim):
     bundle = build_bundle(1)
     assert bundle.slack.levels == ()
     for seed in range(4):
-        trace = sample_free_trace(bundle.pi, dim, random.Random(seed))
+        trace = free_trace(bundle.pi, dim, random.Random(seed))
         cols = [trace.xs[0]] + trace.ss + [trace.s_star]
         assert slack_term(bundle.slack, cols) == _dense_slack_trace(bundle.slack, trace)
 
@@ -868,7 +864,7 @@ def _rhs_by_definition(bundle, trace):
 @pytest.mark.parametrize("k", range(1, 8))
 def test_prepared_identity_matches_each_trace_alone(k, target):
     # One prepared identity over several traces gives exactly the sides that
-    # evaluate_identity gives on each trace alone, and the sides by definition;
+    # an identity prepared for each trace alone gives, and the sides by definition;
     # verify_descent_identity reports the residuals of that loop.
     bundle = build_bundle(k)
     if target is not None:
@@ -877,11 +873,11 @@ def test_prepared_identity_matches_each_trace_alone(k, target):
         identity = _PreparedIdentity(bundle, dim)
         for seed in (k, 100 + k):
             rng = random.Random(seed)
-            traces = [sample_free_trace(bundle.pi, dim, rng) for _ in range(2)]
+            traces = [free_trace(bundle.pi, dim, rng) for _ in range(2)]
             residuals = []
             for trace in traces:
-                sides = identity.sides(trace)
-                assert sides == evaluate_identity(bundle, trace)
+                sides = identity_sides(identity, trace)
+                assert sides == identity_sides(_PreparedIdentity(bundle, dim), trace)
                 if k <= 5:
                     assert sides == (_lhs_by_definition(bundle, trace),
                                      _rhs_by_definition(bundle, trace))
@@ -894,7 +890,7 @@ def test_prepared_identity_matches_each_trace_alone(k, target):
 
 
 def test_free_trace_draws_as_randint():
-    # sample_free_trace inlines randint(-5, 5)'s draw: the same values and the
+    # _draw inlines randint(-5, 5)'s draw: the same values and the
     # same generator state afterwards, so pinned residuals keep their meaning.
     # The draw counts its free ints from n and dim, so several shapes are read.
     shapes = [(4, 3)] + [(k, dim) for k in (1, 2, 5) for dim in (1, 2, 4)]
@@ -902,7 +898,7 @@ def test_free_trace_draws_as_randint():
         pi = build_bundle(k).pi
         for seed in range(200 if (k, dim) == (4, 3) else 40):
             rng, ref = random.Random(seed), random.Random(seed)
-            trace = sample_free_trace(pi, dim, rng)
+            trace = free_trace(pi, dim, rng)
             drawn = ([v for g in trace.gs for v in g] + [v for s in trace.ss for v in s]
                      + trace.s_star + trace.fs + trace.hs + [trace.f_star, trace.h_star]
                      + trace.xs[0])
@@ -911,7 +907,7 @@ def test_free_trace_draws_as_randint():
 
 
 def test_free_trace_is_plain_ints():
-    trace = sample_free_trace(build_bundle(2).pi, 2, random.Random(7))
+    trace = free_trace(build_bundle(2).pi, 2, random.Random(7))
     assert trace.gs == [[0, -3], [1, 5], [-5, -4], [3, -4]]
     assert trace.ss == [[0, 4], [-5, 3], [-2, -5]]
     assert trace.s_star == [-4, 1]
@@ -983,12 +979,12 @@ def test_identity_lhs_matches_cocoercivity_sum(k, dim, target, thirds, scale, se
     # edits one entry of the longest stored row of a part.
     bundle = build_bundle(k)
     steps = [p / 3 for p in bundle.pi] if thirds else bundle.pi
-    trace = _scaled_trace(sample_free_trace(steps, dim, random.Random(seed)), scale)
+    trace = _scaled_trace(free_trace(steps, dim, random.Random(seed)), scale)
     if target in ("long lam", "long mu"):
         bundle = _with_long_row_edited(bundle, target[5:])
     elif target is not None:
         bundle = tamper_bundle(bundle, target)
-    lhs, _ = evaluate_identity(bundle, trace)
+    lhs, _ = identity_sides(_PreparedIdentity(bundle, dim), trace)
     assert lhs == _lhs_by_definition(bundle, trace)
 
 
@@ -1041,99 +1037,6 @@ def test_identity_fails_on_one_edited_entry_of_a_packed_row(part):
     assert report.failures == (0, 1, 2, 3)
 
 
-@pytest.mark.parametrize("field", ["gs", "ss", "s_star", "fs", "hs", "xs[0]", "f_star", "h_star",
-                                   "xs[2]", "xs[3]"])
-def test_identity_rejects_a_trace_with_non_int_field(field):
-    # The later iterates may hold Fractions and RadicalScalars, not a float or None.
-    bundle = build_bundle(2)
-    trace = sample_free_trace(bundle.pi, 2, random.Random(7))
-    half = Fraction(1, 2)
-    if field in ("xs[2]", "xs[3]"):
-        trace.xs[int(field[3])][1] = 0.5 if field == "xs[2]" else None
-    elif field in ("f_star", "h_star"):
-        setattr(trace, field, half)
-    elif field == "gs":
-        trace.gs[1][0] = half
-    elif field == "ss":
-        trace.ss[2][1] = half
-    elif field == "s_star":
-        trace.s_star[0] = half
-    elif field == "fs":
-        trace.fs[3] = half
-    elif field == "hs":
-        trace.hs[1] = half
-    else:
-        trace.xs[0][1] = half
-    with pytest.raises(ValueError, match=rf"trace {re.escape(field)} must hold ints"):
-        evaluate_identity(bundle, trace)
-
-
-@pytest.mark.parametrize("field", ["steps", "ss", "xs", "gs", "fs", "hs",
-                                   "xs[0]", "xs[1]", "gs[2]", "ss[0]", "s_star"])
-def test_identity_rejects_a_trace_of_the_wrong_shape(field):
-    # a list field loses its last entry, a vector its last coordinate (x_0
-    # sets the dimension); for xs[0] every vector is emptied, a well-shaped
-    # trace of dimension 0 (which raised "range() arg 3 must not be zero"
-    # inside the slack term's plan)
-    bundle = build_bundle(2)
-    trace = sample_free_trace(bundle.pi, 3, random.Random(7))
-    if field == "xs[0]":
-        for vector in [*trace.xs, *trace.gs, *trace.ss, trace.s_star, trace.x_star]:
-            vector.clear()
-    else:
-        name, _, index = field.partition("[")
-        values = getattr(trace, name)
-        (values[int(index[:-1])] if index else values).pop()
-    with pytest.raises(ValueError, match=rf"trace {re.escape(field)} has \d+ entries, not"):
-        evaluate_identity(bundle, trace)
-
-
-@pytest.mark.parametrize("field", ["steps", "ss", "xs", "gs", "fs", "hs", "xs[0]", "xs[1]",
-                                   "gs[2]", "ss[0]", "s_star"])
-def test_identity_rejects_a_trace_with_a_None_field(field):
-    # A solver trace of an instance without optimum data has s_star = None.
-    bundle = build_bundle(2)
-    trace = sample_free_trace(bundle.pi, 3, random.Random(7))
-    name, _, index = field.partition("[")
-    if index:
-        getattr(trace, name)[int(index[:-1])] = None
-    else:
-        setattr(trace, name, None)
-    with pytest.raises(ValueError, match=rf"trace {re.escape(field)} is None"):
-        evaluate_identity(bundle, trace)
-
-
-@pytest.mark.parametrize("edit", ["Fs short", "Fs None", "Fs[3] None", "F_star None",
-                                  "F_star float", "F_star off"])
-def test_identity_reads_neither_Fs_nor_F_star(edit):
-    # The gap term is f_* + h_* - f_n - h_n, on the free ints the left side
-    # reads, so a trace's Fs and F_star are not read (a short Fs raised
-    # IndexError, and a None or float entry TypeError, when they were).
-    bundle = build_bundle(2)
-    trace = sample_free_trace(bundle.pi, 2, random.Random(7))
-    sides = evaluate_identity(bundle, trace)
-    if edit == "Fs short":
-        trace.Fs.pop()
-    elif edit == "Fs None":
-        trace.Fs = None
-    elif edit == "Fs[3] None":
-        trace.Fs[3] = None
-    else:
-        trace.F_star = {"F_star None": None, "F_star float": 0.5, "F_star off": 99}[edit]
-    assert evaluate_identity(bundle, trace) == sides
-
-
-@pytest.mark.parametrize("x_star", [[3, -1], [ZERO, ONE], [0, 0, 0], [0], None])
-def test_identity_rejects_an_optimum_away_from_the_origin(x_star):
-    # The right side reads x_0 as x_0 - x_*, so only x_* = 0 is consistent:
-    # with x_* = (3, -1) this trace read residual 6 + 106 sqrt2 on a correct bundle.
-    bundle = build_bundle(3)
-    trace = sample_free_trace(bundle.pi, 2, random.Random(5))
-    trace.x_star = x_star
-    with pytest.raises(ValueError, match=r"trace x_star must be 2 zeros"):
-        evaluate_identity(bundle, trace)
-
-
 def test_identity_trial_makes_no_field_operation_per_optimum_entry(monkeypatch):
     # A trial sums the trace's ints and reduces each side once, so its count of
     # RadicalScalar operations does not grow with the order: the optimum rows
@@ -1163,8 +1066,8 @@ def test_identity_trial_makes_no_field_operation_per_optimum_entry(monkeypatch):
     for order in (5, 7):
         bundle = build_bundle(order)
         identity = _PreparedIdentity(bundle, 2)
-        trace = sample_free_trace(bundle.pi, 2, random.Random(order))
-        counts[order], (lhs, rhs) = count(lambda: identity.sides(trace))
+        trace = free_trace(bundle.pi, 2, random.Random(order))
+        counts[order], (lhs, rhs) = count(lambda: identity_sides(identity, trace))
         assert lhs == rhs
         verify_descent_identity(order, trials=1, dim=2, seed=order)  # fills rho_pow's memo
         # the verify call with one trial more, less the one without it: one loop trial
@@ -1173,7 +1076,7 @@ def test_identity_trial_makes_no_field_operation_per_optimum_entry(monkeypatch):
         assert report.passed and report2.passed
         loop_counts[order] = two - one
     # Each side is one integer sum, reduced once: the left side then takes
-    # one division by 2d and the right side none.  ``sides`` adds one ONE * v
+    # one division by 2d and the right side none.  ``identity_sides`` adds one ONE * v
     # per coordinate of x_0 (2 at dim 2), and a loop trial one subtraction,
     # lhs - rhs (7 and 6 operations when the bar groups, the optimum rows and
     # the gap term each took a field operation of their own).
@@ -1243,15 +1146,6 @@ def _plus_one_copies(bundle):
                    replace(bundle, u_coeffs=replace(uc, **{field: tuple(_edited(values, r, v + ONE))})))
 
 
-def test_identity_rejects_a_trace_of_another_order():
-    short = sample_free_trace(build_bundle(2).pi, 2, random.Random(1))
-    with pytest.raises(ValueError, match="trace steps has 3 entries, not 7"):
-        evaluate_identity(build_bundle(3), short)
-    long = sample_free_trace(build_bundle(3).pi, 2, random.Random(1))
-    with pytest.raises(ValueError, match="trace steps has 7 entries, not 3"):
-        evaluate_identity(build_bundle(2), long)
-
-
 @pytest.mark.parametrize("argument", [{"trials": 2.5}, {"dim": 2.0}, {"seed": 1.5}, {"seed": True}])
 def test_identity_rejects_non_int_arguments(argument):
     [(name, value)] = argument.items()
@@ -1284,6 +1178,20 @@ def test_order_entry_points_take_an_int_subclass(entry):
         THREE = 3
 
     assert entry(D.THREE) == entry(3)
+
+
+def test_build_bundle_memoizes_one_bundle_per_order_of_any_int_type():
+    # An int-subclass order built and kept a second bundle whose k stayed the subclass.
+    class D(enum.IntEnum):
+        THREE = 3
+
+    build_bundle.cache_clear()
+    try:
+        bundle = build_bundle(D.THREE)
+        assert bundle is build_bundle(3) and type(bundle.k) is int
+        assert build_bundle.cache_info().currsize == 4  # orders 1..3, and D.THREE's key
+    finally:
+        build_bundle.cache_clear()
 
 
 def test_build_bundle_walks_the_silver_doubling_once_per_order(monkeypatch):
@@ -1376,22 +1284,11 @@ def test_builders_reject_bad_orders_at_the_boundary(builder, k):
 
 
 @pytest.mark.parametrize("bundle", ["k=2", 2, build_bundle(2).lam])
-@pytest.mark.parametrize("call", ["verify", "evaluate"])
+@pytest.mark.parametrize("call", ["verify"])
 def test_identity_rejects_a_bundle_that_is_not_a_certificate_bundle(call, bundle):
     # Each raised AttributeError on bundle.k before the check.
-    trace = sample_free_trace(build_bundle(2).pi, 2, random.Random(7))
     with pytest.raises(ValueError, match="bundle must be a CertificateBundle"):
-        if call == "verify":
-            verify_descent_identity(2, trials=1, dim=2, bundle=bundle)
-        else:
-            evaluate_identity(bundle, trace)
-
-
-@pytest.mark.parametrize("dim", [0, -1, 2.0, True, "2", None])
-def test_free_trace_rejects_a_dim_that_is_not_an_int_of_at_least_one(dim):
-    # dim=-1 returned a trace of empty vectors, as dim=0 did.
-    with pytest.raises(ValueError, match="trace dimension dim must be an int >= 1"):
-        sample_free_trace(build_bundle(2).pi, dim, random.Random(7))
+        verify_descent_identity(2, trials=1, dim=2, bundle=bundle)
 
 
 def test_identity_rejects_mismatched_order():

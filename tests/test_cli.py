@@ -640,6 +640,16 @@ def test_solver_half_leaves_the_certificate_checker_unloaded():
     assert done.stdout == "False module 'silverprox' has no attribute 'no_such_name'\n"
 
 
+def test_readme_library_example_runs():
+    # The README's "## Library example" block, as a reader would paste it.
+    readme = (Path(SRC).parent / "README.md").read_text()
+    section = readme.split("\n## Library example\n", 1)[1].split("\n## ", 1)[0]
+    [code] = section.split("```python\n")[1:]
+    done = _python(code.split("\n```", 1)[0])
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == ""
+
+
 def test_one_parser_serves_every_call_in_a_process(capsys, monkeypatch):
     # Each call of a sequence in one process (so on one parser) prints and
     # exits as the same call does in a fresh interpreter.

@@ -426,6 +426,15 @@ def test_cocoercivity_star_requires_optimum():
         cocoercivity_h(trace, "*", 1)
     with pytest.raises(ValueError):
         cocoercivity_h(trace, 1, 0)  # no subgradient exists at index 0
+    # x_* and s_* without the optimum's value of f or of h ended in TypeError
+    for kernel, field in ((cocoercivity_f, "f_star"), (cocoercivity_h, "h_star")):
+        trace = proximal_gd_run(simple_quadratic(), [1.0], [1.0])
+        assert trace.x_star is not None and trace.s_star is not None
+        kernel(trace, "*", 1)
+        setattr(trace, field, None)
+        with pytest.raises(ValueError, match="trace has no optimum data"):
+            kernel(trace, "*", 1)
+        assert kernel(trace, 1, 1) == 0  # the trace's own points need no optimum
 
 
 @pytest.mark.parametrize("kernel, i, j", [
