@@ -51,7 +51,6 @@ __all__ = [
     "SlackMatrix",
     "SmoothOracle",
     "Trace",
-    "UCoefficients",
     "ZERO",
     "build_bundle",
     "build_lambda",

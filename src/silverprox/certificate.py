@@ -7,7 +7,8 @@ For a horizon n = 2**k - 1 the certificate consists of
   * multipliers for the nonsmooth part (``mu_bar`` plus its optimum row),
   * a slack matrix S whose positive semidefiniteness makes the residual
     quadratic form a sum of squares, and
-  * the coefficients of the single extra square u.
+  * the 2n + 3 coefficients of the single extra square u, one tuple over
+    the directions x_0 - x_*, g_0, ..., g_n, s_1, ..., s_n, s_*.
 
 All objects are built by a doubling recursion: a certificate of order k+1
 glues two copies of the order-k certificate and adds a sparse correction
@@ -257,20 +258,9 @@ class SlackMatrix:
 
 
 @dataclass(frozen=True)
-class UCoefficients:
-    """Coefficients of the extra square u over the labeled directions.
-
-    u = init*(x_0 - x_*) + sum_i g[i]*g_i + sum_j s[j]*s_{j+1} + s_star*s_*.
-    """
-
-    init: RadicalScalar
-    g: tuple[RadicalScalar, ...]  # coefficients of g_0 .. g_n
-    s: tuple[RadicalScalar, ...]  # coefficients of s_1 .. s_n
-    s_star: RadicalScalar
-
-
-@dataclass(frozen=True)
 class CertificateBundle:
+    """The certificate of order k, n = 2**k - 1; ``_shape`` checks each part's size."""
+
     k: int
     n: int
     pi: list[RadicalScalar]
@@ -278,7 +268,7 @@ class CertificateBundle:
     lam: Multipliers
     mu: Multipliers
     slack: SlackMatrix
-    u_coeffs: UCoefficients
+    u_coeffs: tuple[RadicalScalar, ...]
 
     @cached_property
     def _next_level(self) -> tuple[list[RadicalScalar], list[RadicalScalar]]:
@@ -287,13 +277,13 @@ class CertificateBundle:
 
     @cached_property
     def _shape(self) -> str:
-        """Detail of the first of pi, c and the multiplier parts not shaped for order k, or "".
+        """Detail of the first part of the bundle not shaped for order k, or "".
 
         Taken once per bundle, for the nonneg check and the identity, which
         read them so: pi and c hold n entries, lambda's ``bar`` and
         ``star_row`` hold n + 1 rows and entries, one per iterate, and mu's n,
-        and every column a ``bar`` row reads, its offset plus a stored column,
-        is one of the part's points.
+        every column a ``bar`` row reads (offset plus stored column) is one of
+        the part's points, u holds 2n + 3 coefficients and the slack tree has order k.
         """
         for label, values in (("pi", self.pi), ("c", self.c)):
             if len(values) != self.n:
@@ -312,6 +302,10 @@ class CertificateBundle:
                     if offset + lo < 0 or offset + hi >= size:
                         col = offset + (lo if offset + lo < 0 else hi)
                         return f"{label}_bar[{i}] reads column {col}, outside 0..{size - 1}"
+        if len(self.u_coeffs) != 2 * self.n + 3:
+            return f"u has {len(self.u_coeffs)} coefficients, not {2 * self.n + 3}"
+        if len(self.slack.levels) + 1 != self.k:
+            return f"slack tree has order {len(self.slack.levels) + 1}, not {self.k}"
         return ""
 
 
@@ -432,14 +426,6 @@ def build_slack(k: int) -> SlackMatrix:
     )
 
 
-def build_u_coeffs(k: int) -> UCoefficients:
-    *_, pi, c = _below(k)
-    # pi(k) repeats k values and c(k) starts with pi(k - 1): negate each object once
-    minus = _times(-ONE, pi + c)
-    return UCoefficients(init=ONE, g=tuple(minus[:len(pi)]) + (-rho_pow(k),),
-                         s=tuple(minus[len(pi):]), s_star=-ONE)
-
-
 @lru_cache(maxsize=None, typed=True)
 def build_bundle(k: int) -> CertificateBundle:
     """Full certificate of order k (memoized, every order; orders share rows, so read-only)."""
@@ -448,8 +434,10 @@ def build_bundle(k: int) -> CertificateBundle:
         return build_bundle(int(k))
     lam, mu, slack = build_lambda(k), build_mu(k), build_slack(k)
     *_, pi, c = _below(k)
+    # pi(k) repeats k values and c(k) starts with pi(k - 1): negate each object once
+    minus = _times(-ONE, pi + c)
     return CertificateBundle(k=k, n=2**k - 1, pi=pi, c=c, lam=lam, mu=mu, slack=slack,
-                             u_coeffs=build_u_coeffs(k))
+                             u_coeffs=(ONE, *minus[:len(pi)], -rho_pow(k), *minus[len(pi):], -ONE))
 
 
 # ---------------------------------------------------------------------------
@@ -479,10 +467,9 @@ def tamper_bundle(bundle: CertificateBundle, target: str) -> CertificateBundle:
         border = SparseRow(bundle.slack.border)
         border[0] = border[0] + ONE
         return replace(bundle, slack=replace(bundle.slack, border=border))
-    if target == "u":
-        g = list(bundle.u_coeffs.g)
-        g[-1] = g[-1] + ONE
-        return replace(bundle, u_coeffs=replace(bundle.u_coeffs, g=tuple(g)))
+    if target == "u":  # the coefficient of g_n
+        u, at = bundle.u_coeffs, bundle.n + 1
+        return replace(bundle, u_coeffs=(*u[:at], u[at] + ONE, *u[at + 1:]))
     raise ValueError(f"unknown tamper target {target!r}; choose from {TAMPER_TARGETS}")
 
 
@@ -874,8 +861,8 @@ class _PreparedIdentity:
 
     What depends only on the bundle is prepared once, at construction, in
     integer form (``exactnum.int_form``): each part's plan of its ``bar``
-    rows (``_bar_rows``), the optimum rows, pi (the steps), u's
-    coefficients, the slack tree's levels with its node walk
+    rows (``_bar_rows``), the optimum rows, pi (the steps), the tuple of
+    u's coefficients, the slack tree's levels with its node walk
     (``_SlackForm``), and one form of every unit of the right side, which
     holds O(k**2) units: 2 rho**k - 1, rho/(2 sqrt2), u's, and three per
     level and copy count of the tree's nodes.  So is the solver ``Trace``
@@ -903,8 +890,7 @@ class _PreparedIdentity:
         self.bar_rows = [_bar_rows(bundle.lam.bar), _bar_rows(bundle.mu.bar)]
         self.star_form = int_form(bundle.lam.star_row + bundle.mu.star_row)
         self.step_form = int_form(bundle.pi)
-        uc = bundle.u_coeffs
-        self.u_form = int_form((uc.init, *uc.g, *uc.s, uc.s_star))
+        self.u_form = int_form(bundle.u_coeffs)
         self.slack = _SlackForm(bundle.slack, dim)
         # (2 rho**k - 1)(F_* - F_n) + rho/(2 sqrt2) ||w||**2 - ||u||**2 / 2 - Tr(V S V^T) / 2
         self.form = int_form([rho_pow(bundle.k) * 2 - ONE, RHO_OVER_2SQRT2,

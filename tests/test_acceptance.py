@@ -84,11 +84,7 @@ def test_criterion_3_base_case_golden_data():
     assert s[0][0] == RadicalScalar(0, Fraction(1, 2))  # 1/sqrt2
     assert (s[0][1], s[0][2]) == (-ONE, ONE)
     assert (s[1][0], s[2][0]) == (-ONE, ONE)
-    uc = bundle.u_coeffs
-    assert uc.init == ONE
-    assert uc.g == (-SQRT2, -RHO)
-    assert uc.s == (-TWO_RHO_MINUS_2,)
-    assert uc.s_star == -ONE
+    assert bundle.u_coeffs == (ONE, -SQRT2, -RHO, -TWO_RHO_MINUS_2, -ONE)
     _report(3, "order-1 golden data reproduced exactly")
 
 

@@ -20,7 +20,6 @@ from silverprox.certificate import (
     build_lambda,
     build_mu,
     build_slack,
-    build_u_coeffs,
     check_laplacian,
     check_multipliers_nonneg,
     check_schur_psd,
@@ -221,11 +220,8 @@ def test_tree_checks_agree_with_row_oracle(k):
 
 
 def test_u_coefficients_base_case():
-    uc = build_u_coeffs(1)
-    assert uc.init == ONE
-    assert uc.g == (-SQRT2, -RHO)  # -(rho-1) g_0 - rho g_1
-    assert uc.s == (-TWO_RHO_MINUS_2,)
-    assert uc.s_star == -ONE
+    # u = (x_0 - x_*) - (rho-1) g_0 - rho g_1 - 2(rho-1) s_1 - s_*
+    assert build_bundle(1).u_coeffs == (ONE, -SQRT2, -RHO, -TWO_RHO_MINUS_2, -ONE)
 
 
 # ---------------------------------------------------------------------------
@@ -412,8 +408,14 @@ def test_nonneg_closed_form_reads_values_over_a_common_denominator():
     # a short pi stepped one iterate too few (IndexError in _bar_term); a short c passed all
     ("pi short", "pi has 6 entries, not 7"),
     ("c short", "c has 6 entries, not 7"),
+    # a long u passed every check (norm2_ints dropped its extra coefficient);
+    # a short u passed nonneg, as did either slack tree, and order 4's raised IndexError
+    ("u long", "u has 18 coefficients, not 17"),
+    ("u short", "u has 16 coefficients, not 17"),
+    ("slack order 2", "slack tree has order 2, not 3"),
+    ("slack order 4", "slack tree has order 4, not 3"),
 ], ids=["mu_bar short", "column past the last point", "mu_star long", "negative column",
-        "pi short", "c short"])
+        "pi short", "c short", "u long", "u short", "slack order 2", "slack order 4"])
 def test_malformed_multiplier_parts_fail_nonneg_and_the_identity(edit, detail):
     bundle = build_bundle(3)
     lam, mu = bundle.lam, bundle.mu
@@ -424,6 +426,11 @@ def test_malformed_multiplier_parts_fail_nonneg_and_the_identity(edit, detail):
         bad = replace(bundle, mu=replace(mu, bar=mu.bar[:-1]))
     elif edit == "mu_star long":
         bad = replace(bundle, mu=replace(mu, star_row=mu.star_row + [ONE]))
+    elif edit.startswith("u "):
+        u = bundle.u_coeffs
+        bad = replace(bundle, u_coeffs=u + (-ONE,) if edit == "u long" else u[:-1])
+    elif edit.startswith("slack "):
+        bad = replace(bundle, slack=build_slack(int(edit[-1])))
     else:
         entry = (0, 8) if edit == "column past the last point" else (1, -1)
         bad = replace(bundle, lam=replace(lam, bar=as_bar(with_entries(rows(lam.bar), {entry: ONE}))))
@@ -850,10 +857,8 @@ def test_slack_term_of_a_single_leaf(dim):
 def _rhs_by_definition(bundle, trace):
     """The identity's right side, summed in the field from the dense S."""
     w = trace.xs[0]
-    uc = bundle.u_coeffs
-    coefficients = (uc.init, *uc.g, *uc.s, uc.s_star)
     vectors = [w, *trace.gs, *trace.ss, trace.s_star]
-    u = [sum((c * v[i] for c, v in zip(coefficients, vectors)), ZERO) for i in range(len(w))]
+    u = [sum((c * v[i] for c, v in zip(bundle.u_coeffs, vectors)), ZERO) for i in range(len(w))]
     gap = (rho_pow(bundle.k) * 2 - ONE) * (trace.F_star - trace.Fs[bundle.n])
     w_norm2 = sum(x * x for x in w)
     return (gap + RHO / (SQRT2 * 2) * w_norm2
@@ -1136,14 +1141,8 @@ def _plus_one_copies(bundle):
             for r, v in enumerate(values):
                 yield (f"level {j} {field}[{r}]",
                        _with_level(bundle, j, **{field: _edited(values, r, v + ONE)}))
-    uc = bundle.u_coeffs
-    for field in ("init", "s_star"):
-        yield f"u {field}", replace(bundle, u_coeffs=replace(uc, **{field: getattr(uc, field) + ONE}))
-    for field in ("g", "s"):
-        values = getattr(uc, field)
-        for r, v in enumerate(values):
-            yield (f"u {field}[{r}]",
-                   replace(bundle, u_coeffs=replace(uc, **{field: tuple(_edited(values, r, v + ONE))})))
+    for r, v in enumerate(bundle.u_coeffs):
+        yield f"u[{r}]", replace(bundle, u_coeffs=tuple(_edited(bundle.u_coeffs, r, v + ONE)))
 
 
 @pytest.mark.parametrize("argument", [{"trials": 2.5}, {"dim": 2.0}, {"seed": 1.5}, {"seed": True}])
@@ -1274,8 +1273,7 @@ def test_tamper_lambda_edits_one_entry_of_the_rows_read(k):
     assert changed == [(0, 1)] and after[0][1] == before[0][1] + ONE
 
 
-@pytest.mark.parametrize("builder", [build_bundle, build_lambda, build_mu, build_slack,
-                                     build_u_coeffs])
+@pytest.mark.parametrize("builder", [build_bundle, build_lambda, build_mu, build_slack])
 @pytest.mark.parametrize("k", [0, -1, 2.0, True, "3"])
 def test_builders_reject_bad_orders_at_the_boundary(builder, k):
     build_bundle(2)  # a memoized order 2 must not answer for 2.0

@@ -578,7 +578,7 @@ def _python(code: str, *argv: str) -> subprocess.CompletedProcess:
 
 
 @pytest.mark.parametrize("argv", [
-    ("cert", "verify", "--k", "1..3", "--trials", "1", "--dim", "1"),
+    ("cert", "verify", "--k", "1..8", "--trials", "1", "--dim", "1"),  # packed from k=6
     ("schedule", "--k", "4"),
     ("solve", "--problem", "lower-bound", "--k", "4", "--exact"),
     ("solve", "--problem", "lower-bound", "--k", "4"),
