@@ -203,17 +203,24 @@ class SlackMatrix:
             yield SparseRow(sorted((s, v) for s, v in row.items() if v))
         yield SparseRow({n: self.corner} if self.corner else {})
 
+    @property
+    def _parts(self) -> list[tuple[str, list[RadicalScalar], int]]:
+        """(label, values, size) of each list of the tree: level j's gap and pi, gap_k and c."""
+        k = len(self.levels) + 1
+        parts = [(f"level {j} {part}", getattr(level, part), 2**j - 1)
+                 for j, level in enumerate(self.levels, start=1) for part in ("gap", "pi")]
+        return parts + [(f"level {k} gap", self.gap, 2**k - 1), ("c", self.c, 2**k - 1)]
+
     @cached_property
     def _induction(self) -> tuple[str, str]:
-        """(size or sign failure, row-sum failure) of L's induction over the tree, "" for none.
+        """(sign failure, row-sum failure) of L's induction over the tree, "" for none.
 
-        Run once per tree, for both slack checks.  Gluing scales by
-        rho**2 > 0, so the off-diagonals of every core'_j are <= 0 once each
-        level's gap and pi are >= 0; L's are then <= 0 once gap_k >= 0 and
-        c >= 0.  Row sums of core'_j follow
-        ``rs'_{j+1} = [rs'_j + B_lo, sum(B_j), rho**2 rs'_j + B_hi]``.  Every
-        size, c's too, follows from the order k, one more than the levels, and
-        the row sums are not run on a tree of the wrong shape or signs.
+        Run once per tree, for both slack checks, once ``CertificateBundle._shape``
+        has sized it.  Gluing scales by rho**2 > 0, so the off-diagonals of every
+        core'_j are <= 0 once each level's gap and pi are >= 0; L's are then
+        <= 0 once gap_k >= 0 and c >= 0.  Row sums of core'_j follow
+        ``rs'_{j+1} = [rs'_j + B_lo, sum(B_j), rho**2 rs'_j + B_hi]``, not run
+        on a tree of the wrong signs.
 
         Signs are read from each value's integer form, and the sums run on one
         ``int_form`` of the tree's values, over one denominator d: a value is
@@ -222,18 +229,14 @@ class SlackMatrix:
         """
         k = len(self.levels) + 1
         n = 2**k - 1
-        sized = [(f"level {j} {part}", getattr(level, part), 2**j - 1)
-                 for j, level in enumerate(self.levels, start=1) for part in ("gap", "pi")]
-        sized += [(f"level {k} gap", self.gap, n), ("c", self.c, n)]
-        for label, values, size in sized:
-            if len(values) != size:
-                return f"{label} has {len(values)} entries, not {size}", ""
+        parts = self._parts
+        for label, values, _ in parts:
             value_signs = signs(values)
             if -1 in value_signs:
                 r = value_signs.index(-1)
                 return f"{label}[{r}] = {values[r]} < 0", ""
         head = [self.base, self.corner] + [level.diag for level in self.levels]
-        ps, qs, d = int_form(head + [v for _, values, _ in sized for v in values])
+        ps, qs, d = int_form(head + [v for _, values, _ in parts for v in values])
         sp, sq, at = [ps[0]], [qs[0]], len(head)
         for j in range(1, k):  # B_j = (-rho**j gap_j, diag, -rho pi(j))
             m = 2**j - 1
@@ -259,12 +262,11 @@ class SlackMatrix:
 
 @dataclass(frozen=True)
 class CertificateBundle:
-    """The certificate of order k, n = 2**k - 1; ``_shape`` checks each part's size."""
+    """The certificate of order k, n = 2**k - 1, c(k) in ``slack.c``; ``_shape`` sizes each part."""
 
     k: int
     n: int
     pi: list[RadicalScalar]
-    c: list[RadicalScalar]
     lam: Multipliers
     mu: Multipliers
     slack: SlackMatrix
@@ -273,21 +275,20 @@ class CertificateBundle:
     @cached_property
     def _next_level(self) -> tuple[list[RadicalScalar], list[RadicalScalar]]:
         """pi(k + 1) and c(k + 1): one level of the doubling, taken when order k + 1 is built."""
-        return pi_double(self.k, self.pi), c_double(self.k, self.pi, self.c)
+        return pi_double(self.k, self.pi), c_double(self.k, self.pi, self.slack.c)
 
     @cached_property
     def _shape(self) -> str:
         """Detail of the first part of the bundle not shaped for order k, or "".
 
-        Taken once per bundle, for the nonneg check and the identity, which
-        read them so: pi and c hold n entries, lambda's ``bar`` and
-        ``star_row`` hold n + 1 rows and entries, one per iterate, and mu's n,
-        every column a ``bar`` row reads (offset plus stored column) is one of
-        the part's points, u holds 2n + 3 coefficients and the slack tree has order k.
+        Taken once per bundle, and read first by every check and the identity:
+        pi holds n entries, lambda's ``bar`` and ``star_row`` n + 1, one per
+        iterate, and mu's n, every column a ``bar`` row reads (offset plus stored
+        column) is one of the part's points, u holds 2n + 3 coefficients, the slack
+        tree has order k and its ``_parts`` their sizes, and S's border reads 0..n+1.
         """
-        for label, values in (("pi", self.pi), ("c", self.c)):
-            if len(values) != self.n:
-                return f"{label} has {len(values)} entries, not {self.n}"
+        if len(self.pi) != self.n:
+            return f"pi has {len(self.pi)} entries, not {self.n}"
         for label, mult, size in (("lambda", self.lam, self.n + 1), ("mu", self.mu, self.n)):
             if len(mult.bar) != size:
                 return f"{label}_bar has {len(mult.bar)} rows, not {size}"
@@ -306,6 +307,12 @@ class CertificateBundle:
             return f"u has {len(self.u_coeffs)} coefficients, not {2 * self.n + 3}"
         if len(self.slack.levels) + 1 != self.k:
             return f"slack tree has order {len(self.slack.levels) + 1}, not {self.k}"
+        for label, values, size in self.slack._parts:
+            if len(values) != size:
+                return f"{label} has {len(values)} entries, not {size}"
+        for j in self.slack.border.keys():  # V's columns are w, s_1, ..., s_n and s_*
+            if not 0 <= j <= self.n + 1:
+                return f"S's border reads column {j}, outside 0..{self.n + 1}"
         return ""
 
 
@@ -365,7 +372,7 @@ def _below(k: int) -> tuple[CertificateBundle | None, list, list, list, list]:
     if k == 1:
         return None, [], [], [SQRT2], [SQRT2 * 2]
     prev = build_bundle(k - 1)
-    return (prev, prev.pi, prev.c, *prev._next_level)
+    return (prev, prev.pi, prev.slack.c, *prev._next_level)
 
 
 def build_lambda(k: int) -> Multipliers:
@@ -436,7 +443,7 @@ def build_bundle(k: int) -> CertificateBundle:
     *_, pi, c = _below(k)
     # pi(k) repeats k values and c(k) starts with pi(k - 1): negate each object once
     minus = _times(-ONE, pi + c)
-    return CertificateBundle(k=k, n=2**k - 1, pi=pi, c=c, lam=lam, mu=mu, slack=slack,
+    return CertificateBundle(k=k, n=2**k - 1, pi=pi, lam=lam, mu=mu, slack=slack,
                              u_coeffs=(ONE, *minus[:len(pi)], -rho_pow(k), *minus[len(pi):], -ONE))
 
 
@@ -490,8 +497,8 @@ def check_multipliers_nonneg(bundle: CertificateBundle) -> CheckReport:
 
     A part of the wrong shape (``CertificateBundle._shape``) fails first.  Also
     cross-checks the last row of mu_bar against its closed form
-    (rho**k - 1) * (c_j - pi_j), which is how the one non-obviously
-    nonnegative block is controlled.
+    (rho**k - 1) * (c_j - pi_j), c the one S holds, which is how the one
+    non-obviously nonnegative block is controlled.
 
     Row i as (stored row, power, offset) holds ``rho**(2 power)`` times the
     stored values, and rho**(2 power) > 0, so its signs are the stored
@@ -533,12 +540,12 @@ def check_multipliers_nonneg(bundle: CertificateBundle) -> CheckReport:
     last = [row.get(j, ZERO) for j in range(m)]
     scale = rho_pow(bundle.k) - ONE
     # last[j] == scale (c_j - pi_j) on one integer form, which scale in Z[sqrt2] keeps
-    ps, qs, _ = int_form(last + bundle.c[:m] + bundle.pi[:m])
+    ps, qs, _ = int_form(last + bundle.slack.c[:m] + bundle.pi[:m])
     gap = int_times(scale, list(map(sub, ps[m:2 * m], ps[2 * m:])),
                     list(map(sub, qs[m:2 * m], qs[2 * m:])))
     for j, (p, q, gp, gq) in enumerate(zip(ps[:m], qs[:m], *gap)):
         if (p, q) != (gp, gq):
-            expected = scale * (bundle.c[j] - bundle.pi[j])
+            expected = scale * (bundle.slack.c[j] - bundle.pi[j])
             detail = f"mu_bar[{m}][{j}] = {last[j]} deviates from closed form {expected}"
             return CheckReport("nonneg", False, detail)
     return CheckReport("nonneg", True)
@@ -547,12 +554,12 @@ def check_multipliers_nonneg(bundle: CertificateBundle) -> CheckReport:
 def check_laplacian(bundle: CertificateBundle) -> CheckReport:
     """Exact Laplacian structure of the bordered slack matrix L, by induction over its tree.
 
-    Verifies that every row of L sums to exactly zero and that every
-    off-diagonal entry of L, and of each core'_j (so of the core of L plus
-    the companion-gap outer product), is nonpositive.
+    Fails first with ``CertificateBundle._shape``.  Verifies that every row of L
+    sums to exactly zero and that every off-diagonal entry of L, and of each core'_j
+    (so of the core of L plus the companion-gap outer product), is nonpositive.
     """
-    shape, rows = bundle.slack._induction
-    detail = shape or ("L " + rows if rows else "")
+    sign, rows = ("", "") if bundle._shape else bundle.slack._induction
+    detail = bundle._shape or sign or ("L " + rows if rows else "")
     return CheckReport("laplacian", not detail, detail)
 
 
@@ -573,21 +580,19 @@ def check_schur_psd(bundle: CertificateBundle) -> CheckReport:
     L - sqrt2 * v v^T with v = -e_1 + e_{n+1} is.  That matrix is shown to
     be Laplacian by the tree induction that ``check_laplacian`` reads: it changes
     no row sum and one off-diagonal, sqrt2 - c_1, which needs c_1 >= sqrt2.
-    Then the stored border is checked to be exactly that one, so the proof
-    is about the stored S.
+    Then the stored border is checked to be exactly that one, so the proof is
+    about the stored S.  Fails first with "Schur complement " + ``_shape``.
     """
-    n, slack = bundle.n, bundle.slack
-    shape, rows = slack._induction
-    if shape:  # so c holds n >= 1 entries when c[0] is read
-        return CheckReport("schur", False, "Schur complement " + shape)
+    slack, shape = bundle.slack, bundle._shape
+    sign, rows = ("", "") if shape else slack._induction
+    if shape or sign:  # so c holds n >= 1 entries when c[0] is read
+        return CheckReport("schur", False, "Schur complement " + (shape or sign))
     if slack.c[0] < SQRT2:
         return CheckReport("schur", False, f"Schur complement c[0] = {slack.c[0]} < sqrt2")
-    violation = "Schur complement " + rows if rows else _border_violation(slack.border, n)
+    violation = "Schur complement " + rows if rows else _border_violation(slack.border, bundle.n)
     if violation:
         return CheckReport("schur", False, violation)
-    corner = SQRT2 - slack.c[0]
-    detail = f"corner entry (1,{n + 1}) = {corner} <= 0 since c_1 >= sqrt2"
-    return CheckReport("schur", True, detail)
+    return CheckReport("schur", True)
 
 
 # ---------------------------------------------------------------------------
@@ -681,9 +686,6 @@ class _SlackForm:
         # then ||sum_r gap_k[r] s_r||**2, the border -c of L, its corner and S's border
         self.gap_form, self.c_form = int_form(slack.gap), int_form(slack.c)
         self.border = list(slack.border.items())
-        for j, _ in self.border:  # V's columns are w, s_1, ..., s_n and s_*
-            if not 0 <= j <= 2**k:
-                raise ValueError(f"S's border reads column {j}, outside 0..{2**k}")
         self.units = units + [-ONE / self.gap_form[2] ** 2, ONE * -2 / self.c_form[2],
                               slack.corner, *(v for _, v in self.border)]
 
@@ -968,14 +970,15 @@ def verify_descent_identity(
     is reported with the offending trial.  ``bundle`` defaults to
     ``build_bundle(k)``; a negative control passes a ``tamper_bundle`` copy,
     which is expected to make trials fail.  A ``bundle`` that is not a
-    ``CertificateBundle`` or is of another order than ``k``, and a ``trials``
-    or ``dim`` that is not an int >= 1 or a ``seed`` that is not an int >= 0
-    (``_require_int``; ``random.Random`` would draw the trials of ``-seed``)
-    raise ``ValueError``.
+    ``CertificateBundle``, of another order than ``k`` or not shaped for it
+    (``_shape``), and a ``k``, ``trials`` or ``dim`` that is not an int >= 1 or
+    a ``seed`` that is not an int >= 0 (``_require_int``; ``random.Random``
+    would draw the trials of ``-seed``) raise ``ValueError``.
     The bundle's side of the identity is prepared once for all trials
     (``_PreparedIdentity``), and the free ints each trial draws (``_draw``)
     are not checked again.
     """
+    _require_int(k, "order k")
     _require_int(trials, "trials")
     _require_int(dim, "dim")
     _require_int(seed, "seed", 0)

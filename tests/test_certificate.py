@@ -269,10 +269,9 @@ def test_identity_rejects_a_border_column_outside_v(col):
     bundle = build_bundle(3)
     slack = bundle.slack
     bad = replace(bundle, slack=replace(slack, border=SparseRow({**slack.border, col: ONE})))
-    report = check_schur_psd(bad)
-    assert (report.passed, report.detail) == (
-        False, f"S[0][{col}] = 1/1 + 0/1*sqrt2, not 0/1 + 0/1*sqrt2")
     detail = f"S's border reads column {col}, outside 0..8"
+    report = check_schur_psd(bad)
+    assert (report.passed, report.detail) == (False, "Schur complement " + detail)
     with pytest.raises(ValueError, match=re.escape(detail)):
         verify_descent_identity(3, trials=1, dim=2, bundle=bad)
 
@@ -321,7 +320,7 @@ def _nonneg_by_scan(bundle):
                 return False, f"{label}_star[{j}] = {v} < 0"
     n, scale, last = bundle.n, rho_pow(bundle.k) - ONE, rows(bundle.mu.bar)[bundle.n - 1]
     for j in range(n - 1):
-        v, expected = last.get(j, ZERO), scale * (bundle.c[j] - bundle.pi[j])
+        v, expected = last.get(j, ZERO), scale * (bundle.slack.c[j] - bundle.pi[j])
         if v != expected:
             return False, f"mu_bar[{n - 1}][{j}] = {v} deviates from closed form {expected}"
     return True, ""
@@ -388,8 +387,8 @@ def test_nonneg_closed_form_reads_values_over_a_common_denominator():
     n = bundle.n
     bar = list(bundle.mu.bar)
     bar[n - 1] = (SparseRow((j, v / 3) for j, v in rows(bar)[n - 1].items()), 0, 0)
-    thirds = replace(bundle, c=[v / 3 for v in bundle.c], pi=[v / 3 for v in bundle.pi],
-                     mu=replace(bundle.mu, bar=bar))
+    thirds = replace(_with_slack(bundle, c=[v / 3 for v in bundle.slack.c]),
+                     pi=[v / 3 for v in bundle.pi], mu=replace(bundle.mu, bar=bar))
     assert check_multipliers_nonneg(thirds).passed
     bar[n - 1] = (SparseRow(sorted({**bar[n - 1][0], 0: ONE / 3}.items())), 0, 0)  # was 0
     report = check_multipliers_nonneg(replace(thirds, mu=replace(bundle.mu, bar=bar)))
@@ -405,9 +404,16 @@ def test_nonneg_closed_form_reads_values_over_a_common_denominator():
     # column -1 of the second as the last point
     ("mu_star long", "mu_star has 8 entries, not 7"),
     ("negative column", "lambda_bar[1] reads column -1, outside 0..7"),
-    # a short pi stepped one iterate too few (IndexError in _bar_term); a short c passed all
+    # a short pi stepped one iterate too few (IndexError in _bar_term); a short c
+    # passed nonneg and failed the identity with a residual
     ("pi short", "pi has 6 entries, not 7"),
     ("c short", "c has 6 entries, not 7"),
+    # these passed nonneg; the identity passed the long ones (its zips dropped the
+    # extra entry) and failed the empty gap with a residual; the slack checks named them
+    ("c long", "c has 8 entries, not 7"),
+    ("gap_k long", "level 3 gap has 8 entries, not 7"),
+    ("level 2 pi long", "level 2 pi has 4 entries, not 3"),
+    ("level 1 gap empty", "level 1 gap has 0 entries, not 1"),
     # a long u passed every check (norm2_ints dropped its extra coefficient);
     # a short u passed nonneg, as did either slack tree, and order 4's raised IndexError
     ("u long", "u has 18 coefficients, not 17"),
@@ -415,13 +421,23 @@ def test_nonneg_closed_form_reads_values_over_a_common_denominator():
     ("slack order 2", "slack tree has order 2, not 3"),
     ("slack order 4", "slack tree has order 4, not 3"),
 ], ids=["mu_bar short", "column past the last point", "mu_star long", "negative column",
-        "pi short", "c short", "u long", "u short", "slack order 2", "slack order 4"])
+        "pi short", "c short", "c long", "gap_k long", "level 2 pi long", "level 1 gap empty",
+        "u long", "u short", "slack order 2", "slack order 4"])
 def test_malformed_multiplier_parts_fail_nonneg_and_the_identity(edit, detail):
+    # Every check and the identity read one shape rule: nonneg and laplacian
+    # give its detail, schur the same after its prefix.
     bundle = build_bundle(3)
-    lam, mu = bundle.lam, bundle.mu
-    if edit in ("pi short", "c short"):
-        field = edit.split()[0]
-        bad = replace(bundle, **{field: getattr(bundle, field)[:-1]})
+    lam, mu, slack = bundle.lam, bundle.mu, bundle.slack
+    if edit == "pi short":
+        bad = replace(bundle, pi=bundle.pi[:-1])
+    elif edit in ("c short", "c long"):
+        bad = _with_slack(bundle, c=slack.c[:-1] if edit == "c short" else slack.c + [ONE])
+    elif edit == "gap_k long":
+        bad = _with_slack(bundle, gap=slack.gap + [ONE])
+    elif edit == "level 2 pi long":
+        bad = _with_level(bundle, 2, pi=slack.levels[1].pi + [SQRT2])
+    elif edit == "level 1 gap empty":
+        bad = _with_level(bundle, 1, gap=[])
     elif edit == "mu_bar short":
         bad = replace(bundle, mu=replace(mu, bar=mu.bar[:-1]))
     elif edit == "mu_star long":
@@ -434,8 +450,10 @@ def test_malformed_multiplier_parts_fail_nonneg_and_the_identity(edit, detail):
     else:
         entry = (0, 8) if edit == "column past the last point" else (1, -1)
         bad = replace(bundle, lam=replace(lam, bar=as_bar(with_entries(rows(lam.bar), {entry: ONE}))))
-    report = check_multipliers_nonneg(bad)
-    assert (report.passed, report.detail) == (False, detail)
+    for check, prefix in ((check_multipliers_nonneg, ""), (check_laplacian, ""),
+                          (check_schur_psd, "Schur complement ")):
+        report = check(bad)
+        assert (report.passed, report.detail) == (False, prefix + detail)
     with pytest.raises(ValueError, match=re.escape(detail)):
         verify_descent_identity(3, trials=1, dim=2, bundle=bad)
 
@@ -1287,6 +1305,13 @@ def test_identity_rejects_a_bundle_that_is_not_a_certificate_bundle(call, bundle
     # Each raised AttributeError on bundle.k before the check.
     with pytest.raises(ValueError, match="bundle must be a CertificateBundle"):
         verify_descent_identity(2, trials=1, dim=2, bundle=bundle)
+
+
+@pytest.mark.parametrize("k", [True, 1.0, 0])
+def test_identity_checks_the_order_with_a_bundle(k):
+    # True and 1.0 passed as order 1, and 0 was named as another order than the bundle's
+    with pytest.raises(ValueError, match=rf"^order k must be an int >= 1, got {k}$"):
+        verify_descent_identity(k, trials=1, dim=1, bundle=build_bundle(1))
 
 
 def test_identity_rejects_mismatched_order():

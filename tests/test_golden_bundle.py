@@ -33,7 +33,7 @@ GOLDEN = {
 
 def bundle_entries(bundle):
     yield from bundle.pi
-    yield from bundle.c
+    yield from bundle.slack.c
     for mult in (bundle.lam, bundle.mu):
         for row in dense(rows(mult.bar)):
             yield from row
