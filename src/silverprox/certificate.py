@@ -31,12 +31,12 @@ plain row (row, 0, 0); a copy of a copy refers to the stored row itself.
 So the multipliers hold O(n) entries: the sign check scans each stored row
 once, and the identity groups entries by power.  The slack matrix is stored
 as its gluing tree: with gap_j = c(j) - pi(j) and
-core'_j = core_j + gap_j gap_j^T, each level adds one border column B_j to
-two glued copies of core'_j, and L is core'_k less gap_k gap_k^T, bordered
-by -c; S is L plus one border row.  The tree holds
-O(n) entries, so L is symmetric by construction and both Laplacian checks
-read one induction over the levels in O(n), run once per tree on one
-integer form of the tree's values.  The slack term of an identity trial,
+core'_j = core_j + gap_j gap_j^T, each level j = 0..k-1 adds one border
+column B_j to two glued copies of core'_j (core'_0 is empty), and L is
+core'_k less gap_k gap_k^T, bordered by -c; S is L plus one border row.
+The tree holds O(n) entries, so L is symmetric by construction and both
+Laplacian checks read one induction over the levels in O(n), run once per
+tree on one integer form of the tree's values.  The slack term of an identity trial,
 O(n k dim) integer work, and ``SlackMatrix.lap``, which generates L's rows
 for readers that want them, both read the tree's nodes from
 ``SlackMatrix._nodes``.  Sums of field values times integer coordinates
@@ -136,7 +136,7 @@ class GluingLevel:
 
     With n_j = 2**j - 1, B_j is the column (and row) at index n_j of
     core'_{j+1}: ``-rho**j gap`` on the first copy, ``diag`` on the diagonal
-    and ``-rho pi`` on the second copy.
+    and ``-rho pi`` on the second copy.  Level 0's gap and pi are empty: B_0 = [diag] is core'_1.
     """
 
     gap: list[RadicalScalar]  # gap_j = c(j) - pi(j), n_j entries
@@ -148,9 +148,9 @@ class GluingLevel:
 class SlackMatrix:
     """Slack quadratic-form matrices L and S, stored as their gluing tree.
 
-    The n x n core of L is ``core'_k - gap gap^T``, where core'_1 = [base]
+    The n x n core of L is ``core'_k - gap gap^T``, where core'_0 is empty
     and core'_{j+1} glues core'_j at (0, 0) and ``rho**2 core'_j`` at
-    (n_j + 1, n_j + 1), with ``levels[j - 1]``'s column B_j between them.
+    (n_j + 1, n_j + 1), with ``levels[j]``'s column B_j between them, j = 0..k-1.
     L is (n+1) x (n+1): that core, bordered by ``-c`` with ``corner``
     2(rho**k - 1).  S, whose positive semidefiniteness is certified via a
     Schur complement, is L shifted by one with ``border`` as first row and
@@ -159,8 +159,7 @@ class SlackMatrix:
     ``lap`` node by node, through ``_nodes``.
     """
 
-    base: RadicalScalar
-    levels: tuple[GluingLevel, ...]  # levels 1..k-1
+    levels: tuple[GluingLevel, ...]  # levels 0..k-1
     gap: list[RadicalScalar]  # gap_k = c(k) - pi(k)
     c: list[RadicalScalar]
     corner: RadicalScalar
@@ -169,15 +168,13 @@ class SlackMatrix:
     def _nodes(self) -> Iterator[tuple[int, GluingLevel, range]]:
         """The indices of core'_k as tree nodes, level by level: (j, level, nodes).
 
-        Level 0 is the leaf core'_1 = [base], with no border column, and level
-        j >= 1 is ``levels[j - 1]``.  Its nodes are the indices r in ``nodes``,
-        r = 2**j (2t + 1) - 1 for t = 0, 1, ...; each is the middle column of
-        a node that spans columns r - (2**j - 1) .. r + 2**j - 1.  The t-th
-        lies inside c = popcount(t) second copies, so its column B_j carries
-        the scale rho**(2c).
+        Level j is ``levels[j]``, the leaves core'_1 = [diag] at j = 0.  Its
+        nodes are the indices r in ``nodes``, r = 2**j (2t + 1) - 1 for
+        t = 0, 1, ...; each is the middle column of a node that spans columns
+        r - (2**j - 1) .. r + 2**j - 1.  The t-th lies inside c = popcount(t)
+        second copies, so its column B_j carries the scale rho**(2c).
         """
-        leaf = GluingLevel(gap=[], diag=self.base, pi=[])
-        for j, level in enumerate((leaf,) + self.levels):
+        for j, level in enumerate(self.levels):
             yield j, level, range(2**j - 1, len(self.c), 2 << j)
 
     @property
@@ -206,9 +203,9 @@ class SlackMatrix:
     @property
     def _parts(self) -> list[tuple[str, list[RadicalScalar], int]]:
         """(label, values, size) of each list of the tree: level j's gap and pi, gap_k and c."""
-        k = len(self.levels) + 1
+        k = len(self.levels)
         parts = [(f"level {j} {part}", getattr(level, part), 2**j - 1)
-                 for j, level in enumerate(self.levels, start=1) for part in ("gap", "pi")]
+                 for j, level in enumerate(self.levels) for part in ("gap", "pi")]
         return parts + [(f"level {k} gap", self.gap, 2**k - 1), ("c", self.c, 2**k - 1)]
 
     @cached_property
@@ -219,15 +216,15 @@ class SlackMatrix:
         has sized it.  Gluing scales by rho**2 > 0, so the off-diagonals of every
         core'_j are <= 0 once each level's gap and pi are >= 0; L's are then
         <= 0 once gap_k >= 0 and c >= 0.  Row sums of core'_j follow
-        ``rs'_{j+1} = [rs'_j + B_lo, sum(B_j), rho**2 rs'_j + B_hi]``, not run
-        on a tree of the wrong signs.
+        ``rs'_{j+1} = [rs'_j + B_lo, sum(B_j), rho**2 rs'_j + B_hi]`` from
+        core'_0's empty list, not run on a tree of the wrong signs.
 
         Signs are read from each value's integer form, and the sums run on one
         ``int_form`` of the tree's values, over one denominator d: a value is
         kept as the ints p and q of (p + q sqrt2) / d, and ``int_times`` keeps
         it over d when multiplied by a power of rho, which is in Z[sqrt2].
         """
-        k = len(self.levels) + 1
+        k = len(self.levels)
         n = 2**k - 1
         parts = self._parts
         for label, values, _ in parts:
@@ -235,10 +232,10 @@ class SlackMatrix:
             if -1 in value_signs:
                 r = value_signs.index(-1)
                 return f"{label}[{r}] = {values[r]} < 0", ""
-        head = [self.base, self.corner] + [level.diag for level in self.levels]
+        head = [self.corner] + [level.diag for level in self.levels]
         ps, qs, d = int_form(head + [v for _, values, _ in parts for v in values])
-        sp, sq, at = [ps[0]], [qs[0]], len(head)
-        for j in range(1, k):  # B_j = (-rho**j gap_j, diag, -rho pi(j))
+        sp, sq, at = [], [], len(head)
+        for j in range(k):  # B_j = (-rho**j gap_j, diag, -rho pi(j))
             m = 2**j - 1
             lo_p, lo_q = int_times(rho_pow(j), ps[at:at + m], qs[at:at + m])
             hi_p, hi_q = int_times(RHO, ps[at + m:at + 2 * m], qs[at + m:at + 2 * m])
@@ -253,7 +250,7 @@ class SlackMatrix:
         op, oq = int_times(RadicalScalar(sum(gp), sum(gq)), gp, gq)  # over d**2
         rows = [(d * (s - c) - o, d * (u - e) - f, d * d)
                 for s, u, c, e, o, f in zip(sp, sq, cp, cq, op, oq)]
-        rows.append((ps[1] - sum(cp), qs[1] - sum(cq), d))  # the corner row
+        rows.append((ps[0] - sum(cp), qs[0] - sum(cq), d))  # the corner row
         for r, (p, q, e) in enumerate(rows):
             if p or q:
                 return "", f"row {r} sums to {RadicalScalar(Fraction(p, e), Fraction(q, e))}, not 0"
@@ -262,15 +259,18 @@ class SlackMatrix:
 
 @dataclass(frozen=True)
 class CertificateBundle:
-    """The certificate of order k, n = 2**k - 1, c(k) in ``slack.c``; ``_shape`` sizes each part."""
+    """Certificate of order k, n = 2**k - 1, c(k) in ``slack.c``; k sizes each part (``_shape``)."""
 
     k: int
-    n: int
     pi: list[RadicalScalar]
     lam: Multipliers
     mu: Multipliers
     slack: SlackMatrix
     u_coeffs: tuple[RadicalScalar, ...]
+
+    @property
+    def n(self) -> int:  # derived from k, the bundle's one stored size
+        return 2**self.k - 1
 
     @cached_property
     def _next_level(self) -> tuple[list[RadicalScalar], list[RadicalScalar]]:
@@ -281,12 +281,14 @@ class CertificateBundle:
     def _shape(self) -> str:
         """Detail of the first part of the bundle not shaped for order k, or "".
 
-        Taken once per bundle, and read first by every check and the identity:
-        pi holds n entries, lambda's ``bar`` and ``star_row`` n + 1, one per
-        iterate, and mu's n, every column a ``bar`` row reads (offset plus stored
-        column) is one of the part's points, u holds 2n + 3 coefficients, the slack
-        tree has order k and its ``_parts`` their sizes, and S's border reads 0..n+1.
+        Taken once per bundle, and read first by every check and the identity: the
+        slack tree has k levels, read before n = 2**k - 1, pi holds n entries, lambda's
+        ``bar`` and ``star_row`` n + 1, one per iterate, and mu's n, every column a ``bar``
+        row reads (offset plus stored column) is one of the part's points, u holds 2n + 3
+        coefficients, the tree's ``_parts`` their sizes, and S's border reads 0..n+1.
         """
+        if len(self.slack.levels) != self.k:
+            return f"slack tree has order {len(self.slack.levels)}, not {self.k}"
         if len(self.pi) != self.n:
             return f"pi has {len(self.pi)} entries, not {self.n}"
         for label, mult, size in (("lambda", self.lam, self.n + 1), ("mu", self.mu, self.n)):
@@ -305,8 +307,6 @@ class CertificateBundle:
                         return f"{label}_bar[{i}] reads column {col}, outside 0..{size - 1}"
         if len(self.u_coeffs) != 2 * self.n + 3:
             return f"u has {len(self.u_coeffs)} coefficients, not {2 * self.n + 3}"
-        if len(self.slack.levels) + 1 != self.k:
-            return f"slack tree has order {len(self.slack.levels) + 1}, not {self.k}"
         for label, values, size in self.slack._parts:
             if len(values) != size:
                 return f"{label} has {len(values)} entries, not {size}"
@@ -314,6 +314,13 @@ class CertificateBundle:
             if not 0 <= j <= self.n + 1:
                 return f"S's border reads column {j}, outside 0..{self.n + 1}"
         return ""
+
+
+def _require_bundle(bundle) -> None:
+    """Each check's, the identity's and ``tamper_bundle``'s first step: a bundle of an int order."""
+    if not isinstance(bundle, CertificateBundle):
+        raise ValueError(f"bundle must be a CertificateBundle, got {type(bundle).__name__}")
+    _require_int(bundle.k, "the bundle's order k")  # n = 2**k - 1 sizes every part
 
 
 def _accumulate(row: dict[int, RadicalScalar], j: int, v: RadicalScalar) -> None:
@@ -420,12 +427,11 @@ def _border(n: int) -> SparseRow:
 
 def build_slack(k: int) -> SlackMatrix:
     """Slack matrices of order k as their gluing tree: order k - 1's levels and level k - 1."""
-    prev, pi, _, pi_k, c = _below(k)  # level k - 1's gap and pi are order k - 1's gap and pi
-    levels = () if prev is None else prev.slack.levels + (GluingLevel(
-        gap=prev.slack.gap, diag=(rho_pow(k - 2) + ONE) * (rho_pow(k) + ONE), pi=pi),)
+    prev, pi, _, pi_k, c = _below(k)  # level k - 1 holds order k - 1's gap and pi, [] at k = 1
+    levels, gap = (prev.slack.levels, prev.slack.gap) if prev else ((), [])
+    level = GluingLevel(gap=gap, diag=(rho_pow(k - 2) + ONE) * (rho_pow(k) + ONE), pi=pi)
     return SlackMatrix(
-        base=SQRT2 * 2 + 2,  # core'_1 = 2(rho - 1) + gap_1**2, gap_1 = c(1) - pi(1) = [sqrt2]
-        levels=levels,
+        levels=levels + (level,),
         gap=[ct - pt for ct, pt in zip(c, pi_k)],
         c=c,
         corner=(rho_pow(k) - ONE) * 2,
@@ -443,7 +449,7 @@ def build_bundle(k: int) -> CertificateBundle:
     *_, pi, c = _below(k)
     # pi(k) repeats k values and c(k) starts with pi(k - 1): negate each object once
     minus = _times(-ONE, pi + c)
-    return CertificateBundle(k=k, n=2**k - 1, pi=pi, lam=lam, mu=mu, slack=slack,
+    return CertificateBundle(k=k, pi=pi, lam=lam, mu=mu, slack=slack,
                              u_coeffs=(ONE, *minus[:len(pi)], -rho_pow(k), *minus[len(pi):], -ONE))
 
 
@@ -458,8 +464,9 @@ def tamper_bundle(bundle: CertificateBundle, target: str) -> CertificateBundle:
     """Return a copy of the bundle with one entry perturbed by +1.
 
     Used as a negative control: each perturbation must make the descent
-    identity fail on random inputs.
+    identity fail on random inputs; a non-bundle or an unknown target raises ``ValueError``.
     """
+    _require_bundle(bundle)
     if target == "lambda":
         bar = list(bundle.lam.bar)
         row = SparseRow(bar[0][0])  # a plain row; the glued copies keep the original
@@ -495,9 +502,9 @@ class CheckReport:
 def check_multipliers_nonneg(bundle: CertificateBundle) -> CheckReport:
     """Exact sign check of every off-diagonal multiplier entry.
 
-    A part of the wrong shape (``CertificateBundle._shape``) fails first.  Also
-    cross-checks the last row of mu_bar against its closed form
-    (rho**k - 1) * (c_j - pi_j), c the one S holds, which is how the one
+    A non-bundle raises ``ValueError``, and a part of the wrong shape (``_shape``)
+    fails first.  Also cross-checks the last row of mu_bar against its closed
+    form (rho**k - 1) * (c_j - pi_j), c the one S holds, which is how the one
     non-obviously nonnegative block is controlled.
 
     Row i as (stored row, power, offset) holds ``rho**(2 power)`` times the
@@ -519,6 +526,7 @@ def check_multipliers_nonneg(bundle: CertificateBundle) -> CheckReport:
     k >= 2.  So they are the one stated exception to "every stored entry is
     load-bearing".
     """
+    _require_bundle(bundle)
     if bundle._shape:
         return CheckReport("nonneg", False, bundle._shape)
     for label, mult in (("lambda", bundle.lam), ("mu", bundle.mu)):
@@ -558,6 +566,7 @@ def check_laplacian(bundle: CertificateBundle) -> CheckReport:
     sums to exactly zero and that every off-diagonal entry of L, and of each core'_j
     (so of the core of L plus the companion-gap outer product), is nonpositive.
     """
+    _require_bundle(bundle)
     sign, rows = ("", "") if bundle._shape else bundle.slack._induction
     detail = bundle._shape or sign or ("L " + rows if rows else "")
     return CheckReport("laplacian", not detail, detail)
@@ -583,6 +592,7 @@ def check_schur_psd(bundle: CertificateBundle) -> CheckReport:
     Then the stored border is checked to be exactly that one, so the proof is
     about the stored S.  Fails first with "Schur complement " + ``_shape``.
     """
+    _require_bundle(bundle)
     slack, shape = bundle.slack, bundle._shape
     sign, rows = ("", "") if shape else slack._induction
     if shape or sign:  # so c holds n >= 1 entries when c[0] is read
@@ -659,7 +669,7 @@ class _SlackForm:
     """
 
     def __init__(self, slack: SlackMatrix, dim: int):
-        k = len(slack.levels) + 1
+        k = len(slack.levels)
         self.dim, units = dim, []
         # The node walk, per level: each node's first unit of the three per
         # (j, c), for its first copy, its diagonal and its second copy.  The
@@ -984,8 +994,7 @@ def verify_descent_identity(
     _require_int(seed, "seed", 0)
     if bundle is None:
         bundle = build_bundle(k)
-    if not isinstance(bundle, CertificateBundle):
-        raise ValueError(f"bundle must be a CertificateBundle, got {type(bundle).__name__}")
+    _require_bundle(bundle)
     if bundle.k != k:
         raise ValueError(f"bundle has order {bundle.k}, not k={k}")
     rng = random.Random(seed)

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from silverprox import certificate, exactnum, schedule
 from silverprox.certificate import (
     TAMPER_TARGETS,
+    GluingLevel,
     SparseRow,
     _PreparedIdentity,
     build_bundle,
@@ -138,8 +139,9 @@ def test_recursive_blocks_preserved():
 
 def test_slack_base_case():
     slack = build_slack(1)
-    # the tree of order 1: core'_1 = [2(rho - 1) + gap_1**2] and no gluing level
-    assert slack.base == TWO_RHO_MINUS_2 + 2 and slack.levels == ()
+    # the tree of order 1: its one level, the leaf core'_1 = [2(rho - 1) + gap_1**2],
+    # glues two empty core'_0, so its gap and pi are order 0's, empty
+    assert slack.levels == (GluingLevel(gap=[], diag=TWO_RHO_MINUS_2 + 2, pi=[]),)
     assert slack.gap == [SQRT2] and slack.c == [TWO_RHO_MINUS_2]
     assert slack.corner == TWO_RHO_MINUS_2
     rows = list(slack.lap)
@@ -163,7 +165,7 @@ def test_slack_base_case():
 def test_slack_first_doubling():
     slack = build_slack(2)
     # the gluing column B_1: -rho gap_1, (rho^0+1)(rho^2+1) = 8+4sqrt2, -rho pi(1)
-    (level,) = slack.levels
+    _, level = slack.levels
     assert (level.gap, level.diag, level.pi) == ([SQRT2], RadicalScalar(8, 4), [SQRT2])
     # the middle diagonal of L is that diagonal less the squared middle gap entry
     lap = dense(symmetric(slack.lap))
@@ -204,10 +206,10 @@ def test_sparse_row_storage_invariants(k):
     keys = list(border.keys())
     assert keys == sorted(keys) and all(0 <= j <= n + 1 for j in keys)
     assert all(border.values()) and list(border) == list(border.values())
-    # the tree holds O(n) entries: two of size 2**j - 1 per level, gap_k and c
+    # the tree holds O(n) entries: two of size 2**j - 1 per level j = 0..k-1, gap_k and c
     slack = bundle.slack
     assert [(len(lv.gap), len(lv.pi)) for lv in slack.levels] == [
-        (2**j - 1, 2**j - 1) for j in range(1, k)]
+        (2**j - 1, 2**j - 1) for j in range(k)]
     assert len(slack.gap) == len(slack.c) == n
 
 
@@ -420,9 +422,13 @@ def test_nonneg_closed_form_reads_values_over_a_common_denominator():
     ("u short", "u has 16 coefficients, not 17"),
     ("slack order 2", "slack tree has order 2, not 3"),
     ("slack order 4", "slack tree has order 4, not 3"),
+    # order 4's parts labelled order 3 passed the shape rule, which read n from the
+    # stored n: laplacian passed, nonneg named a closed-form entry that matched it
+    # and the identity failed with a residual
+    ("order 4 parts", "pi has 15 entries, not 7"),
 ], ids=["mu_bar short", "column past the last point", "mu_star long", "negative column",
         "pi short", "c short", "c long", "gap_k long", "level 2 pi long", "level 1 gap empty",
-        "u long", "u short", "slack order 2", "slack order 4"])
+        "u long", "u short", "slack order 2", "slack order 4", "order 4 parts"])
 def test_malformed_multiplier_parts_fail_nonneg_and_the_identity(edit, detail):
     # Every check and the identity read one shape rule: nonneg and laplacian
     # give its detail, schur the same after its prefix.
@@ -435,7 +441,7 @@ def test_malformed_multiplier_parts_fail_nonneg_and_the_identity(edit, detail):
     elif edit == "gap_k long":
         bad = _with_slack(bundle, gap=slack.gap + [ONE])
     elif edit == "level 2 pi long":
-        bad = _with_level(bundle, 2, pi=slack.levels[1].pi + [SQRT2])
+        bad = _with_level(bundle, 2, pi=slack.levels[2].pi + [SQRT2])
     elif edit == "level 1 gap empty":
         bad = _with_level(bundle, 1, gap=[])
     elif edit == "mu_bar short":
@@ -447,6 +453,8 @@ def test_malformed_multiplier_parts_fail_nonneg_and_the_identity(edit, detail):
         bad = replace(bundle, u_coeffs=u + (-ONE,) if edit == "u long" else u[:-1])
     elif edit.startswith("slack "):
         bad = replace(bundle, slack=build_slack(int(edit[-1])))
+    elif edit == "order 4 parts":
+        bad = replace(build_bundle(4), k=3, slack=slack)
     else:
         entry = (0, 8) if edit == "column past the last point" else (1, -1)
         bad = replace(bundle, lam=replace(lam, bar=as_bar(with_entries(rows(lam.bar), {entry: ONE}))))
@@ -472,8 +480,8 @@ TREE_FACTORS = (Fraction(1, 3), Fraction(2, 3), 3, RHO, RadicalScalar(1, Fractio
 
 def _tree_values(slack):
     """Every value the tree stores, as (field, level, index) for ``_scaled_tree_value``."""
-    places = [("base", None, None), ("corner", None, None)]
-    for j, level in enumerate(slack.levels, start=1):
+    places = [("corner", None, None)]
+    for j, level in enumerate(slack.levels):
         places += [("diag", j, None)] + [(part, j, r) for part in ("gap", "pi")
                                          for r in range(len(getattr(level, part)))]
     return places + [(part, None, r) for part in ("gap", "c") for r in range(len(slack.c))]
@@ -482,11 +490,11 @@ def _tree_values(slack):
 def _scaled_tree_value(slack, place, factor):
     field, j, r = place
     if j is not None:
-        level = slack.levels[j - 1]
+        level = slack.levels[j]
         value = getattr(level, field)
         value = value * factor if r is None else _edited(value, r, value[r] * factor)
         levels = list(slack.levels)
-        levels[j - 1] = replace(level, **{field: value})
+        levels[j] = replace(level, **{field: value})
         return replace(slack, levels=tuple(levels))
     value = getattr(slack, field)
     return replace(slack, **{field: value * factor if r is None else
@@ -496,8 +504,8 @@ def _scaled_tree_value(slack, place, factor):
 @settings(max_examples=40, deadline=None)
 @given(k=st.integers(1, 6), edits=st.lists(st.tuples(
     st.integers(0, 2**20), st.integers(0, len(TREE_FACTORS) - 1), st.booleans()), max_size=3))
-@example(k=3, edits=[(2, 0, False)])  # level 1's gap divided by 3: values with d = 3
-@example(k=4, edits=[(0, 1, False), (40, 4, False)])
+@example(k=3, edits=[(2, 0, False)])  # level 1's diag divided by 3: values with d = 3
+@example(k=4, edits=[(1, 1, False), (40, 4, False)])
 @example(k=2, edits=[(5, 0, True)])
 def test_integer_induction_agrees_with_the_row_oracle(k, edits):
     # The induction over the tree's integer form against an entry-by-entry
@@ -529,7 +537,7 @@ def _with_slack(bundle, **fields):
 
 def _with_level(bundle, j, **fields):
     levels = list(bundle.slack.levels)
-    levels[j - 1] = replace(levels[j - 1], **fields)
+    levels[j] = replace(levels[j], **fields)
     return _with_slack(bundle, levels=tuple(levels))
 
 
@@ -601,7 +609,7 @@ def test_laplacian_names_misshapen_level():
     # entry is a level list of the wrong length, which would glue misaligned
     # copies.
     bundle = build_bundle(3)
-    bad = _with_level(bundle, 2, pi=bundle.slack.levels[1].pi + [SQRT2])
+    bad = _with_level(bundle, 2, pi=bundle.slack.levels[2].pi + [SQRT2])
     report = check_laplacian(bad)
     assert not report.passed
     assert report.detail == "level 2 pi has 4 entries, not 3"
@@ -612,7 +620,7 @@ def test_level_diagonal_edit_fails_named_row_sum():
     # Level 2 of k=5 glues at local index 3; its first node sits at rows 0..6
     # with scale 1, so the first row sum to fail is row 3's.
     bundle = build_bundle(5)
-    level = bundle.slack.levels[1]
+    level = bundle.slack.levels[2]
     bad = _with_level(bundle, 2, diag=level.diag + ONE)
     detail = "row 3 sums to 1/1 + 0/1*sqrt2, not 0"
     assert laplacian_violation(bad.slack.lap) == detail
@@ -622,7 +630,7 @@ def test_level_diagonal_edit_fails_named_row_sum():
 
 def test_negative_gap_names_level_and_entry():
     bundle = build_bundle(5)
-    gap = bundle.slack.levels[2].gap
+    gap = bundle.slack.levels[3].gap
     assert gap[5] == RadicalScalar(8, -4)  # > 0
     bad = _with_level(bundle, 3, gap=_edited(gap, 5, -gap[5]))
     assert laplacian_violation(bad.slack.lap) != ""
@@ -633,9 +641,9 @@ def test_negative_gap_names_level_and_entry():
 
 
 def test_schur_needs_c0_at_least_sqrt2():
-    # At k=1, c = [1] with base 3 and corner 1 keeps L Laplacian, but the Schur
+    # At k=1, c = [1] with leaf 3 and corner 1 keeps L Laplacian, but the Schur
     # complement's off-diagonal [0][1] becomes sqrt2 - 1 > 0: S is indefinite.
-    bad = _with_slack(build_bundle(1), base=RadicalScalar(3), c=[ONE], corner=ONE)
+    bad = _with_level(_with_slack(build_bundle(1), c=[ONE], corner=ONE), 0, diag=RadicalScalar(3))
     assert laplacian_violation(bad.slack.lap) == ""
     assert laplacian_violation(schur_rows(bad.slack)) == (
         "off-diagonal [0][1] = -1/1 + 1/1*sqrt2 > 0")
@@ -646,12 +654,12 @@ def test_schur_needs_c0_at_least_sqrt2():
 
 
 def _negative_gap_at_level_3():
-    gap = build_bundle(5).slack.levels[2].gap
+    gap = build_bundle(5).slack.levels[3].gap
     return _with_level(build_bundle(5), 3, gap=_edited(gap, 5, -gap[5]))
 
 
 def _diagonal_edit_at_level_2():
-    return _with_level(build_bundle(5), 2, diag=build_bundle(5).slack.levels[1].diag + ONE)
+    return _with_level(build_bundle(5), 2, diag=build_bundle(5).slack.levels[2].diag + ONE)
 
 
 SHARED_INDUCTION_CASES = {
@@ -659,8 +667,8 @@ SHARED_INDUCTION_CASES = {
                            "level 3 gap[5] = -8/1 + 4/1*sqrt2 < 0", None),
     "negative pi": (lambda: _with_level(build_bundle(2), 1, pi=[-SQRT2]),
                     "level 1 pi[0] = 0/1 + -1/1*sqrt2 < 0", None),
-    "c[0] below sqrt2": (lambda: _with_slack(build_bundle(1), base=RadicalScalar(3), c=[ONE],
-                                             corner=ONE),
+    "c[0] below sqrt2": (lambda: _with_level(_with_slack(build_bundle(1), c=[ONE], corner=ONE),
+                                             0, diag=RadicalScalar(3)),
                          "", "Schur complement c[0] = 1/1 + 0/1*sqrt2 < sqrt2"),
     "row sum off": (_diagonal_edit_at_level_2, "L row 3 sums to 1/1 + 0/1*sqrt2, not 0",
                     "Schur complement row 3 sums to 1/1 + 0/1*sqrt2, not 0"),
@@ -815,7 +823,7 @@ def test_identity_slack_term_matches_dense_sum(k):
     bundle = build_bundle(k)
     slack = bundle.slack
     j = k - 1
-    gap = slack.levels[j - 1].gap
+    gap = slack.levels[j].gap
     r = len(gap) // 2
     border = with_entries([slack.border], {(0, 1): slack.border[1] + 3})[0]
     bad = _with_level(_with_slack(bundle, border=border), j, gap=_edited(gap, r, gap[r] + ONE))
@@ -845,7 +853,7 @@ def test_recursive_slack_term_equals_dense_sum(k, seed):
     seed=st.integers(0, 2**32 - 1))
 @example(k=3, dim=2, edits=[(3, 0, False)], seed=0)  # level 1's gap over d = 3
 @example(k=4, dim=3, edits=[(11, 4, True), (2, 1, False)], seed=1)  # level 2's pi, level 1's diag
-@example(k=2, dim=1, edits=[(0, 1, False), (1, 0, True)], seed=2)  # the leaves' base, the corner
+@example(k=2, dim=1, edits=[(1, 1, False), (0, 0, True)], seed=2)  # the leaves' diag, the corner
 def test_slack_term_matches_dense_sum_on_scaled_trees(k, dim, edits, seed):
     # Tree values times 1/3, 2/3, 3, rho or 1 + sqrt2/3, or their negatives,
     # put a level's integer form over its own denominator d_j: the term's units
@@ -863,9 +871,10 @@ def test_slack_term_matches_dense_sum_on_scaled_trees(k, dim, edits, seed):
 
 @pytest.mark.parametrize("dim", range(1, 5))
 def test_slack_term_of_a_single_leaf(dim):
-    # At k=1 the tree is one leaf, core'_1 = [base], with no level above it.
+    # At k=1 the tree is one leaf, core'_1 = [diag], level 0 with no level above it.
     bundle = build_bundle(1)
-    assert bundle.slack.levels == ()
+    (leaf,) = bundle.slack.levels
+    assert leaf.gap == leaf.pi == []
     for seed in range(4):
         trace = free_trace(bundle.pi, dim, random.Random(seed))
         cols = [trace.xs[0]] + trace.ss + [trace.s_star]
@@ -1144,15 +1153,14 @@ def _plus_one_copies(bundle):
             star = _edited(mult.star_row, j, v + ONE)
             yield f"{part} star [{j}]", replace(bundle, **{part: replace(mult, star_row=star)})
     slack = bundle.slack
-    for field in ("base", "corner"):
-        yield field, _with_slack(bundle, **{field: getattr(slack, field) + ONE})
+    yield "corner", _with_slack(bundle, corner=slack.corner + ONE)
     for field in ("gap", "c"):
         values = getattr(slack, field)
         for r, v in enumerate(values):
             yield f"{field}[{r}]", _with_slack(bundle, **{field: _edited(values, r, v + ONE)})
     for c, v in slack.border.items():
         yield f"border[{c}]", _with_slack(bundle, border=SparseRow({**slack.border, c: v + ONE}))
-    for j, level in enumerate(slack.levels, start=1):
+    for j, level in enumerate(slack.levels):
         yield f"level {j} diag", _with_level(bundle, j, diag=level.diag + ONE)
         for field in ("gap", "pi"):
             values = getattr(level, field)
@@ -1299,12 +1307,41 @@ def test_builders_reject_bad_orders_at_the_boundary(builder, k):
         builder(k)
 
 
+NOT_A_BUNDLE_CALLS = {
+    "verify": lambda bundle: verify_descent_identity(2, trials=1, dim=2, bundle=bundle),
+    "nonneg": check_multipliers_nonneg,
+    "laplacian": check_laplacian,
+    "schur": check_schur_psd,
+    "tamper": lambda bundle: tamper_bundle(bundle, "mu"),
+}
+
+
 @pytest.mark.parametrize("bundle", ["k=2", 2, build_bundle(2).lam])
-@pytest.mark.parametrize("call", ["verify"])
+@pytest.mark.parametrize("call", list(NOT_A_BUNDLE_CALLS))
 def test_identity_rejects_a_bundle_that_is_not_a_certificate_bundle(call, bundle):
-    # Each raised AttributeError on bundle.k before the check.
-    with pytest.raises(ValueError, match="bundle must be a CertificateBundle"):
-        verify_descent_identity(2, trials=1, dim=2, bundle=bundle)
+    # The three checks and tamper_bundle raised AttributeError on a field of the
+    # argument; the identity named its type, as all five do now.
+    with pytest.raises(ValueError, match=f"^bundle must be a CertificateBundle, got "
+                                         f"{type(bundle).__name__}$"):
+        NOT_A_BUNDLE_CALLS[call](bundle)
+
+
+def test_an_order_the_tree_does_not_have_fails_before_n_is_derived():
+    # 2**k - 1 would be a billion-bit int: the tree's level count is read first.
+    bad = replace(build_bundle(2), k=10**9)
+    for check, prefix in ((check_multipliers_nonneg, ""), (check_laplacian, ""),
+                          (check_schur_psd, "Schur complement ")):
+        assert check(bad).detail == prefix + "slack tree has order 2, not 1000000000"
+
+
+@pytest.mark.parametrize("k", [2.0, True, "2", 0])
+@pytest.mark.parametrize("call", list(NOT_A_BUNDLE_CALLS))
+def test_entry_points_reject_a_bundle_whose_order_is_not_an_int(call, k):
+    # n = 2**k - 1 sizes every part, so only an int order can.  With n stored,
+    # 2.0 passed laplacian and schur, the other orders failed the checks with
+    # "slack tree has order 2, not ...", and tamper_bundle took all four.
+    with pytest.raises(ValueError, match=rf"^the bundle's order k must be an int >= 1, got {k!r}$"):
+        NOT_A_BUNDLE_CALLS[call](replace(build_bundle(2), k=k))
 
 
 @pytest.mark.parametrize("k", [True, 1.0, 0])
