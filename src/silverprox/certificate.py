@@ -58,11 +58,13 @@ exactly is a sound identity test.  The residual has degree at most 2, so by
 Schwartz-Zippel a wrong coefficient survives one trial with the 11 values
 -5..5 per variable with probability at most 2/11, independently per trial.
 
-Each ``verify_descent_identity`` call prepares the bundle's side of the
-identity once, in integer form, and each trial then does only its trace's
-own integer work, each side reduced once: ``_PreparedIdentity`` describes
-what is prepared and what a trial does, and ``_bar_term`` how the left
-side reads the multiplier rows in the Gram view of performance estimation.
+The three checks, ``tamper_bundle`` and ``verify_descent_identity`` each
+take one bundle through one boundary, ``_require_bundle``.  Each identity
+call prepares the bundle's side of the identity once, in integer form, and
+each trial then does only its trace's own integer work, each side reduced
+once: ``_PreparedIdentity`` describes what is prepared and what a trial
+does, and ``_bar_term`` how the left side reads the multiplier rows in the
+Gram view of performance estimation.
 
 Note on the slack matrix: S is symmetric, with first row and column
 (1/sqrt2, -1, 0, ..., 0, +1).  An equivalent presentation elsewhere lists
@@ -84,7 +86,6 @@ from operator import add, lshift, mul, sub
 from .exactnum import (ONE, RHO, SQRT2, ZERO, RadicalScalar, int_form, int_times, norm2_ints,
                        rho_pow, scaled_int_dot, signs)
 from .schedule import _require_int, c_double, pi_double
-from .schedule import rate_from_certificate  # noqa: F401  (re-exported, the rate it proves)
 from .solver import Trace, cocoercivity_f, cocoercivity_h
 
 INV_SQRT2 = RadicalScalar(0, Fraction(1, 2))  # 1/sqrt2 = sqrt2/2
@@ -316,11 +317,12 @@ class CertificateBundle:
         return ""
 
 
-def _require_bundle(bundle) -> None:
-    """Each check's, the identity's and ``tamper_bundle``'s first step: a bundle of an int order."""
+def _require_bundle(bundle) -> str:
+    """Every entry point's first step: a bundle of an int order, or ValueError; its ``_shape``."""
     if not isinstance(bundle, CertificateBundle):
         raise ValueError(f"bundle must be a CertificateBundle, got {type(bundle).__name__}")
     _require_int(bundle.k, "the bundle's order k")  # n = 2**k - 1 sizes every part
+    return bundle._shape
 
 
 def _accumulate(row: dict[int, RadicalScalar], j: int, v: RadicalScalar) -> None:
@@ -464,22 +466,24 @@ def tamper_bundle(bundle: CertificateBundle, target: str) -> CertificateBundle:
     """Return a copy of the bundle with one entry perturbed by +1.
 
     Used as a negative control: each perturbation must make the descent
-    identity fail on random inputs; a non-bundle or an unknown target raises ``ValueError``.
+    identity fail on random inputs.  A non-bundle, a bundle not shaped for its
+    order (``_shape``) and an unknown target raise ``ValueError``.
     """
-    _require_bundle(bundle)
+    shape = _require_bundle(bundle)
+    if shape:
+        raise ValueError(shape)
     if target == "lambda":
         bar = list(bundle.lam.bar)
-        row = SparseRow(bar[0][0])  # a plain row; the glued copies keep the original
-        row[1] = row[1] + ONE
-        bar[0] = (row, 0, 0)
+        _correct(bar, 0, [(1, ONE)])  # a stored copy; the glued copies keep the original
         return replace(bundle, lam=replace(bundle.lam, bar=bar))
     if target == "mu":
         star = bundle.mu.star_row[:]
         star[0] = star[0] + ONE
         return replace(bundle, mu=replace(bundle.mu, star_row=star))
     if target == "slack":
-        border = SparseRow(bundle.slack.border)
-        border[0] = border[0] + ONE
+        border = dict(bundle.slack.border)
+        _accumulate(border, 0, ONE)
+        border = SparseRow(sorted(border.items()))
         return replace(bundle, slack=replace(bundle.slack, border=border))
     if target == "u":  # the coefficient of g_n
         u, at = bundle.u_coeffs, bundle.n + 1
@@ -526,9 +530,9 @@ def check_multipliers_nonneg(bundle: CertificateBundle) -> CheckReport:
     k >= 2.  So they are the one stated exception to "every stored entry is
     load-bearing".
     """
-    _require_bundle(bundle)
-    if bundle._shape:
-        return CheckReport("nonneg", False, bundle._shape)
+    shape = _require_bundle(bundle)
+    if shape:
+        return CheckReport("nonneg", False, shape)
     for label, mult in (("lambda", bundle.lam), ("mu", bundle.mu)):
         seen = set()
         for i, (stored, power, offset) in enumerate(mult.bar):
@@ -566,9 +570,9 @@ def check_laplacian(bundle: CertificateBundle) -> CheckReport:
     sums to exactly zero and that every off-diagonal entry of L, and of each core'_j
     (so of the core of L plus the companion-gap outer product), is nonpositive.
     """
-    _require_bundle(bundle)
-    sign, rows = ("", "") if bundle._shape else bundle.slack._induction
-    detail = bundle._shape or sign or ("L " + rows if rows else "")
+    shape = _require_bundle(bundle)
+    sign, rows = ("", "") if shape else bundle.slack._induction
+    detail = shape or sign or ("L " + rows if rows else "")
     return CheckReport("laplacian", not detail, detail)
 
 
@@ -592,8 +596,8 @@ def check_schur_psd(bundle: CertificateBundle) -> CheckReport:
     Then the stored border is checked to be exactly that one, so the proof is
     about the stored S.  Fails first with "Schur complement " + ``_shape``.
     """
-    _require_bundle(bundle)
-    slack, shape = bundle.slack, bundle._shape
+    shape = _require_bundle(bundle)
+    slack = bundle.slack
     sign, rows = ("", "") if shape else slack._induction
     if shape or sign:  # so c holds n >= 1 entries when c[0] is read
         return CheckReport("schur", False, "Schur complement " + (shape or sign))
@@ -896,8 +900,6 @@ class _PreparedIdentity:
     """
 
     def __init__(self, bundle: CertificateBundle, dim: int):
-        if bundle._shape:
-            raise ValueError(bundle._shape)
         self.bundle, self.dim = bundle, dim
         self.bar_rows = [_bar_rows(bundle.lam.bar), _bar_rows(bundle.mu.bar)]
         self.star_form = int_form(bundle.lam.star_row + bundle.mu.star_row)
@@ -968,35 +970,27 @@ class _PreparedIdentity:
 
 
 def verify_descent_identity(
-    k: int,
-    trials: int = 20,
-    dim: int = 4,
-    seed: int = 0,
-    bundle: CertificateBundle | None = None,
+    bundle: CertificateBundle, trials: int = 20, dim: int = 4, seed: int = 0
 ) -> IdentityReport:
-    """Test the descent identity on random integer inputs, exactly.
+    """Test the bundle's descent identity on random integer inputs, exactly.
 
     Every trial must give a residual of exactly zero; any nonzero residual
-    is reported with the offending trial.  ``bundle`` defaults to
-    ``build_bundle(k)``; a negative control passes a ``tamper_bundle`` copy,
-    which is expected to make trials fail.  A ``bundle`` that is not a
-    ``CertificateBundle``, of another order than ``k`` or not shaped for it
-    (``_shape``), and a ``k``, ``trials`` or ``dim`` that is not an int >= 1 or
-    a ``seed`` that is not an int >= 0 (``_require_int``; ``random.Random``
-    would draw the trials of ``-seed``) raise ``ValueError``.
+    is reported with the offending trial.  A negative control passes a
+    ``tamper_bundle`` copy, which is expected to make trials fail.  A
+    ``bundle`` that is not a ``CertificateBundle`` of an int order or not
+    shaped for it (``_shape``), and a ``trials`` or ``dim`` that is not an
+    int >= 1 or a ``seed`` that is not an int >= 0 (``_require_int``;
+    ``random.Random`` would draw the trials of ``-seed``) raise ``ValueError``.
     The bundle's side of the identity is prepared once for all trials
     (``_PreparedIdentity``), and the free ints each trial draws (``_draw``)
     are not checked again.
     """
-    _require_int(k, "order k")
+    shape = _require_bundle(bundle)
+    if shape:
+        raise ValueError(shape)
     _require_int(trials, "trials")
     _require_int(dim, "dim")
     _require_int(seed, "seed", 0)
-    if bundle is None:
-        bundle = build_bundle(k)
-    _require_bundle(bundle)
-    if bundle.k != k:
-        raise ValueError(f"bundle has order {bundle.k}, not k={k}")
     rng = random.Random(seed)
     identity = _PreparedIdentity(bundle, dim)
     residuals = []
@@ -1005,4 +999,4 @@ def verify_descent_identity(
         residuals.append(lhs - rhs)
     failures = tuple(t for t, r in enumerate(residuals) if r)
     first = residuals[failures[0]].exact_str() if failures else ""
-    return IdentityReport(k=k, trials=trials, dim=dim, failures=failures, first_residual=first)
+    return IdentityReport(bundle.k, trials, dim, failures, first)

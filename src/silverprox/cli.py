@@ -29,12 +29,11 @@ from .certificate import (
     check_laplacian,
     check_multipliers_nonneg,
     check_schur_psd,
-    rate_from_certificate,
     tamper_bundle,
     verify_descent_identity,
 )
 from .exactnum import ONE
-from .schedule import c_sequence, silver_schedule
+from .schedule import c_sequence, rate_from_certificate, silver_schedule
 from .solver import (
     _norm2,
     _sub,
@@ -152,9 +151,7 @@ def _verify_one(k: int, args) -> tuple[dict, str, bool]:
         check_laplacian(bundle),
         check_schur_psd(bundle),
     )
-    identity = verify_descent_identity(
-        k, trials=args.trials, dim=args.dim, seed=args.seed + k, bundle=bundle
-    )
+    identity = verify_descent_identity(bundle, trials=args.trials, dim=args.dim, seed=args.seed + k)
     rate = rate_from_certificate(k)
     result = {
         "k": k,

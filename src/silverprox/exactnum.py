@@ -257,17 +257,6 @@ class RadicalScalar:
         gp, gq = gcd(p, d), gcd(q, d)
         return f"{p // gp}/{d // gp} + {q // gq}/{d // gq}*sqrt2"
 
-    @classmethod
-    def from_exact_str(cls, text: str) -> "RadicalScalar":
-        """Parse ``exact_str``'s "a/b + c/d*sqrt2"; other text raises ``ValueError``."""
-        head, _, tail = text.partition(" + ")
-        try:
-            if tail.endswith("*sqrt2"):
-                return cls(Fraction(head), Fraction(tail[: -len("*sqrt2")]))
-        except (ValueError, ZeroDivisionError):
-            pass
-        raise ValueError(f"not a serialized RadicalScalar: {text!r}")
-
     def __repr__(self):
         return f"RadicalScalar({self.a}, {self.b})"
 

@@ -16,12 +16,11 @@ from silverprox.certificate import (
     check_laplacian,
     check_multipliers_nonneg,
     check_schur_psd,
-    rate_from_certificate,
     tamper_bundle,
     verify_descent_identity,
 )
 from silverprox.exactnum import ONE, RHO, SQRT2, ZERO, RadicalScalar, rho_pow
-from silverprox.schedule import c_sequence, silver_schedule, silver_step
+from silverprox.schedule import c_sequence, rate_from_certificate, silver_schedule, silver_step
 from silverprox.solver import (
     lower_bound_instance,
     proximal_gd_run,
@@ -53,12 +52,12 @@ def test_criterion_1_certificate_validity_exact():
 
 def test_criterion_2_descent_identity_and_negative_controls():
     for k in range(1, 7):
-        report = verify_descent_identity(k, trials=20, dim=4, seed=100 + k)
+        report = verify_descent_identity(build_bundle(k), trials=20, dim=4, seed=100 + k)
         assert report.passed, (k, report.failures, report.first_residual)
     detected = {}
     for target in ("lambda", "mu", "slack", "u"):
         bad = tamper_bundle(build_bundle(2), target)
-        report = verify_descent_identity(2, trials=20, dim=4, seed=9, bundle=bad)
+        report = verify_descent_identity(bad, trials=20, dim=4, seed=9)
         assert len(report.failures) >= 1, target
         detected[target] = len(report.failures)
     _report(

@@ -24,12 +24,11 @@ from silverprox.certificate import (
     check_laplacian,
     check_multipliers_nonneg,
     check_schur_psd,
-    rate_from_certificate,
     tamper_bundle,
     verify_descent_identity,
 )
 from silverprox.exactnum import ONE, RHO, SQRT2, ZERO, RadicalScalar, rho_pow
-from silverprox.schedule import c_sequence, silver_schedule
+from silverprox.schedule import c_sequence, rate_from_certificate, silver_schedule
 from silverprox.solver import cocoercivity_f, cocoercivity_h, lower_bound_instance, rate_bound
 from sparse_rows import (
     as_bar,
@@ -275,7 +274,7 @@ def test_identity_rejects_a_border_column_outside_v(col):
     report = check_schur_psd(bad)
     assert (report.passed, report.detail) == (False, "Schur complement " + detail)
     with pytest.raises(ValueError, match=re.escape(detail)):
-        verify_descent_identity(3, trials=1, dim=2, bundle=bad)
+        verify_descent_identity(bad, trials=1, dim=2)
 
 
 def test_schur_fails_on_tampered_slack():
@@ -426,12 +425,18 @@ def test_nonneg_closed_form_reads_values_over_a_common_denominator():
     # stored n: laplacian passed, nonneg named a closed-form entry that matched it
     # and the identity failed with a residual
     ("order 4 parts", "pi has 15 entries, not 7"),
+    # tamper_bundle ended each of these three in IndexError
+    ("lambda_bar empty", "lambda_bar has 0 rows, not 8"),
+    ("mu_star empty", "mu_star has 0 entries, not 7"),
+    ("u empty", "u has 0 coefficients, not 17"),
 ], ids=["mu_bar short", "column past the last point", "mu_star long", "negative column",
         "pi short", "c short", "c long", "gap_k long", "level 2 pi long", "level 1 gap empty",
-        "u long", "u short", "slack order 2", "slack order 4", "order 4 parts"])
+        "u long", "u short", "slack order 2", "slack order 4", "order 4 parts",
+        "lambda_bar empty", "mu_star empty", "u empty"])
 def test_malformed_multiplier_parts_fail_nonneg_and_the_identity(edit, detail):
-    # Every check and the identity read one shape rule: nonneg and laplacian
-    # give its detail, schur the same after its prefix.
+    # Every check, tamper_bundle and the identity read one shape rule: nonneg
+    # and laplacian give its detail, schur the same after its prefix, and
+    # tamper_bundle and the identity raise it.
     bundle = build_bundle(3)
     lam, mu, slack = bundle.lam, bundle.mu, bundle.slack
     if edit == "pi short":
@@ -448,6 +453,12 @@ def test_malformed_multiplier_parts_fail_nonneg_and_the_identity(edit, detail):
         bad = replace(bundle, mu=replace(mu, bar=mu.bar[:-1]))
     elif edit == "mu_star long":
         bad = replace(bundle, mu=replace(mu, star_row=mu.star_row + [ONE]))
+    elif edit == "lambda_bar empty":
+        bad = replace(bundle, lam=replace(lam, bar=[]))
+    elif edit == "mu_star empty":
+        bad = replace(bundle, mu=replace(mu, star_row=[]))
+    elif edit == "u empty":
+        bad = replace(bundle, u_coeffs=())
     elif edit.startswith("u "):
         u = bundle.u_coeffs
         bad = replace(bundle, u_coeffs=u + (-ONE,) if edit == "u long" else u[:-1])
@@ -462,8 +473,11 @@ def test_malformed_multiplier_parts_fail_nonneg_and_the_identity(edit, detail):
                           (check_schur_psd, "Schur complement ")):
         report = check(bad)
         assert (report.passed, report.detail) == (False, prefix + detail)
-    with pytest.raises(ValueError, match=re.escape(detail)):
-        verify_descent_identity(3, trials=1, dim=2, bundle=bad)
+    for target in TAMPER_TARGETS:
+        with pytest.raises(ValueError, match=f"^{re.escape(detail)}$"):
+            tamper_bundle(bad, target)
+    with pytest.raises(ValueError, match=f"^{re.escape(detail)}$"):
+        verify_descent_identity(bad, trials=1, dim=2)
 
 
 def test_nonneg_closed_form_reads_the_last_row_as_its_triple_reads():
@@ -747,7 +761,7 @@ def test_identity_control_at_unstored_position():
     assert 3 not in rows(bundle.lam.bar)[0]
     bar = as_bar(with_entries(rows(bundle.lam.bar), {(0, 3): ONE}))
     bad = replace(bundle, lam=replace(bundle.lam, bar=bar))
-    report = verify_descent_identity(2, trials=20, dim=4, seed=2, bundle=bad)
+    report = verify_descent_identity(bad, trials=20, dim=4, seed=2)
     assert report.failures == tuple(range(20))
     assert report.first_residual == "-137/1 + 66/1*sqrt2"
 
@@ -759,7 +773,7 @@ def test_identity_control_at_unstored_position():
 
 @pytest.mark.parametrize("k", range(1, 5))
 def test_identity_exact(k):
-    report = verify_descent_identity(k, trials=8, dim=3, seed=17)
+    report = verify_descent_identity(build_bundle(k), trials=8, dim=3, seed=17)
     assert report.passed
     assert report.first_residual == ""
 
@@ -777,7 +791,7 @@ def test_identity_detects_perturbed_lambda():
     plain = rows(bundle.lam.bar)
     bar = as_bar(with_entries(plain, {(1, 3): plain[1][3] + ONE}))
     bad = replace(bundle, lam=replace(bundle.lam, bar=bar))
-    report = verify_descent_identity(2, trials=20, dim=4, seed=3, bundle=bad)
+    report = verify_descent_identity(bad, trials=20, dim=4, seed=3)
     assert report.failures
     assert report.first_residual != ""
 
@@ -785,7 +799,7 @@ def test_identity_detects_perturbed_lambda():
 @pytest.mark.parametrize("target", ["lambda", "mu", "slack", "u"])
 def test_identity_tamper_hooks(target):
     bad = tamper_bundle(build_bundle(2), target)
-    report = verify_descent_identity(2, trials=20, dim=4, seed=3, bundle=bad)
+    report = verify_descent_identity(bad, trials=20, dim=4, seed=3)
     assert len(report.failures) >= 1
 
 
@@ -803,7 +817,7 @@ TAMPER_RESIDUALS = {
 @pytest.mark.parametrize("target", sorted(TAMPER_RESIDUALS))
 def test_identity_tamper_residuals_pinned(target):
     bad = tamper_bundle(build_bundle(2), target)
-    report = verify_descent_identity(2, trials=20, dim=4, seed=2, bundle=bad)
+    report = verify_descent_identity(bad, trials=20, dim=4, seed=2)
     assert report.failures[0] == 0
     assert report.first_residual == TAMPER_RESIDUALS[target]
 
@@ -914,7 +928,7 @@ def test_prepared_identity_matches_each_trace_alone(k, target):
                     assert sides == (_lhs_by_definition(bundle, trace),
                                      _rhs_by_definition(bundle, trace))
                 residuals.append(sides[0] - sides[1])
-            report = verify_descent_identity(k, trials=2, dim=dim, seed=seed, bundle=bundle)
+            report = verify_descent_identity(bundle, trials=2, dim=dim, seed=seed)
             assert report.failures == tuple(t for t, r in enumerate(residuals) if r)
             assert bool(report.failures) == (target is not None)
             if report.failures:
@@ -1065,7 +1079,7 @@ def test_identity_fails_on_one_edited_entry_of_a_packed_row(part):
     # row, plus one, must fail the trials too.
     bad = _with_long_row_edited(build_bundle(7), part)
     assert all(bound for _, bound in _PreparedIdentity(bad, 2).bar_rows)
-    report = verify_descent_identity(7, trials=4, dim=2, seed=3, bundle=bad)
+    report = verify_descent_identity(bad, trials=4, dim=2, seed=3)
     assert report.failures == (0, 1, 2, 3)
 
 
@@ -1101,10 +1115,10 @@ def test_identity_trial_makes_no_field_operation_per_optimum_entry(monkeypatch):
         trace = free_trace(bundle.pi, 2, random.Random(order))
         counts[order], (lhs, rhs) = count(lambda: identity_sides(identity, trace))
         assert lhs == rhs
-        verify_descent_identity(order, trials=1, dim=2, seed=order)  # fills rho_pow's memo
+        verify_descent_identity(bundle, trials=1, dim=2, seed=order)  # fills rho_pow's memo
         # the verify call with one trial more, less the one without it: one loop trial
-        one, report = count(lambda: verify_descent_identity(order, trials=1, dim=2, seed=order))
-        two, report2 = count(lambda: verify_descent_identity(order, trials=2, dim=2, seed=order))
+        one, report = count(lambda: verify_descent_identity(bundle, trials=1, dim=2, seed=order))
+        two, report2 = count(lambda: verify_descent_identity(bundle, trials=2, dim=2, seed=order))
         assert report.passed and report2.passed
         loop_counts[order] = two - one
     # Each side is one integer sum, reduced once: the left side then takes
@@ -1128,7 +1142,7 @@ def test_every_stored_entry_but_mus_diagonal_is_load_bearing(k):
     for label, bad in copies:
         if all(check(bad).passed for check in (check_multipliers_nonneg, check_laplacian,
                                               check_schur_psd)):
-            if verify_descent_identity(k, trials=20, dim=2, seed=k, bundle=bad).passed:
+            if verify_descent_identity(bad, trials=20, dim=2, seed=k).passed:
                 survivors.append(label)
     diagonal = [f"mu stored [{i}][{i}]" for i, (row, power, _) in enumerate(bundle.mu.bar)
                 if not power and i in row]
@@ -1176,17 +1190,18 @@ def test_identity_rejects_non_int_arguments(argument):
     [(name, value)] = argument.items()
     least = 0 if name == "seed" else 1
     with pytest.raises(ValueError, match=rf"^{name} must be an int >= {least}, got {value}$"):
-        verify_descent_identity(1, **argument)
+        verify_descent_identity(build_bundle(1), **argument)
 
 
 def test_identity_takes_an_int_subclass_as_the_builders_do():
     class D(enum.IntEnum):
         TWO = 2
 
-    report = verify_descent_identity(2, trials=3, dim=D.TWO)
-    assert report == verify_descent_identity(2, trials=3, dim=2) and report.passed
+    bundle = build_bundle(2)
+    report = verify_descent_identity(bundle, trials=3, dim=D.TWO)
+    assert report == verify_descent_identity(bundle, trials=3, dim=2) and report.passed
     with pytest.raises(ValueError, match=r"dim must be an int >= 1, got '2'"):
-        verify_descent_identity(2, dim="2")
+        verify_descent_identity(bundle, dim="2")
 
 
 @pytest.mark.parametrize("entry", [
@@ -1194,7 +1209,7 @@ def test_identity_takes_an_int_subclass_as_the_builders_do():
     rate_from_certificate,
     lambda k: lower_bound_instance(k)[1],
     lambda k: rate_bound(k, 1.0, 1.0),
-    lambda k: verify_descent_identity(k, trials=1, dim=1),
+    lambda k: verify_descent_identity(build_bundle(k), trials=1, dim=1),
 ], ids=["build_bundle", "rate_from_certificate", "lower_bound_instance", "rate_bound",
         "verify_descent_identity"])
 def test_order_entry_points_take_an_int_subclass(entry):
@@ -1287,16 +1302,44 @@ def test_tamper_leaves_the_neighbouring_orders_unchanged(target):
         assert [repr(build_bundle(j)) for j in (k - 1, k, k + 1)] == before
 
 
-@pytest.mark.parametrize("k", [2, 5])
-def test_tamper_lambda_edits_one_entry_of_the_rows_read(k):
+def _changed(before, after):
+    """The (row, column) positions where two square matrices differ."""
+    return [(i, j) for i, row in enumerate(before) for j, v in enumerate(row) if v != after[i][j]]
+
+
+def _tamper_input(key):
+    """Order ``key``'s bundle, or order 3's with the tampered entry an unstored zero.
+
+    Both twins pass the shape rule and ended tamper_bundle in KeyError: a
+    lambda row 0 without column 1, and a border without column 0.  Each now
+    gets +1 at that zero.
+    """
+    if key.isdigit():
+        return build_bundle(int(key))
+    bundle = build_bundle(3)
+    if key.startswith("lambda"):
+        bar = [(SparseRow(), 0, 0)] + bundle.lam.bar[1:]
+        return replace(bundle, lam=replace(bundle.lam, bar=bar))
+    return replace(bundle, slack=replace(bundle.slack, border=SparseRow()))
+
+
+@pytest.mark.parametrize("key", ["2", "5", "lambda row 0 without column 1"])
+def test_tamper_lambda_edits_one_entry_of_the_rows_read(key):
     # Row 0 is stored once and referred to by 2**(k-1) - 1 scaled copies; the
     # tampered bundle replaces row 0 alone, so the copies keep their values.
-    bundle = build_bundle(k)
+    bundle = _tamper_input(key)
     before = dense(rows(bundle.lam.bar))
     after = dense(rows(tamper_bundle(bundle, "lambda").lam.bar))
-    changed = [(i, j) for i, row in enumerate(before) for j, v in enumerate(row)
-               if v != after[i][j]]
-    assert changed == [(0, 1)] and after[0][1] == before[0][1] + ONE
+    assert _changed(before, after) == [(0, 1)] and after[0][1] == before[0][1] + ONE
+
+
+@pytest.mark.parametrize("key", ["2", "5", "border without column 0"])
+def test_tamper_slack_edits_one_entry_of_s(key):
+    # The border is S's first row and column: S[0][0] alone moves, by +1.
+    bundle = _tamper_input(key)
+    before = dense(bordered(bundle.slack))
+    after = dense(bordered(tamper_bundle(bundle, "slack").slack))
+    assert _changed(before, after) == [(0, 0)] and after[0][0] == before[0][0] + ONE
 
 
 @pytest.mark.parametrize("builder", [build_bundle, build_lambda, build_mu, build_slack])
@@ -1308,7 +1351,7 @@ def test_builders_reject_bad_orders_at_the_boundary(builder, k):
 
 
 NOT_A_BUNDLE_CALLS = {
-    "verify": lambda bundle: verify_descent_identity(2, trials=1, dim=2, bundle=bundle),
+    "verify": lambda bundle: verify_descent_identity(bundle, trials=1, dim=2),
     "nonneg": check_multipliers_nonneg,
     "laplacian": check_laplacian,
     "schur": check_schur_psd,
@@ -1344,18 +1387,6 @@ def test_entry_points_reject_a_bundle_whose_order_is_not_an_int(call, k):
         NOT_A_BUNDLE_CALLS[call](replace(build_bundle(2), k=k))
 
 
-@pytest.mark.parametrize("k", [True, 1.0, 0])
-def test_identity_checks_the_order_with_a_bundle(k):
-    # True and 1.0 passed as order 1, and 0 was named as another order than the bundle's
-    with pytest.raises(ValueError, match=rf"^order k must be an int >= 1, got {k}$"):
-        verify_descent_identity(k, trials=1, dim=1, bundle=build_bundle(1))
-
-
-def test_identity_rejects_mismatched_order():
-    with pytest.raises(ValueError, match="order 2, not k=5"):
-        verify_descent_identity(5, trials=2, dim=2, bundle=build_bundle(2))
-
-
 def test_tamper_unknown_target():
     with pytest.raises(ValueError):
         tamper_bundle(build_bundle(1), "nonsense")
@@ -1363,11 +1394,11 @@ def test_tamper_unknown_target():
 
 def test_identity_rejects_bad_arguments():
     with pytest.raises(ValueError):
-        verify_descent_identity(1, trials=0)
+        verify_descent_identity(build_bundle(1), trials=0)
     with pytest.raises(ValueError):
-        verify_descent_identity(1, dim=0)
+        verify_descent_identity(build_bundle(1), dim=0)
     with pytest.raises(ValueError, match="seed must be an int >= 0, got -1"):
-        verify_descent_identity(1, seed=-1)
+        verify_descent_identity(build_bundle(1), seed=-1)
     with pytest.raises(ValueError):
         build_bundle(0)
 

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from silverprox import exactnum
 from silverprox.exactnum import (ONE, RHO, RHO_INV, SQRT2, ZERO, RadicalScalar, int_form, int_times,
                                  norm2_ints, rho_pow, scaled_int_dot, signs)
+from test_exactnum import parse_exact_str
 
 
 class Ref:
@@ -237,7 +238,7 @@ def test_exact_str_round_trip(ab):
     x, rx = RadicalScalar(*ab), Ref(*ab)
     text = x.exact_str()
     assert text == rx.exact_str()
-    same(RadicalScalar.from_exact_str(text), rx)
+    same(parse_exact_str(text), rx)
     assert repr(x) == f"RadicalScalar({rx.a}, {rx.b})"
 
 

@@ -8,10 +8,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from silverprox.certificate import rate_from_certificate
 from silverprox.exactnum import ONE, SQRT2, ZERO, RadicalScalar, rho_pow
 from silverprox import solver
-from silverprox.schedule import silver_schedule
+from silverprox.schedule import rate_from_certificate, silver_schedule
 from silverprox.solver import (
     ProblemInstance,
     SmoothOracle,
