@@ -748,8 +748,8 @@ def _bar_term(d: int, xs: list, ys: list, parts, star_b: list) -> Iterator[tuple
     b_j = 2d v_j + e ||g_j||**2 - 2 <g_j, X_j> and z_i = X_i - e g_i (X_i
     itself for e = 0), and B = gy_j - 2 <g_j, Y_i> for gy_j = 2 <g_j, Y_j>.
 
-    Each group of a part's plan (``_bar_rows``) becomes one part of the sum,
-    the A and B of its entries in its weights' order.  A short row's copy at
+    Each group of a part's plan (``_bar_rows``) is one part (weights, A, B)
+    of the sum, A and B in its weights' order.  A short row's copy at
     offset o reads entry (o + diag, o + c) for each stored column c.  A
     packed row's copy reads its points from o + lo on, each packed once per
     trial into one int P_j whose signed W-bit lanes hold (g_j, b_j, gy_j), so
@@ -786,7 +786,7 @@ def _bar_term(d: int, xs: list, ys: list, parts, star_b: list) -> Iterator[tuple
                 points = list(map(add, points, map(lshift, lane, repeat(shift))))
             half, mask = 1 << (width - 1), (1 << width) - 1
             bias = sum(half << shift for shift in shifts)
-        for unit, form, short, packed in plan:
+        for form, short, packed in plan:
             big_a = [a[o + diag] - b[o + c] - 2 * sum(map(mul, grads[o + c], z[o + diag]))
                      for offsets, diag, cols in short for o in offsets for c in cols]
             big_b = [gy[o + c] - 2 * sum(map(mul, grads[o + c], y[o + diag]))
@@ -806,7 +806,7 @@ def _bar_term(d: int, xs: list, ys: list, parts, star_b: list) -> Iterator[tuple
                                + u[dim + 1] - 2 * sum(map(mul, u, y[i])))
                 big_a.append(pa)
                 big_b.append(pb)
-            yield unit, form, big_a, big_b
+            yield form, big_a, big_b
             del big_a, big_b  # freed before the next group's lists are made
 
 
@@ -814,18 +814,19 @@ def _bar_rows(bar: list) -> tuple[list, int | None]:
     """(plan, bound): the groups in which ``_bar_term`` sums the rows of ``bar``.
 
     The rows are grouped by (power, d), d the denominator of the stored
-    row's integer form, and each group is one plan entry (rho**(2 power),
-    weights, short, packed), weights the int form (ps, qs, d) of its entries
-    in order.  Each distinct stored row's form is taken once.  A short block
-    (offsets, diag, cols) is one stored row's copies in the group, row
-    o + diag at offset o for each o of offsets, and adds its ps and qs to the
-    weights once per copy.  A long row, of at least ``PACK_ROW`` entries, is
-    summed packed if the part's long rows hold at least ``PACK_EXCESS``
+    row's integer form, and each group is one plan entry (weights, short,
+    packed), weights the int form (wp, wq, d) of its entries in order, each
+    rho**(2 power) times its stored row's form.  Each distinct stored row's
+    form is taken once.  A short block (offsets, diag, cols) is one stored
+    row's copies in the group, row o + diag at offset o for each o of
+    offsets, and adds ``int_times(rho**(2 power), ps, qs)``, taken once, to
+    the weights once per copy.  A long row, of at least ``PACK_ROW`` entries,
+    is summed packed if the part's long rows hold at least ``PACK_EXCESS``
     entries beyond ``PACK_ROW`` per row of ``bar`` (mu from k=6, lambda from
     k=7): its block (offsets, diag, lo, ps, qs, sum(ps), sum(qs)) holds its
     form made dense over the columns lo, lo + 1, ... (a stored row's columns
     are contiguous but for at most one), and a group's packed copies share
-    its last entry, of weight ints (1, 0).
+    its last entry, of weight rho**(2 power).
     ``bound`` is the largest sum(|ps|) or sum(|qs|) of the packed rows,
     None if none packs.  So the plan holds O(triples + stored entries)
     ints.  The rule follows the two paths' costs (2-core x86 host,
@@ -856,19 +857,20 @@ def _bar_rows(bar: list) -> tuple[list, int | None]:
         groups.setdefault((power, d), {}).setdefault((id(row), i - offset), []).append(offset)
     plan = []
     for (power, d), blocks in groups.items():
-        wp, wq, short, packed = [], [], [], []
+        unit, wp, wq, short, packed = rho_pow(2 * power), [], [], [], []
         for (key, diag), offsets in blocks.items():
             _, weights, fields = forms[key]
             if weights:
                 short.append((offsets, diag, *fields))
-                wp += weights[0] * len(offsets)
-                wq += weights[1] * len(offsets)
+                ps, qs = int_times(unit, *weights)
+                wp += ps * len(offsets)
+                wq += qs * len(offsets)
             else:
                 packed.append((offsets, diag, *fields))
         if packed:  # the packed copies' one entry, last
-            wp.append(1)
-            wq.append(0)
-        plan.append((rho_pow(2 * power), (wp, wq, d), short, packed))
+            ps, qs = int_times(unit, [1], [0])
+            wp, wq = wp + ps, wq + qs
+        plan.append(((wp, wq, d), short, packed))
     return plan, bound
 
 
@@ -891,12 +893,12 @@ class _PreparedIdentity:
     check the trace it draws itself.  ``_sides`` then does only the trace's
     own integer work, each side one sum of ints against the prepared forms,
     reduced once: the left side is one ``scaled_int_dot`` over the ``bar``
-    rows' groups (``_bar_term``) and the optimum rows (``_optimum_rows``),
-    divided by 2d, and the right side one ``scaled_int_dot`` part over the
-    gap term f_* + h_* - f_n - h_n, ||w||**2, ||u||**2 and the slack term's
-    ints (``_SlackForm.pairs``, O(n k dim) integer work).  A trial makes no
-    other field operation, and beyond the trace's own lists it holds one
-    group's A and B at a time.
+    rows' groups, their rho**2 powers in their weights (``_bar_term``), and
+    the optimum rows (``_optimum_rows``), divided by 2d; the right side is one
+    part over the gap term f_* + h_* - f_n - h_n, ||w||**2, ||u||**2 and the
+    slack term's ints (``_SlackForm.pairs``, O(n k dim) integer work).  A
+    trial makes no other field operation, and beyond the trace's own lists
+    it holds one group's A and B at a time.
     """
 
     def __init__(self, bundle: CertificateBundle, dim: int):
@@ -946,7 +948,7 @@ class _PreparedIdentity:
         u = norm2_ints(self.u_form, [w, *gs, *ss, s_star])
         slack_xs, slack_ys = self.slack.pairs([w] + ss + [s_star])
         gap = f_star + h_star - fs[n] - hs[n]
-        return lhs, scaled_int_dot([(ONE, self.form, [gap, sum(map(mul, w, w)), u[0]] + slack_xs,
+        return lhs, scaled_int_dot([(self.form, [gap, sum(map(mul, w, w)), u[0]] + slack_xs,
                                      [0, 0, u[1]] + slack_ys)])
 
     def _optimum_rows(self, d: int, xs: list, free, star_b: list) -> Iterator[tuple]:
@@ -966,7 +968,7 @@ class _PreparedIdentity:
                 + [cocoercivity_h(view, "*", j) for j in range(1, n + 1)])
         star_a = [(2 * d // co.denominator) * co.numerator for co in star]
         view.xs = view.gs = view.ss = None
-        yield ONE, self.star_form, star_a, star_b
+        yield self.star_form, star_a, star_b
 
 
 def verify_descent_identity(

@@ -16,11 +16,11 @@ p + q*sqrt2 compares p*p with 2*q*q.  The rational components a = p/d and
 b = q/d are available as ``Fraction`` properties.  ``int_form`` puts a list
 of values over one common denominator, once for a caller that sums against
 the same values many times.  ``scaled_int_dot`` sums dots of such forms with
-ints x + y sqrt2, each dot times a unit, and reduces once; ``norm2_ints`` and
-``int_times`` return the ints of a squared norm and of a product by an element
-of Z[sqrt2], for the caller to sum; ``signs`` reads the signs of many values
-at once.  So other modules never read the three ints of a value, nor multiply
-them by the rule of the field.
+ints x + y sqrt2 and reduces once; ``norm2_ints`` and ``int_times`` return
+the ints of a squared norm and of a product by an element of Z[sqrt2], for
+the caller to sum; ``signs`` reads the signs of many values at once.  So
+other modules never read the three ints of a value, nor multiply them by the
+rule of the field.
 """
 
 from __future__ import annotations
@@ -324,28 +324,25 @@ def int_times(w: RadicalScalar, ps: Sequence[int], qs: Sequence[int]) -> tuple[l
     return [a * p + 2 * b * q for p, q in zip(ps, qs)], [b * p + a * q for p, q in zip(ps, qs)]
 
 
-def scaled_int_dot(parts: Iterable[tuple[RadicalScalar, tuple[Sequence[int], Sequence[int], int],
+def scaled_int_dot(parts: Iterable[tuple[tuple[Sequence[int], Sequence[int], int],
                                           Sequence[int], Sequence[int]]]) -> RadicalScalar:
-    """Exact sum of ``unit * sum(values[i] * (xs[i] + ys[i] sqrt2))`` over ``parts`` of
-    (unit, form, xs, ys), with ``form = int_form(values)`` and ints xs and ys.
+    """Exact sum of ``sum(values[i] * (xs[i] + ys[i] sqrt2))`` over ``parts`` of
+    (form, xs, ys), with ``form = int_form(values)`` and ints xs and ys.
 
     A caller that sums against the same values many times prepares their
-    forms once.  Each part's dot is summed on ints over its own denominator;
-    its unit and the lcm of the denominators are then applied to those ints,
-    so the total is reduced once and no field operation runs per part.
+    forms once.  Each part's dot is summed on ints over its own denominator,
+    and the lcm of the denominators is then applied to those ints, so the
+    total is reduced once and no field operation runs per part.
     """
     x = y = 0
     d = 1
-    for unit, (ps, qs, e), xs, ys in parts:
-        a = sum(map(mul, ps, xs)) + 2 * sum(map(mul, qs, ys))
-        b = sum(map(mul, qs, xs)) + sum(map(mul, ps, ys))
-        up, uq, e = unit.p, unit.q, e * unit.d
+    for (ps, qs, e), xs, ys in parts:
         if e != d:  # bring the total and this part over lcm(d, e)
             m = lcm(d, e)
             x, y, d = x * (m // d), y * (m // d), m
         f = d // e
-        x += f * (up * a + 2 * uq * b)
-        y += f * (uq * a + up * b)
+        x += f * (sum(map(mul, ps, xs)) + 2 * sum(map(mul, qs, ys)))
+        y += f * (sum(map(mul, qs, xs)) + sum(map(mul, ps, ys)))
         del xs, ys  # freed before a lazy ``parts`` makes the next part's lists
     return _reduced(x, y, d)
 

@@ -105,7 +105,7 @@ def laplacian_violation(rows):
 def slack_term(slack, cols):
     """Tr(V S V^T) for V = cols = [w, s_1, ..., s_n, s_*], int columns, summed by ``_SlackForm``."""
     form = _SlackForm(slack, len(cols[0]))
-    return scaled_int_dot([(ONE, int_form(form.units), *form.pairs(cols))])
+    return scaled_int_dot([(int_form(form.units), *form.pairs(cols))])
 
 
 def free_trace(pi, dim, rng):

@@ -1051,21 +1051,29 @@ def test_long_rows_pack_in_mu_from_k6_and_in_lambda_from_k7():
             assert all(m >= certificate.PACK_ROW for m in entries.values())
             assert bound == (max(sum(map(abs, w)) for pair in packed.values() for w in pair)
                              if packed else None)
-            # one group per (rho**2 power, stored row's denominator) of the part
-            groups = {(rho_pow(2 * power), exactnum.int_form(row.values())[2])
-                      for row, power, _ in mult.bar if row}
-            keys = [(unit, d) for unit, (_, _, d), _, _ in plan]
+            # one group per (rho**2 power, stored row's denominator) of the part,
+            # rebuilt from the rows its blocks read: copy o of a block reads row
+            # (stored, power, o) of bar, and the group weighs each short entry
+            # rho**(2 power) times its stored value, once per copy, then its
+            # packed copies' one sum, already over d, by the ints of rho**(2 power)
+            keys, read = [], []
+            for (wp, wq, d), short, blocks in plan:
+                copies = [(o, o + diag) for offsets, diag, *_ in short + blocks for o in offsets]
+                (power,) = {mult.bar[i][1] for _, i in copies}
+                assert all(mult.bar[i][2] == o for o, i in copies)
+                assert {exactnum.int_form(mult.bar[i][0].values())[2] for _, i in copies} == {d}
+                keys.append((power, d))
+                read += [i for _, i in copies]
+                scale = rho_pow(2 * power)
+                want = [scale * v for offsets, diag, _ in short for o in offsets
+                        for v in mult.bar[o + diag][0].values()] + ([scale / d] if blocks else [])
+                assert [RadicalScalar(Fraction(p, d), Fraction(q, d)) for p, q in zip(wp, wq)] == want
+            groups = {(power, exactnum.int_form(row.values())[2]) for row, power, _ in mult.bar if row}
             assert len(set(keys)) == len(keys) and set(keys) == groups
-            # every entry the rows read is in the plan once; a group weighs each
-            # short entry, then its packed copies' one sum
-            read = 0
-            for _, (wp, wq, _), short, blocks in plan:
-                short_entries = sum(len(offsets) * len(cols) for offsets, _, cols in short)
-                assert len(wp) == len(wq) == short_entries + bool(blocks)
-                assert not blocks or (wp[-1], wq[-1]) == (1, 0)
-                read += short_entries + sum(len(offsets) * entries[id(ps)]
-                                            for offsets, _, _, ps, *_ in blocks)
-            assert read == sum(len(row) for row, _, _ in mult.bar)
+            # every row with entries is read once, and a packed row's copies read its entries
+            assert sorted(read) == [i for i, (row, _, _) in enumerate(mult.bar) if row]
+            assert all(entries[id(ps)] == len(mult.bar[o + diag][0])
+                       for *_, blocks in plan for offsets, diag, _, ps, *_ in blocks for o in offsets)
     assert packs == {1: (0, 0), 2: (0, 0), 3: (0, 0), 4: (0, 0), 5: (0, 0), 6: (0, 7),
                      7: (5, 9), 8: (6, 11)}
     for target in TAMPER_TARGETS:

@@ -1,6 +1,7 @@
 import contextlib
 import csv
 import hashlib
+import importlib
 import io
 import json
 import math
@@ -589,6 +590,25 @@ def test_exact_half_runs_with_numpy_blocked(argv):
     assert plain.returncode == 0, plain.stderr
     assert blocked.stdout == plain.stdout
     assert blocked.stdout
+
+
+def test_module_entry_point_prints_what_main_prints(capsys):
+    # ``python -m silverprox`` runs __main__.py, which no in-process test reaches.
+    argv = ("cert", "verify", "--k", "1..2", "--trials", "1")
+    done = subprocess.run([sys.executable, "-m", "silverprox", *argv], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": SRC}, timeout=120)
+    code, out, _ = run(capsys, *argv)
+    assert done.returncode == code == 0, done.stderr
+    assert done.stdout == out
+
+
+def test_console_script_is_cli_main():
+    tomllib = pytest.importorskip("tomllib")  # in the standard library from 3.11
+    with open(Path(SRC).parent / "pyproject.toml", "rb") as f:
+        scripts = tomllib.load(f)["project"]["scripts"]
+    assert scripts["silverprox"] == "silverprox.cli:main"
+    module, name = scripts["silverprox"].split(":")
+    assert getattr(importlib.import_module(module), name) is main
 
 
 def test_import_and_cert_verify_leave_numpy_unloaded():

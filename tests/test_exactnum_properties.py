@@ -130,20 +130,17 @@ def test_int_times_keeps_the_common_denominator(w, components):
 
 
 @settings(deadline=None)
-@given(st.lists(st.tuples(pairs, st.lists(st.tuples(pairs, numerators, numerators), max_size=5)),
-                max_size=4))
+@given(st.lists(st.lists(st.tuples(pairs, numerators, numerators), max_size=5), max_size=4))
 @example([])
-@example([((Fraction(3), Fraction(2)), [((Fraction(1, 6), Fraction(-5, 4)), -3, 2)]),
-          ((Fraction(1), Fraction(0)), [((Fraction(2, 3), Fraction(0)), 7, -1)])])
-@example([((Fraction(1), Fraction(0)), [((Fraction(1, 6), Fraction(-5, 4)), -3, 2),
-                                        ((Fraction(2, 3), Fraction(0)), 7, 0)])])
+@example([[((Fraction(1, 6), Fraction(-5, 4)), -3, 2)], [((Fraction(2, 3), Fraction(0)), 7, -1)]])
+@example([[((Fraction(1, 6), Fraction(-5, 4)), -3, 2), ((Fraction(2, 3), Fraction(0)), 7, 0)]])
 def test_scaled_int_dot_matches_the_sum_of_scaled_dots(parts):
-    # Units and values with d > 1 over ints x + y sqrt2 of either sign, each
-    # part over its own denominator; a single part of unit 1 is one dot.
-    built = [(RadicalScalar(*unit), [RadicalScalar(*ab) for ab, _, _ in terms],
-              [x for _, x, _ in terms], [y for _, _, y in terms]) for unit, terms in parts]
-    got = scaled_int_dot([(unit, int_form(values), xs, ys) for unit, values, xs, ys in built])
-    assert got == sum((unit * value * (SQRT2 * b + a) for unit, values, xs, ys in built
+    # Values with d > 1 over ints x + y sqrt2 of either sign, each part over
+    # its own denominator; a single part is one dot.
+    built = [([RadicalScalar(*ab) for ab, _, _ in terms], [x for _, x, _ in terms],
+              [y for _, _, y in terms]) for terms in parts]
+    got = scaled_int_dot([(int_form(values), xs, ys) for values, xs, ys in built])
+    assert got == sum((value * (SQRT2 * b + a) for values, xs, ys in built
                        for value, a, b in zip(values, xs, ys)), ZERO)
     assert got.d >= 1 and gcd(got.p, got.q, got.d) == 1
 
